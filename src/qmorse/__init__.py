@@ -20,12 +20,14 @@ from .pekeris import CompositeSPQ, PekerisCoefficients, composite_spq, pekeris_c
 from .spectrum import (
     QuantumState,
     SpectrumResult,
+    bound_ladder,
     energy_constant_mass,
     energy_pdm,
     energy_s_wave,
     n_max,
     near_threshold_state,
     s_wave_ladder,
+    spectrum_grid,
 )
 from .units import UNITS, UnitSystem, dissociation_energy_eV, hbar2_over_2mu
 
@@ -47,6 +49,7 @@ __all__ = [
     "ThresholdStateError",
     "UNITS",
     "UnitSystem",
+    "bound_ladder",
     "builtin",
     "composite_spq",
     "dissociation_energy_eV",
@@ -63,6 +66,7 @@ __all__ = [
     "pekeris_coefficients",
     "s_wave_ladder",
     "serialize_molecules",
+    "spectrum_grid",
 ]
 
 __version__ = "0.1.0"

@@ -8,6 +8,7 @@ error, 3 golden-value mismatch (table3).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -17,7 +18,7 @@ import numpy as np
 from . import special_cases
 from .errors import DomainError
 from .molecules import MoleculeRecord, builtin, load_molecules
-from .oracle import OracleConfig, compare, solve, suggest_config
+from .oracle import compare, solve, suggest_config
 from .potential import MassModel, PotentialParams, mass
 from .reference import (
     REFERENCE_MINUS_E,
@@ -27,14 +28,13 @@ from .reference import (
 )
 from .spectrum import (
     QuantumState,
+    bound_ladder,
     energy_constant_mass,
-    energy_constant_mass_params,
-    energy_pdm,
-    energy_pdm_params,
     energy_s_wave,
     n_max,
     near_threshold_state,
     s_wave_ladder,
+    spectrum_grid,
 )
 from .units import UNITS
 from .wavefunctions import (
@@ -44,6 +44,9 @@ from .wavefunctions import (
 )
 
 ENV_MOLECULE_PATH = "MORSE_MOLECULE_PATH"
+
+#: special-case fields whose CLI flag differs from the field name
+CASE_FLAGS = {"r_e": "re", "d_hat": "dhat"}
 
 
 def _constants_dict() -> dict:
@@ -131,19 +134,25 @@ def _json_safe(value):
     return value
 
 
+def _positive_int(text: str) -> int:
+    if not text.isdigit() or int(text) == 0:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
 def cmd_spectrum(args, stream) -> int:
     mol = _resolve_molecule(args.molecule, args.molecule_file)
     n_list = _parse_int_list(args.n)
     l_list = _parse_int_list(args.l)
-    rows = []
-    for n in n_list:
-        for l in l_list:
-            state = QuantumState(n, l)
-            if args.delta > 0.0:
-                res = energy_pdm(mol, args.q, args.delta, state)
-            else:
-                res = energy_constant_mass(mol, args.q, state)
-            rows.append([n, l, res.eps_nl, res.energy, -res.energy, res.bound])
+    p = PotentialParams.from_molecule(mol, args.q)
+    mm = MassModel.from_molecule(mol, args.delta)
+    grid = spectrum_grid(p, mm, np.array(n_list)[:, None], l_list)
+    grid.raise_fault()
+    eps, energy, bound = grid.eps.tolist(), (grid.energy - p.v3).tolist(), grid.bound.tolist()
+    rows = [
+        [n, l, eps[i][j], energy[i][j], -energy[i][j], bound[i][j]]
+        for i, n in enumerate(n_list) for j, l in enumerate(l_list)
+    ]
     table = {
         "params": {
             "molecule": mol.name, "q": args.q, "delta": args.delta,
@@ -221,12 +230,12 @@ def cmd_nmax(args, stream) -> int:
 def cmd_wavefunction(args, stream) -> int:
     mol = _resolve_molecule(args.molecule, args.molecule_file)
     p = PotentialParams.from_molecule(mol, args.q)
+    mm = MassModel.from_molecule(mol, args.delta)
     state = QuantumState(args.n, args.l)
     r_lo = args.r_min if args.r_min is not None else max(1e-3, p.r_e - 4.0 / p.a)
     r_hi = args.r_max if args.r_max is not None else p.r_e + 12.0 / p.a
     grid = np.linspace(r_lo, r_hi, args.points)
-    if args.delta > 0.0:
-        mm = MassModel.from_molecule(mol, args.delta)
+    if mm.delta > 0.0:
         norm = pdm_normalization(p, mm, state)
         u = pdm_wavefunction(p, mm, state, grid, kind="u", normalization=norm.quadrature)
         m_of_r, _, _ = mass(mm, p, grid)
@@ -263,28 +272,9 @@ def cmd_oracle_compare(args, stream) -> int:
         richardson=args.richardson,
     )
     if args.grid is not None:
-        cfg = OracleConfig(
-            r_min=cfg.r_min, r_max=cfg.r_max, grid_points=args.grid,
-            centrifugal_mode=cfg.centrifugal_mode, inverse_r_mode=cfg.inverse_r_mode,
-            mass_mode=cfg.mass_mode, richardson=cfg.richardson,
-        )
+        cfg = dataclasses.replace(cfg, grid_points=args.grid)
     spectrum_oracle = solve(p, mm, args.l, cfg)
-    closed = []
-    n = 0
-    while True:
-        try:
-            if args.delta > 0.0:
-                res = energy_pdm_params(p, mm, QuantumState(n, args.l))
-            else:
-                res = energy_constant_mass_params(p, mm, QuantumState(n, args.l))
-        except Exception:
-            break
-        if not res.bound:
-            break
-        closed.append(res)
-        n += 1
-        if args.n_levels is not None and n >= args.n_levels:
-            break
+    closed = bound_ladder(p, mm, args.l).energy[:args.n_levels].tolist()
     report = compare(closed, spectrum_oracle)
     if args.format == "json":
         stream.write(report.to_json() + "\n")
@@ -300,18 +290,14 @@ def cmd_oracle_compare(args, stream) -> int:
 
 def cmd_special_case(args, stream) -> int:
     case_id = args.case.replace("-", "_")
-    if case_id == "generalized_vibrational":
-        case = special_cases.GeneralizedVibrationalCase(
-            D=args.D, alpha=args.alpha, q=args.q, mu=args.mu, r_e=args.re)
-    elif case_id == "non_pt":
-        case = special_cases.NonPtCase(D=args.D, d_hat=args.dhat, mu=args.mu, r_e=args.re)
-    elif case_id == "pt_type1":
-        case = special_cases.PtType1Case(D=args.D, d_hat=args.dhat, mu=args.mu, r_e=args.re)
-    elif case_id == "pt_type2":
-        case = special_cases.PtType2Case(
-            D=args.D, omega=args.omega, alpha=args.alpha, mu=args.mu, r_e=args.re)
-    else:
-        raise DomainError(f"unknown case {args.case!r}")
+    case_type = special_cases.SPECIAL_CASES[case_id].case_type
+    values = {}
+    for field in dataclasses.fields(case_type):
+        flag = CASE_FLAGS.get(field.name, field.name)
+        if getattr(args, flag) is None:
+            raise DomainError(f"--case {args.case} requires --{flag}")
+        values[field.name] = getattr(args, flag)
+    case = case_type(**values)
     rows = []
     for n in range(args.levels):
         res = special_cases.special_case_spectrum(case_id, case, n)
@@ -343,7 +329,8 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(sp):
         sp.add_argument("--format", choices=("text", "csv", "json"), default="text")
         sp.add_argument("--output", default=None, help="write to this path instead of stdout")
-        sp.add_argument("--digits", type=int, default=6, help="significant digits (default 6)")
+        sp.add_argument("--digits", type=_positive_int, default=6,
+                        help="significant digits (default 6)")
         sp.add_argument("--molecule-file", default=None,
                         help=f"molecule definition file (default: ${ENV_MOLECULE_PATH})")
 
@@ -379,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--l", type=int, default=0)
     sp.add_argument("--r-min", type=float, default=None)
     sp.add_argument("--r-max", type=float, default=None)
-    sp.add_argument("--points", type=int, default=400)
+    sp.add_argument("--points", type=_positive_int, default=400)
     sp.set_defaults(func=cmd_wavefunction)
 
     sp = sub.add_parser("oracle-compare", help="finite-difference check of the closed forms")
@@ -392,15 +379,15 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--inverse-r", choices=("exact", "pekeris"), default=None)
     sp.add_argument("--grid", type=int, default=None)
     sp.add_argument("--richardson", action=argparse.BooleanOptionalAction, default=True)
-    sp.add_argument("--n-levels", type=int, default=None)
+    sp.add_argument("--n-levels", type=_positive_int, default=None)
     sp.set_defaults(func=cmd_oracle_compare)
 
     sp = sub.add_parser("special-case", help="closed forms of the named special wells")
     add_common(sp)
-    sp.add_argument("--case", required=True,
-                    choices=("generalized-vibrational", "generalized_vibrational",
-                             "non-pt", "non_pt", "pt-type1", "pt_type1",
-                             "pt-type2", "pt_type2"))
+    sp.add_argument("--case", required=True, choices=[
+        form for case_id in special_cases.CASE_IDS
+        for form in (case_id.replace("_", "-"), case_id)
+    ])
     sp.add_argument("--D", type=float, required=True, help="well scale (eV)")
     sp.add_argument("--alpha", type=float, default=1.0, help="dimensionless range")
     sp.add_argument("--q", type=float, default=1.0)

@@ -25,7 +25,7 @@ class ThresholdStateError(ValueError):
     """State sits exactly at the varying-mass threshold (vanishing denominator)."""
 
 
-class NonNormalizableError(ValueError):
+class NonNormalizableError(DomainError):
     """Requested wavefunction decays too slowly to normalize."""
 
 

@@ -22,7 +22,7 @@ round-trip through config tooling).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import DomainError
 from .units import UNITS
@@ -166,7 +166,3 @@ def serialize_molecules(records: list[MoleculeRecord]) -> str:
             )
         )
     return "\n\n".join(blocks) + "\n"
-
-
-def with_source(record: MoleculeRecord, source: str) -> MoleculeRecord:
-    return replace(record, source=source)

@@ -44,13 +44,7 @@ from .potential import (
     mass_pole_radius,
     morse_potential,
 )
-from .spectrum import (
-    SpectrumResult,
-    beta_static,
-    epsilon_pdm,
-    reduced_coefficients,
-    xi_value,
-)
+from .spectrum import SpectrumResult, bound_ladder, reduced_coefficients
 from .units import UNITS, UnitSystem, hbar2_over_2mu
 
 
@@ -260,38 +254,10 @@ def formula_ladder_top(
     Used only to aim the oracle's domain (adequacy is still verified by grid
     convergence); returns None when the closed form predicts no bound level.
     """
-    mm_eff = mm if (mass_mode == "pdm" and mm.delta > 0.0) else MassModel(m0=mm.m0, delta=0.0)
-    beta1, beta2 = beta_static(p, mm_eff, l, units)
-    if beta1 <= 0.0:
+    ladder = bound_ladder(p, mm if mass_mode == "pdm" else MassModel(m0=mm.m0), l, units)
+    if len(ladder) == 0:
         return None
-    eps_min = None
-    xi_min = math.inf
-    if mm_eff.delta == 0.0:
-        s = beta2 / (2.0 * math.sqrt(beta1))
-        if s - 0.5 <= 0.0:
-            return None
-        eps_min = s - 0.5 - math.floor(s - 0.5)
-        if eps_min == 0.0:
-            eps_min = 1.0
-    else:
-        n = 0
-        while n < 100000:
-            try:
-                eps = epsilon_pdm(n, beta1, beta2, mm_eff.delta)
-            except Exception:
-                break
-            if eps <= 0.0:
-                break
-            eps_min = eps
-            n += 1
-        if eps_min is None:
-            return None
-        xi_min = xi_value(beta1, beta2, eps_min, mm_eff.delta)
-    big_k = hbar2_over_2mu(mm.m0, units) * p.a**2
-    probe = OracleConfig(r_min=1e-3, r_max=1.0, centrifugal_mode="pekeris",
-                         inverse_r_mode="pekeris", mass_mode=mass_mode)
-    e_top = continuum_threshold(p, mm, l, probe, units) - big_k * eps_min**2
-    return e_top, eps_min, xi_min
+    return float(ladder.energy[-1]), float(ladder.eps[-1]), float(ladder.xi[-1])
 
 
 def suggest_config(
@@ -324,7 +290,6 @@ def suggest_config(
     threshold = continuum_threshold(p, mm, l, probe_cfg, units)
     is_pdm = probe_cfg.mass_mode == "pdm" and mm.delta > 0.0
     ladder = formula_ladder_top(p, mm, l, probe_cfg.mass_mode, units)
-    xi_min = ladder[2] if ladder is not None else math.inf
     if e_top is None:
         e_top = ladder[0] if ladder is not None else threshold - 1e-3
     e_top = min(e_top, threshold - 1e-12)

@@ -56,9 +56,11 @@ def composite_spq(p: PotentialParams, l: int) -> CompositeSPQ:
     """S, P, Q composites entering the varying-mass strength parameters.
 
     S multiplies delta in beta2; P and Q multiply delta and delta^2 in beta1.
-    gamma = l(l+1)/r_e^2, so gamma a_i / a^2 = l(l+1) a_i / alpha^2.
+    gamma = l(l+1)/r_e^2, so gamma a_i / a^2 = l(l+1) a_i / alpha^2.  l may be
+    an array, giving array composites.
     """
-    if l < 0 or l != int(l):
+    l_arr = np.asarray(l, dtype=float)
+    if not ((l_arr >= 0) & (l_arr % 1 == 0)).all():
         raise DomainError(f"l must be a non-negative integer, got {l}")
     pc = pekeris_coefficients(p.alpha)
     gamma_over_a2 = l * (l + 1) / p.alpha**2

@@ -32,11 +32,11 @@ class PotentialParams:
             raise DomainError("complex deformation parameter is not supported")
         for field in ("d_e", "a", "r_e"):
             value = getattr(self, field)
-            if not value > 0.0:
-                raise DomainError(f"{field} must be positive, got {value}")
-        if not (self.q > 0.0 or -1.0 <= self.q < 0.0):
+            if not 0.0 < value < math.inf:
+                raise DomainError(f"{field} must be positive and finite, got {value}")
+        if not (0.0 < self.q < math.inf or -1.0 <= self.q < 0.0):
             raise DomainError(
-                f"deformation q must satisfy q > 0 or -1 <= q < 0, got {self.q}"
+                f"deformation q must be finite and satisfy q > 0 or -1 <= q < 0, got {self.q}"
             )
 
     @property
@@ -72,8 +72,8 @@ class MassModel:
     delta: float = 0.0
 
     def __post_init__(self):
-        if not self.m0 > 0.0:
-            raise DomainError(f"m0 must be positive, got {self.m0}")
+        if not 0.0 < self.m0 < math.inf:
+            raise DomainError(f"m0 must be positive and finite, got {self.m0}")
         if not (0.0 <= self.delta < 1.0):
             raise DomainError(f"delta must satisfy 0 <= delta < 1, got {self.delta}")
 

@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 from .errors import DomainError
 from .spectrum import EPS_TIE_TOL, QuantumState, SpectrumResult
 from .units import UNITS, UnitSystem, hbar2_over_2mu
-
-CASE_IDS = ("generalized_vibrational", "non_pt", "pt_type1", "pt_type2")
 
 
 @dataclass(frozen=True)
@@ -147,17 +146,28 @@ def pt_type2_energy(case: PtType2Case, n: int, units: UnitSystem = UNITS) -> Spe
     )
 
 
+class SpecialCase(NamedTuple):
+    """A named reduction: its parameter dataclass and its energy function."""
+
+    case_type: type
+    energy: Callable[..., SpectrumResult]
+
+
+SPECIAL_CASES = {
+    "generalized_vibrational": SpecialCase(GeneralizedVibrationalCase, gv_energy),
+    "non_pt": SpecialCase(NonPtCase, non_pt_energy),
+    "pt_type1": SpecialCase(PtType1Case, pt_type1_energy),
+    "pt_type2": SpecialCase(PtType2Case, pt_type2_energy),
+}
+
+CASE_IDS = tuple(SPECIAL_CASES)
+
+
 def special_case_spectrum(case_id: str, case, n: int, units: UnitSystem = UNITS) -> SpectrumResult:
     """Dispatch on case_id; pt_type1 yields a complex energy flagged unbound."""
-    if case_id == "generalized_vibrational":
-        return gv_energy(case, n, units)
-    if case_id == "non_pt":
-        return non_pt_energy(case, n, units)
-    if case_id == "pt_type1":
-        return pt_type1_energy(case, n, units)
-    if case_id == "pt_type2":
-        return pt_type2_energy(case, n, units)
-    raise DomainError(f"unknown special case {case_id!r}; available: {', '.join(CASE_IDS)}")
+    if case_id not in SPECIAL_CASES:
+        raise DomainError(f"unknown special case {case_id!r}; available: {', '.join(CASE_IDS)}")
+    return SPECIAL_CASES[case_id].energy(case, n, units)
 
 
 def is_non_real(result: SpectrumResult, tol: float = 0.0) -> bool:
@@ -167,10 +177,12 @@ def is_non_real(result: SpectrumResult, tol: float = 0.0) -> bool:
 
 __all__ = [
     "CASE_IDS",
+    "SPECIAL_CASES",
     "GeneralizedVibrationalCase",
     "NonPtCase",
     "PtType1Case",
     "PtType2Case",
+    "SpecialCase",
     "energy_scale",
     "gv_lambda",
     "gv_energy",

@@ -1,24 +1,28 @@
 """Closed-form rovibrational bound-state energies.
 
-Three routes are provided:
-
-* the varying-mass spectrum (delta > 0), via the quadratic-reduction strength
-  parameters beta1, beta2 and the quantized eps_nl;
-* the constant-mass limit (delta = 0), written out with the centrifugal
-  polynomial exactly as in the confluent closed form;
-* the s-wave ladder (l = 0) in the eta/kappa parameterization, together with
-  the bound-state count.
+One array evaluator holds the closed form: ``strengths`` (beta1, beta2 over
+l), ``quantize`` (eps_nl, xi, den and the bound rule over broadcast arrays:
+the varying-mass bracket for delta > 0, its delta -> 0 limit
+eps = beta2 / (2 sqrt(beta1)) - (n + 1/2) for delta = 0) and
+``spectrum_grid`` (energies over an n x l grid, delta below DELTA_CROSSOVER
+routed to the constant-mass branch).  ``bound_ladder`` is the bound prefix
+n = 0, 1, ... of one l.  Failing states are reported per state, not raised;
+the scalar functions (``energy_pdm``, ``n_max``, ``epsilon_pdm``, ...) are
+thin wrappers that raise.
 
 Energies returned by the molecule-level functions are referenced to the
 separated-atoms limit (the constant offset q^2 D_e of the squared-bracket
-well form is removed); the ``*_params`` functions return the literal formula
-value including that offset.  The two conventions differ by exactly v3.
+well form is removed); the ``*_params`` functions and the grids give the
+literal formula value including that offset.  The two conventions differ by
+exactly v3.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
+
+import numpy as np
 
 from .errors import DomainError, NoRealSolutionError, ThresholdStateError
 from .molecules import MoleculeRecord, builtin
@@ -33,6 +37,9 @@ DELTA_CROSSOVER = 1e-10
 #: eps at or below this is classified unbound (ties count as unbound).
 EPS_TIE_TOL = 1e-12
 
+#: per-state fault codes of ``quantize`` (0: none), in the order they are checked
+FAULT_BETA1, FAULT_THRESHOLD, FAULT_XI = 1, 2, 3
+
 
 @dataclass(frozen=True)
 class QuantumState:
@@ -46,16 +53,6 @@ class QuantumState:
             raise DomainError(f"n must be a non-negative integer, got {self.n}")
         if self.l < 0 or self.l != int(self.l):
             raise DomainError(f"l must be a non-negative integer, got {self.l}")
-
-
-@dataclass(frozen=True)
-class BetaParameters:
-    """Strength composites and the per-state quantized parameters."""
-
-    beta1: float
-    beta2: float
-    eps_nl: float
-    xi: float | None
 
 
 @dataclass(frozen=True)
@@ -74,14 +71,56 @@ class SpectrumResult:
     zero: str = "dissociation"
 
 
-def beta_static(
-    p: PotentialParams, mm: MassModel, l: int, units: UnitSystem = UNITS
-) -> tuple[float, float]:
-    """The state-independent strength composites (beta1, beta2).
+@dataclass(frozen=True)
+class SpectrumGrid:
+    """Closed-form values over broadcast arrays of states, literal well convention.
+
+    xi is +inf on the constant-mass branch (its delta -> 0 limit).  bound is
+    eps > EPS_TIE_TOL on the positive branch den > 0 of a state without
+    fault; fault_value is the offending beta1, n or xi^2 of a failing state.
+    ``spectrum_grid`` adds the energies; delta is the deformation evaluated
+    (0.0 on the constant-mass branch).
+    """
+
+    eps: np.ndarray
+    xi: np.ndarray
+    den: np.ndarray
+    bound: np.ndarray
+    fault: np.ndarray
+    fault_value: np.ndarray
+    delta: float
+    energy: np.ndarray | None = None
+
+    def __getitem__(self, index) -> "SpectrumGrid":
+        return replace(self, **{f.name: getattr(self, f.name)[index] for f in fields(self)
+                                if isinstance(getattr(self, f.name), np.ndarray)})
+
+    def __len__(self) -> int:
+        return len(self.eps)
+
+    def raise_fault(self) -> None:
+        """Raise the error of the first failing state in row order, if any."""
+        failing = np.flatnonzero(self.fault)
+        if failing.size == 0:
+            return
+        code = self.fault.flat[failing[0]]
+        value = float(self.fault_value.flat[failing[0]])
+        if code == FAULT_BETA1:
+            raise NoRealSolutionError("no real solution: beta1 is not positive", value)
+        if code == FAULT_THRESHOLD:
+            raise ThresholdStateError(
+                f"state n={int(value)} sits at the varying-mass threshold (vanishing denominator)"
+            )
+        raise NoRealSolutionError("no real NU solution: xi^2 < 0", value)
+
+
+def strengths(p: PotentialParams, mm: MassModel, l, units: UnitSystem = UNITS):
+    """The state-independent strength composites (beta1, beta2) over an array of l.
 
     beta1 = (2 m0 V1 / hbar^2 + gamma a2)/a^2 + P delta + Q delta^2
     beta2 = (2 m0 V2 / hbar^2 - gamma a1)/a^2 + S delta
     """
+    l = np.asarray(l, dtype=float)
     h22m = hbar2_over_2mu(mm.m0, units)
     big_k = h22m * p.a**2
     pc = pekeris_coefficients(p.alpha)
@@ -92,50 +131,128 @@ def beta_static(
     return beta1, beta2
 
 
-def beta_parameters(
-    p: PotentialParams, mm: MassModel, state: QuantumState, units: UnitSystem = UNITS
-) -> BetaParameters:
-    """Strength composites plus the quantized (eps_nl, xi) of one state."""
-    beta1, beta2 = beta_static(p, mm, state.l, units)
-    if mm.delta < DELTA_CROSSOVER:
-        eps = epsilon_constant_mass(state.n, beta1, beta2)
-        return BetaParameters(beta1=beta1, beta2=beta2, eps_nl=eps, xi=None)
-    eps = epsilon_pdm(state.n, beta1, beta2, mm.delta)
-    return BetaParameters(
-        beta1=beta1, beta2=beta2, eps_nl=eps, xi=xi_value(beta1, beta2, eps, mm.delta)
-    )
+def _xi_squared(beta1, beta2, eps, delta):
+    """xi^2 = 1 + 4 eps^2 + (4/delta)(beta1/delta - beta2), delta > 0."""
+    return 1.0 + 4.0 * eps**2 + (4.0 / delta) * (beta1 / delta - beta2)
+
+
+def quantize(n, beta1, beta2, delta: float) -> SpectrumGrid:
+    """Quantized eps_nl, xi and den over broadcast (n, beta1, beta2) arrays.
+
+    delta > 0:  eps = (1/2) [n(n+1) delta - 2(n+1/2) sqrt(beta1) + beta2]
+                            / [sqrt(beta1) - (n+1/2) delta]
+    delta = 0:  eps = beta2 / (2 sqrt(beta1)) - (n + 1/2)
+    """
+    n, beta1, beta2 = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in (n, beta1, beta2)))
+    with np.errstate(all="ignore"):
+        sqrt_b1 = np.sqrt(beta1)
+        den = sqrt_b1 - (n + 0.5) * delta
+        if delta == 0.0:
+            fault = np.where(beta1 > 0.0, 0, FAULT_BETA1)
+            eps = beta2 / (2.0 * sqrt_b1) - (n + 0.5)
+            xi_sq = np.full(n.shape, np.inf)
+        else:
+            eps = 0.5 * (n * (n + 1) * delta - 2.0 * (n + 0.5) * sqrt_b1 + beta2) / den
+            xi_sq = _xi_squared(beta1, beta2, eps, delta)
+            threshold = np.abs(den) <= 1e-14 * np.maximum(1.0, sqrt_b1)
+            fault = np.where(beta1 < 0.0, FAULT_BETA1, np.where(
+                threshold, FAULT_THRESHOLD, np.where(xi_sq < 0.0, FAULT_XI, 0)))
+        xi = np.sqrt(xi_sq)
+    fault_value = np.choose(fault, [beta1, beta1, n, xi_sq])
+    # normalizable states need eps > 0 on the positive branch (den > 0); past
+    # the denominator flip the formula's positive eps is spurious
+    bound = (fault == 0) & (eps > EPS_TIE_TOL) & (den > 0.0)
+    return SpectrumGrid(eps=eps, xi=xi, den=den, bound=bound, fault=fault,
+                        fault_value=fault_value, delta=delta)
+
+
+def _evaluated_mass(mm: MassModel) -> MassModel:
+    """The mass model the closed form is evaluated with (DELTA_CROSSOVER routing)."""
+    return mm if mm.delta >= DELTA_CROSSOVER else MassModel(m0=mm.m0)
+
+
+def spectrum_grid(p: PotentialParams, mm: MassModel, n, l,
+                  units: UnitSystem = UNITS) -> SpectrumGrid:
+    """eps, xi, den, energy and bound over broadcast n x l arrays.
+
+    E = V3 + gamma a0 hbar^2/2m0 - (hbar^2 a^2/2m0) eps^2 (literal convention).
+    """
+    mm = _evaluated_mass(mm)
+    l = np.asarray(l, dtype=float)
+    beta1, beta2 = strengths(p, mm, l, units)
+    qz = quantize(n, beta1, beta2, mm.delta)
+    h22m = hbar2_over_2mu(mm.m0, units)
+    gamma = l * (l + 1) / p.r_e**2
+    energy = p.v3 + h22m * gamma * pekeris_coefficients(p.alpha).a0 - h22m * p.a**2 * qz.eps**2
+    return replace(qz, energy=energy)
+
+
+def _ladder_length(beta1: float, beta2: float, delta: float) -> int:
+    """Closed-form count of the leading n with eps_n > EPS_TIE_TOL and den_n > 0.
+
+    At delta = 0, eps_n = eps_0 - n.  For delta > 0, den_n > 0 below
+    n = sqrt(beta1)/delta - 1/2, and the sign of eps_n follows the numerator
+    delta n^2 + (delta - 2 sqrt(beta1)) n + beta2 - sqrt(beta1), positive
+    below its smaller root.
+    """
+    if not beta1 > 0.0:
+        return 0
+    sqrt_b1 = math.sqrt(beta1)
+    if delta == 0.0:
+        edge = float(quantize(0, beta1, beta2, 0.0).eps)
+    else:
+        edge = sqrt_b1 / delta - 0.5
+        b = delta - 2.0 * sqrt_b1
+        c = beta2 - sqrt_b1
+        disc = b * b - 4.0 * delta * c
+        if disc >= 0.0 and b < 0.0:  # b >= 0 leaves den_0 <= 0: no bound state
+            # smaller root, in the form free of cancellation for small delta
+            edge = min(edge, 2.0 * c / (math.sqrt(disc) - b))
+    return max(0, math.ceil(edge - EPS_TIE_TOL))
+
+
+def bound_ladder(p: PotentialParams, mm: MassModel, l: int,
+                 units: UnitSystem = UNITS) -> SpectrumGrid:
+    """Bound states n = 0, 1, ... of one l, up to the first unbound or failing n.
+
+    The candidates are the closed-form count plus one, so rounding at the
+    ladder edge cannot cut it short; the bound rule then picks the prefix.
+    """
+    mm = _evaluated_mass(mm)
+    beta1, beta2 = strengths(p, mm, l, units)
+    count = _ladder_length(float(beta1), float(beta2), mm.delta)
+    grid = spectrum_grid(p, mm, np.arange(count + 1), l, units)
+    unbound = np.flatnonzero(~grid.bound)
+    return grid[: unbound[0] if unbound.size else count + 1]
+
+
+def beta_static(p: PotentialParams, mm: MassModel, l: int,
+                units: UnitSystem = UNITS) -> tuple[float, float]:
+    """Scalar (beta1, beta2) of one l; see ``strengths``."""
+    beta1, beta2 = strengths(p, mm, l, units)
+    return float(beta1), float(beta2)
 
 
 def epsilon_pdm(n: int, beta1: float, beta2: float, delta: float) -> float:
-    """Quantized eps_nl of the varying-mass problem.
-
-        eps = (1/2) [n(n+1) delta - 2(n+1/2) sqrt(beta1) + beta2]
-                    / [sqrt(beta1) - (n+1/2) delta]
-    """
+    """Quantized eps_nl of the varying-mass problem; see ``quantize``."""
     if not delta > 0.0:
         raise DomainError("epsilon_pdm requires delta > 0; use the constant-mass branch")
-    if beta1 < 0.0:
-        raise NoRealSolutionError("no real NU solution: beta1 < 0", beta1)
-    sqrt_b1 = math.sqrt(beta1)
-    den = sqrt_b1 - (n + 0.5) * delta
-    if abs(den) <= 1e-14 * max(1.0, sqrt_b1):
-        raise ThresholdStateError(
-            f"state n={n} sits at the varying-mass threshold (vanishing denominator)"
-        )
-    num = n * (n + 1) * delta - 2.0 * (n + 0.5) * sqrt_b1 + beta2
-    return 0.5 * num / den
+    qz = quantize(n, beta1, beta2, delta)
+    if qz.fault != FAULT_XI:  # eps is defined where xi is not real
+        qz.raise_fault()
+    return float(qz.eps)
 
 
 def epsilon_constant_mass(n: int, beta1: float, beta2: float) -> float:
     """Constant-mass limit: eps = beta2 / (2 sqrt(beta1)) - (n + 1/2)."""
-    if beta1 <= 0.0:
-        raise NoRealSolutionError("no real solution: beta1 <= 0", beta1)
-    return beta2 / (2.0 * math.sqrt(beta1)) - (n + 0.5)
+    qz = quantize(n, beta1, beta2, 0.0)
+    qz.raise_fault()
+    return float(qz.eps)
 
 
 def xi_value(beta1: float, beta2: float, eps: float, delta: float) -> float:
     """xi = sqrt(1 + 4 eps^2 + (4/delta)(beta1/delta - beta2)), delta > 0."""
-    inside = 1.0 + 4.0 * eps**2 + (4.0 / delta) * (beta1 / delta - beta2)
+    inside = _xi_squared(beta1, beta2, eps, delta)
     if inside < 0.0:
         raise NoRealSolutionError("no real NU solution: xi^2 < 0", inside)
     return math.sqrt(inside)
@@ -156,129 +273,52 @@ def energy_pdm_params(
 ) -> SpectrumResult:
     """Varying-mass closed form, literal well convention (offset included).
 
-    Evaluates the explicit squared-bracket form; delta below DELTA_CROSSOVER
-    is routed to the constant-mass branch.
+    delta below DELTA_CROSSOVER is routed to the constant-mass branch.
     """
-    if mm.delta < DELTA_CROSSOVER:
-        return energy_constant_mass_params(p, mm, state, units)
-    beta1, beta2 = beta_static(p, mm, state.l, units)
-    if beta1 < 0.0:
-        raise NoRealSolutionError("no real NU solution: beta1 < 0", beta1)
-    h22m = hbar2_over_2mu(mm.m0, units)
-    gamma = state.l * (state.l + 1) / p.r_e**2
-    a0 = pekeris_coefficients(p.alpha).a0
-    sqrt_b1 = math.sqrt(beta1)
-    den = sqrt_b1 - (state.n + 0.5) * mm.delta
-    if abs(den) <= 1e-14 * max(1.0, sqrt_b1):
-        raise ThresholdStateError(
-            f"state n={state.n} sits at the varying-mass threshold"
-        )
-    bracket = (
-        state.n * (state.n + 1) * mm.delta - 2.0 * (state.n + 0.5) * sqrt_b1 + beta2
-    ) / den
-    energy = p.v3 + h22m * gamma * a0 - (h22m * p.a**2 / 4.0) * bracket**2
-    eps = 0.5 * bracket
-    xi = xi_value(beta1, beta2, eps, mm.delta)
-    # normalizable states need eps > 0 on the positive branch (den > 0); past
-    # the denominator flip the formula's positive eps is spurious
-    bound = eps > EPS_TIE_TOL and den > 0.0
+    grid = spectrum_grid(p, mm, state.n, state.l, units)
+    grid.raise_fault()
+    pdm = grid.delta > 0.0
     return SpectrumResult(
-        state=state, energy=energy, eps_nl=eps, xi=xi, variant="pdm",
-        bound=bound, q=p.q, delta=mm.delta, zero="potential",
+        state=state, energy=float(grid.energy), eps_nl=float(grid.eps),
+        xi=float(grid.xi) if pdm else None, variant="pdm" if pdm else "constant_mass",
+        bound=bool(grid.bound), q=p.q, delta=grid.delta, zero="potential",
     )
 
 
 def energy_constant_mass_params(
     p: PotentialParams, mm: MassModel, state: QuantumState, units: UnitSystem = UNITS
 ) -> SpectrumResult:
-    """Constant-mass closed form written out with the centrifugal polynomial.
-
-    E = V3 + (hbar^2/2mu r_e^2) l(l+1) (1 - 3/(a r_e) + 3/(a r_e)^2)
-        - (hbar^2 a^2/2mu) [ (V2/2 - (hbar^2/2mu r_e^2) l(l+1) (2/(a r_e) - 3/(a r_e)^2))
-                             / sqrt(hbar^2 a^2/2mu) / sqrt(V1 - ...) - (n+1/2) ]^2
-    """
-    h22m = hbar2_over_2mu(mm.m0, units)
-    big_k = h22m * p.a**2
-    are = p.alpha
-    shift = h22m * state.l * (state.l + 1) / p.r_e**2
-    a0_poly = 1.0 - 3.0 / are + 3.0 / are**2
-    under_root = p.v1 - shift * (1.0 / are - 3.0 / are**2)
-    if under_root <= 0.0:
-        raise NoRealSolutionError("no real solution: negative under the root", under_root)
-    numerator = p.v2 / 2.0 - shift * (2.0 / are - 3.0 / are**2)
-    eps = numerator / math.sqrt(big_k * under_root) - (state.n + 0.5)
-    energy = p.v3 + shift * a0_poly - big_k * eps**2
-    return SpectrumResult(
-        state=state, energy=energy, eps_nl=eps, xi=None, variant="constant_mass",
-        bound=eps > EPS_TIE_TOL, q=p.q, delta=0.0, zero="potential",
-    )
+    """Constant-mass closed form (mass m0; mm.delta is ignored), literal convention."""
+    return energy_pdm_params(p, MassModel(m0=mm.m0), state, units)
 
 
-def _mol_result(
-    res: SpectrumResult, mol: MoleculeRecord, v3: float, from_dissociation: bool
-) -> SpectrumResult:
-    energy = res.energy - v3 if from_dissociation else res.energy
-    return SpectrumResult(
-        state=res.state, energy=energy, eps_nl=res.eps_nl, xi=res.xi,
-        variant=res.variant, bound=res.bound, molecule=mol.name, q=res.q,
-        delta=res.delta, zero="dissociation" if from_dissociation else "potential",
-    )
-
-
-def energy_pdm(
-    mol: MoleculeRecord,
-    q: float,
-    delta: float,
-    state: QuantumState,
-    units: UnitSystem = UNITS,
-    from_dissociation: bool = True,
-) -> SpectrumResult:
+def energy_pdm(mol: MoleculeRecord, q: float, delta: float, state: QuantumState,
+               units: UnitSystem = UNITS, from_dissociation: bool = True) -> SpectrumResult:
     """Varying-mass energy for a molecule, referenced to the dissociation limit."""
     p = PotentialParams.from_molecule(mol, q, units)
-    mm = MassModel.from_molecule(mol, delta)
-    res = energy_pdm_params(p, mm, state, units)
-    return _mol_result(res, mol, p.v3, from_dissociation)
+    res = replace(energy_pdm_params(p, MassModel.from_molecule(mol, delta), state, units),
+                  molecule=mol.name)
+    if not from_dissociation:
+        return res
+    return replace(res, energy=res.energy - p.v3, zero="dissociation")
 
 
-def energy_constant_mass(
-    mol: MoleculeRecord,
-    q: float,
-    state: QuantumState,
-    units: UnitSystem = UNITS,
-    from_dissociation: bool = True,
-) -> SpectrumResult:
+def energy_constant_mass(mol: MoleculeRecord, q: float, state: QuantumState,
+                         units: UnitSystem = UNITS,
+                         from_dissociation: bool = True) -> SpectrumResult:
     """Constant-mass energy for a molecule, referenced to the dissociation limit."""
-    p = PotentialParams.from_molecule(mol, q, units)
-    mm = MassModel.from_molecule(mol, 0.0)
-    res = energy_constant_mass_params(p, mm, state, units)
-    return _mol_result(res, mol, p.v3, from_dissociation)
+    return energy_pdm(mol, q, 0.0, state, units, from_dissociation)
 
 
-def energy_s_wave(
-    mol: MoleculeRecord,
-    q: float,
-    n: int,
-    units: UnitSystem = UNITS,
-    from_dissociation: bool = True,
-) -> SpectrumResult:
-    """s-wave ladder energy E_n = V3 - (1/4 kappa^2) [1 + 2n - eta kappa]^2.
+def energy_s_wave(mol: MoleculeRecord, q: float, n: int, units: UnitSystem = UNITS,
+                  from_dissociation: bool = True) -> SpectrumResult:
+    """s-wave ladder energy: the constant-mass closed form at l = 0.
 
-    eta = V2/sqrt(V1), kappa = sqrt(2 mu)/(hbar a).  Unbound states (eps <= 0)
-    are flagged but their formula value is still reported for diagnostics.
+    Unbound states (eps <= 0) are flagged but their formula value is still
+    reported for diagnostics.
     """
-    p = PotentialParams.from_molecule(mol, q, units)
-    h22m = hbar2_over_2mu(mol.mu_amu, units)
-    kappa = 1.0 / math.sqrt(h22m * p.a**2)
-    eta = p.v2 / math.sqrt(p.v1)
-    energy = p.v3 - (1.0 / (4.0 * kappa**2)) * (1.0 + 2.0 * n - eta * kappa) ** 2
-    eps = 0.5 * eta * kappa - n - 0.5
-    if from_dissociation:
-        energy -= p.v3
-    return SpectrumResult(
-        state=QuantumState(n, 0), energy=energy, eps_nl=eps, xi=None,
-        variant="s_wave", bound=eps > EPS_TIE_TOL, molecule=mol.name, q=q,
-        delta=0.0, zero="dissociation" if from_dissociation else "potential",
-    )
+    res = energy_constant_mass(mol, q, QuantumState(n, 0), units, from_dissociation)
+    return replace(res, variant="s_wave")
 
 
 def n_max(mol: MoleculeRecord, q: float = 1.0, units: UnitSystem = UNITS) -> int:
@@ -289,14 +329,8 @@ def n_max(mol: MoleculeRecord, q: float = 1.0, units: UnitSystem = UNITS) -> int
     ``near_threshold_state``.  Returns 0 (no bound branch) when V2 <= 0.
     """
     p = PotentialParams.from_molecule(mol, q, units)
-    if p.v2 <= 0.0:
-        return 0
-    h22m = hbar2_over_2mu(mol.mu_amu, units)
-    kappa = 1.0 / math.sqrt(h22m * p.a**2)
-    s = 0.5 * p.v2 / math.sqrt(p.v1) * kappa
-    if s - 0.5 <= EPS_TIE_TOL:
-        return 0
-    return int(math.floor(s - 0.5 - EPS_TIE_TOL)) + 1
+    beta1, beta2 = beta_static(p, MassModel.from_molecule(mol), 0, units)
+    return _ladder_length(beta1, beta2, 0.0)
 
 
 def near_threshold_state(
@@ -310,18 +344,19 @@ def near_threshold_state(
     return energy_s_wave(mol, q, n_max(mol, q, units), units)
 
 
-def s_wave_ladder(
-    mol: MoleculeRecord,
-    q: float = 1.0,
-    units: UnitSystem = UNITS,
-    include_edge: bool = True,
-) -> list[SpectrumResult]:
+def s_wave_ladder(mol: MoleculeRecord, q: float = 1.0, units: UnitSystem = UNITS,
+                  include_edge: bool = True) -> list[SpectrumResult]:
     """Full s-wave ladder n = 0 .. n_max-1, optionally with the edge entry."""
-    top = n_max(mol, q, units)
-    ladder = [energy_s_wave(mol, q, n, units) for n in range(top)]
-    if include_edge and top > 0:
-        ladder.append(energy_s_wave(mol, q, top, units))
-    return ladder
+    p = PotentialParams.from_molecule(mol, q, units)
+    mm = MassModel.from_molecule(mol)
+    top = len(bound_ladder(p, mm, 0, units))
+    grid = spectrum_grid(p, mm, np.arange(top + (include_edge and top > 0)), 0, units)
+    rows = zip((grid.energy - p.v3).tolist(), grid.eps.tolist(), grid.bound.tolist())
+    return [
+        SpectrumResult(state=QuantumState(n, 0), energy=energy, eps_nl=eps, variant="s_wave",
+                       bound=bound, molecule=mol.name, q=q)
+        for n, (energy, eps, bound) in enumerate(rows)
+    ]
 
 
 def resolve_reported_ladder(units: UnitSystem = UNITS) -> dict[str, tuple[int, float, float]]:
@@ -367,9 +402,9 @@ def reduced_coefficients(
     with c0 = (gamma a0 + 2 m0 V3 / hbar^2)/a^2 the state-independent part of
     eps^2.  Used by the oracle's pekeris/pekeris varying-mass mode.
     """
-    beta1, beta2 = beta_static(p, mm, l, units)
+    beta1, beta2 = strengths(p, mm, l, units)
     h22m = hbar2_over_2mu(mm.m0, units)
     gamma = l * (l + 1) / p.r_e**2
     a0 = pekeris_coefficients(p.alpha).a0
     c0 = (gamma * a0 + p.v3 / h22m) / p.a**2
-    return beta1, beta2, c0
+    return float(beta1), float(beta2), c0

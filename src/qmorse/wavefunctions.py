@@ -30,13 +30,7 @@ from .special_cases import (
     gv_lambda,
     _kappa,
 )
-from .spectrum import (
-    QuantumState,
-    beta_static,
-    epsilon_constant_mass,
-    epsilon_pdm,
-    xi_value,
-)
+from .spectrum import QuantumState, beta_static, epsilon_constant_mass, quantize
 from .specfun import (
     genlaguerre_poly,
     genlaguerre_poly_deriv,
@@ -59,23 +53,25 @@ class PdmShape:
     delta: float
 
 
+def _normalizable(p: PotentialParams, mm: MassModel, n: int, l: int, units: UnitSystem):
+    """(eps, xi, beta1, beta2) of a bound state of the closed form at mm.delta."""
+    beta1, beta2 = beta_static(p, mm, l, units)
+    qz = quantize(n, beta1, beta2, mm.delta)
+    qz.raise_fault()
+    if not qz.bound:
+        raise NonNormalizableError(
+            f"state n={n}, l={l} has eps={float(qz.eps)}, den={float(qz.den)}: "
+            "not normalizable (needs eps > 0 and den > 0)"
+        )
+    return float(qz.eps), float(qz.xi), beta1, beta2
+
+
 def pdm_shape(
     p: PotentialParams, mm: MassModel, state: QuantumState, units: UnitSystem = UNITS
 ) -> PdmShape:
     if not 0.0 < mm.delta < 1.0:
         raise DomainError("varying-mass wavefunctions require 0 < delta < 1")
-    beta1, beta2 = beta_static(p, mm, state.l, units)
-    if math.sqrt(beta1) - (state.n + 0.5) * mm.delta <= 0.0:
-        # past the denominator flip the formula's positive eps is spurious
-        raise NonNormalizableError(
-            f"state n={state.n}, l={state.l} lies beyond the positive-branch range"
-        )
-    eps = epsilon_pdm(state.n, beta1, beta2, mm.delta)
-    if eps <= 0.0:
-        raise NonNormalizableError(
-            f"state n={state.n}, l={state.l} has eps={eps} <= 0: not normalizable"
-        )
-    xi = xi_value(beta1, beta2, eps, mm.delta)
+    eps, xi, beta1, beta2 = _normalizable(p, mm, state.n, state.l, units)
     return PdmShape(eps=eps, xi=xi, beta1=beta1, beta2=beta2, delta=mm.delta)
 
 
@@ -222,10 +218,7 @@ def pdm_normalization(
 
 
 def _cm_eps_beta(p: PotentialParams, m0: float, n: int, l: int, units: UnitSystem):
-    beta1, beta2 = beta_static(p, MassModel(m0=m0, delta=0.0), l, units)
-    eps = epsilon_constant_mass(n, beta1, beta2)
-    if eps <= 0.0:
-        raise NonNormalizableError(f"state n={n}, l={l} has eps={eps} <= 0")
+    eps, _, beta1, _ = _normalizable(p, MassModel(m0=m0), n, l, units)
     return eps, beta1
 
 

@@ -4,6 +4,8 @@ import json
 import subprocess
 import sys
 
+import numpy as np
+import pytest
 
 from qmorse.cli import main
 
@@ -181,3 +183,54 @@ def test_cli_entry_point_subprocess():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert "36/36" in proc.stdout
+
+
+@pytest.mark.parametrize("case, missing", [
+    ("non-pt", "--dhat"), ("pt-type1", "--dhat"), ("pt-type2", "--omega"),
+])
+def test_special_case_missing_flag_exit_2(capsys, case, missing):
+    code, _, err = run_cli(
+        ["special-case", "--case", case, "--D", "2.0", "--mu", "0.9", "--re", "1.2"], capsys)
+    assert code == 2
+    assert missing in err
+
+
+@pytest.mark.parametrize("flag, value", [("--delta", "nan"), ("--q", "inf"), ("--q", "nan")])
+def test_spectrum_non_finite_input_exit_2(capsys, flag, value):
+    code, out, err = run_cli(
+        ["spectrum", "--molecule", "H2", flag, value, "--n", "0", "--l", "0"], capsys)
+    assert code == 2
+    assert out == "" and flag.lstrip("-") in err
+
+
+def test_spectrum_threshold_state_exits_1(capsys, monkeypatch):
+    # strengths constructed so that sqrt(beta1) = (n + 1/2) delta exactly at
+    # (n=3, l=0) and (n=2, l=1): the first failing row, (2, 1), is reported
+    import qmorse.spectrum as spectrum_mod
+
+    def strengths(p, mm, l, units=None):
+        return np.array([3.0625, 1.5625]), np.full(2, 10.0)
+
+    monkeypatch.setattr(spectrum_mod, "strengths", strengths)
+    code, out, err = run_cli(
+        ["spectrum", "--molecule", "H2", "--delta", "0.5", "--n", "0,1,2,3", "--l", "0,1"], capsys)
+    assert code == 1
+    assert out == ""
+    assert "threshold" in err and "n=2" in err
+
+
+def test_wavefunction_non_normalizable_exit_2(capsys):
+    code, _, err = run_cli(["wavefunction", "--molecule", "H2", "--n", "40"], capsys)
+    assert code == 2
+    assert "normalizable" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["wavefunction", "--molecule", "H2", "--n", "1", "--points", "0"],
+    ["spectrum", "--molecule", "H2", "--n", "0", "--l", "0", "--digits", "-3"],
+])
+def test_non_positive_count_is_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    assert "positive integer" in capsys.readouterr().err

@@ -124,6 +124,20 @@ def test_mass_pole_raises():
         mass(mm, p, pole * 0.9)
 
 
+@pytest.mark.parametrize("field", ["d_e", "a", "r_e", "q"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_potential_params_reject_non_finite(field, value):
+    with pytest.raises(DomainError, match=field):
+        PotentialParams(**{**H2ISH, "q": 1.0, field: value})
+
+
+@pytest.mark.parametrize("field", ["m0", "delta"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_mass_model_rejects_non_finite(field, value):
+    with pytest.raises(DomainError, match=field):
+        MassModel(**{"m0": 1.0, "delta": 0.3, field: value})
+
+
 def test_mass_model_validation():
     with pytest.raises(DomainError):
         MassModel(m0=1.0, delta=1.0)

@@ -2,13 +2,17 @@ import math
 
 import pytest
 
+import numpy as np
+
 from qmorse import builtin
 from qmorse.errors import ThresholdStateError
+from qmorse.molecules import BUILTIN_NAMES
 from qmorse.potential import MassModel, PotentialParams
 from qmorse.reference import REFERENCE_MINUS_E, TABLE_MOLECULE, cell_matches
 from qmorse.spectrum import (
     QuantumState,
     beta_static,
+    bound_ladder,
     energy_constant_mass,
     energy_constant_mass_params,
     energy_from_epsilon,
@@ -19,9 +23,11 @@ from qmorse.spectrum import (
     epsilon_pdm,
     n_max,
     near_threshold_state,
+    quantize,
     resolve_reported_ladder,
     s_wave_ladder,
 )
+from qmorse.units import hbar2_over_2mu
 
 
 def test_reference_table_all_36_cells():
@@ -41,12 +47,19 @@ def test_table_two_h2_row_misses_reference_cells():
 
 
 def test_s_wave_equals_constant_mass_at_l0():
+    # independent restatement: E_n = -(1/4 kappa^2) [1 + 2n - eta kappa]^2 with
+    # eta = V2/sqrt(V1), kappa = sqrt(2 mu)/(hbar a), from the dissociation limit
     for name in ("H2", "LiH", "CO", "HCl"):
         mol = builtin(name)
+        p = PotentialParams.from_molecule(mol, 1.0)
+        kappa = 1.0 / math.sqrt(hbar2_over_2mu(mol.mu_amu) * p.a**2)
+        eta = p.v2 / math.sqrt(p.v1)
         for n in range(6):
+            want = -(1.0 / (4.0 * kappa**2)) * (1.0 + 2.0 * n - eta * kappa) ** 2
             a = energy_s_wave(mol, 1.0, n).energy
             b = energy_constant_mass(mol, 1.0, QuantumState(n, 0)).energy
-            assert a == pytest.approx(b, rel=1e-12)
+            assert a == pytest.approx(want, rel=1e-12)
+            assert b == pytest.approx(want, rel=1e-12)
 
 
 def test_h2_ladder_negative_and_increasing():
@@ -224,14 +237,54 @@ def test_params_level_keeps_offset():
     assert lit.energy - diss.energy == pytest.approx(p.v3, rel=1e-12)
 
 
-def test_beta_parameters_helper():
-    from qmorse.spectrum import beta_parameters
-
+def test_beta_static_beta2_is_twice_beta1():
     mol = builtin("H2")
     p = PotentialParams.from_molecule(mol, 1.0)
-    cm = beta_parameters(p, MassModel(m0=mol.mu_amu, delta=0.0), QuantumState(0, 0))
-    assert cm.xi is None and cm.eps_nl > 0
-    pdm = beta_parameters(p, MassModel(m0=mol.mu_amu, delta=0.3), QuantumState(0, 0))
-    assert pdm.xi is not None and pdm.xi > 0
+    beta1, beta2 = beta_static(p, MassModel(m0=mol.mu_amu, delta=0.0), 0)
     # beta2 = 2 beta1 exactly at q = 1, l = 0 for the constant-mass case
-    assert cm.beta2 == pytest.approx(2.0 * cm.beta1, rel=1e-14)
+    assert beta2 == pytest.approx(2.0 * beta1, rel=1e-14)
+
+
+def test_grid_raises_first_threshold_state_in_row_order():
+    # sqrt(beta1) = (n + 1/2) delta exactly: column 0 at n = 3, column 1 at n = 2;
+    # row order (n outer, beta1 inner) reaches (n=2, column 1) first
+    qz = quantize(np.arange(4)[:, None], [3.0625, 1.5625], 10.0, 0.5)
+    assert qz.fault[3, 0] and qz.fault[2, 1]
+    assert not qz.bound[3, 0] and not qz.bound[2, 1]
+    with pytest.raises(ThresholdStateError, match="n=2"):
+        qz.raise_fault()
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_bound_ladder_length_is_n_max_at_l0(name):
+    mol = builtin(name)
+    p = PotentialParams.from_molecule(mol, 1.0)
+    ladder = bound_ladder(p, MassModel.from_molecule(mol, 0.0), 0)
+    assert len(ladder) == n_max(mol)
+    assert ladder.bound.all()
+
+
+def test_bound_ladder_matches_prefix_loop():
+    # the criterion-4c configurations: the ladder is the prefix the per-state
+    # loop finds, state by state
+    for name in ("H2", "LiH"):
+        mol = builtin(name)
+        p = PotentialParams.from_molecule(mol, 1.0)
+        for delta in (0.1, 0.3, 0.5):
+            mm = MassModel.from_molecule(mol, delta)
+            for l in (0, 5):
+                closed = []
+                n = 0
+                while True:
+                    res = energy_pdm_params(p, mm, QuantumState(n, l))
+                    if not res.bound:
+                        break
+                    closed.append((res.energy, res.eps_nl, res.xi))
+                    n += 1
+                ladder = bound_ladder(p, mm, l)
+                assert list(zip(ladder.energy, ladder.eps, ladder.xi)) == closed
+        # near the crossover the length comes from the numerator's root, not
+        # from the den > 0 limit sqrt(beta1)/delta ~ 1e10
+        tiny = bound_ladder(p, MassModel.from_molecule(mol, 1e-9), 0)
+        assert len(tiny) == n_max(mol)
+        assert np.isfinite(tiny.energy).all() and np.isfinite(tiny.xi).all()
