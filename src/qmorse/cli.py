@@ -19,7 +19,7 @@ from . import special_cases
 from .errors import DomainError
 from .molecules import MoleculeRecord, builtin, load_molecules
 from .oracle import compare, solve, suggest_config
-from .potential import MassModel, PotentialParams, mass
+from .potential import MassModel, PotentialParams, mass, mass_pole_radius
 from .reference import (
     REFERENCE_MINUS_E,
     TABLE_MOLECULE,
@@ -27,6 +27,7 @@ from .reference import (
     cell_matches,
 )
 from .spectrum import (
+    DELTA_CROSSOVER,
     QuantumState,
     bound_ladder,
     energy_constant_mass,
@@ -37,11 +38,7 @@ from .spectrum import (
     spectrum_grid,
 )
 from .units import UNITS
-from .wavefunctions import (
-    constant_mass_wavefunction,
-    pdm_normalization,
-    pdm_wavefunction,
-)
+from .wavefunctions import constant_mass_wavefunction, pdm_wavefunction
 
 ENV_MOLECULE_PATH = "MORSE_MOLECULE_PATH"
 
@@ -148,7 +145,7 @@ def cmd_spectrum(args, stream) -> int:
     mm = MassModel.from_molecule(mol, args.delta)
     grid = spectrum_grid(p, mm, np.array(n_list)[:, None], l_list)
     grid.raise_fault()
-    eps, energy, bound = grid.eps.tolist(), (grid.energy - p.v3).tolist(), grid.bound.tolist()
+    eps, energy, bound = grid.eps.tolist(), grid.energy.tolist(), grid.bound.tolist()
     rows = [
         [n, l, eps[i][j], energy[i][j], -energy[i][j], bound[i][j]]
         for i, n in enumerate(n_list) for j, l in enumerate(l_list)
@@ -232,25 +229,27 @@ def cmd_wavefunction(args, stream) -> int:
     p = PotentialParams.from_molecule(mol, args.q)
     mm = MassModel.from_molecule(mol, args.delta)
     state = QuantumState(args.n, args.l)
-    r_lo = args.r_min if args.r_min is not None else max(1e-3, p.r_e - 4.0 / p.a)
     r_hi = args.r_max if args.r_max is not None else p.r_e + 12.0 / p.a
+    r_lo = args.r_min
+    if r_lo is None:
+        r_lo = max(1e-3, p.r_e - 4.0 / p.a)
+        pole = mass_pole_radius(mm, p)
+        if pole is not None and pole >= r_lo:  # start one grid step outside the pole
+            r_lo = pole + (r_hi - pole) / args.points
     grid = np.linspace(r_lo, r_hi, args.points)
-    if mm.delta > 0.0:
-        norm = pdm_normalization(p, mm, state)
-        u = pdm_wavefunction(p, mm, state, grid, kind="u", normalization=norm.quadrature)
+    if mm.delta >= DELTA_CROSSOVER:
+        u = pdm_wavefunction(p, mm, state, grid, kind="u")
         m_of_r, _, _ = mass(mm, p, grid)
         psi = u * np.sqrt(m_of_r / mm.m0) / grid
-        note = f"normalization=quadrature ({norm.quadrature:.9g}); series note: {norm.note or 'ok'}"
     else:
-        u = constant_mass_wavefunction(p, mol.mu_amu, args.n, grid, l=args.l, normalized=True)
+        u = constant_mass_wavefunction(p, mol.mu_amu, args.n, grid, l=args.l)
         psi = u / grid
-        note = "normalization=quadrature (log domain)"
     rows = [[float(r), float(uu), float(pp)] for r, uu, pp in zip(grid, u, psi)]
     table = {
         "params": {
             "molecule": mol.name, "q": args.q, "delta": args.delta,
             "n": args.n, "l": args.l, "r_min": r_lo, "r_max": r_hi,
-            "points": args.points, "note": note,
+            "points": args.points, "note": "normalization=closed form",
         },
         "columns": ["r_A", "u", "psi"],
         "rows": rows,
@@ -274,7 +273,7 @@ def cmd_oracle_compare(args, stream) -> int:
     if args.grid is not None:
         cfg = dataclasses.replace(cfg, grid_points=args.grid)
     spectrum_oracle = solve(p, mm, args.l, cfg)
-    closed = bound_ladder(p, mm, args.l).energy[:args.n_levels].tolist()
+    closed = (bound_ladder(p, mm, args.l).energy[:args.n_levels] + p.v3).tolist()
     report = compare(closed, spectrum_oracle)
     if args.format == "json":
         stream.write(report.to_json() + "\n")

@@ -249,7 +249,7 @@ def solve(
 def formula_ladder_top(
     p: PotentialParams, mm: MassModel, l: int, mass_mode: str, units: UnitSystem = UNITS
 ) -> tuple[float, float, float] | None:
-    """(energy, eps, xi_or_inf) of the shallowest bound level per the closed form.
+    """(literal energy, eps, xi_or_inf) of the shallowest bound level per the closed form.
 
     Used only to aim the oracle's domain (adequacy is still verified by grid
     convergence); returns None when the closed form predicts no bound level.
@@ -257,7 +257,7 @@ def formula_ladder_top(
     ladder = bound_ladder(p, mm if mass_mode == "pdm" else MassModel(m0=mm.m0), l, units)
     if len(ladder) == 0:
         return None
-    return float(ladder.energy[-1]), float(ladder.eps[-1]), float(ladder.xi[-1])
+    return float(ladder.energy[-1]) + p.v3, float(ladder.eps[-1]), float(ladder.xi[-1])
 
 
 def suggest_config(

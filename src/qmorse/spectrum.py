@@ -10,11 +10,12 @@ n = 0, 1, ... of one l.  Failing states are reported per state, not raised;
 the scalar functions (``energy_pdm``, ``n_max``, ``epsilon_pdm``, ...) are
 thin wrappers that raise.
 
-Energies returned by the molecule-level functions are referenced to the
-separated-atoms limit (the constant offset q^2 D_e of the squared-bracket
-well form is removed); the ``*_params`` functions and the grids give the
-literal formula value including that offset.  The two conventions differ by
-exactly v3.
+Energies are computed below the separated-atoms limit, as
+gamma a0 hbar^2/2m0 - (hbar^2 a^2/2m0) eps^2, and the grids and the
+molecule-level functions return them so; the ``*_params`` functions add the
+constant offset v3 = q^2 D_e of the squared-bracket well form and give the
+literal formula value.  Forming the literal value first and subtracting v3
+would cancel: at q = 1e7 it leaves nothing of a level near the limit.
 """
 
 from __future__ import annotations
@@ -73,13 +74,13 @@ class SpectrumResult:
 
 @dataclass(frozen=True)
 class SpectrumGrid:
-    """Closed-form values over broadcast arrays of states, literal well convention.
+    """Closed-form values over broadcast arrays of states.
 
     xi is +inf on the constant-mass branch (its delta -> 0 limit).  bound is
     eps > EPS_TIE_TOL on the positive branch den > 0 of a state without
     fault; fault_value is the offending beta1, n or xi^2 of a failing state.
-    ``spectrum_grid`` adds the energies; delta is the deformation evaluated
-    (0.0 on the constant-mass branch).
+    ``spectrum_grid`` adds the energies, below the dissociation limit; delta
+    is the deformation evaluated (0.0 on the constant-mass branch).
     """
 
     eps: np.ndarray
@@ -175,7 +176,8 @@ def spectrum_grid(p: PotentialParams, mm: MassModel, n, l,
                   units: UnitSystem = UNITS) -> SpectrumGrid:
     """eps, xi, den, energy and bound over broadcast n x l arrays.
 
-    E = V3 + gamma a0 hbar^2/2m0 - (hbar^2 a^2/2m0) eps^2 (literal convention).
+    E = gamma a0 hbar^2/2m0 - (hbar^2 a^2/2m0) eps^2, below the dissociation
+    limit (add p.v3 for the literal well value).
     """
     mm = _evaluated_mass(mm)
     l = np.asarray(l, dtype=float)
@@ -183,7 +185,7 @@ def spectrum_grid(p: PotentialParams, mm: MassModel, n, l,
     qz = quantize(n, beta1, beta2, mm.delta)
     h22m = hbar2_over_2mu(mm.m0, units)
     gamma = l * (l + 1) / p.r_e**2
-    energy = p.v3 + h22m * gamma * pekeris_coefficients(p.alpha).a0 - h22m * p.a**2 * qz.eps**2
+    energy = h22m * gamma * pekeris_coefficients(p.alpha).a0 - h22m * p.a**2 * qz.eps**2
     return replace(qz, energy=energy)
 
 
@@ -268,21 +270,29 @@ def energy_from_epsilon(
     return p.v3 + h22m * gamma * a0 - h22m * p.a**2 * eps**2
 
 
-def energy_pdm_params(
-    p: PotentialParams, mm: MassModel, state: QuantumState, units: UnitSystem = UNITS
+def _state_result(
+    p: PotentialParams, mm: MassModel, state: QuantumState, units: UnitSystem
 ) -> SpectrumResult:
-    """Varying-mass closed form, literal well convention (offset included).
-
-    delta below DELTA_CROSSOVER is routed to the constant-mass branch.
-    """
+    """Closed form of one state, energy below the dissociation limit."""
     grid = spectrum_grid(p, mm, state.n, state.l, units)
     grid.raise_fault()
     pdm = grid.delta > 0.0
     return SpectrumResult(
         state=state, energy=float(grid.energy), eps_nl=float(grid.eps),
         xi=float(grid.xi) if pdm else None, variant="pdm" if pdm else "constant_mass",
-        bound=bool(grid.bound), q=p.q, delta=grid.delta, zero="potential",
+        bound=bool(grid.bound), q=p.q, delta=grid.delta,
     )
+
+
+def energy_pdm_params(
+    p: PotentialParams, mm: MassModel, state: QuantumState, units: UnitSystem = UNITS
+) -> SpectrumResult:
+    """Varying-mass closed form, literal well convention (offset v3 included).
+
+    delta below DELTA_CROSSOVER is routed to the constant-mass branch.
+    """
+    res = _state_result(p, mm, state, units)
+    return replace(res, energy=res.energy + p.v3, zero="potential")
 
 
 def energy_constant_mass_params(
@@ -296,11 +306,9 @@ def energy_pdm(mol: MoleculeRecord, q: float, delta: float, state: QuantumState,
                units: UnitSystem = UNITS, from_dissociation: bool = True) -> SpectrumResult:
     """Varying-mass energy for a molecule, referenced to the dissociation limit."""
     p = PotentialParams.from_molecule(mol, q, units)
-    res = replace(energy_pdm_params(p, MassModel.from_molecule(mol, delta), state, units),
-                  molecule=mol.name)
-    if not from_dissociation:
-        return res
-    return replace(res, energy=res.energy - p.v3, zero="dissociation")
+    result = _state_result if from_dissociation else energy_pdm_params
+    return replace(result(p, MassModel.from_molecule(mol, delta), state, units),
+                   molecule=mol.name)
 
 
 def energy_constant_mass(mol: MoleculeRecord, q: float, state: QuantumState,
@@ -351,7 +359,7 @@ def s_wave_ladder(mol: MoleculeRecord, q: float = 1.0, units: UnitSystem = UNITS
     mm = MassModel.from_molecule(mol)
     top = len(bound_ladder(p, mm, 0, units))
     grid = spectrum_grid(p, mm, np.arange(top + (include_edge and top > 0)), 0, units)
-    rows = zip((grid.energy - p.v3).tolist(), grid.eps.tolist(), grid.bound.tolist())
+    rows = zip(grid.energy.tolist(), grid.eps.tolist(), grid.bound.tolist())
     return [
         SpectrumResult(state=QuantumState(n, 0), energy=energy, eps_nl=eps, variant="s_wave",
                        bound=bound, molecule=mol.name, q=q)

@@ -1,11 +1,11 @@
 """Radial wavefunction evaluation and normalization.
 
 Varying-mass states are Jacobi-polynomial profiles in z = exp(-a (r - r_e));
-constant-mass states are Laguerre profiles in y = 2 sqrt(beta1) z.  Quadrature
-normalization (over the z- or y-substituted semi-infinite domain) is the
-authoritative constant; the series-form constant is evaluated verbatim as a
-cross-check and reported, never asserted, because its closed form contains
-Gamma(n) and is ill-defined at n = 0.
+constant-mass states are Laguerre profiles in y = 2 sqrt(beta1) z.  Both
+normalization constants are exact: the norm integral over the transformed
+domain is a Jacobi or Laguerre orthogonality integral, evaluated with lgamma
+(``pdm_log_norm``, ``constant_mass_log_norm``).  Quadrature and the paper's
+printed 3F2 series constant are cross-checks kept in the tests.
 
 Amplitudes for large eps (deep wells support eps of a few hundred) are
 assembled in the log domain to avoid overflow.
@@ -18,9 +18,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
-from .errors import DomainError, MassPoleError, NonNormalizableError, SeriesDivergenceError
+from .errors import DomainError, MassPoleError, NonNormalizableError
 from .potential import MassModel, PotentialParams
 from .special_cases import (
     GeneralizedVibrationalCase,
@@ -34,10 +33,10 @@ from .spectrum import QuantumState, beta_static, epsilon_constant_mass, quantize
 from .specfun import (
     genlaguerre_poly,
     genlaguerre_poly_deriv,
-    hyp3f2,
     jacobi_poly,
     jacobi_poly_deriv,
     log_gamma,
+    log_gamma_ratio,
 )
 from .units import UNITS, UnitSystem
 
@@ -75,8 +74,45 @@ def pdm_shape(
     return PdmShape(eps=eps, xi=xi, beta1=beta1, beta2=beta2, delta=mm.delta)
 
 
-def _z_of(p: PotentialParams, r):
-    return np.exp(-p.a * (np.asarray(r, dtype=float) - p.r_e))
+def _log_z(p: PotentialParams, r: np.ndarray) -> np.ndarray:
+    """log z = -a (r - r_e) in extended precision.
+
+    The amplitudes are exp of log sums that reach a few hundred for deep
+    wells; one float64 ulp of such a sum is 1e-14 relative in the amplitude.
+    """
+    return -p.a * (r.astype(np.longdouble) - p.r_e)
+
+
+def _pdm_log_norm(shape: PdmShape, n: int, a: float) -> float:
+    """-(1/2) log of int u^2 dr over the transformed domain 0 < z < 1/delta.
+
+    dr = -dz/(a z); with x = 1 - 2 delta z the integral is
+    (1/a) (2 delta)^{-2 eps} 2^{-1-xi} int_{-1}^{1} (1-x)^{2 eps - 1} (1+x)^{1+xi} P_n^2 dx.
+    Splitting 1 + x = 2 - (1 - x) leaves twice the same integral with weight
+    (1-x)^{2 eps - 1} (1+x)^xi minus the Jacobi norm; both are standard, and
+    together they give
+
+        delta^{-2 eps} Gamma(n+2eps+1) Gamma(n+xi+1) (2n+xi+1)
+            / (a n! Gamma(n+2eps+xi+1) 2eps (2n+2eps+xi+1)).
+
+    The domain ends at the mass pole; when the pole lies at r < 0 it takes
+    in the profile's tail beyond r = 0 as well.
+    """
+    eps, xi = shape.eps, shape.xi
+    log_integral = (
+        -2.0 * eps * math.log(shape.delta) - math.log(a)
+        + log_gamma(n + 2.0 * eps + 1.0) - log_gamma(n + 1.0)
+        - log_gamma_ratio(n + xi + 1.0, 2.0 * eps)
+        - math.log(2.0 * eps) - math.log1p(2.0 * eps / (2.0 * n + xi + 1.0))
+    )
+    return -0.5 * log_integral
+
+
+def pdm_log_norm(
+    p: PotentialParams, mm: MassModel, state: QuantumState, units: UnitSystem = UNITS
+) -> float:
+    """log of the normalization constant of the varying-mass u-profile."""
+    return _pdm_log_norm(pdm_shape(p, mm, state, units), state.n, p.a)
 
 
 def pdm_wavefunction(
@@ -86,135 +122,33 @@ def pdm_wavefunction(
     r,
     units: UnitSystem = UNITS,
     kind: str = "u",
-    normalization: float | None = None,
+    normalized: bool = True,
 ):
     """Varying-mass amplitude at separation r.
 
-    kind="u":   u(r) = z^eps (1 - delta z)^{(1+xi)/2} P_n^{(2 eps, xi)}(1 - 2 delta z)
+    kind="u":   u(r) = N z^eps (1 - delta z)^{(1+xi)/2} P_n^{(2 eps, xi)}(1 - 2 delta z)
     kind="psi": psi(r) = u(r) sqrt(m(r)/m0) / r, i.e. the same profile with the
                 bracket exponent lowered to (xi-1)/2 and a 1/r factor.
 
-    Unnormalized unless a normalization constant is supplied.
+    N is the closed-form constant of ``pdm_log_norm``; with normalized=False
+    the bare profile (N = 1) is returned.
     """
     shape = pdm_shape(p, mm, state, units)
-    z = _z_of(p, r)
+    arr = np.asarray(r, dtype=float)
+    z = np.exp(-p.a * (arr - p.r_e))
     w = 1.0 - mm.delta * z
     if np.any(w <= 0.0):
         raise MassPoleError("requested r reaches the mass pole (delta z >= 1)")
-    poly = jacobi_poly(state.n, 2.0 * shape.eps, shape.xi, 1.0 - 2.0 * mm.delta * z)
-    if kind == "u":
-        out = z**shape.eps * w ** (0.5 * (1.0 + shape.xi)) * poly
-    elif kind == "psi":
-        arr = np.asarray(r, dtype=float)
-        out = z**shape.eps * w ** (0.5 * (shape.xi - 1.0)) * poly / arr
-    else:
+    if kind not in ("u", "psi"):
         raise DomainError(f"kind must be 'u' or 'psi', got {kind!r}")
-    if normalization is not None:
-        out = normalization * out
+    exponent = 0.5 * (shape.xi + (1.0 if kind == "u" else -1.0))
+    log_n = _pdm_log_norm(shape, state.n, p.a) if normalized else 0.0
+    poly = jacobi_poly(state.n, 2.0 * shape.eps, shape.xi, 1.0 - 2.0 * mm.delta * z)
+    log_w = np.log(w.astype(np.longdouble))
+    out = np.exp(log_n + shape.eps * _log_z(p, arr) + exponent * log_w).astype(float) * poly
+    if kind == "psi":
+        out = out / arr
     return float(out) if np.isscalar(r) else out
-
-
-@dataclass(frozen=True)
-class PdmNormalization:
-    """Quadrature-based constant (authoritative) and the series cross-check."""
-
-    quadrature: float
-    series: float | None
-    series_converged: bool
-    ratio: float | None
-    note: str
-
-
-def _pdm_norm_integral(p: PotentialParams, mm: MassModel, shape: PdmShape, n: int) -> float:
-    """integral of u^2 dr over the physical domain, by the z-substitution.
-
-    dr = -dz/(a z), so the integral is (1/a) int_0^{z_hi} z^{2 eps - 1}
-    (1 - delta z)^{1 + xi} P^2 dz with z_hi = min(exp(alpha), 1/delta):
-    the left r-boundary is r = 0 or, when the pole sits inside r > 0, the
-    pole radius (the profile vanishes there).
-    """
-    z_hi = min(math.exp(p.alpha), 1.0 / mm.delta)
-    two_eps = 2.0 * shape.eps
-    s_exp = 1.0 + shape.xi
-
-    def integrand(z):
-        if z <= 0.0:
-            return 0.0
-        w = 1.0 - mm.delta * z
-        if w <= 0.0:
-            return 0.0
-        poly = jacobi_poly(n, two_eps, shape.xi, 1.0 - 2.0 * mm.delta * z)
-        return math.exp((two_eps - 1.0) * math.log(z) + s_exp * math.log(w)) * poly * poly
-
-    # envelope peak of z^{2 eps}(1 - delta z)^{1+xi}: a good subdivision hint
-    z_peak = (shape.eps / mm.delta) / (shape.eps + 0.5 * (1.0 + shape.xi))
-    points = [z_peak] if 0.0 < z_peak < z_hi else None
-    value, _ = quad(integrand, 0.0, z_hi, points=points, limit=500,
-                    epsabs=0.0, epsrel=1e-12)
-    return value / p.a
-
-
-def _pdm_series_bracket(shape: PdmShape, n: int, alpha: float, max_terms: int = 10000):
-    """Verbatim series bracket of the printed normalization constant.
-
-    Returns (bracket, converged, note).  Gamma(n) makes n = 0 ill-defined.
-    """
-    if n == 0:
-        return None, False, "series constant undefined at n = 0 (Gamma(0))"
-    eps, xi = shape.eps, shape.xi
-    prefactor_log = (
-        log_gamma(2.0 * eps + 1.0) + log_gamma(xi + 2.0)
-        - math.log(alpha) - eps * math.log(shape.delta) - log_gamma(n)
-    )
-    total = 0.0
-    converged = False
-    for pidx in range(max_terms):
-        try:
-            f32 = hyp3f2(
-                pidx + 2.0 * eps, -n, n + 2.0 * eps + xi + 1.0,
-                pidx + 2.0 * eps + xi + 2.0, 1.0 + 2.0 * eps, 1.0,
-            )
-        except SeriesDivergenceError:
-            return None, False, "inner 3F2 did not converge"
-        # log-domain magnitude of Gamma(n+p) (n+1+2eps+xi)_p / (p! (p+2eps) Gamma(p+2eps+xi+2))
-        mag = (
-            log_gamma(n + pidx)
-            + log_gamma(n + 1.0 + 2.0 * eps + xi + pidx) - log_gamma(n + 1.0 + 2.0 * eps + xi)
-            - log_gamma(pidx + 1.0) - math.log(pidx + 2.0 * eps)
-            - log_gamma(pidx + 2.0 * eps + xi + 2.0)
-        )
-        term = (-1.0) ** pidx * math.exp(mag) * f32
-        total += term
-        if pidx > n and abs(term) <= 1e-16 * max(1.0, abs(total)):
-            converged = True
-            break
-    if not converged:
-        return None, False, f"outer series did not settle within {max_terms} terms"
-    bracket = math.exp(prefactor_log) * total
-    return bracket, True, ""
-
-
-def pdm_normalization(
-    p: PotentialParams, mm: MassModel, state: QuantumState, units: UnitSystem = UNITS
-) -> PdmNormalization:
-    """Normalization constant of the u-profile; quadrature is authoritative."""
-    shape = pdm_shape(p, mm, state, units)
-    integral = _pdm_norm_integral(p, mm, shape, state.n)
-    if not integral > 0.0:
-        raise NonNormalizableError("normalization integral is not positive")
-    n_quad = 1.0 / math.sqrt(integral)
-    bracket, converged, note = _pdm_series_bracket(shape, state.n, p.alpha)
-    n_series = None
-    if bracket is not None:
-        if bracket > 0.0:
-            n_series = bracket**-0.5
-        else:
-            note = f"series bracket is non-positive ({bracket:.3e}); no real constant"
-    ratio = (n_series / n_quad) if n_series is not None else None
-    return PdmNormalization(
-        quadrature=n_quad, series=n_series, series_converged=converged,
-        ratio=ratio, note=note,
-    )
 
 
 def _cm_eps_beta(p: PotentialParams, m0: float, n: int, l: int, units: UnitSystem):
@@ -222,32 +156,26 @@ def _cm_eps_beta(p: PotentialParams, m0: float, n: int, l: int, units: UnitSyste
     return eps, beta1
 
 
+def _cm_log_norm(eps: float, beta1: float, n: int, a: float) -> float:
+    """-(1/2) log of int R^2 dr over the transformed domain 0 < y < infinity.
+
+    int R^2 dr = (1/a) (2 sqrt(beta1))^{-2 eps} int y^{2 eps - 1} e^{-y} L^2 dy
+               = (1/a) (2 sqrt(beta1))^{-2 eps} Gamma(n+2eps+1) / (n! 2eps);
+    the domain takes in the profile's tail beyond r = 0, where y > 2 sqrt(beta1) e^alpha.
+    """
+    log_integral = (
+        -math.log(a) - 2.0 * eps * math.log(2.0 * math.sqrt(beta1))
+        + log_gamma(n + 2.0 * eps + 1.0) - log_gamma(n + 1.0) - math.log(2.0 * eps)
+    )
+    return -0.5 * log_integral
+
+
 def constant_mass_log_norm(
     p: PotentialParams, m0: float, n: int, l: int = 0, units: UnitSystem = UNITS
 ) -> float:
-    """log of the normalization constant of R(r): everything in the log domain.
-
-    integral R^2 dr = (1/a) (2 sqrt(beta1))^{-2 eps} int y^{2 eps - 1} e^{-y} L^2 dy,
-    with y = 2 sqrt(beta1) z running up to 2 sqrt(beta1) exp(alpha) at r -> 0.
-    """
+    """log of the normalization constant of R(r)."""
     eps, beta1 = _cm_eps_beta(p, m0, n, l, units)
-    two_eps = 2.0 * eps
-    c = 2.0 * math.sqrt(beta1)
-    y_hi = c * math.exp(p.alpha)
-    y_peak = max(two_eps - 1.0, 1e-3)
-    g_peak = (two_eps - 1.0) * math.log(y_peak) - y_peak
-
-    def integrand(y):
-        if y <= 0.0:
-            return 0.0
-        poly = genlaguerre_poly(n, two_eps, y)
-        return math.exp((two_eps - 1.0) * math.log(y) - y - g_peak) * poly * poly
-
-    points = [y_peak] if y_peak < y_hi else None
-    rest, _ = quad(integrand, 0.0, y_hi, points=points, limit=500,
-                   epsabs=0.0, epsrel=1e-12)
-    log_integral = -math.log(p.a) - two_eps * math.log(c) + g_peak + math.log(rest)
-    return -0.5 * log_integral
+    return _cm_log_norm(eps, beta1, n, p.a)
 
 
 def constant_mass_wavefunction(
@@ -261,18 +189,16 @@ def constant_mass_wavefunction(
 ):
     """Constant-mass amplitude R(r) = N (2 sqrt(beta1))^{-eps} y^eps e^{-y/2} L_n^{2 eps}(y).
 
-    y = 2 sqrt(beta1) exp(-a (r - r_e)).  With normalized=False the bare
-    profile (N = 1) is returned.
+    y = 2 sqrt(beta1) exp(-a (r - r_e)).  N is the closed-form constant of
+    ``constant_mass_log_norm``; with normalized=False the bare profile (N = 1)
+    is returned.
     """
     eps, beta1 = _cm_eps_beta(p, m0, n, l, units)
-    c = 2.0 * math.sqrt(beta1)
-    z = _z_of(p, r)
-    y = c * z
-    log_n = constant_mass_log_norm(p, m0, n, l, units) if normalized else 0.0
-    with np.errstate(divide="ignore"):
-        log_part = log_n + eps * np.log(z) - 0.5 * y
-    poly = genlaguerre_poly(n, 2.0 * eps, y)
-    out = np.where(np.isfinite(log_part), np.exp(log_part), 0.0) * poly
+    arr = np.asarray(r, dtype=float)
+    y = 2.0 * math.sqrt(beta1) * np.exp(-p.a * (arr - p.r_e))
+    log_n = _cm_log_norm(eps, beta1, n, p.a) if normalized else 0.0
+    out = np.exp(log_n + eps * _log_z(p, arr) - 0.5 * y).astype(float) \
+        * genlaguerre_poly(n, 2.0 * eps, y)
     return float(out) if np.isscalar(r) else out
 
 

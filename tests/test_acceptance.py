@@ -55,7 +55,7 @@ from qmorse.units import UNITS
 from qmorse.wavefunctions import (
     constant_mass_wavefunction,
     node_count,
-    pdm_normalization,
+    pdm_log_norm,
     pdm_wavefunction,
     transformed_residual_constant_mass,
     transformed_residual_pdm,
@@ -254,7 +254,7 @@ def test_criterion_6_nu_machinery():
     print(f"[criterion 6] PASS - constants table exact; residual worst {worst:.2e} over 1e3 draws")
 
 
-def test_criterion_7_wavefunctions():
+def test_criterion_7_wavefunctions(series_log_norm):
     h2 = builtin("H2")
     p = PotentialParams.from_molecule(h2, 1.0)
     mm = MassModel.from_molecule(h2, 0.3)
@@ -298,12 +298,13 @@ def test_criterion_7_wavefunctions():
 
     # series normalization constant: reported finding, not a gate
     notes = []
-    for n in (1, 2):
-        rep = pdm_normalization(p, mm, QuantumState(n, 0))
-        notes.append(f"n={n}: ratio={rep.ratio!r} ({rep.note or 'series evaluated'})")
+    for n in (0, 1, 2):
+        series, note = series_log_norm(p, mm, QuantumState(n, 0))
+        ratio = None if series is None else math.exp(series - pdm_log_norm(p, mm, QuantumState(n, 0)))
+        notes.append(f"n={n}: ratio={ratio!r} ({note or 'series evaluated'})")
     print(
         "[criterion 7] PASS - nodes, residual %.1e, overlap %.6f, beta-integral ok; "
-        "series/quadrature finding: %s" % (worst_resid, overlap, "; ".join(notes))
+        "series/closed-form finding: %s" % (worst_resid, overlap, "; ".join(notes))
     )
 
 

@@ -1,13 +1,18 @@
 import csv
 import io
 import json
+import math
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+from qmorse import builtin
 from qmorse.cli import main
+from qmorse.potential import MassModel, PotentialParams, mass_pole_radius
+from qmorse.units import UNITS
+from qmorse.wavefunctions import node_count
 
 
 def run_cli(args, capsys):
@@ -136,7 +141,73 @@ def test_wavefunction_pdm_dump(capsys):
         ["wavefunction", "--molecule", "H2", "--n", "0", "--delta", "0.3",
          "--points", "40", "--r-min", "0.2", "--format", "csv"], capsys)
     assert code == 0
-    assert "normalization=quadrature" in out
+    assert "normalization=closed form" in out
+
+
+def _wavefunction_rows(argv, capsys):
+    code, out, err = run_cli(["wavefunction", *argv, "--format", "csv"], capsys)
+    assert code == 0, err
+    lines = [ln for ln in out.splitlines() if not ln.startswith("#")]
+    assert lines[0] == "r_A,u,psi"
+    return np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
+
+
+@pytest.mark.parametrize("delta", ["0.3", "0.05"])
+def test_wavefunction_default_range_h2_n2(capsys, delta):
+    # the README line (delta = 0.3, mass pole at r = 0.12 A) and a virtual-pole
+    # case whose printed series constant overflows a float
+    rows = _wavefunction_rows(["--molecule", "H2", "--n", "2", "--delta", delta], capsys)
+    assert rows.shape == (400, 3) and np.isfinite(rows).all()
+    assert node_count(rows[:, 1]) == 2
+    mol = builtin("H2")
+    pole = mass_pole_radius(MassModel.from_molecule(mol, float(delta)),
+                            PotentialParams.from_molecule(mol, 1.0))
+    if pole is not None:
+        assert rows[0, 0] > pole
+
+
+def test_wavefunction_r_min_inside_the_pole_exits_2(capsys):
+    code, out, err = run_cli(["wavefunction", "--molecule", "H2", "--n", "2", "--delta", "0.3",
+                              "--r-min", "0.05"], capsys)
+    assert code == 2
+    assert out == "" and "mass pole" in err
+
+
+def test_wavefunction_below_delta_crossover_is_constant_mass(capsys):
+    # delta below DELTA_CROSSOVER takes the constant-mass branch, as spectrum does
+    tiny = _wavefunction_rows(["--molecule", "H2", "--n", "3", "--l", "5", "--delta", "1e-12"],
+                              capsys)
+    zero = _wavefunction_rows(["--molecule", "H2", "--n", "3", "--l", "5", "--delta", "0"], capsys)
+    np.testing.assert_array_equal(tiny, zero)
+
+
+def test_nmax_energies_near_the_limit_at_huge_q(capsys):
+    # at q = 1e7 the s-wave levels sit 1e-4..1e-2 eV below a limit of
+    # q^2 D_e = 5e14 eV; inline restatement: E_n = -K (s - n - 1/2)^2 with
+    # K = hbar^2 a^2 / 2 mu and s = q sqrt(D_e / K)
+    q = 1e7
+    code, out, _ = run_cli(["nmax", "--molecules", "H2", "--q", repr(q), "--format", "json"],
+                           capsys)
+    assert code == 0
+    (_, count, e_edge, e_last), = json.loads(out)["rows"]
+    mol = builtin("H2")
+    d_e = mol.d0_cm1 * UNITS.wavenumber_to_eV
+    big_k = UNITS.hbar_c**2 / (2.0 * mol.mu_amu * UNITS.amu_to_eV_per_c2) * mol.a_invA**2
+    s = q * math.sqrt(d_e / big_k)
+    assert count == math.floor(s - 0.5) + 1
+    assert e_edge == pytest.approx(-big_k * (s - count - 0.5) ** 2, rel=1e-6)
+    assert e_last == pytest.approx(-big_k * (s - count + 0.5) ** 2, rel=1e-6)
+    assert e_edge == pytest.approx(-0.01277, rel=1e-3)
+    assert e_last == pytest.approx(-1.461e-4, rel=1e-3)
+
+
+def test_cli_import_leaves_out_scipy_integrate():
+    # the normalizations are closed forms; importing the CLI must not pay for quadrature
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, qmorse.cli; print('scipy.integrate' in sys.modules)"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_special_case_gv(capsys):

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +16,7 @@ from qmorse.specfun import (
     jacobi_poly,
     jacobi_poly_deriv,
     jacobi_via_2f1,
+    log_gamma_ratio,
     pochhammer,
 )
 
@@ -24,6 +26,15 @@ def test_pochhammer_matches_gamma_ratio():
         for p in range(0, 31):
             via_gamma = gamma(x + p) / gamma(x)
             assert pochhammer(x, p) == pytest.approx(via_gamma, rel=1e-12)
+
+
+@pytest.mark.parametrize("x", [0.7, 12.5, 19.9, 20.0, 999.0, 3360.7, 1e5, 6e10])
+@pytest.mark.parametrize("s", [0.0, 0.3, 41.7, 769.0])
+def test_log_gamma_ratio_matches_mpmath(x, s):
+    # both branches, and x = 6e10 where two float lgamma values keep only 1e-4
+    with mpmath.workdps(40):
+        want = float(mpmath.loggamma(mpmath.mpf(x) + s) - mpmath.loggamma(mpmath.mpf(x)))
+    assert log_gamma_ratio(x, s) == pytest.approx(want, rel=1e-14, abs=1e-14)
 
 
 def test_pochhammer_zero_order_is_one():

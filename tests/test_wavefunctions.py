@@ -1,18 +1,21 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 from qmorse import builtin
 from qmorse.errors import NonNormalizableError
-from qmorse.potential import PotentialParams, mass
+from qmorse.potential import MassModel, PotentialParams, mass, mass_pole_radius
 from qmorse.special_cases import GeneralizedVibrationalCase, NonPtCase, PtType1Case, gv_lambda
-from qmorse.spectrum import QuantumState
+from qmorse.specfun import genlaguerre_poly, jacobi_poly
+from qmorse.spectrum import QuantumState, beta_static, epsilon_constant_mass
 from qmorse.wavefunctions import (
+    constant_mass_log_norm,
     constant_mass_wavefunction,
     node_count,
-    pdm_normalization,
+    pdm_log_norm,
     pdm_shape,
     pdm_wavefunction,
     special_case_wavefunction,
@@ -29,7 +32,8 @@ def test_pdm_ground_state_has_pure_envelope(h2_pdm):
     r = np.linspace(0.3, 4.0, 50)
     z = np.exp(-p.a * (r - p.r_e))
     expected = z**shape.eps * (1.0 - mm.delta * z) ** (0.5 * (1.0 + shape.xi))
-    np.testing.assert_allclose(pdm_wavefunction(p, mm, QuantumState(0, 0), r), expected, rtol=1e-14)
+    np.testing.assert_allclose(pdm_wavefunction(p, mm, QuantumState(0, 0), r, normalized=False),
+                               expected, rtol=1e-14)
 
 
 def test_pdm_psi_u_consistency(h2_pdm):
@@ -61,25 +65,154 @@ def test_pdm_quadrature_normalization_is_unit(h2_pdm):
     p, mm = h2_pdm
     for n in (0, 1, 2, 3):
         state = QuantumState(n, 0)
-        norm = pdm_normalization(p, mm, state)
-        integrand = lambda r: pdm_wavefunction(p, mm, state, r, normalization=norm.quadrature) ** 2
+        integrand = lambda r: pdm_wavefunction(p, mm, state, r) ** 2
         total, _ = quad(integrand, 0.14, 60.0, limit=400, epsabs=0.0, epsrel=1e-10)
         assert total == pytest.approx(1.0, abs=1e-8)
 
 
-def test_pdm_series_constant_reported_not_trusted(h2_pdm, capsys):
+def test_pdm_series_constant_reported_not_trusted(h2_pdm, series_log_norm, capsys):
     # the printed series form is ill-defined at n = 0 (Gamma(0)) and wildly off
-    # the quadrature constant where it does evaluate; the ratio is a reported
+    # the closed-form constant where it does evaluate; the ratio is a reported
     # finding, never an assertion
     p, mm = h2_pdm
-    report0 = pdm_normalization(p, mm, QuantumState(0, 0))
-    assert report0.series is None and "n = 0" in report0.note
+    series0, note0 = series_log_norm(p, mm, QuantumState(0, 0))
+    assert series0 is None and "n = 0" in note0
     for n in (1, 2):
-        rep = pdm_normalization(p, mm, QuantumState(n, 0))
-        print(f"series/quadrature ratio (n={n}):", rep.ratio, "note:", rep.note or "ok")
-        assert rep.quadrature > 0.0
-        if rep.series is not None:
-            assert math.isfinite(rep.series)
+        state = QuantumState(n, 0)
+        closed = pdm_log_norm(p, mm, state)
+        series, note = series_log_norm(p, mm, state)
+        log_ratio = None if series is None else series - closed
+        print(f"series/closed-form log ratio (n={n}):", log_ratio, "note:", note or "ok")
+        assert math.isfinite(closed)
+        if series is not None:
+            assert math.isfinite(series)
+
+
+def _quad_log_norm_pdm(p, mm, state):
+    """-(1/2) log of int u^2 dr for the bare profile, by adaptive quadrature in z.
+
+    dr = -dz/(a z); z runs from 0 (r -> infinity) to r = 0 or to the mass
+    pole, whichever comes first.
+    """
+    shape = pdm_shape(p, mm, state)
+    two_eps, s_exp = 2.0 * shape.eps, 1.0 + shape.xi
+    z_hi = min(math.exp(p.alpha), 1.0 / mm.delta)
+    z_peak = (shape.eps / mm.delta) / (shape.eps + 0.5 * s_exp)
+    g_peak = (two_eps - 1.0) * math.log(z_peak) + s_exp * math.log1p(-mm.delta * z_peak)
+
+    def integrand(z):
+        w = 1.0 - mm.delta * z
+        if z <= 0.0 or w <= 0.0:
+            return 0.0
+        poly = jacobi_poly(state.n, two_eps, shape.xi, 1.0 - 2.0 * mm.delta * z)
+        return math.exp((two_eps - 1.0) * math.log(z) + s_exp * math.log(w) - g_peak) * poly**2
+
+    points = [z_peak] if z_peak < z_hi else None
+    value, _ = quad(integrand, 0.0, z_hi, points=points, limit=500, epsabs=0.0, epsrel=1e-12)
+    return -0.5 * (g_peak - math.log(p.a) + math.log(value))
+
+
+def _quad_log_norm_constant_mass(p, m0, n, l):
+    """-(1/2) log of int R^2 dr for the bare profile, by adaptive quadrature in y."""
+    beta1, beta2 = beta_static(p, MassModel(m0=m0), l)
+    two_eps = 2.0 * epsilon_constant_mass(n, beta1, beta2)
+    c = 2.0 * math.sqrt(beta1)
+    y_hi = c * math.exp(p.alpha)
+    y_peak = max(two_eps - 1.0, 1e-3)
+    g_peak = (two_eps - 1.0) * math.log(y_peak) - y_peak
+
+    def integrand(y):
+        if y <= 0.0:
+            return 0.0
+        poly = genlaguerre_poly(n, two_eps, y)
+        return math.exp((two_eps - 1.0) * math.log(y) - y - g_peak) * poly**2
+
+    points = [y_peak] if y_peak < y_hi else None
+    value, _ = quad(integrand, 0.0, y_hi, points=points, limit=500, epsabs=0.0, epsrel=1e-12)
+    return -0.5 * (-math.log(p.a) - two_eps * math.log(c) + g_peak + math.log(value))
+
+
+@pytest.mark.parametrize("name", ["H2", "LiH", "HCl", "CO"])
+def test_closed_form_norms_match_quadrature(name):
+    # independent route: adaptive quadrature of the bare profiles over the
+    # physical domain, which the closed forms extend to the whole transformed
+    # domain (identical when the pole is at r > 0, a tail of e^-100 otherwise)
+    mol = builtin(name)
+    p = PotentialParams.from_molecule(mol, 1.0)
+    worst = 0.0
+    for delta in (0.0, 0.05, 0.3, 0.6):
+        mm = MassModel.from_molecule(mol, delta)
+        for n in range(11):
+            for l in (0, 5):
+                if delta == 0.0:
+                    closed = constant_mass_log_norm(p, mol.mu_amu, n, l)
+                    reference = _quad_log_norm_constant_mass(p, mol.mu_amu, n, l)
+                else:
+                    closed = pdm_log_norm(p, mm, QuantumState(n, l))
+                    reference = _quad_log_norm_pdm(p, mm, QuantumState(n, l))
+                worst = max(worst, abs(closed - reference))
+    assert worst <= 1e-10
+
+
+def _mp_log_norm_pdm(eps, xi, delta, a, n, dps=200):
+    """-(1/2) log of int u^2 dr in mpmath, through Beta integrals.
+
+    In s = delta z the norm integral is (1/a) delta^{-2 eps} int_0^1
+    s^{2 eps - 1} (1 - s)^{1 + xi} P(s)^2 ds, and the 2F1 form
+    P_n^{(2 eps, xi)}(1 - 2s) = binom(n + 2 eps, n) sum_k c_k s^k turns it
+    into sum_m (sum_{j+k=m} c_j c_k) B(2 eps + m, xi + 2).  The alternating
+    sum cancels about 120 digits at n = 47, hence the working precision.
+    """
+    with mpmath.workdps(dps):
+        eps, xi, delta, a = (mpmath.mpf(v) for v in (eps, xi, delta, a))
+        c = [mpmath.rf(-n, k) * mpmath.rf(n + 2 * eps + xi + 1, k)
+             / (mpmath.rf(2 * eps + 1, k) * mpmath.factorial(k)) for k in range(n + 1)]
+        beta = mpmath.beta(2 * eps, xi + 2)
+        terms = []
+        for m in range(2 * n + 1):
+            terms.append(beta * mpmath.fsum(c[j] * c[m - j]
+                                            for j in range(max(0, m - n), min(m, n) + 1)))
+            beta *= (2 * eps + m) / (2 * eps + xi + 2 + m)
+        total = mpmath.fsum(terms)
+        assert max(abs(t) for t in terms) / total < mpmath.mpf(10) ** (dps - 40)
+        log_integral = (2 * mpmath.log(mpmath.binomial(n + 2 * eps, n)) + mpmath.log(total)
+                        - 2 * eps * mpmath.log(delta) - mpmath.log(a))
+        return float(-log_integral / 2)
+
+
+@pytest.mark.parametrize("name, delta, n", [
+    ("LiH", 0.6, 47),   # deep in the ladder: 2 eps = 769, xi = 767
+    ("LiH", 1e-9, 3),   # just above DELTA_CROSSOVER: xi = 6e10
+    ("CO", 0.05, 10),
+])
+def test_pdm_log_norm_matches_mpmath(name, delta, n):
+    mol = builtin(name)
+    p = PotentialParams.from_molecule(mol, 1.0)
+    mm = MassModel.from_molecule(mol, delta)
+    state = QuantumState(n, 0)
+    shape = pdm_shape(p, mm, state)
+    reference = _mp_log_norm_pdm(shape.eps, shape.xi, delta, p.a, n)
+    assert pdm_log_norm(p, mm, state) == pytest.approx(reference, abs=1e-12)
+
+
+def test_virtual_pole_profiles_integrate_to_one_over_r_positive():
+    # with the pole at r < 0 (or no pole) the closed forms also count the
+    # profile's tail beyond r = 0; over r > 0 alone the integral is still 1
+    for name in ("H2", "CO"):
+        mol = builtin(name)
+        p = PotentialParams.from_molecule(mol, 1.0)
+        for delta in (0.0, 0.05):
+            mm = MassModel.from_molecule(mol, delta)
+            assert mass_pole_radius(mm, p) is None
+            for n in (0, 5, 10):
+                state = QuantumState(n, 0)
+                if delta == 0.0:
+                    u = lambda r: constant_mass_wavefunction(p, mol.mu_amu, n, r)
+                else:
+                    u = lambda r: pdm_wavefunction(p, mm, state, r)
+                total, _ = quad(lambda r: u(r) ** 2, 0.0, p.r_e + 40.0 / p.a, points=[p.r_e],
+                                limit=400, epsabs=0.0, epsrel=1e-12)
+                assert total == pytest.approx(1.0, abs=1e-10)
 
 
 def test_constant_mass_normalized_unit_integral():
@@ -107,10 +240,9 @@ def test_pdm_orthogonality_weight_is_mass_weighted(h2_pdm, capsys):
     # m(r) dr measure; the plain dr overlap is logged as an empirical finding
     p, mm = h2_pdm
     states = [QuantumState(n, 0) for n in range(3)]
-    norms = [pdm_normalization(p, mm, s).quadrature for s in states]
 
     def u(nidx, r):
-        return pdm_wavefunction(p, mm, states[nidx], r, normalization=norms[nidx])
+        return pdm_wavefunction(p, mm, states[nidx], r)
 
     for i in range(3):
         for j in range(i + 1, 3):
