@@ -1,11 +1,11 @@
 #!/usr/bin/env python3
 """Varying-mass oracle sweep: reduced problem vs plain substitution.
 
-Two finite-difference checks of the varying-mass closed form:
+Two oracle checks of the varying-mass closed form:
 
 * ``reduced`` mode discretizes the quadratic-reduction problem itself, which
   the closed form solves exactly - agreement at the discretization level
-  (~1e-7 eV) confirms the quantization algebra end to end;
+  (~1e-9 eV) confirms the quantization algebra end to end;
 * ``substituted`` mode plugs the exponential expansions straight into the
   untransformed effective potential.  The quadratic reduction discards
   delta-weighted cubic and quartic cross terms, so the closed form deviates
@@ -43,8 +43,7 @@ def main() -> None:
         closed = bound_ladder(p, mm, 0)
         row = [f"{delta:>6.2f}", f"{len(closed):>7d}"]
         for reduced in (True, False):
-            cfg = suggest_config(p, mm, 0, mass_mode="pdm", k_target=0.08,
-                                 pdm_reduced=reduced)
+            cfg = suggest_config(p, mm, 0, mass_mode="pdm", pdm_reduced=reduced)
             report = compare(closed, solve(p, mm, 0, cfg))
             row.append(f"{report.max_deviation:>17.3e}" if reduced
                        else f"{report.max_deviation:>21.3e}")

@@ -244,7 +244,9 @@ def cmd_wavefunction(args, stream) -> int:
     else:
         u = constant_mass_wavefunction(p, mol.mu_amu, args.n, grid, l=args.l)
         psi = u / grid
-    rows = [[float(r), float(uu), float(pp)] for r, uu, pp in zip(grid, u, psi)]
+    # tuples of floats: the collector untracks them, so a dump's rows never
+    # pile up in the oldest generation and trigger full collections
+    rows = list(zip(grid.tolist(), u.tolist(), psi.tolist()))
     table = {
         "params": {
             "molecule": mol.name, "q": args.q, "delta": args.delta,
@@ -268,7 +270,6 @@ def cmd_oracle_compare(args, stream) -> int:
         centrifugal_mode=args.centrifugal,
         inverse_r_mode=args.inverse_r or args.centrifugal,
         mass_mode=mass_mode,
-        richardson=args.richardson,
     )
     if args.grid is not None:
         cfg = dataclasses.replace(cfg, grid_points=args.grid)
@@ -377,7 +378,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--centrifugal", choices=("exact", "pekeris"), default="pekeris")
     sp.add_argument("--inverse-r", choices=("exact", "pekeris"), default=None)
     sp.add_argument("--grid", type=int, default=None)
-    sp.add_argument("--richardson", action=argparse.BooleanOptionalAction, default=True)
     sp.add_argument("--n-levels", type=_positive_int, default=None)
     sp.set_defaults(func=cmd_oracle_compare)
 

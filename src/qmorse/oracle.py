@@ -1,20 +1,32 @@
-"""Independent finite-difference eigenvalue oracle.
+"""Independent banded high-order eigenvalue oracle.
 
-Discretizes -u'' + W(r) u = E B(r) u, with B(r) = 2 m(r)/hbar^2, with
-Dirichlet ends; A is the symmetric three-point stencil plus the diagonal of
-W, B is diagonal and positive, and the generalized problem is reduced exactly
-through B^{-1/2} A B^{-1/2} to a symmetric tridiagonal one.  Eigenvalues
-converge at second order in the spacing; Richardson extrapolation over a grid
-pair cancels the leading error and the pair difference provides the per-level
-error estimate.
+Solves -u'' + W(r) u = E B(r) u, with B(r) = 2 m(r)/hbar^2, between two
+Dirichlet walls, and returns the levels below the continuum threshold with a
+per-level error estimate.
 
 Grids.  Constant-mass problems use a uniform r grid.  Varying-mass problems
 use a uniform grid in t = ln(r - r_p), with r_p the (possibly negative,
 virtual) mass-pole radius: high levels of the reduced problem oscillate ever
 faster toward the pole while their outer tails stretch toward large r, and
-the log coordinate resolves both ends at once.  In a mapped coordinate the
-Sturm-Liouville weight form -d/dt[(1/r') du/dt] + r' W u = E r' B u is
-discretized, which keeps A symmetric tridiagonal and B diagonal.
+the log coordinate resolves both ends at once.
+
+One equation for both grids.  On the log grid the Sturm-Liouville form
+-d/dt[(1/r') du/dt] + r' W u = E r' B u becomes, with u = e^{t/2} phi,
+
+    -phi'' + W^ phi = E B^ phi,   W^ = e^{2t} W + 1/4,   B^ = e^{2t} B;
+
+the uniform grid is the same equation with t = r, W^ = W and B^ = B.
+-phi'' is the central (2p+1)-point stencil with p = 12 (Colbert & Miller,
+J. Chem. Phys. 96, 1982 (1992), give its p -> infinity limit, the sinc-DVR).
+Scaling by B^{-1/2} makes the matrix symmetric with bandwidth p, and LAPACK's
+banded solver returns the levels below the threshold in O(p N) memory.
+
+Error estimate.  Each level's estimate is its difference from a second solve
+whose grid is finer (spacing h/1.25), wider (outer wall pushed out by a
+quarter of the span, in the grid coordinate) and, when the mass pole is real,
+reaches closer to it (pole-side wall at w = 1 - delta z = 1e-8 instead of
+1e-5).  The estimate is floored at the matrix's roundoff, 16 eps ||H||_inf.
+On the exactly solvable reduced problems deviation/estimate is of order one.
 
 Mode semantics.  centrifugal_mode / inverse_r_mode "exact" keep l(l+1)/r^2
 and 1/r as they are; "pekeris" substitutes the second-order exponential
@@ -31,9 +43,9 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, replace
+from fractions import Fraction
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .errors import DomainError
 from .pekeris import pekeris_centrifugal, pekeris_coefficients, pekeris_inverse_r
@@ -47,26 +59,54 @@ from .potential import (
 from .spectrum import SpectrumResult, bound_ladder, reduced_coefficients
 from .units import UNITS, UnitSystem, hbar2_over_2mu
 
+#: Interior grid points: the least any grid has, the most ``suggest_config``
+#: asks for, and the most a configuration accepts (the banded solve costs
+#: O(N^2) time).
+MIN_GRID_POINTS = 500
+SUGGESTED_MAX_GRID_POINTS = 2000
+MAX_GRID_POINTS = 3000
+#: Largest local wavenumber times spacing, in the grid coordinate.
+MAX_KH = 1.5
+#: Pole-side wall, as w = 1 - delta z: the reported solve and the check solve.
+POLE_WALL = 1e-5
+CHECK_POLE_WALL = 1e-8
+
+
+def _kinetic_band(p: int) -> np.ndarray:
+    """Row k: h^2 times the coefficient of -d^2/dt^2 k points off the diagonal."""
+    fp = math.factorial(p)
+    c = [Fraction(2 * (-1) ** (k + 1) * fp * fp,
+                  k * k * math.factorial(p - k) * math.factorial(p + k)) for k in range(1, p + 1)]
+    return np.array([float(2 * sum(c))] + [float(-ck) for ck in c])
+
+
+KINETIC_BAND = _kinetic_band(12)
+
 
 @dataclass(frozen=True)
 class OracleConfig:
     r_min: float
     r_max: float
-    grid_points: int = 4000
+    grid_points: int = SUGGESTED_MAX_GRID_POINTS
     centrifugal_mode: str = "pekeris"
     inverse_r_mode: str = "pekeris"
     mass_mode: str = "constant"
-    richardson: bool = True
     want_vectors: bool = False
     pdm_reduced: bool = True
 
     def __post_init__(self):
+        if not (math.isfinite(self.r_min) and math.isfinite(self.r_max)):
+            raise DomainError("r_min and r_max must be finite")
         if not self.r_min > 0.0:
             raise DomainError("r_min must be positive")
         if not self.r_max > self.r_min:
             raise DomainError("r_max must exceed r_min")
-        if self.grid_points < 500:
-            raise DomainError("grid_points must be at least 500")
+        n = self.grid_points
+        if (isinstance(n, bool) or not isinstance(n, (int, np.integer))
+                or not MIN_GRID_POINTS <= n <= MAX_GRID_POINTS):
+            raise DomainError(
+                f"grid_points must be an integer in [{MIN_GRID_POINTS}, {MAX_GRID_POINTS}],"
+                f" got {n!r}")
         if self.centrifugal_mode not in ("exact", "pekeris"):
             raise DomainError(f"bad centrifugal_mode {self.centrifugal_mode!r}")
         if self.inverse_r_mode not in ("exact", "pekeris"):
@@ -77,12 +117,10 @@ class OracleConfig:
 
 @dataclass
 class OracleSpectrum:
-    """Bound levels (eV), Richardson-extrapolated, with per-level error estimates."""
+    """Bound levels (eV) of the reported solve, with per-level error estimates."""
 
     eigenvalues: np.ndarray
     error_estimates: np.ndarray
-    coarse: np.ndarray
-    fine: np.ndarray
     threshold: float
     config: OracleConfig
     grid: np.ndarray | None = None
@@ -160,72 +198,99 @@ def build_w_and_b(
     return w_substituted, b_pdm
 
 
-def _solve_once(w_fn, b_fn, r_min, r_max, n_interior, threshold, want_vectors,
-                log_origin=None):
-    """One discretized solve; log_origin switches to the t = ln(r - origin) grid."""
+def pole_wall(p: PotentialParams, mm: MassModel, w: float) -> float:
+    """Radius where 1 - delta z = w, outside a real mass pole."""
+    return virtual_pole(p, mm) - math.log1p(-w) / p.a
+
+
+def _solve_once(w_fn, b_fn, t_lo, t_hi, n, threshold, want_vectors, log_origin):
+    """Levels below threshold on n interior points of [t_lo, t_hi], and their roundoff.
+
+    t is r itself, or ln(r - log_origin) on the log grid.  The roundoff is
+    16 eps ||H||_inf.
+    """
+    from scipy.linalg import eig_banded, solve_banded
+
+    h = (t_hi - t_lo) / (n + 1)
+    t = t_lo + h * np.arange(1, n + 1)
     if log_origin is None:
-        h = (r_max - r_min) / (n_interior + 1)
-        grid = r_min + h * np.arange(1, n_interior + 1)
-        p_half = np.ones(n_interior + 1)
-        measure = np.ones(n_interior)  # dr/dt on the grid
+        grid, dr_dt = t, np.ones(n)
     else:
-        t_lo = math.log(r_min - log_origin)
-        t_hi = math.log(r_max - log_origin)
-        h = (t_hi - t_lo) / (n_interior + 1)
-        t_grid = t_lo + h * np.arange(1, n_interior + 1)
-        grid = log_origin + np.exp(t_grid)
-        t_half = t_lo + h * (np.arange(n_interior + 1) + 0.5)
-        p_half = np.exp(-t_half)        # 1/r'(t)
-        measure = np.exp(t_grid)        # r'(t)
-    w_diag = np.asarray(w_fn(grid), dtype=float) * measure
-    b_diag = np.asarray(b_fn(grid), dtype=float) * measure
-    if np.any(b_diag <= 0.0) or not np.all(np.isfinite(b_diag)):
+        dr_dt = np.exp(t)
+        grid = log_origin + dr_dt
+    w_hat = np.asarray(w_fn(grid), dtype=float) * dr_dt**2
+    b_hat = np.asarray(b_fn(grid), dtype=float) * dr_dt**2
+    if log_origin is not None:
+        w_hat += 0.25
+    if np.any(b_hat <= 0.0) or not np.all(np.isfinite(b_hat)):
         raise DomainError("mass weight B is not positive and finite on the grid")
-    if not np.all(np.isfinite(w_diag)):
+    if not np.all(np.isfinite(w_hat)):
         raise DomainError("effective potential is not finite on the grid")
-    inv_sqrt_b = 1.0 / np.sqrt(b_diag)
-    diag = ((p_half[:-1] + p_half[1:]) / h**2 + w_diag) / b_diag
-    off = -(p_half[1:-1] / h**2) * inv_sqrt_b[:-1] * inv_sqrt_b[1:]
-    lo = float(np.min(diag) - 2.0 * np.max(np.abs(off)) - 1.0)
+    inv_sqrt_b = 1.0 / np.sqrt(b_hat)
+    p = len(KINETIC_BAND) - 1
+    band = np.zeros((2 * p + 1, n))  # band[p + i - j, j] = H[i, j]; rows <= p: upper form
+    diag = (KINETIC_BAND[0] / h**2 + w_hat) / b_hat
+    band[p] = diag
+    off_sum = np.zeros(n)  # sum of |H[i, j]| over j != i
+    for k in range(1, p + 1):
+        off = KINETIC_BAND[k] / h**2 * inv_sqrt_b[:-k] * inv_sqrt_b[k:]
+        band[p - k, k:] = band[p + k, :-k] = off
+        off_sum[:-k] += np.abs(off)
+        off_sum[k:] += np.abs(off)
+    roundoff = 16.0 * np.finfo(float).eps * float(np.max(np.abs(diag) + off_sum))
+    lo = float(np.min(diag - off_sum)) - 1.0  # below every Gershgorin disc
     hi = float(threshold) - 1e-12
     if hi <= lo:
-        return np.array([]), grid, None, measure
-    if want_vectors:
-        vals, vecs = eigh_tridiagonal(diag, off, select="v", select_range=(lo, hi))
-        u = vecs * inv_sqrt_b[:, None]
-        norms = np.sqrt(np.sum(u**2 * measure[:, None], axis=0) * h)
-        u = u / np.where(norms > 0, norms, 1.0)
-        return vals, grid, u, measure
-    vals = eigh_tridiagonal(diag, off, select="v", select_range=(lo, hi), eigvals_only=True)
-    return vals, grid, None, measure
+        return np.array([]), roundoff, grid, None
+    vals = eig_banded(band[:p + 1], eigvals_only=True, select="v", select_range=(lo, hi))
+    if not want_vectors:
+        return vals, roundoff, grid, None
+    # inverse iteration on the same band: O(p^2 N) per level, no N x N array
+    vecs = np.empty((n, len(vals)))
+    for j, val in enumerate(vals):
+        band[p] = diag - (val + roundoff)
+        x = np.ones(n)
+        for _ in range(2):
+            x = solve_banded((p, p), band, x)
+            x /= np.linalg.norm(x)
+        vecs[:, j] = x
+    u = vecs * (inv_sqrt_b * np.sqrt(dr_dt))[:, None]  # back to u = e^{t/2} phi
+    return vals, roundoff, grid, u / np.sqrt(h * (dr_dt @ u**2))
 
 
 def solve_potential(
-    w_fn, b_fn, cfg: OracleConfig, threshold: float, log_origin: float | None = None
+    w_fn, b_fn, cfg: OracleConfig, threshold: float, log_origin: float | None = None,
+    check_r_min: float | None = None,
 ) -> OracleSpectrum:
     """Solve the discretized problem for arbitrary W and B callables.
 
     Used directly by self-tests (e.g. a quadratic well against the textbook
-    oscillator ladder) and by ``solve``.
+    oscillator ladder) and by ``solve``.  The check solve that sizes the
+    error estimates starts at ``check_r_min`` when it is given and lies
+    further in.
     """
-    coarse_vals, _, _, _ = _solve_once(
-        w_fn, b_fn, cfg.r_min, cfg.r_max, cfg.grid_points, threshold, False, log_origin)
-    if not cfg.richardson:
-        return OracleSpectrum(
-            eigenvalues=coarse_vals, error_estimates=np.full_like(coarse_vals, np.nan),
-            coarse=coarse_vals, fine=coarse_vals, threshold=threshold, config=cfg,
-        )
-    fine_n = 2 * cfg.grid_points + 1
-    fine_vals, grid, vectors, _ = _solve_once(
-        w_fn, b_fn, cfg.r_min, cfg.r_max, fine_n, threshold, cfg.want_vectors, log_origin)
-    n_levels = min(len(coarse_vals), len(fine_vals))
-    richardson = (4.0 * fine_vals[:n_levels] - coarse_vals[:n_levels]) / 3.0
-    err = np.abs(fine_vals[:n_levels] - coarse_vals[:n_levels]) / 3.0
+    def coord(r):
+        return r if log_origin is None else math.log(r - log_origin)
+
+    t_lo, t_hi = coord(cfg.r_min), coord(cfg.r_max)
+    vals, roundoff, grid, vectors = _solve_once(
+        w_fn, b_fn, t_lo, t_hi, cfg.grid_points, threshold, cfg.want_vectors, log_origin)
+    estimates = np.empty(0)
+    if len(vals):
+        span = t_hi - t_lo
+        check_lo = min(t_lo, coord(check_r_min)) if check_r_min is not None else t_lo
+        check_hi = t_hi + 0.25 * span
+        check_n = math.ceil(1.25 * (check_hi - check_lo) / span * (cfg.grid_points + 1)) - 1
+        check_vals, check_roundoff, _, _ = _solve_once(
+            w_fn, b_fn, check_lo, check_hi, check_n, threshold, False, log_origin)
+        # a level the check solve lost may lie anywhere up to the threshold
+        other = np.full(len(vals), float(threshold))
+        shared = min(len(vals), len(check_vals))
+        other[:shared] = check_vals[:shared]
+        estimates = np.maximum(np.abs(vals - other), max(roundoff, check_roundoff))
     return OracleSpectrum(
-        eigenvalues=richardson, error_estimates=err,
-        coarse=coarse_vals[:n_levels], fine=fine_vals[:n_levels],
-        threshold=threshold, config=cfg, grid=grid,
-        eigenvectors=vectors[:, :n_levels] if vectors is not None else None,
+        eigenvalues=vals, error_estimates=estimates, threshold=threshold, config=cfg,
+        grid=grid, eigenvectors=vectors,
     )
 
 
@@ -233,7 +298,7 @@ def solve(
     p: PotentialParams, mm: MassModel, l: int, cfg: OracleConfig, units: UnitSystem = UNITS
 ) -> OracleSpectrum:
     """All bound levels of the configured problem (eV, strictly increasing)."""
-    log_origin = None
+    log_origin = check_r_min = None
     if cfg.mass_mode == "pdm" and mm.delta > 0.0:
         pole = mass_pole_radius(mm, p)
         if pole is not None and cfg.r_min <= pole:
@@ -241,9 +306,11 @@ def solve(
                 f"mass pole at r = {pole:.6f} A lies inside the domain; raise r_min"
             )
         log_origin = virtual_pole(p, mm)
+        if pole is not None:
+            check_r_min = pole_wall(p, mm, CHECK_POLE_WALL)
     w_fn, b_fn = build_w_and_b(p, mm, l, cfg, units)
     threshold = continuum_threshold(p, mm, l, cfg, units)
-    return solve_potential(w_fn, b_fn, cfg, threshold, log_origin)
+    return solve_potential(w_fn, b_fn, cfg, threshold, log_origin, check_r_min)
 
 
 def formula_ladder_top(
@@ -266,9 +333,7 @@ def suggest_config(
     l: int,
     units: UnitSystem = UNITS,
     e_top: float | None = None,
-    k_target: float = 0.1,
-    max_points: int = 120000,
-    **overrides,
+    **modes,
 ) -> OracleConfig:
     """Domain and grid adequate for all levels up to e_top.
 
@@ -276,16 +341,13 @@ def suggest_config(
     pass e_top explicitly when targeting a subset of levels, or for exact-mode
     runs whose shallowest level may differ from the expansion's estimate.  The
     domain is clipped at turning points of W/B at e_top, padded inward (where
-    the profile dies super-exponentially, or toward the mass pole by the known
-    power-law exponent) and outward by 8 decay lengths of the shallowest
-    level; the spacing resolves the largest local wavenumber at k h <= k_target
-    in the grid coordinate actually used (log-radius for varying mass).
+    the profile dies super-exponentially, or up to the pole-side wall) and
+    outward by 8 decay lengths of the shallowest level; the spacing resolves
+    the largest local wavenumber at k h <= MAX_KH in the grid coordinate
+    actually used (log-radius for varying mass).  ``modes`` are the other
+    OracleConfig fields.
     """
-    base = dict(centrifugal_mode="pekeris", inverse_r_mode="pekeris", mass_mode="constant")
-    base.update(overrides)
-    cfg_keys = ("centrifugal_mode", "inverse_r_mode", "mass_mode", "pdm_reduced")
-    probe_cfg = OracleConfig(r_min=1e-3, r_max=1e-3 + 1.0,
-                             **{k: v for k, v in base.items() if k in cfg_keys})
+    probe_cfg = OracleConfig(r_min=1e-3, r_max=1e-3 + 1.0, **modes)
     w_fn, b_fn = build_w_and_b(p, mm, l, probe_cfg, units)
     threshold = continuum_threshold(p, mm, l, probe_cfg, units)
     is_pdm = probe_cfg.mass_mode == "pdm" and mm.delta > 0.0
@@ -296,18 +358,9 @@ def suggest_config(
 
     if is_pdm:
         origin = virtual_pole(p, mm)
-        if origin > 0:
-            # wall deep inside the pole-side forbidden sliver; the log grid
-            # makes the extra span cheap (w = 1 - delta z is the pole distance)
-            z_cut = (1.0 - 1e-5) / mm.delta
-            scan_lo = p.r_e - math.log(z_cut) / p.a
-        else:
-            scan_lo = 1e-3
-    else:
-        origin = None
-        scan_lo = 1e-3
-
-    if is_pdm:
+        # wall deep inside the pole-side forbidden sliver; the log grid
+        # makes the extra span cheap
+        scan_lo = pole_wall(p, mm, POLE_WALL) if origin > 0 else 1e-3
         t_scan = np.linspace(
             math.log(scan_lo - origin),
             math.log(p.r_e + 60.0 / p.a - origin),
@@ -315,6 +368,7 @@ def suggest_config(
         )
         scan = origin + np.exp(t_scan)
     else:
+        scan_lo = 1e-3
         scan = np.linspace(max(scan_lo, p.r_e - 12.0 / p.a), p.r_e + 60.0 / p.a, 6000)
         scan = scan[scan > scan_lo]
     w_scan = np.asarray(w_fn(scan))
@@ -340,10 +394,9 @@ def suggest_config(
     else:
         span = r_max - r_min
     k_max = float(np.max(k_local))
-    n_points = int(min(max(1500, math.ceil(span * k_max / k_target)), max_points))
-    return OracleConfig(r_min=r_min, r_max=r_max, grid_points=n_points, **{
-        k: v for k, v in base.items() if k in cfg_keys + ("richardson", "want_vectors")
-    })
+    n_points = math.ceil(span * k_max / MAX_KH)
+    n_points = min(max(MIN_GRID_POINTS, n_points), SUGGESTED_MAX_GRID_POINTS)
+    return replace(probe_cfg, r_min=r_min, r_max=r_max, grid_points=n_points)
 
 
 @dataclass
@@ -435,7 +488,7 @@ def compare(
     for idx in range(min(len(closed_vals), len(oracle.eigenvalues))):
         deviation = abs(closed_vals[idx] - float(oracle.eigenvalues[idx]))
         err = float(oracle.error_estimates[idx])
-        flagged = math.isfinite(err) and deviation > flag_factor * max(err, 1e-15)
+        flagged = deviation > flag_factor * err
         report.levels.append(
             LevelComparison(
                 index=idx,
@@ -447,31 +500,3 @@ def compare(
             )
         )
     return report
-
-
-def widen_if_needed(
-    p: PotentialParams,
-    mm: MassModel,
-    l: int,
-    cfg: OracleConfig,
-    units: UnitSystem = UNITS,
-    tail_tol: float = 1e-8,
-    max_rounds: int = 6,
-) -> tuple[OracleSpectrum, OracleConfig]:
-    """Solve, then widen the domain while the top eigenvector leaks at a boundary."""
-    current = replace(cfg, want_vectors=True)
-    for _ in range(max_rounds):
-        spectrum = solve(p, mm, l, current, units)
-        if spectrum.eigenvectors is None or spectrum.eigenvectors.shape[1] == 0:
-            return spectrum, current
-        top = np.abs(spectrum.eigenvectors[:, -1])
-        peak = float(np.max(top))
-        if top[0] <= tail_tol * peak and top[-1] <= tail_tol * peak:
-            return spectrum, current
-        grow = 0.6 * (current.r_max - current.r_min)
-        current = replace(
-            current,
-            r_max=current.r_max + grow,
-            grid_points=int(current.grid_points * 1.6),
-        )
-    return solve(p, mm, l, current, units), current

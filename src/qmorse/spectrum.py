@@ -21,6 +21,7 @@ would cancel: at q = 1e7 it leaves nothing of a level near the limit.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -50,10 +51,12 @@ class QuantumState:
     l: int = 0
 
     def __post_init__(self):
-        if self.n < 0 or self.n != int(self.n):
-            raise DomainError(f"n must be a non-negative integer, got {self.n}")
-        if self.l < 0 or self.l != int(self.l):
-            raise DomainError(f"l must be a non-negative integer, got {self.l}")
+        for name, value in (("n", self.n), ("l", self.l)):
+            if type(value) is int and value >= 0:  # the common case, kept cheap
+                continue
+            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                    or not 0 <= value < math.inf or value != int(value)):
+                raise DomainError(f"{name} must be a non-negative integer, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -171,10 +171,11 @@ def test_criterion_4_pdm_continuity_and_identity():
                         break
                     closed.append(res)
                     n += 1
-                cfg = suggest_config(p, mm, l, mass_mode="pdm", k_target=0.08)
+                cfg = suggest_config(p, mm, l, mass_mode="pdm")
                 spectrum = solve(p, mm, l, cfg)
                 report = compare(closed, spectrum)
                 assert report.closed_count == report.oracle_count, (name, delta, l)
+                assert not any(lv.flagged for lv in report.levels), (name, delta, l)
                 worst_c = max(worst_c, report.max_deviation)
                 assert report.max_deviation < 1e-5, (name, delta, l, report.max_deviation)
     print(

@@ -10,6 +10,7 @@ import pytest
 
 from qmorse import builtin
 from qmorse.cli import main
+from qmorse.oracle import MAX_GRID_POINTS
 from qmorse.potential import MassModel, PotentialParams, mass_pole_radius
 from qmorse.units import UNITS
 from qmorse.wavefunctions import node_count
@@ -202,12 +203,14 @@ def test_nmax_energies_near_the_limit_at_huge_q(capsys):
 
 
 def test_cli_import_leaves_out_scipy_integrate():
-    # the normalizations are closed forms; importing the CLI must not pay for quadrature
+    # the normalizations are closed forms and the oracle imports scipy.linalg
+    # only when it solves: importing the CLI must load no scipy module at all
     proc = subprocess.run(
-        [sys.executable, "-c", "import sys, qmorse.cli; print('scipy.integrate' in sys.modules)"],
+        [sys.executable, "-c",
+         "import sys, qmorse.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "[]"
 
 
 def test_special_case_gv(capsys):
@@ -237,6 +240,14 @@ def test_oracle_compare_small(capsys):
     payload = json.loads(out)
     assert payload["max_deviation_eV"] < 1e-5
     assert len(payload["levels"]) == 3
+
+
+def test_oracle_compare_grid_above_cap_exits_2(capsys):
+    # rejected when the configuration is built, before any solve
+    code, _, err = run_cli(
+        ["oracle-compare", "--molecule", "H2-ref", "--grid", str(MAX_GRID_POINTS + 1)], capsys)
+    assert code == 2
+    assert "grid_points" in err
 
 
 def test_molecule_file_env(tmp_path, capsys, monkeypatch):

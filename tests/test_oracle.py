@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 
+from qmorse import builtin
 from qmorse.errors import DomainError
 from qmorse.oracle import (
+    MAX_GRID_POINTS,
     ComparisonReport,
     OracleConfig,
     compare,
@@ -14,11 +16,11 @@ from qmorse.oracle import (
     solve,
     solve_potential,
     suggest_config,
-    widen_if_needed,
 )
 from qmorse.potential import MassModel, PotentialParams
 from qmorse.spectrum import (
     QuantumState,
+    bound_ladder,
     energy_constant_mass_params,
     energy_pdm_params,
 )
@@ -76,32 +78,37 @@ def test_eigenvalues_strictly_increasing(h2_ref):
     assert np.all(np.diff(spectrum.eigenvalues) > 0)
 
 
-def test_grid_doubling_convergence_order(h2_ref):
-    # raw (un-extrapolated) eigenvalue error must drop at second order
-    p = PotentialParams.from_molecule(h2_ref, 1.0)
-    mm = MassModel.from_molecule(h2_ref, 0.0)
-    exact = energy_constant_mass_params(p, mm, QuantumState(0, 0)).energy
+def test_spacing_refinement_gains_two_orders():
+    # 25-point stencil: each 1.5x finer spacing cuts the worst level error by
+    # at least 100x (about 1.5^24 for smooth profiles) until roundoff, which
+    # is below 1e-11 eV on these grids; levels above n = 74 feel the 8 A wall
+    mol = builtin("CO")
+    p = PotentialParams.from_molecule(mol, 1.0)
+    mm = MassModel.from_molecule(mol, 0.0)
+    exact = bound_ladder(p, mm, 0).energy[:75] + p.v3
     errors = []
-    for n_pts in (1000, 2000, 4000):
-        cfg = OracleConfig(r_min=1e-3, r_max=14.0, grid_points=n_pts, richardson=False)
-        spectrum = solve(p, mm, 0, cfg)
-        errors.append(abs(spectrum.eigenvalues[0] - exact))
-    order1 = math.log2(errors[0] / errors[1])
-    order2 = math.log2(errors[1] / errors[2])
-    assert order1 == pytest.approx(2.0, abs=0.2)
-    assert order2 == pytest.approx(2.0, abs=0.2)
+    for n_pts in (511, 767, 1151, 1727, 2591):  # n + 1 = 512 * 1.5^k
+        levels = solve(p, mm, 0, OracleConfig(r_min=0.6, r_max=8.0, grid_points=n_pts)).eigenvalues
+        errors.append(float(np.max(np.abs(levels[:75] - exact))))
+    assert errors[0] > 1e-3
+    for coarse, fine in zip(errors, errors[1:]):
+        assert fine <= max(coarse / 100.0, 1e-11), errors
 
 
-def test_error_estimate_shrinks_with_grid(h2_ref):
-    # eight-fold spacing refinement shrinks the h^2 estimate by about 64x
-    p = PotentialParams.from_molecule(h2_ref, 1.0)
-    mm = MassModel.from_molecule(h2_ref, 0.0)
-    est = {}
-    for n_pts in (500, 4000):
-        cfg = OracleConfig(r_min=1e-3, r_max=14.0, grid_points=n_pts)
-        est[n_pts] = solve(p, mm, 0, cfg).error_estimates[0]
-    ratio = est[500] / est[4000]
-    assert 64.0 / 2.0 < ratio < 64.0 * 2.0
+@pytest.mark.parametrize("name", ["H2", "LiH", "HCl", "CO"])
+@pytest.mark.parametrize("delta", [0.0, 0.3])
+@pytest.mark.parametrize("l", [0, 5])
+def test_error_estimate_is_calibrated(name, delta, l):
+    # the reduced problems are solved exactly by the closed form, so the
+    # deviation is the oracle's true error: the estimate must match it
+    mol = builtin(name)
+    p = PotentialParams.from_molecule(mol, 1.0)
+    mm = MassModel.from_molecule(mol, delta)
+    cfg = suggest_config(p, mm, l, mass_mode="pdm" if delta > 0 else "constant")
+    report = compare((bound_ladder(p, mm, l).energy + p.v3).tolist(), solve(p, mm, l, cfg))
+    assert not report.count_mismatch
+    worst = max(lv.deviation / lv.oracle_error for lv in report.levels)
+    assert 0.05 <= worst <= 2.0, worst
 
 
 def test_eigenvector_node_counts(h2_ref):
@@ -191,13 +198,28 @@ def test_config_validation():
         OracleConfig(r_min=0.1, r_max=2.0, centrifugal_mode="bogus")
 
 
-def test_widen_if_needed_fixes_undersized_domain(h2_ref):
-    # deliberately truncate the domain; the widening loop must recover a box
-    # whose top eigenvector no longer leaks at the boundary
+@pytest.mark.parametrize("bad", [
+    dict(r_max=math.inf),
+    dict(r_min=math.nan),
+    dict(grid_points=1e9 + 0.5),
+    dict(grid_points=math.nan),
+    dict(grid_points=2000.0),
+    dict(grid_points=True),
+    dict(grid_points=MAX_GRID_POINTS + 1),
+], ids=["r_max-inf", "r_min-nan", "grid-huge-float", "grid-nan", "grid-float", "grid-bool",
+        "grid-above-cap"])
+def test_config_rejects_bad_input(bad):
+    with pytest.raises(DomainError):
+        OracleConfig(**{"r_min": 0.1, "r_max": 2.0, **bad})
+
+
+def test_truncated_box_estimate_covers_deviation(h2_ref):
+    # a box cut at 3 A squeezes the upper levels; the check solve's wider
+    # wall must see it, so every deviation stays within twice its estimate
     p = PotentialParams.from_molecule(h2_ref, 1.0)
     mm = MassModel.from_molecule(h2_ref, 0.0)
-    cfg = OracleConfig(r_min=1e-3, r_max=3.0, grid_points=2000)
-    spectrum, final_cfg = widen_if_needed(p, mm, 0, cfg)
-    assert final_cfg.r_max > cfg.r_max
-    top = np.abs(spectrum.eigenvectors[:, -1])
-    assert top[-1] <= 1e-8 * np.max(top)
+    spectrum = solve(p, mm, 0, OracleConfig(r_min=1e-3, r_max=3.0, grid_points=2000))
+    report = compare((bound_ladder(p, mm, 0).energy + p.v3).tolist(), spectrum)
+    assert max(lv.deviation for lv in report.levels) > 1e-3  # the box really bites
+    for lv in report.levels:
+        assert lv.deviation <= 2.0 * lv.oracle_error, lv

@@ -5,7 +5,7 @@ import pytest
 import numpy as np
 
 from qmorse import builtin
-from qmorse.errors import ThresholdStateError
+from qmorse.errors import DomainError, ThresholdStateError
 from qmorse.molecules import BUILTIN_NAMES
 from qmorse.potential import MassModel, PotentialParams
 from qmorse.reference import REFERENCE_MINUS_E, TABLE_MOLECULE, cell_matches
@@ -289,3 +289,11 @@ def test_bound_ladder_matches_prefix_loop():
         tiny = bound_ladder(p, MassModel.from_molecule(mol, 1e-9), 0)
         assert len(tiny) == n_max(mol)
         assert np.isfinite(tiny.energy).all() and np.isfinite(tiny.xi).all()
+
+
+@pytest.mark.parametrize("field", ["n", "l"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, True, -1, 1.5],
+                         ids=["nan", "inf", "bool", "negative", "fraction"])
+def test_quantum_state_rejects_bad_numbers(field, value):
+    with pytest.raises(DomainError):
+        QuantumState(**{"n": 0, "l": 0, field: value})
