@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
+import math
 import os
 import sys
 
@@ -78,15 +80,19 @@ def _parse_int_list(text: str) -> list[int]:
     return values
 
 
-def _emit(table: dict, args, stream) -> None:
-    fmt = args.format
-    digits = args.digits
-    rows = table["rows"]
-    columns = table["columns"]
+#: cell types that json.dumps takes as they are
+_JSON_PLAIN = frozenset({float, int, bool, str})
 
-    def fnum(value) -> str:
-        if isinstance(value, bool):
-            return str(value).lower()
+
+def _cell_formatter(digits: int):
+    """Return value -> cell text; plain floats, ints, bools and strings skip the type chain."""
+    exact = {float: f"{{:.{digits}g}}".format, int: str, str: str,
+             bool: {True: "true", False: "false"}.__getitem__}
+
+    def cell(value) -> str:
+        fmt = exact.get(type(value))
+        if fmt is not None:
+            return fmt(value)
         if isinstance(value, (int, np.integer)):
             return str(int(value))
         if isinstance(value, complex):
@@ -95,32 +101,34 @@ def _emit(table: dict, args, stream) -> None:
             return f"{value:.{digits}g}"
         return str(value)
 
-    if fmt == "json":
+    return cell
+
+
+def _emit(table: dict, args, stream) -> None:
+    rows = table["rows"]
+    columns = table["columns"]
+    if args.format == "json":
         payload = {
             "params": table["params"],
             "constants": _constants_dict(),
             "columns": columns,
-            "rows": [[_json_safe(v) for v in row] for row in rows],
+            "rows": [[v if type(v) in _JSON_PLAIN else _json_safe(v) for v in row]
+                     for row in rows],
         }
         stream.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
         return
-    if fmt == "csv":
-        for key in sorted(table["params"]):
-            stream.write(f"# {key} = {table['params'][key]}\n")
-        for key, value in sorted(_constants_dict().items()):
-            stream.write(f"# {key} = {value!r}\n")
-        stream.write(",".join(columns) + "\n")
-        for row in rows:
-            stream.write(",".join(fnum(v) for v in row) + "\n")
-        return
-    # text
-    widths = [
-        max(len(col), max((len(fnum(row[i])) for row in rows), default=0))
-        for i, col in enumerate(columns)
-    ]
-    stream.write("  ".join(col.rjust(w) for col, w in zip(columns, widths)) + "\n")
-    for row in rows:
-        stream.write("  ".join(fnum(v).rjust(w) for v, w in zip(row, widths)) + "\n")
+    cell = _cell_formatter(args.digits)
+    cells = [[cell(v) for v in row] for row in rows]
+    if args.format == "csv":
+        lines = [f"# {key} = {table['params'][key]}" for key in sorted(table["params"])]
+        lines += [f"# {key} = {value!r}" for key, value in sorted(_constants_dict().items())]
+        lines.append(",".join(columns))
+        lines += [",".join(row) for row in cells]
+    else:  # text: each column as wide as its widest cell
+        widths = [max(map(len, column)) for column in zip(columns, *cells)]
+        lines = ["  ".join(text.rjust(w) for text, w in zip(row, widths))
+                 for row in (columns, *cells)]
+    stream.write("\n".join(lines) + "\n")
 
 
 def _json_safe(value):
@@ -137,6 +145,13 @@ def _positive_int(text: str) -> int:
     return int(text)
 
 
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def cmd_spectrum(args, stream) -> int:
     mol = _resolve_molecule(args.molecule, args.molecule_file)
     n_list = _parse_int_list(args.n)
@@ -145,9 +160,11 @@ def cmd_spectrum(args, stream) -> int:
     mm = MassModel.from_molecule(mol, args.delta)
     grid = spectrum_grid(p, mm, np.array(n_list)[:, None], l_list)
     grid.raise_fault()
+    if not np.isfinite(grid.energy).all():
+        raise OverflowError(f"energies overflow a float at q={args.q!r}")
     eps, energy, bound = grid.eps.tolist(), grid.energy.tolist(), grid.bound.tolist()
     rows = [
-        [n, l, eps[i][j], energy[i][j], -energy[i][j], bound[i][j]]
+        (n, l, eps[i][j], energy[i][j], -energy[i][j], bound[i][j])
         for i, n in enumerate(n_list) for j, l in enumerate(l_list)
     ]
     table = {
@@ -173,7 +190,7 @@ def cmd_table3(args, stream) -> int:
             ok = cell_matches(minus_e, printed)
             all_ok &= ok
             dev = minus_e - float(printed)
-            rows.append([block, n, l, printed, round(minus_e, cell_decimals(printed)), dev, ok])
+            rows.append((block, n, l, printed, round(minus_e, cell_decimals(printed)), dev, ok))
     table = {
         "params": {
             "q": 1.0, "delta": 0.0, "energy_zero": "dissociation",
@@ -197,14 +214,14 @@ def cmd_nmax(args, stream) -> int:
         count = n_max(mol, args.q)
         edge = near_threshold_state(mol, args.q)
         last_bound = energy_s_wave(mol, args.q, count - 1) if count > 0 else None
-        rows.append([
+        rows.append((
             mol.name, count,
             edge.energy,
             last_bound.energy if last_bound else float("nan"),
-        ])
+        ))
         if args.full:
             for res in s_wave_ladder(mol, args.q, include_edge=True):
-                ladder_rows.append([mol.name, res.state.n, res.energy, res.bound])
+                ladder_rows.append((mol.name, res.state.n, res.energy, res.bound))
     params = {"molecules": args.molecules, "q": args.q,
               "note": "n_max = number of normalizable s-wave levels; "
                       "E_edge = formula value at index n_max (nearest the continuum); "
@@ -236,6 +253,9 @@ def cmd_wavefunction(args, stream) -> int:
         pole = mass_pole_radius(mm, p)
         if pole is not None and pole >= r_lo:  # start one grid step outside the pole
             r_lo = pole + (r_hi - pole) / args.points
+    if not (0.0 < r_lo < r_hi < math.inf):  # also false for a NaN end
+        raise DomainError(f"wavefunction range needs 0 < r_min < r_max < inf, "
+                          f"got r_min={r_lo:g}, r_max={r_hi:g}")
     grid = np.linspace(r_lo, r_hi, args.points)
     if mm.delta >= DELTA_CROSSOVER:
         u = pdm_wavefunction(p, mm, state, grid, kind="u")
@@ -244,6 +264,8 @@ def cmd_wavefunction(args, stream) -> int:
     else:
         u = constant_mass_wavefunction(p, mol.mu_amu, args.n, grid, l=args.l)
         psi = u / grid
+    if not np.isfinite(psi).all():  # psi is u times a positive finite factor
+        raise OverflowError(f"state n={args.n} overflows a float: amplitudes are not finite")
     # tuples of floats: the collector untracks them, so a dump's rows never
     # pile up in the oldest generation and trigger full collections
     rows = list(zip(grid.tolist(), u.tolist(), psi.tolist()))
@@ -304,9 +326,9 @@ def cmd_special_case(args, stream) -> int:
         energy = res.energy
         non_real = special_cases.is_non_real(res)
         if isinstance(energy, complex):
-            rows.append([n, energy.real, energy.imag, res.bound, non_real])
+            rows.append((n, energy.real, energy.imag, res.bound, non_real))
         else:
-            rows.append([n, energy, 0.0, res.bound, non_real])
+            rows.append((n, energy, 0.0, res.bound, non_real))
     table = {
         "params": {"case": case_id, **{k: v for k, v in vars(args).items()
                    if k in ("D", "alpha", "q", "mu", "re", "dhat", "omega") and v is not None}},
@@ -387,20 +409,28 @@ def build_parser() -> argparse.ArgumentParser:
         form for case_id in special_cases.CASE_IDS
         for form in (case_id.replace("_", "-"), case_id)
     ])
-    sp.add_argument("--D", type=float, required=True, help="well scale (eV)")
-    sp.add_argument("--alpha", type=float, default=1.0, help="dimensionless range")
-    sp.add_argument("--q", type=float, default=1.0)
-    sp.add_argument("--mu", type=float, required=True, help="reduced mass (amu)")
-    sp.add_argument("--re", type=float, required=True, help="equilibrium separation (A)")
-    sp.add_argument("--dhat", type=float, default=None, help="coupling of the complex wells")
-    sp.add_argument("--omega", type=float, default=None)
-    sp.add_argument("--levels", type=int, default=6)
+    sp.add_argument("--D", type=_finite_float, required=True, help="well scale (eV)")
+    sp.add_argument("--alpha", type=_finite_float, default=1.0, help="dimensionless range")
+    sp.add_argument("--q", type=_finite_float, default=1.0)
+    sp.add_argument("--mu", type=_finite_float, required=True, help="reduced mass (amu)")
+    sp.add_argument("--re", type=_finite_float, required=True, help="equilibrium separation (A)")
+    sp.add_argument("--dhat", type=_finite_float, default=None,
+                    help="coupling of the complex wells")
+    sp.add_argument("--omega", type=_finite_float, default=None)
+    sp.add_argument("--levels", type=_positive_int, default=6)
     sp.set_defaults(func=cmd_special_case)
     return parser
 
 
+@functools.cache
+def _parser(build) -> argparse.ArgumentParser:
+    return build()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    # argparse keeps no state between parses, so one tree serves every call in
+    # the process; keyed on the builder, so a replaced build_parser takes effect
+    parser = _parser(build_parser)
     args = parser.parse_args(argv)
     if args.show_constants:
         for key, value in sorted(_constants_dict().items()):

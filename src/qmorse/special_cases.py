@@ -8,13 +8,20 @@ in complex arithmetic without taking a real part.
 
 from __future__ import annotations
 
+import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, NamedTuple
 
 from .errors import DomainError
 from .spectrum import EPS_TIE_TOL, QuantumState, SpectrumResult
 from .units import UNITS, UnitSystem, hbar2_over_2mu
+
+
+def _require_finite(case) -> None:
+    for field in fields(case):
+        if not math.isfinite(getattr(case, field.name)):
+            raise DomainError(f"{field.name} must be finite, got {getattr(case, field.name)!r}")
 
 
 @dataclass(frozen=True)
@@ -28,6 +35,7 @@ class GeneralizedVibrationalCase:
     r_e: float
 
     def __post_init__(self):
+        _require_finite(self)
         if self.D <= 0 or self.alpha <= 0 or self.mu <= 0 or self.r_e <= 0:
             raise DomainError("D, alpha, mu and r_e must all be positive")
 
@@ -46,6 +54,7 @@ class NonPtCase:
     r_e: float
 
     def __post_init__(self):
+        _require_finite(self)
         if self.D <= 0 or self.mu <= 0 or self.r_e <= 0:
             raise DomainError("D, mu and r_e must be positive")
 
@@ -60,6 +69,7 @@ class PtType1Case:
     r_e: float
 
     def __post_init__(self):
+        _require_finite(self)
         if self.D <= 0 or self.mu <= 0 or self.r_e <= 0:
             raise DomainError("D, mu and r_e must be positive")
 
@@ -75,6 +85,7 @@ class PtType2Case:
     r_e: float
 
     def __post_init__(self):
+        _require_finite(self)
         if self.D <= 0 or self.omega == 0 or self.alpha <= 0 or self.mu <= 0 or self.r_e <= 0:
             raise DomainError("D, alpha, mu, r_e must be positive and omega nonzero")
 
@@ -164,10 +175,16 @@ CASE_IDS = tuple(SPECIAL_CASES)
 
 
 def special_case_spectrum(case_id: str, case, n: int, units: UnitSystem = UNITS) -> SpectrumResult:
-    """Dispatch on case_id; pt_type1 yields a complex energy flagged unbound."""
+    """Dispatch on case_id; pt_type1 yields a complex energy flagged unbound.
+
+    An energy that overflows a float raises OverflowError.
+    """
     if case_id not in SPECIAL_CASES:
         raise DomainError(f"unknown special case {case_id!r}; available: {', '.join(CASE_IDS)}")
-    return SPECIAL_CASES[case_id].energy(case, n, units)
+    result = SPECIAL_CASES[case_id].energy(case, n, units)
+    if not cmath.isfinite(result.energy):
+        raise OverflowError(f"{case_id} level n={n} overflows: energy {result.energy!r}")
+    return result
 
 
 def is_non_real(result: SpectrumResult, tol: float = 0.0) -> bool:

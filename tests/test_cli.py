@@ -174,6 +174,18 @@ def test_wavefunction_r_min_inside_the_pole_exits_2(capsys):
     assert out == "" and "mass pole" in err
 
 
+@pytest.mark.parametrize("range_flags", [
+    ["--r-min", "nan"],
+    ["--r-max", "inf"],
+    ["--r-min", "-1"],
+    ["--r-min", "5", "--r-max", "1"],
+], ids=["nan_r_min", "inf_r_max", "negative_r_min", "reversed"])
+def test_wavefunction_bad_range_exits_2(capsys, range_flags):
+    code, out, err = run_cli(["wavefunction", "--molecule", "H2", "--n", "1", *range_flags], capsys)
+    assert code == 2
+    assert out == "" and "0 < r_min < r_max < inf" in err
+
+
 def test_wavefunction_below_delta_crossover_is_constant_mass(capsys):
     # delta below DELTA_CROSSOVER takes the constant-mass branch, as spectrum does
     tiny = _wavefunction_rows(["--molecule", "H2", "--n", "3", "--l", "5", "--delta", "1e-12"],
@@ -301,6 +313,27 @@ def test_spectrum_threshold_state_exits_1(capsys, monkeypatch):
     assert "threshold" in err and "n=2" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--molecule", "H2", "--q", "1e300", "--n", "0", "--l", "0"],
+    ["wavefunction", "--molecule", "CO", "--q", "1e16", "--n", "2000", "--points", "50"],
+], ids=["spectrum", "wavefunction"])
+def test_overflow_is_numeric_failure(capsys, argv):
+    # finite input whose values overflow a float: exit 1, nothing printed
+    with np.errstate(all="ignore"):
+        code, out, err = run_cli(argv, capsys)
+    assert code == 1
+    assert out == "" and "overflow" in err
+
+
+def test_special_case_non_finite_flag_is_usage_error(capsys):
+    # --alpha is not a field of the non-PT well, but it is echoed in the params
+    with pytest.raises(SystemExit) as info:
+        main(["special-case", "--case", "non-pt", "--D", "2", "--dhat", "1", "--mu", "0.9",
+              "--re", "1.2", "--alpha=-inf"])
+    assert info.value.code == 2
+    assert "finite" in capsys.readouterr().err
+
+
 def test_wavefunction_non_normalizable_exit_2(capsys):
     code, _, err = run_cli(["wavefunction", "--molecule", "H2", "--n", "40"], capsys)
     assert code == 2
@@ -310,9 +343,36 @@ def test_wavefunction_non_normalizable_exit_2(capsys):
 @pytest.mark.parametrize("argv", [
     ["wavefunction", "--molecule", "H2", "--n", "1", "--points", "0"],
     ["spectrum", "--molecule", "H2", "--n", "0", "--l", "0", "--digits", "-3"],
+    ["special-case", "--case", "non-pt", "--D", "2", "--dhat", "1", "--mu", "0.9", "--re", "1.2",
+     "--levels", "-2"],
 ])
 def test_non_positive_count_is_usage_error(capsys, argv):
     with pytest.raises(SystemExit) as info:
         main(argv)
     assert info.value.code == 2
     assert "positive integer" in capsys.readouterr().err
+
+
+def test_parser_reused_across_requests(capsys):
+    # the parser is built on the first call of the process and reused; errors,
+    # including argparse's own exit, leave nothing behind for later requests
+    import qmorse.cli as cli_mod
+
+    cli_mod._parser.cache_clear()
+    with pytest.raises(SystemExit) as info:
+        main(["spectrum", "--molecule", "H2"])
+    assert info.value.code == 2
+    capsys.readouterr()
+    assert run_cli(["spectrum", "--molecule", "H2", "--delta", "1.5", "--n", "0", "--l", "0"],
+                   capsys)[0] == 2
+    assert run_cli(["--show-constants"], capsys)[0] == 0
+    spectrum = ["spectrum", "--molecule", "CO", "--delta", "0.3", "--n", "0,3", "--l", "0,7",
+                "--digits", "9"]
+    wavefunction = ["wavefunction", "--molecule", "LiH", "--n", "2", "--delta", "0.05",
+                    "--points", "30", "--format", "csv"]
+    for argv in (spectrum, wavefunction):
+        first, second = run_cli(argv, capsys), run_cli(argv, capsys)
+        assert first == second and first[0] == 0
+        fresh = subprocess.run([sys.executable, "-m", "qmorse.cli", *argv],
+                               capture_output=True, text=True)
+        assert (fresh.returncode, fresh.stdout, fresh.stderr) == first

@@ -1,0 +1,102 @@
+"""The CLI's exit-code contract, fuzzed in-process over its argument grammar.
+
+For any argv drawn from the grammar of ``spectrum``, ``wavefunction``,
+``special-case``, ``table3`` and ``--show-constants`` (NaN, inf, negative and
+huge values included): the exit code is 0, 1, 2 or 3, stderr holds no
+traceback, and a request that exits 0 prints only finite numbers.
+``oracle-compare`` and ``nmax --full`` are left out: they build every bound
+state, and a huge ``--q`` makes that ladder grow without limit.  For the same
+reason ``wavefunction --n`` stays at most 2000: its polynomial recurrence takes
+n steps over the grid.
+"""
+
+import contextlib
+import io
+import math
+import re
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qmorse import special_cases
+from qmorse.cli import main
+
+MOLECULES = ("H2", "H2-ref", "LiH", "HCl", "CO", "Xe2")
+
+real = st.one_of(
+    st.floats(min_value=0.0, max_value=1.0),
+    st.floats(min_value=-2.0, max_value=2.0),
+    st.floats(),  # NaN, +-inf, huge, subnormal, -0.0
+    st.sampled_from([0.3, 1.0, 1.5, 1e30, 1e300]),
+).map(repr)
+quantum_list = st.one_of(
+    st.lists(st.integers(0, 60), min_size=1, max_size=40),
+    st.lists(st.integers(-10**9, 10**9), min_size=1, max_size=40),
+).map(lambda ns: ",".join(map(str, ns))) | st.sampled_from(["", ",", "x", "1.5"])
+output_flags = st.fixed_dictionaries({}, optional={
+    "format": st.sampled_from(["text", "csv", "json"]),
+    "digits": st.one_of(st.integers(1, 25), st.integers(-2, 0)).map(str),
+})
+
+
+def _argv(command, flags):
+    return [command, *(f"--{name}={value}" for name, value in flags.items())]
+
+
+def _command(name, required, optional):
+    return st.fixed_dictionaries(required, optional=optional).flatmap(
+        lambda flags: output_flags.map(lambda out: _argv(name, {**flags, **out})))
+
+
+spectrum = _command(
+    "spectrum",
+    {"molecule": st.sampled_from(MOLECULES), "n": quantum_list, "l": quantum_list},
+    {"q": real, "delta": real},
+)
+wavefunction = _command(
+    "wavefunction",
+    {"molecule": st.sampled_from(MOLECULES),
+     "n": st.one_of(st.integers(-2, 40), st.integers(-10**12, 2000)).map(str)},
+    {"q": real, "delta": real, "l": st.integers(-2, 40).map(str), "r-min": real,
+     "r-max": real, "points": st.integers(-2, 2000).map(str)},
+)
+special_case = _command(
+    "special-case",
+    {"case": st.sampled_from(sorted(special_cases.CASE_IDS)), "D": real, "mu": real, "re": real},
+    {"alpha": real, "q": real, "dhat": real, "omega": real,
+     "levels": st.integers(-2, 40).map(str)},
+)
+argvs = st.one_of(
+    spectrum, wavefunction, special_case,
+    output_flags.map(lambda out: _argv("table3", out)),
+    st.just(["--show-constants"]),
+)
+
+_FIELD = re.compile(r"[^\s,:\[\]{}\"=]+")
+
+
+def _non_finite_fields(text):
+    fields = []
+    for token in _FIELD.findall(text):
+        try:
+            value = float(token)
+        except ValueError:
+            continue
+        if not math.isfinite(value):
+            fields.append(token)
+    return fields
+
+
+@settings(deadline=None, max_examples=300)
+@given(argv=argvs)
+def test_exit_code_contract(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse usage error
+            code = exc.code
+    assert code in (0, 1, 2, 3), (argv, code, err.getvalue())
+    assert "Traceback" not in err.getvalue(), argv
+    if code == 0:
+        assert _non_finite_fields(out.getvalue()) == [], argv

@@ -117,3 +117,27 @@ def test_case_validation():
         GeneralizedVibrationalCase(D=-1.0, alpha=1.0, q=1.0, mu=1.0, r_e=1.0)
     with pytest.raises(DomainError):
         PtType2Case(D=1.0, omega=0.0, alpha=1.0, mu=1.0, r_e=1.0)
+
+
+VALID_CASES = {
+    GeneralizedVibrationalCase: dict(D=2.0, alpha=1.0, q=1.0, mu=0.9, r_e=1.2),
+    NonPtCase: dict(D=2.0, d_hat=1.5, mu=0.9, r_e=1.2),
+    PtType1Case: dict(D=2.0, d_hat=1.5, mu=0.9, r_e=1.2),
+    PtType2Case: dict(D=2.0, omega=1.0, alpha=1.0, mu=0.9, r_e=1.2),
+}
+
+
+@pytest.mark.parametrize("case_type, field", [
+    (case_type, field) for case_type, values in VALID_CASES.items() for field in values
+])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_case_rejects_non_finite(case_type, field, value):
+    with pytest.raises(DomainError, match=field):
+        case_type(**{**VALID_CASES[case_type], field: value})
+
+
+def test_overflowing_energy_raises():
+    # finite inputs whose energy overflows a float: 2 mu D in kappa is 1.9e309
+    case = NonPtCase(D=2.0, d_hat=1.5, mu=1e300, r_e=1.2)
+    with pytest.raises(OverflowError, match="non_pt level n=0"):
+        special_case_spectrum("non_pt", case, 0)
