@@ -14,6 +14,8 @@ import json
 import math
 import os
 import sys
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -80,19 +82,15 @@ def _parse_int_list(text: str) -> list[int]:
     return values
 
 
-#: cell types that json.dumps takes as they are
-_JSON_PLAIN = frozenset({float, int, bool, str})
+_BOOL_TEXT = {True: "true", False: "false"}
 
 
 def _cell_formatter(digits: int):
-    """Return value -> cell text; plain floats, ints, bools and strings skip the type chain."""
-    exact = {float: f"{{:.{digits}g}}".format, int: str, str: str,
-             bool: {True: "true", False: "false"}.__getitem__}
+    """Return value -> cell text, for the cells of a column with no single plain type."""
 
     def cell(value) -> str:
-        fmt = exact.get(type(value))
-        if fmt is not None:
-            return fmt(value)
+        if isinstance(value, bool):
+            return _BOOL_TEXT[value]
         if isinstance(value, (int, np.integer)):
             return str(int(value))
         if isinstance(value, complex):
@@ -104,30 +102,81 @@ def _cell_formatter(digits: int):
     return cell
 
 
+def _column_type(column):
+    """The exact type of every cell of the column, if it is float, int, bool or str."""
+    kinds = set(map(type, column))
+    kind = kinds.pop() if len(kinds) == 1 else None
+    return kind if kind in (float, int, bool, str) else None
+
+
+def _fill(template: str, columns, count: int, sep: str = "\n") -> str:
+    """``count`` copies of the row ``template`` joined by ``sep``, filled row by row
+    from ``columns`` in one ``%``: the cells are never formatted one call at a time."""
+    return sep.join([template] * count) % tuple(chain.from_iterable(zip(*columns)))
+
+
+def _json_cells(column, kind) -> list[str]:
+    """JSON text of each cell of a column that one ``%`` spec cannot format."""
+    if kind is bool:
+        return list(map(_BOOL_TEXT.__getitem__, column))
+    if kind is str:
+        return list(map(encode_basestring_ascii, column))
+    # NaN/Infinity, numpy scalars, complex and None, as json writes them at a
+    # cell's depth; json escapes newlines in strings, so each one is layout
+    return [json.dumps(_json_safe(v), indent=2, sort_keys=True).replace("\n", "\n      ")
+            for v in column]
+
+
 def _emit(table: dict, args, stream) -> None:
     rows = table["rows"]
     columns = table["columns"]
+    # transposed once; a column of one plain type is formatted by one % spec
+    data = list(zip(*rows)) if rows else [()] * len(columns)
+    kinds = list(map(_column_type, data))
     if args.format == "json":
-        payload = {
-            "params": table["params"],
-            "constants": _constants_dict(),
-            "columns": columns,
-            "rows": [[v if type(v) in _JSON_PLAIN else _json_safe(v) for v in row]
-                     for row in rows],
-        }
-        stream.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        head = json.dumps({"params": table["params"], "constants": _constants_dict(),
+                           "columns": columns, "rows": []}, indent=2, sort_keys=True)
+        if rows:  # "rows" sorts last: its [] is the last one in the head
+            specs = []
+            for i, (column, kind) in enumerate(zip(data, kinds)):
+                if kind is float and all(map(math.isfinite, column)):
+                    specs.append("%r")  # float.__repr__, as json writes a finite float
+                elif kind is int:
+                    specs.append("%d")
+                else:
+                    specs.append("%s")
+                    data[i] = _json_cells(column, kind)
+            row = "    [\n      " + ",\n      ".join(specs) + "\n    ]"
+            before, _, after = head.rpartition("[]")
+            head = before + "[\n" + _fill(row, data, len(rows), ",\n") + "\n  ]" + after
+        stream.write(head + "\n")
         return
+    specs = []
     cell = _cell_formatter(args.digits)
-    cells = [[cell(v) for v in row] for row in rows]
+    for i, (column, kind) in enumerate(zip(data, kinds)):
+        if kind is float:
+            specs.append(f"%.{args.digits}g")
+        elif kind is int:
+            specs.append("%d")
+        else:
+            specs.append("%s")
+            if kind is not str:
+                data[i] = list(map(_BOOL_TEXT.__getitem__ if kind is bool else cell, column))
     if args.format == "csv":
         lines = [f"# {key} = {table['params'][key]}" for key in sorted(table["params"])]
         lines += [f"# {key} = {value!r}" for key, value in sorted(_constants_dict().items())]
         lines.append(",".join(columns))
-        lines += [",".join(row) for row in cells]
-    else:  # text: each column as wide as its widest cell
-        widths = [max(map(len, column)) for column in zip(columns, *cells)]
-        lines = ["  ".join(text.rjust(w) for text, w in zip(row, widths))
-                 for row in (columns, *cells)]
+        if rows:
+            lines.append(_fill(",".join(specs), data, len(rows)))
+    else:  # text: each column as wide as its widest cell, right-aligned by %{width}s
+        texts = [column if spec == "%s" else _fill(spec, [column], len(column)).split("\n")
+                 for spec, column in zip(specs, data)]
+        widths = [max(len(name), max(map(len, column), default=0))
+                  for name, column in zip(columns, texts)]
+        row = "  ".join(f"%{w}s" for w in widths)
+        lines = [row % tuple(columns)]
+        if rows:
+            lines.append(_fill(row, texts, len(rows)))
     stream.write("\n".join(lines) + "\n")
 
 
@@ -260,12 +309,14 @@ def cmd_wavefunction(args, stream) -> int:
     if mm.delta >= DELTA_CROSSOVER:
         u = pdm_wavefunction(p, mm, state, grid, kind="u")
         m_of_r, _, _ = mass(mm, p, grid)
-        psi = u * np.sqrt(m_of_r / mm.m0) / grid
+        factor = np.sqrt(m_of_r / mm.m0)
     else:
         u = constant_mass_wavefunction(p, mol.mu_amu, args.n, grid, l=args.l)
-        psi = u / grid
-    if not np.isfinite(psi).all():  # psi is u times a positive finite factor
-        raise OverflowError(f"state n={args.n} overflows a float: amplitudes are not finite")
+        factor = 1.0
+    with np.errstate(over="ignore"):
+        psi = u * factor / grid
+    if not np.isfinite(psi).all():  # u is finite; 1/r overflows at a subnormal --r-min
+        raise OverflowError(f"psi overflows a float at r_min={r_lo!r}")
     # tuples of floats: the collector untracks them, so a dump's rows never
     # pile up in the oldest generation and trigger full collections
     rows = list(zip(grid.tolist(), u.tolist(), psi.tolist()))
@@ -313,12 +364,12 @@ def cmd_oracle_compare(args, stream) -> int:
 def cmd_special_case(args, stream) -> int:
     case_id = args.case.replace("-", "_")
     case_type = special_cases.SPECIAL_CASES[case_id].case_type
-    values = {}
+    values, flags = {}, {}  # by field name, and by flag name for the params header
     for field in dataclasses.fields(case_type):
         flag = CASE_FLAGS.get(field.name, field.name)
         if getattr(args, flag) is None:
             raise DomainError(f"--case {args.case} requires --{flag}")
-        values[field.name] = getattr(args, flag)
+        values[field.name] = flags[flag] = getattr(args, flag)
     case = case_type(**values)
     rows = []
     for n in range(args.levels):
@@ -330,8 +381,7 @@ def cmd_special_case(args, stream) -> int:
         else:
             rows.append((n, energy, 0.0, res.bound, non_real))
     table = {
-        "params": {"case": case_id, **{k: v for k, v in vars(args).items()
-                   if k in ("D", "alpha", "q", "mu", "re", "dhat", "omega") and v is not None}},
+        "params": {"case": case_id, **flags},
         "columns": ["n", "Re_E_eV", "Im_E_eV", "bound", "non_real"],
         "rows": rows,
     }

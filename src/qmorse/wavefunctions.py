@@ -8,7 +8,9 @@ domain is a Jacobi or Laguerre orthogonality integral, evaluated with lgamma
 printed 3F2 series constant are cross-checks kept in the tests.
 
 Amplitudes for large eps (deep wells support eps of a few hundred) are
-assembled in the log domain to avoid overflow.
+assembled in the log domain to avoid overflow.  Where the polynomial
+recurrence overflows a float all the same (huge n), both amplitudes raise
+``OverflowError`` instead of returning NaN.
 """
 
 from __future__ import annotations
@@ -83,6 +85,11 @@ def _log_z(p: PotentialParams, r: np.ndarray) -> np.ndarray:
     return -p.a * (r.astype(np.longdouble) - p.r_e)
 
 
+def _require_finite(out: np.ndarray, n: int) -> None:
+    if not np.isfinite(out).all():
+        raise OverflowError(f"state n={n} overflows a float: amplitudes are not finite")
+
+
 def _pdm_log_norm(shape: PdmShape, n: int, a: float) -> float:
     """-(1/2) log of int u^2 dr over the transformed domain 0 < z < 1/delta.
 
@@ -131,7 +138,8 @@ def pdm_wavefunction(
                 bracket exponent lowered to (xi-1)/2 and a 1/r factor.
 
     N is the closed-form constant of ``pdm_log_norm``; with normalized=False
-    the bare profile (N = 1) is returned.
+    the bare profile (N = 1) is returned.  Raises ``OverflowError`` where the
+    amplitude is not finite.
     """
     shape = pdm_shape(p, mm, state, units)
     arr = np.asarray(r, dtype=float)
@@ -143,11 +151,13 @@ def pdm_wavefunction(
         raise DomainError(f"kind must be 'u' or 'psi', got {kind!r}")
     exponent = 0.5 * (shape.xi + (1.0 if kind == "u" else -1.0))
     log_n = _pdm_log_norm(shape, state.n, p.a) if normalized else 0.0
-    poly = jacobi_poly(state.n, 2.0 * shape.eps, shape.xi, 1.0 - 2.0 * mm.delta * z)
     log_w = np.log(w.astype(np.longdouble))
-    out = np.exp(log_n + shape.eps * _log_z(p, arr) + exponent * log_w).astype(float) * poly
-    if kind == "psi":
-        out = out / arr
+    with np.errstate(all="ignore"):  # a non-finite amplitude raises below
+        poly = jacobi_poly(state.n, 2.0 * shape.eps, shape.xi, 1.0 - 2.0 * mm.delta * z)
+        out = np.exp(log_n + shape.eps * _log_z(p, arr) + exponent * log_w).astype(float) * poly
+        if kind == "psi":
+            out = out / arr
+    _require_finite(out, state.n)
     return float(out) if np.isscalar(r) else out
 
 
@@ -191,14 +201,16 @@ def constant_mass_wavefunction(
 
     y = 2 sqrt(beta1) exp(-a (r - r_e)).  N is the closed-form constant of
     ``constant_mass_log_norm``; with normalized=False the bare profile (N = 1)
-    is returned.
+    is returned.  Raises ``OverflowError`` where the amplitude is not finite.
     """
     eps, beta1 = _cm_eps_beta(p, m0, n, l, units)
     arr = np.asarray(r, dtype=float)
     y = 2.0 * math.sqrt(beta1) * np.exp(-p.a * (arr - p.r_e))
     log_n = _cm_log_norm(eps, beta1, n, p.a) if normalized else 0.0
-    out = np.exp(log_n + eps * _log_z(p, arr) - 0.5 * y).astype(float) \
-        * genlaguerre_poly(n, 2.0 * eps, y)
+    with np.errstate(all="ignore"):  # a non-finite amplitude raises below
+        out = np.exp(log_n + eps * _log_z(p, arr) - 0.5 * y).astype(float) \
+            * genlaguerre_poly(n, 2.0 * eps, y)
+    _require_finite(out, n)
     return float(out) if np.isscalar(r) else out
 
 

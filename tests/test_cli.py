@@ -326,12 +326,41 @@ def test_overflow_is_numeric_failure(capsys, argv):
 
 
 def test_special_case_non_finite_flag_is_usage_error(capsys):
-    # --alpha is not a field of the non-PT well, but it is echoed in the params
+    # --alpha is not a field of the non-PT well and is not echoed, but argparse
+    # still rejects its non-finite value
     with pytest.raises(SystemExit) as info:
         main(["special-case", "--case", "non-pt", "--D", "2", "--dhat", "1", "--mu", "0.9",
               "--re", "1.2", "--alpha=-inf"])
     assert info.value.code == 2
     assert "finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--molecule", "CO", "--q", "1e16", "--n", "2000"],
+    ["--molecule", "CO", "--q", "1e12", "--delta", "0.01", "--n", "2000"],
+    ["--molecule", "H2", "--n", "0", "--r-min", "1e-323", "--r-max", "1"],
+], ids=["constant", "pdm", "subnormal-r-min"])
+def test_wavefunction_overflow_leaks_no_warning(argv):
+    proc = subprocess.run([sys.executable, "-m", "qmorse.cli", "wavefunction", *argv,
+                           "--points", "50"], capture_output=True, text=True)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert "overflows" in proc.stderr and "RuntimeWarning" not in proc.stderr
+
+
+@pytest.mark.parametrize("case, flags", [
+    ("generalized-vibrational", {"D", "alpha", "q", "mu", "re"}),
+    ("non-pt", {"D", "dhat", "mu", "re"}),
+    ("pt-type1", {"D", "dhat", "mu", "re"}),
+    ("pt-type2", {"D", "omega", "alpha", "mu", "re"}),
+])
+def test_special_case_params_echo_case_fields(capsys, case, flags):
+    # every flag is given; the header names only those the well reads
+    code, out, _ = run_cli(
+        ["special-case", "--case", case, "--D", "2.0", "--alpha", "1.1", "--q", "0.9",
+         "--mu", "0.9", "--re", "1.2", "--dhat", "1.5", "--omega", "1.3", "--levels", "2",
+         "--format", "json"], capsys)
+    assert code == 0
+    assert set(json.loads(out)["params"]) == flags | {"case"}
 
 
 def test_wavefunction_non_normalizable_exit_2(capsys):

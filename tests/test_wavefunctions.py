@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -44,6 +45,21 @@ def test_pdm_psi_u_consistency(h2_pdm):
     psi = pdm_wavefunction(p, mm, state, r, kind="psi")
     m_r, _, _ = mass(mm, p, r)
     np.testing.assert_allclose(psi * r / np.sqrt(m_r / mm.m0), u, rtol=1e-12)
+
+
+@pytest.mark.parametrize("delta, q", [(0.0, 1e16), (0.01, 1e12)], ids=["constant", "pdm"])
+def test_recurrence_overflow_raises(delta, q):
+    # normalizable CO states of degree 2000 whose recurrence overflows a float
+    # at every r: OverflowError, not a NaN array, and no RuntimeWarning
+    co = builtin("CO")
+    p, mm = PotentialParams.from_molecule(co, q), MassModel.from_molecule(co, delta)
+    r = np.linspace(p.r_e - 4.0 / p.a, p.r_e + 12.0 / p.a, 50)
+    with warnings.catch_warnings(), pytest.raises(OverflowError, match="n=2000"):
+        warnings.simplefilter("error")
+        if delta:
+            pdm_wavefunction(p, mm, QuantumState(2000, 0), r)
+        else:
+            constant_mass_wavefunction(p, co.mu_amu, 2000, r)
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3])
