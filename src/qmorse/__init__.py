@@ -10,8 +10,6 @@ from .errors import (
     MassPoleError,
     NoRealSolutionError,
     NonNormalizableError,
-    NuConditionError,
-    SeriesDivergenceError,
     ThresholdStateError,
 )
 from .molecules import BUILTIN_NAMES, MoleculeRecord, builtin, load_molecules, serialize_molecules
@@ -40,11 +38,9 @@ __all__ = [
     "MoleculeRecord",
     "NoRealSolutionError",
     "NonNormalizableError",
-    "NuConditionError",
     "PekerisCoefficients",
     "PotentialParams",
     "QuantumState",
-    "SeriesDivergenceError",
     "SpectrumResult",
     "ThresholdStateError",
     "UNITS",

@@ -34,7 +34,6 @@ from .spectrum import (
     DELTA_CROSSOVER,
     QuantumState,
     bound_ladder,
-    energy_constant_mass,
     energy_s_wave,
     n_max,
     near_threshold_state,
@@ -45,6 +44,10 @@ from .units import UNITS
 from .wavefunctions import constant_mass_wavefunction, pdm_wavefunction
 
 ENV_MOLECULE_PATH = "MORSE_MOLECULE_PATH"
+
+#: most s-wave ladder rows one ``nmax --full`` request may print (CO has 8.3e8 at
+#: q = 1e7); 1e5 rows take about 1 s and 90 MB on one core of a 2-core x86-64 VM
+MAX_LADDER_ROWS = 10**5
 
 #: special-case fields whose CLI flag differs from the field name
 CASE_FLAGS = {"r_e": "re", "d_hat": "dhat"}
@@ -207,8 +210,7 @@ def cmd_spectrum(args, stream) -> int:
     l_list = _parse_int_list(args.l)
     p = PotentialParams.from_molecule(mol, args.q)
     mm = MassModel.from_molecule(mol, args.delta)
-    grid = spectrum_grid(p, mm, np.array(n_list)[:, None], l_list)
-    grid.raise_fault()
+    grid = spectrum_grid(p, mm, np.array(n_list)[:, None], l_list).raise_fault()
     if not np.isfinite(grid.energy).all():
         raise OverflowError(f"energies overflow a float at q={args.q!r}")
     eps, energy, bound = grid.eps.tolist(), grid.energy.tolist(), grid.bound.tolist()
@@ -233,9 +235,11 @@ def cmd_table3(args, stream) -> int:
     all_ok = True
     for block in ("H2", "LiH", "CO", "HCl"):
         mol = builtin(TABLE_MOLECULE[block])
-        for (n, l), printed in sorted(REFERENCE_MINUS_E[block].items()):
-            res = energy_constant_mass(mol, 1.0, QuantumState(n, l))
-            minus_e = -res.energy
+        cells = sorted(REFERENCE_MINUS_E[block].items())
+        grid = spectrum_grid(PotentialParams.from_molecule(mol, 1.0), MassModel.from_molecule(mol),
+                             [n for (n, _), _ in cells], [l for (_, l), _ in cells]).raise_fault()
+        for ((n, l), printed), energy in zip(cells, grid.energy.tolist()):
+            minus_e = -energy
             ok = cell_matches(minus_e, printed)
             all_ok &= ok
             dev = minus_e - float(printed)
@@ -256,8 +260,7 @@ def cmd_table3(args, stream) -> int:
 
 def cmd_nmax(args, stream) -> int:
     names = [s.strip() for s in args.molecules.split(",") if s.strip()]
-    rows = []
-    ladder_rows = []
+    rows, ladder_mols, total = [], [], 0
     for name in names:
         mol = _resolve_molecule(name, args.molecule_file)
         count = n_max(mol, args.q)
@@ -269,8 +272,15 @@ def cmd_nmax(args, stream) -> int:
             last_bound.energy if last_bound else float("nan"),
         ))
         if args.full:
-            for res in s_wave_ladder(mol, args.q, include_edge=True):
-                ladder_rows.append((mol.name, res.state.n, res.energy, res.bound))
+            ladder_mols.append(mol)
+            total += count + (count > 0)  # the bound levels, and the edge row if any is bound
+    if total > MAX_LADDER_ROWS:
+        raise DomainError(f"nmax --full at --q {args.q!r} would print {total} ladder rows, "
+                          f"more than {MAX_LADDER_ROWS}; lower --q or drop --full")
+    ladder_rows = []
+    for mol in ladder_mols:
+        for res in s_wave_ladder(mol, args.q, include_edge=True):
+            ladder_rows.append((mol.name, res.state.n, res.energy, res.bound))
     params = {"molecules": args.molecules, "q": args.q,
               "note": "n_max = number of normalizable s-wave levels; "
                       "E_edge = formula value at index n_max (nearest the continuum); "

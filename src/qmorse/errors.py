@@ -17,17 +17,9 @@ class NoRealSolutionError(ValueError):
         self.value = value
 
 
-class NuConditionError(ValueError):
-    """The bound-state negativity condition tau'(z) < 0 is violated."""
-
-
 class ThresholdStateError(ValueError):
     """State sits exactly at the varying-mass threshold (vanishing denominator)."""
 
 
 class NonNormalizableError(DomainError):
     """Requested wavefunction decays too slowly to normalize."""
-
-
-class SeriesDivergenceError(RuntimeError):
-    """A hypergeometric-type series failed to converge within its term budget."""

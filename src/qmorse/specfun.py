@@ -1,16 +1,20 @@
-"""Special-function toolkit: log-Gamma ratio, Pochhammer, Jacobi, Laguerre, 2F1, 3F2.
+"""Special-function toolkit: log-Gamma ratio, Jacobi and Laguerre polynomials.
 
 Polynomials are evaluated by stable three-term recurrences and accept complex
-degrees' parameters and arguments where the closed forms demand it.  The
-hypergeometric series are independent cross-checks of the recurrences (the
-tests also use 3F2 for the paper's printed series normalization constant).
+parameters and arguments.  The recurrence is a Python loop of n steps over
+the whole argument array, so its work is bounded: past n * (points + overhead)
+= ``MAX_RECURRENCE_WORK`` = 2e8, about 1 s on one core of a 2-core x86-64 VM,
+both raise ``DomainError`` before the loop.  A step's overhead counts as 1000
+points for an array argument and 200 for a scalar.
 """
 
 from __future__ import annotations
 
 import math
 
-from .errors import DomainError, SeriesDivergenceError
+import numpy as np
+
+from .errors import DomainError
 
 log_gamma = math.lgamma
 
@@ -35,25 +39,34 @@ def log_gamma_ratio(x: float, s: float) -> float:
     return (x - 0.5) * math.log1p(s / x) + s * math.log(x + s) - s + series(x + s) - series(x)
 
 
-def pochhammer(x, p: int):
-    """Rising factorial (x)_p = x (x+1) ... (x+p-1) for integer p >= 0.
+#: n * (points + overhead) point-steps; measured under CPython 3.11, a step costs
+#: 4-6 ns per point plus an interpreter overhead of 4-7 us for an array argument
+#: (about _ARRAY_STEP_POINTS points) and 0.3-1.3 us for a scalar (_SCALAR_STEP_POINTS)
+MAX_RECURRENCE_WORK = 2e8
+_ARRAY_STEP_POINTS = 1000
+_SCALAR_STEP_POINTS = 200
 
-    Works for float or complex x; (x)_0 = 1 exactly.
-    """
-    if p < 0 or p != int(p):
-        raise DomainError(f"pochhammer order must be a non-negative integer, got {p}")
-    result = 1.0
-    for k in range(int(p)):
-        result = result * (x + k)
-    return result
+
+def _check_work(n: int, x) -> None:
+    points = np.size(x)
+    overhead = _ARRAY_STEP_POINTS if np.ndim(x) else _SCALAR_STEP_POINTS
+    if n * (points + overhead) > MAX_RECURRENCE_WORK:
+        raise DomainError(
+            f"degree {n} at {points} points exceeds the recurrence work bound "
+            f"n * (points + {overhead}) <= {MAX_RECURRENCE_WORK:.0e}"
+        )
 
 
 def jacobi_poly(n: int, a, b, x):
-    """Jacobi polynomial P_n^{(a,b)}(x) by the three-term recurrence."""
+    """Jacobi polynomial P_n^{(a,b)}(x) by the three-term recurrence.
+
+    Raises ``DomainError`` before the loop past ``MAX_RECURRENCE_WORK``.
+    """
     if n < 0:
         raise DomainError(f"degree must be non-negative, got {n}")
     if n == 0:
         return 1.0 if not isinstance(x, complex) else complex(1.0)
+    _check_work(n, x)
     p_prev = 1.0
     p_cur = 0.5 * (a - b) + (1.0 + 0.5 * (a + b)) * x
     for k in range(2, n + 1):
@@ -67,104 +80,19 @@ def jacobi_poly(n: int, a, b, x):
     return p_cur
 
 
-def jacobi_poly_deriv(n: int, a, b, x, order: int = 1):
-    """order-th derivative: d^k/dx^k P_n^{(a,b)} = ((n+a+b+1)_k / 2^k) P_{n-k}^{(a+k,b+k)}."""
-    if order < 0:
-        raise DomainError("derivative order must be non-negative")
-    if n - order < 0:
-        return 0.0
-    factor = pochhammer(n + a + b + 1, order) / 2.0**order
-    return factor * jacobi_poly(n - order, a + order, b + order, x)
-
-
 def genlaguerre_poly(n: int, a, y):
-    """Generalized Laguerre polynomial L_n^{(a)}(y) by recurrence."""
+    """Generalized Laguerre polynomial L_n^{(a)}(y) by recurrence.
+
+    Raises ``DomainError`` before the loop past ``MAX_RECURRENCE_WORK``.
+    """
     if n < 0:
         raise DomainError(f"degree must be non-negative, got {n}")
     if n == 0:
         return 1.0 if not isinstance(y, complex) else complex(1.0)
+    _check_work(n, y)
     l_prev = 1.0
     l_cur = 1.0 + a - y
     for k in range(2, n + 1):
         l_next = ((2 * k - 1 + a - y) * l_cur - (k - 1 + a) * l_prev) / k
         l_prev, l_cur = l_cur, l_next
     return l_cur
-
-
-def genlaguerre_poly_deriv(n: int, a, y, order: int = 1):
-    """d^k/dy^k L_n^{(a)} = (-1)^k L_{n-k}^{(a+k)}."""
-    if order < 0:
-        raise DomainError("derivative order must be non-negative")
-    if n - order < 0:
-        return 0.0
-    return (-1.0) ** order * genlaguerre_poly(n - order, a + order, y)
-
-
-def _is_nonpositive_int(value) -> bool:
-    if isinstance(value, complex):
-        return value.imag == 0 and _is_nonpositive_int(value.real)
-    return value <= 0 and float(value).is_integer()
-
-
-def hyp2f1(a, b, c, z, tol: float = 1e-15, max_terms: int = 100000):
-    """Gauss series 2F1(a, b; c; z).
-
-    Exact finite sum when a or b is a non-positive integer; otherwise the
-    series must satisfy |z| < 1 and is summed until the running term falls
-    below tol relative to the partial sum.
-    """
-    if _is_nonpositive_int(c) and not (
-        _is_nonpositive_int(a) and a >= c or _is_nonpositive_int(b) and b >= c
-    ):
-        raise DomainError(f"2F1 undefined for non-positive integer c={c}")
-    terminating = _is_nonpositive_int(a) or _is_nonpositive_int(b)
-    if not terminating and abs(z) >= 1.0:
-        raise SeriesDivergenceError(f"2F1 series requires |z| < 1, got |z| = {abs(z)}")
-    if terminating:
-        n_stop = int(-a.real if isinstance(a, complex) else -a) if _is_nonpositive_int(a) else None
-        m_stop = int(-b.real if isinstance(b, complex) else -b) if _is_nonpositive_int(b) else None
-        stops = [s for s in (n_stop, m_stop) if s is not None]
-        max_terms = min(stops) + 1
-    total = 0.0
-    term = 1.0
-    for p in range(max_terms):
-        total = total + term
-        term = term * (a + p) * (b + p) / ((c + p) * (p + 1)) * z
-        if not terminating and abs(term) <= tol * max(1.0, abs(total)):
-            return total + term
-    if terminating:
-        return total
-    raise SeriesDivergenceError(f"2F1 did not converge within {max_terms} terms")
-
-
-def hyp3f2(a1, a2, a3, b1, b2, z=1.0, tol: float = 1e-15, max_terms: int = 10000):
-    """Series 3F2(a1, a2, a3; b1, b2; z), finite when some a_i is a non-positive integer.
-
-    Raises SeriesDivergenceError when a non-terminating sum fails to settle
-    within max_terms (the caller may fall back to quadrature).
-    """
-    stops = [
-        int(-a) for a in (a1, a2, a3)
-        if not isinstance(a, complex) and _is_nonpositive_int(a)
-    ]
-    terminating = bool(stops)
-    if terminating:
-        max_terms = min(stops) + 1
-    total = 0.0
-    term = 1.0
-    for p in range(max_terms):
-        total = total + term
-        term = term * (a1 + p) * (a2 + p) * (a3 + p) / ((b1 + p) * (b2 + p) * (p + 1)) * z
-        if not terminating and abs(term) <= tol * max(1.0, abs(total)):
-            return total + term
-    if terminating:
-        return total
-    raise SeriesDivergenceError(f"3F2 did not converge within {max_terms} terms")
-
-
-def jacobi_via_2f1(n: int, a, b, s):
-    """Hypergeometric route P_n^{(a,b)}(1-2s) = ((a+1)_n / n!) 2F1(-n, 1+a+b+n; a+1; s).
-
-    Test-side representation; the recurrence is the production evaluator.
-    """
-    return pochhammer(a + 1, n) / math.factorial(n) * hyp2f1(-n, 1 + a + b + n, a + 1, s)

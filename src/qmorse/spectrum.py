@@ -7,8 +7,8 @@ eps = beta2 / (2 sqrt(beta1)) - (n + 1/2) for delta = 0) and
 ``spectrum_grid`` (energies over an n x l grid, delta below DELTA_CROSSOVER
 routed to the constant-mass branch).  ``bound_ladder`` is the bound prefix
 n = 0, 1, ... of one l.  Failing states are reported per state, not raised;
-the scalar functions (``energy_pdm``, ``n_max``, ``epsilon_pdm``, ...) are
-thin wrappers that raise.
+the scalar functions (``energy_pdm``, ``n_max``, ``near_threshold_state``,
+...) are thin wrappers over one state or one ladder that raise.
 
 Energies are computed below the separated-atoms limit, as
 gamma a0 hbar^2/2m0 - (hbar^2 a^2/2m0) eps^2, and the grids and the
@@ -27,7 +27,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .errors import DomainError, NoRealSolutionError, ThresholdStateError
-from .molecules import MoleculeRecord, builtin
+from .molecules import MoleculeRecord
 from .pekeris import composite_spq, pekeris_coefficients
 from .potential import MassModel, PotentialParams
 from .units import UNITS, UnitSystem, hbar2_over_2mu
@@ -102,11 +102,11 @@ class SpectrumGrid:
     def __len__(self) -> int:
         return len(self.eps)
 
-    def raise_fault(self) -> None:
-        """Raise the error of the first failing state in row order, if any."""
+    def raise_fault(self) -> "SpectrumGrid":
+        """Raise the error of the first failing state in row order, if any; else return self."""
         failing = np.flatnonzero(self.fault)
         if failing.size == 0:
-            return
+            return self
         code = self.fault.flat[failing[0]]
         value = float(self.fault_value.flat[failing[0]])
         if code == FAULT_BETA1:
@@ -135,16 +135,12 @@ def strengths(p: PotentialParams, mm: MassModel, l, units: UnitSystem = UNITS):
     return beta1, beta2
 
 
-def _xi_squared(beta1, beta2, eps, delta):
-    """xi^2 = 1 + 4 eps^2 + (4/delta)(beta1/delta - beta2), delta > 0."""
-    return 1.0 + 4.0 * eps**2 + (4.0 / delta) * (beta1 / delta - beta2)
-
-
 def quantize(n, beta1, beta2, delta: float) -> SpectrumGrid:
     """Quantized eps_nl, xi and den over broadcast (n, beta1, beta2) arrays.
 
     delta > 0:  eps = (1/2) [n(n+1) delta - 2(n+1/2) sqrt(beta1) + beta2]
                             / [sqrt(beta1) - (n+1/2) delta]
+                xi = sqrt(1 + 4 eps^2 + (4/delta)(beta1/delta - beta2))
     delta = 0:  eps = beta2 / (2 sqrt(beta1)) - (n + 1/2)
     """
     n, beta1, beta2 = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in (n, beta1, beta2)))
@@ -157,7 +153,7 @@ def quantize(n, beta1, beta2, delta: float) -> SpectrumGrid:
             xi_sq = np.full(n.shape, np.inf)
         else:
             eps = 0.5 * (n * (n + 1) * delta - 2.0 * (n + 0.5) * sqrt_b1 + beta2) / den
-            xi_sq = _xi_squared(beta1, beta2, eps, delta)
+            xi_sq = 1.0 + 4.0 * eps**2 + (4.0 / delta) * (beta1 / delta - beta2)
             threshold = np.abs(den) <= 1e-14 * np.maximum(1.0, sqrt_b1)
             fault = np.where(beta1 < 0.0, FAULT_BETA1, np.where(
                 threshold, FAULT_THRESHOLD, np.where(xi_sq < 0.0, FAULT_XI, 0)))
@@ -231,54 +227,11 @@ def bound_ladder(p: PotentialParams, mm: MassModel, l: int,
     return grid[: unbound[0] if unbound.size else count + 1]
 
 
-def beta_static(p: PotentialParams, mm: MassModel, l: int,
-                units: UnitSystem = UNITS) -> tuple[float, float]:
-    """Scalar (beta1, beta2) of one l; see ``strengths``."""
-    beta1, beta2 = strengths(p, mm, l, units)
-    return float(beta1), float(beta2)
-
-
-def epsilon_pdm(n: int, beta1: float, beta2: float, delta: float) -> float:
-    """Quantized eps_nl of the varying-mass problem; see ``quantize``."""
-    if not delta > 0.0:
-        raise DomainError("epsilon_pdm requires delta > 0; use the constant-mass branch")
-    qz = quantize(n, beta1, beta2, delta)
-    if qz.fault != FAULT_XI:  # eps is defined where xi is not real
-        qz.raise_fault()
-    return float(qz.eps)
-
-
-def epsilon_constant_mass(n: int, beta1: float, beta2: float) -> float:
-    """Constant-mass limit: eps = beta2 / (2 sqrt(beta1)) - (n + 1/2)."""
-    qz = quantize(n, beta1, beta2, 0.0)
-    qz.raise_fault()
-    return float(qz.eps)
-
-
-def xi_value(beta1: float, beta2: float, eps: float, delta: float) -> float:
-    """xi = sqrt(1 + 4 eps^2 + (4/delta)(beta1/delta - beta2)), delta > 0."""
-    inside = _xi_squared(beta1, beta2, eps, delta)
-    if inside < 0.0:
-        raise NoRealSolutionError("no real NU solution: xi^2 < 0", inside)
-    return math.sqrt(inside)
-
-
-def energy_from_epsilon(
-    p: PotentialParams, mm: MassModel, l: int, eps: float, units: UnitSystem = UNITS
-) -> float:
-    """Invert the eps definition: E = V3 + gamma a0 hbar^2/2m0 - (hbar^2 a^2/2m0) eps^2."""
-    h22m = hbar2_over_2mu(mm.m0, units)
-    gamma = l * (l + 1) / p.r_e**2
-    a0 = pekeris_coefficients(p.alpha).a0
-    return p.v3 + h22m * gamma * a0 - h22m * p.a**2 * eps**2
-
-
 def _state_result(
     p: PotentialParams, mm: MassModel, state: QuantumState, units: UnitSystem
 ) -> SpectrumResult:
     """Closed form of one state, energy below the dissociation limit."""
-    grid = spectrum_grid(p, mm, state.n, state.l, units)
-    grid.raise_fault()
+    grid = spectrum_grid(p, mm, state.n, state.l, units).raise_fault()
     pdm = grid.delta > 0.0
     return SpectrumResult(
         state=state, energy=float(grid.energy), eps_nl=float(grid.eps),
@@ -340,8 +293,8 @@ def n_max(mol: MoleculeRecord, q: float = 1.0, units: UnitSystem = UNITS) -> int
     ``near_threshold_state``.  Returns 0 (no bound branch) when V2 <= 0.
     """
     p = PotentialParams.from_molecule(mol, q, units)
-    beta1, beta2 = beta_static(p, MassModel.from_molecule(mol), 0, units)
-    return _ladder_length(beta1, beta2, 0.0)
+    beta1, beta2 = strengths(p, MassModel.from_molecule(mol), 0, units)
+    return _ladder_length(float(beta1), float(beta2), 0.0)
 
 
 def near_threshold_state(
@@ -368,36 +321,6 @@ def s_wave_ladder(mol: MoleculeRecord, q: float = 1.0, units: UnitSystem = UNITS
                        bound=bound, molecule=mol.name, q=q)
         for n, (energy, eps, bound) in enumerate(rows)
     ]
-
-
-def resolve_reported_ladder(units: UnitSystem = UNITS) -> dict[str, tuple[int, float, float]]:
-    """Computational resolution of the LiH/HCl ladder-figure assignment.
-
-    The two reported (count, edge-energy) pairs for LiH and HCl carry
-    contradictory orderings in the source material.  For each molecule the
-    closed form is evaluated at the candidate indices {n_max - 1, n_max} and
-    matched against the two reported energies; the winner determines the
-    assignment.  Computation gives LiH -> 29 (the formula value at the count
-    index) and HCl -> 24 (the last normalizable index).
-
-    Returns {name: (index, energy, relative_mismatch)}.
-    """
-    from .reference import AMBIGUOUS_LADDER_ENERGIES
-
-    out: dict[str, tuple[int, float, float]] = {}
-    for name in ("LiH", "HCl"):
-        mol = builtin(name)
-        count = n_max(mol, 1.0, units)
-        best: tuple[int, float, float] | None = None
-        for idx in (count - 1, count):
-            energy = energy_s_wave(mol, 1.0, idx, units).energy
-            for ref in AMBIGUOUS_LADDER_ENERGIES:
-                rel = abs(energy - ref) / abs(ref)
-                if best is None or rel < best[2]:
-                    best = (idx, energy, rel)
-        assert best is not None
-        out[name] = best
-    return out
 
 
 def reduced_coefficients(

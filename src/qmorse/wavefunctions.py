@@ -10,12 +10,12 @@ printed 3F2 series constant are cross-checks kept in the tests.
 Amplitudes for large eps (deep wells support eps of a few hundred) are
 assembled in the log domain to avoid overflow.  Where the polynomial
 recurrence overflows a float all the same (huge n), both amplitudes raise
-``OverflowError`` instead of returning NaN.
+``OverflowError`` instead of returning NaN; past the recurrence work bound
+(``specfun.MAX_RECURRENCE_WORK``) they raise ``DomainError`` before it runs.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -23,23 +23,8 @@ import numpy as np
 
 from .errors import DomainError, MassPoleError, NonNormalizableError
 from .potential import MassModel, PotentialParams
-from .special_cases import (
-    GeneralizedVibrationalCase,
-    NonPtCase,
-    PtType1Case,
-    PtType2Case,
-    gv_lambda,
-    _kappa,
-)
-from .spectrum import QuantumState, beta_static, epsilon_constant_mass, quantize
-from .specfun import (
-    genlaguerre_poly,
-    genlaguerre_poly_deriv,
-    jacobi_poly,
-    jacobi_poly_deriv,
-    log_gamma,
-    log_gamma_ratio,
-)
+from .spectrum import QuantumState, quantize, strengths
+from .specfun import genlaguerre_poly, jacobi_poly, log_gamma, log_gamma_ratio
 from .units import UNITS, UnitSystem
 
 
@@ -56,9 +41,8 @@ class PdmShape:
 
 def _normalizable(p: PotentialParams, mm: MassModel, n: int, l: int, units: UnitSystem):
     """(eps, xi, beta1, beta2) of a bound state of the closed form at mm.delta."""
-    beta1, beta2 = beta_static(p, mm, l, units)
-    qz = quantize(n, beta1, beta2, mm.delta)
-    qz.raise_fault()
+    beta1, beta2 = map(float, strengths(p, mm, l, units))
+    qz = quantize(n, beta1, beta2, mm.delta).raise_fault()
     if not qz.bound:
         raise NonNormalizableError(
             f"state n={n}, l={l} has eps={float(qz.eps)}, den={float(qz.den)}: "
@@ -222,125 +206,3 @@ def node_count(values, rel_tol: float = 1e-9) -> int:
         return 0
     signs = np.sign(arr[np.abs(arr) > rel_tol * scale])
     return int(np.sum(signs[1:] * signs[:-1] < 0))
-
-
-def transformed_residual_constant_mass(
-    p: PotentialParams, m0: float, n: int, l: int, z_grid, units: UnitSystem = UNITS
-):
-    """Max-norm relative residual of the transformed equation for the Laguerre profile.
-
-    Checks u'' + u'/z + (-beta1 z^2 + beta2 z - eps^2)/z^2 u = 0 with all
-    derivatives taken analytically (Laguerre derivative identities).
-    """
-    beta1, beta2 = beta_static(p, MassModel(m0=m0, delta=0.0), l, units)
-    eps = epsilon_constant_mass(n, beta1, beta2)
-    c = 2.0 * math.sqrt(beta1)
-    z = np.asarray(z_grid, dtype=float)
-    y = c * z
-    two_eps = 2.0 * eps
-    f0 = genlaguerre_poly(n, two_eps, y)
-    f1 = genlaguerre_poly_deriv(n, two_eps, y, 1)
-    f2 = genlaguerre_poly_deriv(n, two_eps, y, 2)
-    g = z**eps * np.exp(-0.5 * y)
-    gp_over_g = eps / z - 0.5 * c
-    gpp_over_g = gp_over_g**2 - eps / z**2
-    u = g * f0
-    up = g * (gp_over_g * f0 + c * f1)
-    upp = g * (gpp_over_g * f0 + 2.0 * gp_over_g * c * f1 + c * c * f2)
-    potential_term = (-beta1 * z**2 + beta2 * z - eps**2) / z**2 * u
-    residual = upp + up / z + potential_term
-    scale = np.maximum.reduce([np.abs(upp), np.abs(up / z), np.abs(potential_term)])
-    return float(np.max(np.abs(residual) / np.where(scale > 0, scale, 1.0)))
-
-
-def transformed_residual_pdm(
-    p: PotentialParams, mm: MassModel, state: QuantumState, z_grid, units: UnitSystem = UNITS
-):
-    """Same residual check for the Jacobi profile of the varying-mass problem."""
-    shape = pdm_shape(p, mm, state, units)
-    eps, xi, delta = shape.eps, shape.xi, mm.delta
-    z = np.asarray(z_grid, dtype=float)
-    w = 1.0 - delta * z
-    x = 1.0 - 2.0 * delta * z
-    s = 0.5 * (1.0 + xi)
-    n = state.n
-    f0 = jacobi_poly(n, 2.0 * eps, xi, x)
-    f1 = -2.0 * delta * jacobi_poly_deriv(n, 2.0 * eps, xi, x, 1)
-    f2 = 4.0 * delta * delta * jacobi_poly_deriv(n, 2.0 * eps, xi, x, 2)
-    h = z**eps * w**s
-    hp_over_h = eps / z - s * delta / w
-    hpp_over_h = hp_over_h**2 - eps / z**2 - s * delta**2 / w**2
-    u = h * f0
-    up = h * (hp_over_h * f0 + f1)
-    upp = h * (hpp_over_h * f0 + 2.0 * hp_over_h * f1 + f2)
-    potential_term = (-shape.beta1 * z**2 + shape.beta2 * z - eps**2) / (z * w) ** 2 * u
-    residual = upp + up / z + potential_term
-    scale = np.maximum.reduce([np.abs(upp), np.abs(up / z), np.abs(potential_term)])
-    return float(np.max(np.abs(residual) / np.where(scale > 0, scale, 1.0)))
-
-
-# --- special-case profiles -------------------------------------------------
-
-def _check_superscript(two_s) -> None:
-    # the normalizability bound applies to the real-parameter profiles only;
-    # complex superscripts (non-Hermitian variants) are formal closed forms
-    if isinstance(two_s, complex):
-        if two_s.imag != 0.0:
-            return
-        two_s = two_s.real
-    if two_s <= -1.0:
-        raise NonNormalizableError(
-            f"Laguerre superscript {two_s} <= -1: profile not normalizable"
-        )
-
-
-def special_case_wavefunction(case_id: str, case, n: int, x, units: UnitSystem = UNITS):
-    """Unnormalized profile R_n(x) of the named special case.
-
-    x is the dimensionless displacement (r - r_e)/r_e.  The two PT-symmetric
-    variants are evaluated in complex arithmetic.
-    """
-    if case_id == "generalized_vibrational":
-        assert isinstance(case, GeneralizedVibrationalCase)
-        lam = gv_lambda(case, units)
-        s = lam * case.q - n - 0.5
-        _check_superscript(2.0 * s)
-        arg = 2.0 * lam * np.exp(-case.alpha * np.asarray(x, dtype=float))
-        out = np.exp(-case.alpha * s * np.asarray(x, dtype=float) - 0.5 * arg) \
-            * genlaguerre_poly(n, 2.0 * s, arg)
-        return float(out) if np.isscalar(x) else out
-    if case_id == "non_pt":
-        assert isinstance(case, NonPtCase)
-        kappa1 = _kappa(case.mu, case.r_e, case.D, units)
-        s = 0.5 * case.d_hat * kappa1 - 0.5 - n
-        _check_superscript(2.0 * s)
-        ex = np.exp(-np.asarray(x, dtype=float))
-        out = (2.0 * kappa1) ** (-s) * (2.0 * kappa1 * ex) ** s \
-            * np.exp(-kappa1 * ex) * genlaguerre_poly(n, 2.0 * s, 2.0 * kappa1 * ex)
-        return float(out) if np.isscalar(x) else out
-    if case_id == "pt_type1":
-        assert isinstance(case, PtType1Case)
-        kappa2 = -1j * _kappa(case.mu, case.r_e, case.D, units)
-        s = 0.5 * case.d_hat * kappa2 - 0.5 - n
-        _check_superscript(2.0 * s)
-        return _complex_profile(kappa2, s, n, x, phase=1.0)
-    if case_id == "pt_type2":
-        assert isinstance(case, PtType2Case)
-        kappa3 = complex(_kappa(case.mu, case.r_e, case.D, units))
-        s = 0.5 * (math.sqrt(case.D) / case.omega) * kappa3 - 0.5 - n
-        _check_superscript(2.0 * s)
-        return _complex_profile(kappa3, s, n, x, phase=case.alpha)
-    raise DomainError(f"unknown special case {case_id!r}")
-
-
-def _complex_profile(kappa, s, n: int, x, phase: float):
-    """(2 kappa)^{-s} (2 kappa e^{-i phase x})^s exp(-kappa e^{-i phase x}) L_n^{2s}(...)."""
-    def one(xv: float) -> complex:
-        ex = cmath.exp(-1j * phase * xv)
-        arg = 2.0 * kappa * ex
-        prefactor = (2.0 * kappa) ** (-s) * arg**s
-        return prefactor * cmath.exp(-kappa * ex) * genlaguerre_poly(n, 2.0 * s, arg)
-
-    if np.isscalar(x):
-        return one(float(x))
-    return np.array([one(float(v)) for v in np.asarray(x, dtype=float)])

@@ -3,10 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from crosscheck.series import SeriesDivergenceError, hyp3f2
 from qmorse import builtin
-from qmorse.errors import SeriesDivergenceError
 from qmorse.potential import MassModel, PotentialParams
-from qmorse.specfun import hyp3f2
 from qmorse.wavefunctions import pdm_shape
 
 

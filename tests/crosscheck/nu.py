@@ -9,16 +9,23 @@ tau(z) and the scalar k, and the algebraic quantization condition whose root
 in the embedded energy variable defines the eigenvalue.
 
 All arithmetic is duck-typed: passing Fraction inputs together with an exact
-``sqrt`` callable reproduces every constant in exact arithmetic.
+``sqrt`` callable reproduces every constant in exact arithmetic.  An
+independent derivation of the closed form in ``qmorse.spectrum``: the tests
+check the quantized eps against this quantization condition.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable
 
-from .errors import DomainError, NoRealSolutionError, NuConditionError
+from qmorse.errors import DomainError, NoRealSolutionError
+
+
+class NuConditionError(ValueError):
+    """The bound-state negativity condition tau'(z) < 0 is violated."""
 
 
 @dataclass(frozen=True)
@@ -59,6 +66,14 @@ class KeyPolynomials:
     tau_prime: float
     branch: str
     physical: bool
+
+
+def exact_sqrt(value: Fraction) -> Fraction:
+    """Square root of a Fraction whose numerator and denominator are perfect squares."""
+    num = math.isqrt(value.numerator)
+    den = math.isqrt(value.denominator)
+    assert num * num == value.numerator and den * den == value.denominator
+    return Fraction(num, den)
 
 
 def derive_constants(inp: NuInput, sqrt: Callable = math.sqrt) -> NuConstants:

@@ -11,11 +11,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from crosscheck.ladder import energy_from_epsilon, resolve_reported_ladder
+from crosscheck.nu import NuInput, derive_constants, energy_equation_residual, exact_sqrt, key_polynomials, morse_nu_input
+from crosscheck.residuals import transformed_residual_constant_mass, transformed_residual_pdm
+from crosscheck.series import hyp2f1, hyp3f2
 from qmorse import builtin
-from qmorse.nu import NuInput, derive_constants, energy_equation_residual, key_polynomials, morse_nu_input
 from qmorse.oracle import OracleConfig, compare, solve, suggest_config
 from qmorse.pekeris import pekeris_coefficients
-from qmorse.potential import MassModel, PotentialParams, mass
+from qmorse.potential import MassModel, PotentialParams
 from qmorse.reference import (
     AMBIGUOUS_LADDER_ENERGIES,
     REFERENCE_EXACT_H2,
@@ -26,7 +29,6 @@ from qmorse.reference import (
 )
 from qmorse.special_cases import (
     GeneralizedVibrationalCase,
-    NonPtCase,
     PtType1Case,
     PtType2Case,
     gv_energy,
@@ -35,21 +37,16 @@ from qmorse.special_cases import (
     pt_type1_energy,
     pt_type2_energy,
 )
-from qmorse.specfun import hyp2f1, hyp3f2
 from qmorse.spectrum import (
     QuantumState,
-    beta_static,
     energy_constant_mass,
     energy_constant_mass_params,
-    energy_from_epsilon,
     energy_pdm,
     energy_pdm_params,
     energy_s_wave,
-    epsilon_pdm,
     n_max,
     near_threshold_state,
-    resolve_reported_ladder,
-    xi_value,
+    quantize,
 )
 from qmorse.units import UNITS
 from qmorse.wavefunctions import (
@@ -57,8 +54,6 @@ from qmorse.wavefunctions import (
     node_count,
     pdm_log_norm,
     pdm_wavefunction,
-    transformed_residual_constant_mass,
-    transformed_residual_pdm,
 )
 
 RNG_SEED = 739297
@@ -208,20 +203,13 @@ def test_criterion_5_pekeris_algebra():
     print(f"[criterion 5] PASS - six sum rules over 1e4 alpha draws, worst rel {worst:.2e}")
 
 
-def _exact_sqrt(value: Fraction) -> Fraction:
-    num = math.isqrt(value.numerator)
-    den = math.isqrt(value.denominator)
-    assert num * num == value.numerator and den * den == value.denominator
-    return Fraction(num, den)
-
-
 def test_criterion_6_nu_machinery():
     # (i) every derived constant reproduced symbolically (exact arithmetic)
     delta, eps, xi = Fraction(1, 3), Fraction(5, 2), Fraction(7, 2)
     beta1 = Fraction(9, 4)
     beta2 = beta1 / delta + delta * (1 + 4 * eps**2 - xi**2) / 4
     inp = NuInput(c1=Fraction(1), c2=delta, c3=delta, A=beta1, B=beta2, C=eps**2)
-    c = derive_constants(inp, sqrt=_exact_sqrt)
+    c = derive_constants(inp, sqrt=exact_sqrt)
     expected = {
         "c4": Fraction(0), "c5": -delta / 2, "c6": (delta**2 + 4 * beta1) / 4,
         "c7": -beta2, "c8": eps**2, "c9": delta**2 * xi**2 / 4,
@@ -240,13 +228,10 @@ def test_criterion_6_nu_machinery():
         b1 = rng.uniform(1.0, 400.0)
         b2 = rng.uniform(0.5, 2.0) * 2.0 * math.sqrt(b1)
         n = int(rng.integers(0, 6))
-        try:
-            e = epsilon_pdm(n, b1, b2, d)
-            if e <= 0 or 2.0 * math.sqrt(b1) / d - 2.0 * e - (2 * n + 1) <= 0:
-                continue
-            xi_value(b1, b2, e, d)
-        except Exception:
-            continue
+        qz = quantize(n, b1, b2, d)
+        e = float(qz.eps)
+        if qz.fault or e <= 0 or 2.0 * math.sqrt(b1) / d - 2.0 * e - (2 * n + 1) <= 0:
+            continue  # no real eps or xi, or not a bound state
         morse = morse_nu_input(b1, b2, e, d)
         worst = max(worst, abs(energy_equation_residual(morse, n)))
         assert key_polynomials(morse).tau_prime < 0

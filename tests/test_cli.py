@@ -214,6 +214,55 @@ def test_nmax_energies_near_the_limit_at_huge_q(capsys):
     assert e_last == pytest.approx(-1.461e-4, rel=1e-3)
 
 
+def test_nmax_full_past_the_row_bound_exits_2(capsys):
+    # CO alone has 8.3e8 s-wave levels at q = 1e7: the ladder is refused
+    # before it is built (the summary alone prints: see the next tests)
+    proc = subprocess.run([sys.executable, "-m", "qmorse.cli", "nmax", "--q", "1e7", "--full"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "--q" in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_nmax_full_row_bound_counts_the_printed_ladder(capsys, monkeypatch):
+    # at q = 1 the four default molecules print 158 ladder rows: the bound
+    # admits exactly that many and refuses one fewer
+    import qmorse.cli as cli_mod
+
+    monkeypatch.setattr(cli_mod, "MAX_LADDER_ROWS", 158)
+    code, out, _ = run_cli(["nmax", "--full", "--format", "json"], capsys)
+    assert code == 0
+    assert len(json.loads(out.split("\n\n")[1])["rows"]) == 158
+    monkeypatch.setattr(cli_mod, "MAX_LADDER_ROWS", 157)
+    code, out, err = run_cli(["nmax", "--full"], capsys)
+    assert code == 2 and out == "" and "158 ladder rows" in err
+
+
+def test_nmax_summary_evaluates_two_states_per_molecule(capsys, monkeypatch):
+    import qmorse.cli as cli_mod
+    import qmorse.spectrum as spectrum_mod
+
+    sizes = []
+    evaluate = spectrum_mod.spectrum_grid
+
+    def spy(p, mm, n, l, *args):
+        sizes.append(np.broadcast(np.asarray(n), np.asarray(l)).size)
+        return evaluate(p, mm, n, l, *args)
+
+    for owner in (cli_mod, spectrum_mod):
+        monkeypatch.setattr(owner, "spectrum_grid", spy)
+    code, out, _ = run_cli(["nmax", "--q", "1e7"], capsys)
+    assert code == 0 and "834813753" in out
+    assert sum(sizes) <= 2 * 4  # the four default molecules
+
+
+def test_wavefunction_past_the_recurrence_work_bound_exits_2(capsys):
+    # a normalizable state whose recurrence would run for seconds is refused up front
+    code, out, err = run_cli(["wavefunction", "--molecule", "CO", "--q", "2.26e16",
+                              "--n", "580117"], capsys)
+    assert code == 2 and out == ""
+    assert "work bound" in err
+
+
 def test_cli_import_leaves_out_scipy_integrate():
     # the normalizations are closed forms and the oracle imports scipy.linalg
     # only when it solves: importing the CLI must load no scipy module at all

@@ -5,9 +5,10 @@ For any argv drawn from the grammar of ``spectrum``, ``wavefunction``,
 huge values included): the exit code is 0, 1, 2 or 3, stderr holds no
 traceback, and a request that exits 0 prints only finite numbers.
 ``oracle-compare`` and ``nmax --full`` are left out: they build every bound
-state, and a huge ``--q`` makes that ladder grow without limit.  For the same
-reason ``wavefunction --n`` stays at most 2000: its polynomial recurrence takes
-n steps over the grid.
+state, and a huge ``--q`` makes that ladder grow without limit (``nmax --full``
+exits 2 past 10^5 rows, but a request near that cap takes a second).  For the
+same reason ``wavefunction --n`` stays at most 2000: its polynomial recurrence
+takes n steps over the grid.
 """
 
 import contextlib

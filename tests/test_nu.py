@@ -11,22 +11,16 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qmorse.errors import DomainError, NoRealSolutionError
-from qmorse.nu import (
+from crosscheck.nu import (
     NuInput,
     derive_constants,
     energy_equation_residual,
+    exact_sqrt,
     key_polynomials,
     morse_nu_input,
 )
-from qmorse.spectrum import epsilon_pdm, xi_value
-
-
-def _exact_sqrt(value: Fraction) -> Fraction:
-    num = math.isqrt(value.numerator)
-    den = math.isqrt(value.denominator)
-    assert num * num == value.numerator and den * den == value.denominator
-    return Fraction(num, den)
+from qmorse.errors import DomainError, NoRealSolutionError
+from qmorse.spectrum import quantize
 
 
 def _rational_morse_inputs(delta: Fraction, eps: Fraction, xi: Fraction, beta1: Fraction):
@@ -39,7 +33,7 @@ def test_morse_constants_exact_arithmetic():
     delta, eps, xi = Fraction(1, 3), Fraction(5, 2), Fraction(7, 2)
     beta1 = Fraction(9, 4)
     inp, beta2 = _rational_morse_inputs(delta, eps, xi, beta1)
-    c = derive_constants(inp, sqrt=_exact_sqrt)
+    c = derive_constants(inp, sqrt=exact_sqrt)
     assert c.c4 == 0
     assert c.c5 == -delta / 2
     assert c.c6 == (delta**2 + 4 * beta1) / 4
@@ -74,8 +68,8 @@ def test_c3_zero_is_rejected():
 
 def test_key_polynomials_reproduce_morse_forms():
     delta, beta1, beta2 = 0.4, 250.0, 560.0
-    eps = epsilon_pdm(0, beta1, beta2, delta)
-    xi = xi_value(beta1, beta2, eps, delta)
+    qz = quantize(0, beta1, beta2, delta).raise_fault()
+    eps, xi = float(qz.eps), float(qz.xi)
     inp = morse_nu_input(beta1, beta2, eps, delta)
     kp = key_polynomials(inp)
     for z in (0.0, 0.3, 1.0, 2.0):
@@ -104,12 +98,9 @@ def test_residual_vanishes_at_quantized_epsilon(rng):
         beta1 = rng.uniform(1.0, 400.0)
         beta2 = rng.uniform(0.5, 2.0) * 2.0 * math.sqrt(beta1)
         n = int(rng.integers(0, 6))
-        try:
-            eps = epsilon_pdm(n, beta1, beta2, delta)
-            if eps <= 0:
-                continue
-            xi_value(beta1, beta2, eps, delta)
-        except Exception:
+        qz = quantize(n, beta1, beta2, delta)
+        eps = float(qz.eps)
+        if qz.fault or eps <= 0:  # no real eps, or xi^2 < 0
             continue
         # a valid bound state also needs the positive-branch consistency
         # xi = 2 sqrt(beta1)/delta - 2 eps - (2n + 1) > 0
@@ -131,7 +122,7 @@ def test_residual_term_isolation():
 
 def test_residual_monotone_in_eps_near_root():
     delta, beta1, beta2, n = 0.3, 300.0, 640.0, 2
-    eps_star = epsilon_pdm(n, beta1, beta2, delta)
+    eps_star = float(quantize(n, beta1, beta2, delta).raise_fault().eps)
     values = []
     for eps in np.linspace(0.9 * eps_star, 1.1 * eps_star, 21):
         values.append(energy_equation_residual(morse_nu_input(beta1, beta2, eps, delta), n))

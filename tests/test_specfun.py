@@ -7,18 +7,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import eval_genlaguerre, eval_jacobi, gamma
 
-from qmorse.errors import DomainError, SeriesDivergenceError
-from qmorse.specfun import (
-    genlaguerre_poly,
+from crosscheck.series import (
+    SeriesDivergenceError,
     genlaguerre_poly_deriv,
     hyp2f1,
     hyp3f2,
-    jacobi_poly,
     jacobi_poly_deriv,
     jacobi_via_2f1,
-    log_gamma_ratio,
     pochhammer,
 )
+from qmorse.errors import DomainError
+from qmorse.specfun import MAX_RECURRENCE_WORK, genlaguerre_poly, jacobi_poly, log_gamma_ratio
 
 
 def test_pochhammer_matches_gamma_ratio():
@@ -138,6 +137,26 @@ def test_laguerre_recurrence_property(n, a, y):
     lhs = (n + 1) * l_np1
     rhs = (2 * n + 1 + a - y) * l_n - (n + a) * l_nm1
     assert lhs == pytest.approx(rhs, rel=1e-9, abs=1e-9 * max(abs(l_n), 1.0))
+
+
+@pytest.mark.parametrize("poly", [
+    lambda n, x: jacobi_poly(n, 30.0, 2.0, x), lambda n, x: genlaguerre_poly(n, 30.0, x),
+], ids=["jacobi", "laguerre"])
+def test_recurrence_work_bound(poly):
+    # refused before the loop past n * (points + overhead) = MAX_RECURRENCE_WORK,
+    # overhead 1000 points for an array and 200 for a scalar; the CLI fuzz range
+    # (n, points <= 2000) is inside
+    for points in (400, 2000):
+        n = int(MAX_RECURRENCE_WORK // (points + 1000)) + 1
+        with pytest.raises(DomainError, match="work bound"):
+            poly(n, np.linspace(0.0, 0.5, points))
+    for x in (0.25, np.float64(0.25), 0.25 + 0.0j):
+        with pytest.raises(DomainError, match="work bound"):
+            poly(int(MAX_RECURRENCE_WORK // 201) + 1, x)
+    with np.errstate(all="ignore"):
+        assert np.shape(poly(2000, np.linspace(0.0, 0.5, 2000))) == (2000,)
+        # a scalar keeps the range an array overhead would refuse
+        assert np.isfinite(poly(int(MAX_RECURRENCE_WORK // 1001) + 1, 0.25))
 
 
 def test_complex_arguments_supported():

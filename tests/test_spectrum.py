@@ -3,7 +3,10 @@ import math
 import pytest
 
 import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from crosscheck.ladder import energy_from_epsilon, resolve_reported_ladder
 from qmorse import builtin
 from qmorse.errors import DomainError, ThresholdStateError
 from qmorse.molecules import BUILTIN_NAMES
@@ -11,21 +14,17 @@ from qmorse.potential import MassModel, PotentialParams
 from qmorse.reference import REFERENCE_MINUS_E, TABLE_MOLECULE, cell_matches
 from qmorse.spectrum import (
     QuantumState,
-    beta_static,
     bound_ladder,
     energy_constant_mass,
     energy_constant_mass_params,
-    energy_from_epsilon,
     energy_pdm,
     energy_pdm_params,
     energy_s_wave,
-    epsilon_constant_mass,
-    epsilon_pdm,
     n_max,
     near_threshold_state,
     quantize,
-    resolve_reported_ladder,
     s_wave_ladder,
+    strengths,
 )
 from qmorse.units import hbar2_over_2mu
 
@@ -158,10 +157,10 @@ def test_pdm_h2_delta_01_epsilon_positive_and_larger():
     # above the delta -> 0 value for the H2 ground state (deeper effective well)
     mol = builtin("H2")
     p = PotentialParams.from_molecule(mol, 1.0)
-    beta1, beta2 = beta_static(p, MassModel(m0=mol.mu_amu, delta=0.1), 0)
-    eps_pdm = epsilon_pdm(0, beta1, beta2, 0.1)
-    beta1_0, beta2_0 = beta_static(p, MassModel(m0=mol.mu_amu, delta=0.0), 0)
-    eps_cm = epsilon_constant_mass(0, beta1_0, beta2_0)
+    eps_pdm = float(quantize(0, *strengths(p, MassModel(m0=mol.mu_amu, delta=0.1), 0), 0.1)
+                    .raise_fault().eps)
+    eps_cm = float(quantize(0, *strengths(p, MassModel(m0=mol.mu_amu, delta=0.0), 0), 0.0)
+                   .raise_fault().eps)
     assert eps_pdm > 0.0
     assert eps_pdm > eps_cm
     assert eps_pdm == pytest.approx(eps_cm, rel=5e-3)
@@ -170,7 +169,7 @@ def test_pdm_h2_delta_01_epsilon_positive_and_larger():
 def test_epsilon_pdm_limit_matches_constant_mass_form():
     beta1, beta2 = 303.0, 606.0
     limit = beta2 / (2.0 * math.sqrt(beta1)) - 0.5
-    assert epsilon_pdm(0, beta1, beta2, 1e-9) == pytest.approx(limit, rel=1e-6)
+    assert float(quantize(0, beta1, beta2, 1e-9).eps) == pytest.approx(limit, rel=1e-6)
 
 
 def test_epsilon_pdm_threshold_error():
@@ -179,13 +178,14 @@ def test_epsilon_pdm_threshold_error():
     delta = 0.8
     n = 2  # (2.5) * 0.8 = 2.0 = sqrt(4)
     with pytest.raises(ThresholdStateError):
-        epsilon_pdm(n, beta1, 10.0, delta)
+        quantize(n, beta1, 10.0, delta).raise_fault()
 
 
 def test_zero_numerator_gives_threshold_epsilon():
     beta1, delta, n = 9.0, 0.2, 1
     beta2 = 2 * (n + 0.5) * math.sqrt(beta1) - n * (n + 1) * delta
-    assert epsilon_pdm(n, beta1, beta2, delta) == pytest.approx(0.0, abs=1e-14)
+    eps = float(quantize(n, beta1, beta2, delta).raise_fault().eps)
+    assert eps == pytest.approx(0.0, abs=1e-14)
 
 
 def test_monotone_in_n_and_l_for_bound_states():
@@ -240,7 +240,7 @@ def test_params_level_keeps_offset():
 def test_beta_static_beta2_is_twice_beta1():
     mol = builtin("H2")
     p = PotentialParams.from_molecule(mol, 1.0)
-    beta1, beta2 = beta_static(p, MassModel(m0=mol.mu_amu, delta=0.0), 0)
+    beta1, beta2 = map(float, strengths(p, MassModel(m0=mol.mu_amu, delta=0.0), 0))
     # beta2 = 2 beta1 exactly at q = 1, l = 0 for the constant-mass case
     assert beta2 == pytest.approx(2.0 * beta1, rel=1e-14)
 
@@ -256,11 +256,15 @@ def test_grid_raises_first_threshold_state_in_row_order():
 
 
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
-def test_bound_ladder_length_is_n_max_at_l0(name):
-    mol = builtin(name)
-    p = PotentialParams.from_molecule(mol, 1.0)
+@settings(max_examples=30, deadline=None)
+@given(log_q=st.floats(-3.0, 3.0))
+@example(log_q=0.0)
+def test_bound_ladder_length_is_n_max_at_l0(name, log_q):
+    # also the premise of nmax --full, which sizes its ladder by n_max
+    mol, q = builtin(name), 10.0**log_q
+    p = PotentialParams.from_molecule(mol, q)
     ladder = bound_ladder(p, MassModel.from_molecule(mol, 0.0), 0)
-    assert len(ladder) == n_max(mol)
+    assert len(ladder) == n_max(mol, q)
     assert ladder.bound.all()
 
 

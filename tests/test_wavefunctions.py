@@ -6,12 +6,14 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from crosscheck.residuals import transformed_residual_constant_mass, transformed_residual_pdm
+from crosscheck.series import hyp2f1, hyp3f2
 from qmorse import builtin
 from qmorse.errors import NonNormalizableError
 from qmorse.potential import MassModel, PotentialParams, mass, mass_pole_radius
-from qmorse.special_cases import GeneralizedVibrationalCase, NonPtCase, PtType1Case, gv_lambda
+from qmorse.special_cases import GeneralizedVibrationalCase, gv_lambda
 from qmorse.specfun import genlaguerre_poly, jacobi_poly
-from qmorse.spectrum import QuantumState, beta_static, epsilon_constant_mass
+from qmorse.spectrum import QuantumState, quantize, strengths
 from qmorse.wavefunctions import (
     constant_mass_log_norm,
     constant_mass_wavefunction,
@@ -19,11 +21,7 @@ from qmorse.wavefunctions import (
     pdm_log_norm,
     pdm_shape,
     pdm_wavefunction,
-    special_case_wavefunction,
-    transformed_residual_constant_mass,
-    transformed_residual_pdm,
 )
-from qmorse.specfun import hyp2f1, hyp3f2
 
 
 def test_pdm_ground_state_has_pure_envelope(h2_pdm):
@@ -130,8 +128,8 @@ def _quad_log_norm_pdm(p, mm, state):
 
 def _quad_log_norm_constant_mass(p, m0, n, l):
     """-(1/2) log of int R^2 dr for the bare profile, by adaptive quadrature in y."""
-    beta1, beta2 = beta_static(p, MassModel(m0=m0), l)
-    two_eps = 2.0 * epsilon_constant_mass(n, beta1, beta2)
+    beta1, beta2 = map(float, strengths(p, MassModel(m0=m0), l))
+    two_eps = 2.0 * float(quantize(n, beta1, beta2, 0.0).raise_fault().eps)
     c = 2.0 * math.sqrt(beta1)
     y_hi = c * math.exp(p.alpha)
     y_peak = max(two_eps - 1.0, 1e-3)
@@ -294,42 +292,12 @@ def test_beta_integral_identity():
     assert rhs == pytest.approx(19.0 / 105.0, rel=1e-12)
 
 
-def test_special_case_gv_ground_state_form():
-    case = GeneralizedVibrationalCase(D=4.7, alpha=1.5, q=1.0, mu=0.5, r_e=0.74)
-    lam = gv_lambda(case)
-    xs = np.linspace(-0.2, 2.0, 40)
-    expected = np.exp(-case.alpha * (lam * case.q - 0.5) * xs - lam * np.exp(-case.alpha * xs))
-    np.testing.assert_allclose(
-        special_case_wavefunction("generalized_vibrational", case, 0, xs), expected, rtol=1e-12)
-
-
 def test_special_case_gv_final_state_loses_decay():
     case = GeneralizedVibrationalCase(D=4.7, alpha=1.5, q=1.0, mu=0.5, r_e=0.74)
     lam = gv_lambda(case)
     n_top = int(math.floor(lam * case.q - 0.5))
     s_top = lam * case.q - n_top - 0.5  # in (0, 1): weak x-decay for the last state
     assert 0.0 < s_top < 1.0
-
-
-def test_special_case_non_pt_real_for_real_x():
-    case = NonPtCase(D=2.0, d_hat=1.8, mu=0.9, r_e=1.2)
-    xs = np.linspace(-0.5, 3.0, 60)
-    values = special_case_wavefunction("non_pt", case, 2, xs)
-    assert np.all(np.isreal(values))
-
-
-def test_special_case_pt1_complex():
-    case = PtType1Case(D=2.0, d_hat=1.8, mu=0.9, r_e=1.2)
-    values = special_case_wavefunction("pt_type1", case, 1, np.linspace(0.0, 1.0, 10))
-    assert np.iscomplexobj(values)
-    assert np.any(np.abs(values.imag) > 0)
-
-
-def test_special_case_invalid_superscript_flagged():
-    # d_hat small enough that 2(d_hat kappa/2 - 1/2 - n) <= -1
-    case = NonPtCase(D=1e-4, d_hat=1e-3, mu=0.5, r_e=1.0)
-    with pytest.raises(NonNormalizableError):
-        special_case_wavefunction("non_pt", case, 3, 0.5)
 
 
 def test_pdm_nonnormalizable_epsilon_rejected(h2_pdm):
