@@ -17,20 +17,9 @@ Run: python scripts/pdm_oracle_sweep.py
 from qmorse import builtin
 from qmorse.oracle import compare, solve, suggest_config
 from qmorse.potential import MassModel, PotentialParams
-from qmorse.spectrum import QuantumState, energy_pdm_params
+from qmorse.spectrum import bound_ladder
 
 DELTAS = (0.05, 0.1, 0.2, 0.3, 0.4, 0.5)
-
-
-def bound_ladder(p, mm, l):
-    out = []
-    n = 0
-    while True:
-        res = energy_pdm_params(p, mm, QuantumState(n, l))
-        if not res.bound:
-            return out
-        out.append(res)
-        n += 1
 
 
 def main() -> None:
@@ -40,7 +29,7 @@ def main() -> None:
     print(f"{'delta':>6} {'levels':>7} {'reduced max|dE|':>17} {'substituted max|dE|':>21}")
     for delta in DELTAS:
         mm = MassModel.from_molecule(mol, delta)
-        closed = bound_ladder(p, mm, 0)
+        closed = (bound_ladder(p, mm, 0).energy + p.v3).tolist()
         row = [f"{delta:>6.2f}", f"{len(closed):>7d}"]
         for reduced in (True, False):
             cfg = suggest_config(p, mm, 0, mass_mode="pdm", pdm_reduced=reduced)

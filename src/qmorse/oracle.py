@@ -22,11 +22,12 @@ Scaling by B^{-1/2} makes the matrix symmetric with bandwidth p, and LAPACK's
 banded solver returns the levels below the threshold in O(p N) memory.
 
 Error estimate.  Each level's estimate is its difference from a second solve
-whose grid is finer (spacing h/1.25), wider (outer wall pushed out by a
-quarter of the span, in the grid coordinate) and, when the mass pole is real,
-reaches closer to it (pole-side wall at w = 1 - delta z = 1e-8 instead of
-1e-5).  The estimate is floored at the matrix's roundoff, 16 eps ||H||_inf.
-On the exactly solvable reduced problems deviation/estimate is of order one.
+whose grid is finer (spacing h/1.25) and wider: the outer wall is pushed out
+by a quarter of the span, in the grid coordinate, and on the log grid so is
+the inner wall, but never past w = 1 - delta z = 1e-8 when the mass pole is
+real, nor below r = MIN_RADIUS when it is virtual.  The estimate is floored
+at the matrix's roundoff, 16 eps ||H||_inf.  On the exactly solvable reduced
+problems deviation/estimate is of order one.
 
 Mode semantics.  centrifugal_mode / inverse_r_mode "exact" keep l(l+1)/r^2
 and 1/r as they are; "pekeris" substitutes the second-order exponential
@@ -56,7 +57,7 @@ from .potential import (
     mass_pole_radius,
     morse_potential,
 )
-from .spectrum import SpectrumResult, bound_ladder, reduced_coefficients
+from .spectrum import SpectrumResult, bound_ladder, ladder_length, reduced_coefficients
 from .units import UNITS, UnitSystem, hbar2_over_2mu
 
 #: Interior grid points: the least any grid has, the most ``suggest_config``
@@ -67,9 +68,14 @@ SUGGESTED_MAX_GRID_POINTS = 2000
 MAX_GRID_POINTS = 3000
 #: Largest local wavenumber times spacing, in the grid coordinate.
 MAX_KH = 1.5
-#: Pole-side wall, as w = 1 - delta z: the reported solve and the check solve.
+#: WKB decay, in e-folds, of the shallowest level from its inner turning
+#: point to a suggested varying-mass inner wall.
+POLE_SIDE_EFOLDS = 16.0
+#: Deepest pole-side wall, as w = 1 - delta z: the reported solve and the check solve.
 POLE_WALL = 1e-5
 CHECK_POLE_WALL = 1e-8
+#: Innermost radius of a suggested domain or check solve that no real pole bounds.
+MIN_RADIUS = 1e-3
 
 
 def _kinetic_band(p: int) -> np.ndarray:
@@ -265,9 +271,10 @@ def solve_potential(
     """Solve the discretized problem for arbitrary W and B callables.
 
     Used directly by self-tests (e.g. a quadratic well against the textbook
-    oscillator ladder) and by ``solve``.  The check solve that sizes the
-    error estimates starts at ``check_r_min`` when it is given and lies
-    further in.
+    oscillator ladder) and by ``solve``.  When ``check_r_min`` is given, the
+    check solve that sizes the error estimates moves the inner wall in by a
+    quarter of the span, as it moves the outer wall out, but not past
+    ``check_r_min``.
     """
     def coord(r):
         return r if log_origin is None else math.log(r - log_origin)
@@ -278,7 +285,9 @@ def solve_potential(
     estimates = np.empty(0)
     if len(vals):
         span = t_hi - t_lo
-        check_lo = min(t_lo, coord(check_r_min)) if check_r_min is not None else t_lo
+        check_lo = t_lo
+        if check_r_min is not None:
+            check_lo = min(t_lo, max(t_lo - 0.25 * span, coord(check_r_min)))
         check_hi = t_hi + 0.25 * span
         check_n = math.ceil(1.25 * (check_hi - check_lo) / span * (cfg.grid_points + 1)) - 1
         check_vals, check_roundoff, _, _ = _solve_once(
@@ -306,8 +315,7 @@ def solve(
                 f"mass pole at r = {pole:.6f} A lies inside the domain; raise r_min"
             )
         log_origin = virtual_pole(p, mm)
-        if pole is not None:
-            check_r_min = pole_wall(p, mm, CHECK_POLE_WALL)
+        check_r_min = pole_wall(p, mm, CHECK_POLE_WALL) if pole is not None else MIN_RADIUS
     w_fn, b_fn = build_w_and_b(p, mm, l, cfg, units)
     threshold = continuum_threshold(p, mm, l, cfg, units)
     return solve_potential(w_fn, b_fn, cfg, threshold, log_origin, check_r_min)
@@ -319,9 +327,16 @@ def formula_ladder_top(
     """(literal energy, eps, xi_or_inf) of the shallowest bound level per the closed form.
 
     Used only to aim the oracle's domain (adequacy is still verified by grid
-    convergence); returns None when the closed form predicts no bound level.
+    convergence); returns None when the closed form predicts no bound level,
+    and raises DomainError when it predicts more levels than a grid may have
+    points.
     """
-    ladder = bound_ladder(p, mm if mass_mode == "pdm" else MassModel(m0=mm.m0), l, units)
+    mm = mm if mass_mode == "pdm" else MassModel(m0=mm.m0)
+    count = ladder_length(p, mm, l, units)
+    if count > MAX_GRID_POINTS:
+        raise DomainError(f"the closed form has {count} bound levels at l = {l}, more than"
+                          f" the {MAX_GRID_POINTS} points an oracle grid may have")
+    ladder = bound_ladder(p, mm, l, units)
     if len(ladder) == 0:
         return None
     return float(ladder.energy[-1]) + p.v3, float(ladder.eps[-1]), float(ladder.xi[-1])
@@ -340,14 +355,19 @@ def suggest_config(
     By default e_top is the closed-form ladder top (shallowest bound level);
     pass e_top explicitly when targeting a subset of levels, or for exact-mode
     runs whose shallowest level may differ from the expansion's estimate.  The
-    domain is clipped at turning points of W/B at e_top, padded inward (where
-    the profile dies super-exponentially, or up to the pole-side wall) and
-    outward by 8 decay lengths of the shallowest level; the spacing resolves
-    the largest local wavenumber at k h <= MAX_KH in the grid coordinate
-    actually used (log-radius for varying mass).  ``modes`` are the other
-    OracleConfig fields.
+    domain is clipped at turning points of W/B at e_top and padded outward by
+    8 decay lengths of the shallowest level.  Inward, a constant-mass domain
+    is padded by 2.2/a, where the profile dies super-exponentially; a
+    varying-mass domain reaches where the WKB decay of the shallowest level,
+    the integral of kappa dt from its inner turning point, is
+    POLE_SIDE_EFOLDS, but never deeper than the pole-side wall
+    pole_wall(POLE_WALL) (or MIN_RADIUS for a virtual pole), where it stays
+    when the pole side never decays that far.  The spacing resolves the
+    largest local wavenumber at k h <= MAX_KH in the grid coordinate actually
+    used (log-radius for varying mass).  ``modes`` are the other OracleConfig
+    fields.
     """
-    probe_cfg = OracleConfig(r_min=1e-3, r_max=1e-3 + 1.0, **modes)
+    probe_cfg = OracleConfig(r_min=MIN_RADIUS, r_max=MIN_RADIUS + 1.0, **modes)
     w_fn, b_fn = build_w_and_b(p, mm, l, probe_cfg, units)
     threshold = continuum_threshold(p, mm, l, probe_cfg, units)
     is_pdm = probe_cfg.mass_mode == "pdm" and mm.delta > 0.0
@@ -358,9 +378,7 @@ def suggest_config(
 
     if is_pdm:
         origin = virtual_pole(p, mm)
-        # wall deep inside the pole-side forbidden sliver; the log grid
-        # makes the extra span cheap
-        scan_lo = pole_wall(p, mm, POLE_WALL) if origin > 0 else 1e-3
+        scan_lo = pole_wall(p, mm, POLE_WALL) if origin > 0 else MIN_RADIUS
         t_scan = np.linspace(
             math.log(scan_lo - origin),
             math.log(p.r_e + 60.0 / p.a - origin),
@@ -368,7 +386,7 @@ def suggest_config(
         )
         scan = origin + np.exp(t_scan)
     else:
-        scan_lo = 1e-3
+        scan_lo = MIN_RADIUS
         scan = np.linspace(max(scan_lo, p.r_e - 12.0 / p.a), p.r_e + 60.0 / p.a, 6000)
         scan = scan[scan > scan_lo]
     w_scan = np.asarray(w_fn(scan))
@@ -377,21 +395,28 @@ def suggest_config(
     allowed = ratio < e_top
     if not np.any(allowed):
         raise DomainError("no classically allowed region below e_top")
-    r_in = float(scan[np.argmax(allowed)])
+    i_in = int(np.argmax(allowed))
+    r_in = float(scan[i_in])
     r_out = float(scan[len(allowed) - 1 - np.argmax(allowed[::-1])])
 
     # outward decay rate of the shallowest level governs the tail padding
     b_inf = float(np.asarray(b_fn(np.array([p.r_e + 30.0 / p.a])))[0])
     kappa_tail = math.sqrt(max((threshold - e_top) * b_inf, 1e-12))
     r_max = r_out + max(8.0 / kappa_tail, 1.5 / p.a)
-    r_min = scan_lo if is_pdm else max(scan_lo, r_in - 2.2 / p.a)
 
     # spacing from the largest local wavenumber in the grid coordinate
-    k_local = np.sqrt(np.maximum(e_top * b_scan - w_scan, 0.0))
+    gap = e_top * b_scan - w_scan
+    k_local = np.sqrt(np.maximum(gap, 0.0))
     if is_pdm:
         k_local = k_local * (scan - origin)
+        # decay[j]: e-folds from the turning point in to scan[i_in - j]
+        kappa = np.sqrt(np.maximum(-gap[i_in::-1], 0.0)) * (scan[i_in::-1] - origin)
+        decay = np.cumsum(kappa) * (t_scan[1] - t_scan[0])
+        deep = np.flatnonzero(decay >= POLE_SIDE_EFOLDS)
+        r_min = float(scan[i_in - deep[0]]) if deep.size else scan_lo
         span = math.log(r_max - origin) - math.log(r_min - origin)
     else:
+        r_min = max(scan_lo, r_in - 2.2 / p.a)
         span = r_max - r_min
     k_max = float(np.max(k_local))
     n_points = math.ceil(span * k_max / MAX_KH)

@@ -212,6 +212,13 @@ def _ladder_length(beta1: float, beta2: float, delta: float) -> int:
     return max(0, math.ceil(edge - EPS_TIE_TOL))
 
 
+def ladder_length(p: PotentialParams, mm: MassModel, l: int, units: UnitSystem = UNITS) -> int:
+    """Closed-form count of the bound states of one l, without building them."""
+    mm = _evaluated_mass(mm)
+    beta1, beta2 = strengths(p, mm, l, units)
+    return _ladder_length(float(beta1), float(beta2), mm.delta)
+
+
 def bound_ladder(p: PotentialParams, mm: MassModel, l: int,
                  units: UnitSystem = UNITS) -> SpectrumGrid:
     """Bound states n = 0, 1, ... of one l, up to the first unbound or failing n.
@@ -219,9 +226,7 @@ def bound_ladder(p: PotentialParams, mm: MassModel, l: int,
     The candidates are the closed-form count plus one, so rounding at the
     ladder edge cannot cut it short; the bound rule then picks the prefix.
     """
-    mm = _evaluated_mass(mm)
-    beta1, beta2 = strengths(p, mm, l, units)
-    count = _ladder_length(float(beta1), float(beta2), mm.delta)
+    count = ladder_length(p, mm, l, units)
     grid = spectrum_grid(p, mm, np.arange(count + 1), l, units)
     unbound = np.flatnonzero(~grid.bound)
     return grid[: unbound[0] if unbound.size else count + 1]
@@ -292,9 +297,8 @@ def n_max(mol: MoleculeRecord, q: float = 1.0, units: UnitSystem = UNITS) -> int
     n = n_max gives the near-continuum edge energy reported by
     ``near_threshold_state``.  Returns 0 (no bound branch) when V2 <= 0.
     """
-    p = PotentialParams.from_molecule(mol, q, units)
-    beta1, beta2 = strengths(p, MassModel.from_molecule(mol), 0, units)
-    return _ladder_length(float(beta1), float(beta2), 0.0)
+    return ladder_length(PotentialParams.from_molecule(mol, q, units),
+                         MassModel.from_molecule(mol), 0, units)
 
 
 def near_threshold_state(

@@ -223,6 +223,16 @@ def test_nmax_full_past_the_row_bound_exits_2(capsys):
     assert "--q" in proc.stderr and "Traceback" not in proc.stderr
 
 
+def test_oracle_compare_past_the_grid_cap_exits_2():
+    # CO has 8.3e8 s-wave levels at q = 1e7, more than any oracle grid has
+    # points: the ladder is counted and refused before a state is built
+    proc = subprocess.run(
+        [sys.executable, "-m", "qmorse.cli", "oracle-compare", "--molecule", "CO", "--q", "1e7"],
+        capture_output=True, text=True)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "834813753" in proc.stderr and "Traceback" not in proc.stderr
+
+
 def test_nmax_full_row_bound_counts_the_printed_ladder(capsys, monkeypatch):
     # at q = 1 the four default molecules print 158 ladder rows: the bound
     # admits exactly that many and refuses one fewer

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,10 +10,15 @@ from qmorse import builtin
 from qmorse.errors import DomainError
 from qmorse.oracle import (
     MAX_GRID_POINTS,
+    MIN_RADIUS,
+    POLE_WALL,
     ComparisonReport,
     OracleConfig,
+    build_w_and_b,
     compare,
     continuum_threshold,
+    formula_ladder_top,
+    pole_wall,
     solve,
     solve_potential,
     suggest_config,
@@ -96,7 +102,7 @@ def test_spacing_refinement_gains_two_orders():
 
 
 @pytest.mark.parametrize("name", ["H2", "LiH", "HCl", "CO"])
-@pytest.mark.parametrize("delta", [0.0, 0.3])
+@pytest.mark.parametrize("delta", [0.0, 0.05, 0.3])
 @pytest.mark.parametrize("l", [0, 5])
 def test_error_estimate_is_calibrated(name, delta, l):
     # the reduced problems are solved exactly by the closed form, so the
@@ -221,5 +227,60 @@ def test_truncated_box_estimate_covers_deviation(h2_ref):
     spectrum = solve(p, mm, 0, OracleConfig(r_min=1e-3, r_max=3.0, grid_points=2000))
     report = compare((bound_ladder(p, mm, 0).energy + p.v3).tolist(), spectrum)
     assert max(lv.deviation for lv in report.levels) > 1e-3  # the box really bites
+    for lv in report.levels:
+        assert lv.deviation <= 2.0 * lv.oracle_error, lv
+
+
+def test_pole_side_wall_follows_the_decay_of_the_top_level():
+    # CO delta = 0.3: most of the span down to the w = 1e-5 wall is forbidden
+    # at the top level, which has decayed long before it
+    mol = builtin("CO")
+    p = PotentialParams.from_molecule(mol, 1.0)
+    mm = MassModel.from_molecule(mol, 0.3)
+    cfg = suggest_config(p, mm, 2, mass_mode="pdm")
+    assert cfg.grid_points <= 700
+    assert cfg.r_min > pole_wall(p, mm, POLE_WALL)
+
+
+@pytest.mark.parametrize("name", ["H2", "CO"])
+def test_allowed_pole_side_keeps_the_deepest_wall(name):
+    # at delta = 0.55 W/B at the pole-side wall lies below the threshold, so
+    # a top level near the threshold is classically allowed there
+    mol = builtin(name)
+    p = PotentialParams.from_molecule(mol, 1.0)
+    mm = MassModel.from_molecule(mol, 0.55)
+    probe = OracleConfig(r_min=MIN_RADIUS, r_max=1.0, mass_mode="pdm")
+    w_fn, b_fn = build_w_and_b(p, mm, 0, probe)
+    e_top = continuum_threshold(p, mm, 0, probe) - 0.5
+    wall = np.array([pole_wall(p, mm, POLE_WALL)])
+    assert w_fn(wall)[0] / b_fn(wall)[0] < e_top
+    cfg = suggest_config(p, mm, 0, e_top=e_top, mass_mode="pdm")
+    assert cfg.r_min == wall[0]
+
+
+def test_thin_pole_side_keeps_the_deepest_wall():
+    # CO delta = 0.5: the top level is forbidden at the w = 1e-5 wall, but the
+    # forbidden sliver is too thin for it to decay POLE_SIDE_EFOLDS there
+    mol = builtin("CO")
+    p = PotentialParams.from_molecule(mol, 1.0)
+    mm = MassModel.from_molecule(mol, 0.5)
+    probe = OracleConfig(r_min=MIN_RADIUS, r_max=1.0, mass_mode="pdm")
+    w_fn, b_fn = build_w_and_b(p, mm, 0, probe)
+    wall = np.array([pole_wall(p, mm, POLE_WALL)])
+    assert w_fn(wall)[0] / b_fn(wall)[0] > formula_ladder_top(p, mm, 0, "pdm")[0]
+    assert suggest_config(p, mm, 0, mass_mode="pdm").r_min == wall[0]
+
+
+@pytest.mark.parametrize("delta", [0.05, 0.3])
+def test_shallow_inner_wall_estimate_covers_deviation(h2, delta):
+    # an inner wall at 0.35 A squeezes the upper levels from the pole side
+    # (virtual pole at delta = 0.05, real at 0.3); the check solve's deeper
+    # inner wall must see it, so every deviation stays within twice its estimate
+    p = PotentialParams.from_molecule(h2, 1.0)
+    mm = MassModel.from_molecule(h2, delta)
+    cfg = replace(suggest_config(p, mm, 0, mass_mode="pdm"), r_min=0.35)
+    report = compare((bound_ladder(p, mm, 0).energy + p.v3).tolist(), solve(p, mm, 0, cfg))
+    assert not report.count_mismatch
+    assert report.max_deviation > 1e-4  # the wall really bites
     for lv in report.levels:
         assert lv.deviation <= 2.0 * lv.oracle_error, lv
