@@ -38,7 +38,7 @@ def main() -> None:
             continue
         e_top = closed[-1].energy + 0.1 * abs(closed[-1].energy - closed[0].energy)
         cfg = suggest_config(p, mm, l, e_top=e_top,
-                             centrifugal_mode="exact", inverse_r_mode="exact")
+                             centrifugal_mode="exact")
         spectrum = solve(p, mm, l, cfg)
         for n in N_LIST:
             if n >= len(spectrum.eigenvalues):

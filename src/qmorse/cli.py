@@ -347,13 +347,7 @@ def cmd_oracle_compare(args, stream) -> int:
     mol = _resolve_molecule(args.molecule, args.molecule_file)
     p = PotentialParams.from_molecule(mol, args.q)
     mm = MassModel.from_molecule(mol, args.delta)
-    mass_mode = "pdm" if args.delta > 0.0 else "constant"
-    cfg = suggest_config(
-        p, mm, args.l,
-        centrifugal_mode=args.centrifugal,
-        inverse_r_mode=args.inverse_r or args.centrifugal,
-        mass_mode=mass_mode,
-    )
+    cfg = suggest_config(p, mm, args.l, centrifugal_mode=args.centrifugal)
     if args.grid is not None:
         cfg = dataclasses.replace(cfg, grid_points=args.grid)
     spectrum_oracle = solve(p, mm, args.l, cfg)
@@ -364,7 +358,7 @@ def cmd_oracle_compare(args, stream) -> int:
     else:
         stream.write(
             f"molecule={mol.name} q={args.q} delta={args.delta} l={args.l} "
-            f"centrifugal={cfg.centrifugal_mode} inverse_r={cfg.inverse_r_mode} "
+            f"centrifugal={cfg.centrifugal_mode} "
             f"grid={cfg.grid_points} domain=[{cfg.r_min:.4f},{cfg.r_max:.4f}]\n"
         )
         stream.write(report.to_text() + "\n")
@@ -458,7 +452,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--delta", type=float, default=0.0)
     sp.add_argument("--l", type=int, default=0)
     sp.add_argument("--centrifugal", choices=("exact", "pekeris"), default="pekeris")
-    sp.add_argument("--inverse-r", choices=("exact", "pekeris"), default=None)
     sp.add_argument("--grid", type=int, default=None)
     sp.add_argument("--n-levels", type=_positive_int, default=None)
     sp.set_defaults(func=cmd_oracle_compare)

@@ -4,11 +4,12 @@ Solves -u'' + W(r) u = E B(r) u, with B(r) = 2 m(r)/hbar^2, between two
 Dirichlet walls, and returns the levels below the continuum threshold with a
 per-level error estimate.
 
-Grids.  Constant-mass problems use a uniform r grid.  Varying-mass problems
-use a uniform grid in t = ln(r - r_p), with r_p the (possibly negative,
-virtual) mass-pole radius: high levels of the reduced problem oscillate ever
-faster toward the pole while their outer tails stretch toward large r, and
-the log coordinate resolves both ends at once.
+Grids.  The mass model picks the grid.  Constant-mass problems (delta = 0)
+use a uniform r grid.  Varying-mass problems (delta > 0) use a uniform grid in
+t = ln(r - r_p), with r_p the (possibly negative, virtual) mass-pole radius:
+high levels of the reduced problem oscillate ever faster toward the pole while
+their outer tails stretch toward large r, and the log coordinate resolves both
+ends at once.
 
 One equation for both grids.  On the log grid the Sturm-Liouville form
 -d/dt[(1/r') du/dt] + r' W u = E r' B u becomes, with u = e^{t/2} phi,
@@ -29,14 +30,12 @@ real, nor below r = MIN_RADIUS when it is virtual.  The estimate is floored
 at the matrix's roundoff, 16 eps ||H||_inf.  On the exactly solvable reduced
 problems deviation/estimate is of order one.
 
-Mode semantics.  centrifugal_mode / inverse_r_mode "exact" keep l(l+1)/r^2
-and 1/r as they are; "pekeris" substitutes the second-order exponential
-expansions.  mass_mode "pdm" with both expansions active solves the reduced
-quadratic problem itself (the transformed equation whose eigenvalues the
-closed form gives exactly); direct substitution into the untransformed
-effective potential would leave delta-weighted cubic and quartic cross terms
-behind that the quadratic reduction discards.  Set ``pdm_reduced=False`` for
-that plain-substitution variant (diagnostics).
+Mode semantics.  B = 2 m(r)/hbar^2 in both modes.  centrifugal_mode "pekeris"
+solves the reduced quadratic problem, the transformed equation whose
+eigenvalues the closed form gives exactly, with both l(l+1)/r^2 and 1/r
+replaced by their second-order exponential expansions; at delta = 0 it is the
+constant-mass Pekeris problem.  "exact" solves the untransformed equation with
+W = potential.effective_potential, keeping l(l+1)/r^2 and 1/r as they are.
 """
 
 from __future__ import annotations
@@ -49,13 +48,13 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DomainError
-from .pekeris import pekeris_centrifugal, pekeris_coefficients, pekeris_inverse_r
+from .pekeris import pekeris_coefficients
 from .potential import (
     MassModel,
     PotentialParams,
+    effective_potential,
     mass,
     mass_pole_radius,
-    morse_potential,
 )
 from .spectrum import SpectrumResult, bound_ladder, ladder_length, reduced_coefficients
 from .units import UNITS, UnitSystem, hbar2_over_2mu
@@ -95,10 +94,7 @@ class OracleConfig:
     r_max: float
     grid_points: int = SUGGESTED_MAX_GRID_POINTS
     centrifugal_mode: str = "pekeris"
-    inverse_r_mode: str = "pekeris"
-    mass_mode: str = "constant"
     want_vectors: bool = False
-    pdm_reduced: bool = True
 
     def __post_init__(self):
         if not (math.isfinite(self.r_min) and math.isfinite(self.r_max)):
@@ -115,10 +111,6 @@ class OracleConfig:
                 f" got {n!r}")
         if self.centrifugal_mode not in ("exact", "pekeris"):
             raise DomainError(f"bad centrifugal_mode {self.centrifugal_mode!r}")
-        if self.inverse_r_mode not in ("exact", "pekeris"):
-            raise DomainError(f"bad inverse_r_mode {self.inverse_r_mode!r}")
-        if self.mass_mode not in ("constant", "pdm"):
-            raise DomainError(f"bad mass_mode {self.mass_mode!r}")
 
 
 @dataclass
@@ -146,7 +138,7 @@ def continuum_threshold(
 
 
 def virtual_pole(p: PotentialParams, mm: MassModel) -> float:
-    """Radius where delta z = 1 (may be negative); log-grid origin for pdm runs."""
+    """Radius where delta z = 1 (may be negative); log-grid origin when delta > 0."""
     return p.r_e + math.log(mm.delta) / p.a
 
 
@@ -156,52 +148,25 @@ def build_w_and_b(
     """Return callables W(r) [1/A^2] and B(r) [1/(eV A^2)] for the configuration."""
     inv_h22m = 1.0 / hbar2_over_2mu(mm.m0, units)  # = 2 m0 / hbar^2
 
-    if cfg.mass_mode == "constant" or mm.delta == 0.0:
-
-        def b_const(r):
-            return inv_h22m * np.ones_like(np.asarray(r, dtype=float))
-
-        def w_const(r):
-            arr = np.asarray(r, dtype=float)
-            if cfg.centrifugal_mode == "pekeris":
-                cent = pekeris_centrifugal(p, l, arr)
-            else:
-                cent = l * (l + 1) / arr**2
-            return cent + inv_h22m * morse_potential(p, arr)
-
-        return w_const, b_const
-
-    def b_pdm(r):
+    def b(r):
         m, _, _ = mass(mm, p, r)
         return m / mm.m0 * inv_h22m
 
-    if cfg.pdm_reduced and cfg.centrifugal_mode == "pekeris" and cfg.inverse_r_mode == "pekeris":
-        beta1, beta2, c0 = reduced_coefficients(p, mm, l, units)
+    if cfg.centrifugal_mode == "exact":
 
-        def w_reduced(r):
-            z = np.exp(-p.a * (np.asarray(r, dtype=float) - p.r_e))
-            w = 1.0 - mm.delta * z
-            return p.a**2 * (beta1 * z**2 - beta2 * z + c0) / w**2
+        def w_exact(r):
+            return effective_potential(p, mm, l, r, units)
 
-        return w_reduced, b_pdm
+        return w_exact, b
 
-    def w_substituted(r):
-        arr = np.asarray(r, dtype=float)
-        m, m1, m2 = mass(mm, p, arr)
-        if cfg.centrifugal_mode == "pekeris":
-            cent = pekeris_centrifugal(p, l, arr)
-        else:
-            cent = l * (l + 1) / arr**2
-        inv_r = pekeris_inverse_r(p, arr) if cfg.inverse_r_mode == "pekeris" else 1.0 / arr
-        return (
-            -m2 / (2.0 * m)
-            + 0.75 * (m1 / m) ** 2
-            - (m1 / m) * inv_r
-            + cent
-            + (m / mm.m0) * inv_h22m * morse_potential(p, arr)
-        )
+    beta1, beta2, c0 = reduced_coefficients(p, mm, l, units)
 
-    return w_substituted, b_pdm
+    def w_reduced(r):
+        z = np.exp(-p.a * (np.asarray(r, dtype=float) - p.r_e))
+        w = 1.0 - mm.delta * z
+        return p.a**2 * (beta1 * z**2 - beta2 * z + c0) / w**2
+
+    return w_reduced, b
 
 
 def pole_wall(p: PotentialParams, mm: MassModel, w: float) -> float:
@@ -308,7 +273,7 @@ def solve(
 ) -> OracleSpectrum:
     """All bound levels of the configured problem (eV, strictly increasing)."""
     log_origin = check_r_min = None
-    if cfg.mass_mode == "pdm" and mm.delta > 0.0:
+    if mm.delta > 0.0:
         pole = mass_pole_radius(mm, p)
         if pole is not None and cfg.r_min <= pole:
             raise DomainError(
@@ -322,16 +287,15 @@ def solve(
 
 
 def formula_ladder_top(
-    p: PotentialParams, mm: MassModel, l: int, mass_mode: str, units: UnitSystem = UNITS
-) -> tuple[float, float, float] | None:
-    """(literal energy, eps, xi_or_inf) of the shallowest bound level per the closed form.
+    p: PotentialParams, mm: MassModel, l: int, units: UnitSystem = UNITS
+) -> float | None:
+    """Literal energy of the shallowest bound level per the closed form.
 
     Used only to aim the oracle's domain (adequacy is still verified by grid
     convergence); returns None when the closed form predicts no bound level,
     and raises DomainError when it predicts more levels than a grid may have
     points.
     """
-    mm = mm if mass_mode == "pdm" else MassModel(m0=mm.m0)
     count = ladder_length(p, mm, l, units)
     if count > MAX_GRID_POINTS:
         raise DomainError(f"the closed form has {count} bound levels at l = {l}, more than"
@@ -339,7 +303,7 @@ def formula_ladder_top(
     ladder = bound_ladder(p, mm, l, units)
     if len(ladder) == 0:
         return None
-    return float(ladder.energy[-1]) + p.v3, float(ladder.eps[-1]), float(ladder.xi[-1])
+    return float(ladder.energy[-1]) + p.v3
 
 
 def suggest_config(
@@ -348,7 +312,7 @@ def suggest_config(
     l: int,
     units: UnitSystem = UNITS,
     e_top: float | None = None,
-    **modes,
+    centrifugal_mode: str = "pekeris",
 ) -> OracleConfig:
     """Domain and grid adequate for all levels up to e_top.
 
@@ -364,19 +328,20 @@ def suggest_config(
     pole_wall(POLE_WALL) (or MIN_RADIUS for a virtual pole), where it stays
     when the pole side never decays that far.  The spacing resolves the
     largest local wavenumber at k h <= MAX_KH in the grid coordinate actually
-    used (log-radius for varying mass).  ``modes`` are the other OracleConfig
-    fields.
+    used (log-radius when delta > 0).  ``centrifugal_mode`` is passed on to
+    the returned OracleConfig.
     """
-    probe_cfg = OracleConfig(r_min=MIN_RADIUS, r_max=MIN_RADIUS + 1.0, **modes)
+    probe_cfg = OracleConfig(
+        r_min=MIN_RADIUS, r_max=MIN_RADIUS + 1.0, centrifugal_mode=centrifugal_mode)
     w_fn, b_fn = build_w_and_b(p, mm, l, probe_cfg, units)
     threshold = continuum_threshold(p, mm, l, probe_cfg, units)
-    is_pdm = probe_cfg.mass_mode == "pdm" and mm.delta > 0.0
-    ladder = formula_ladder_top(p, mm, l, probe_cfg.mass_mode, units)
+    log_grid = mm.delta > 0.0
+    ladder_top = formula_ladder_top(p, mm, l, units)
     if e_top is None:
-        e_top = ladder[0] if ladder is not None else threshold - 1e-3
+        e_top = ladder_top if ladder_top is not None else threshold - 1e-3
     e_top = min(e_top, threshold - 1e-12)
 
-    if is_pdm:
+    if log_grid:
         origin = virtual_pole(p, mm)
         scan_lo = pole_wall(p, mm, POLE_WALL) if origin > 0 else MIN_RADIUS
         t_scan = np.linspace(
@@ -407,7 +372,7 @@ def suggest_config(
     # spacing from the largest local wavenumber in the grid coordinate
     gap = e_top * b_scan - w_scan
     k_local = np.sqrt(np.maximum(gap, 0.0))
-    if is_pdm:
+    if log_grid:
         k_local = k_local * (scan - origin)
         # decay[j]: e-folds from the turning point in to scan[i_in - j]
         kappa = np.sqrt(np.maximum(-gap[i_in::-1], 0.0)) * (scan[i_in::-1] - origin)

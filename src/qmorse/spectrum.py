@@ -338,7 +338,7 @@ def reduced_coefficients(
             = (2 m(r) E / hbar^2) u,
 
     with c0 = (gamma a0 + 2 m0 V3 / hbar^2)/a^2 the state-independent part of
-    eps^2.  Used by the oracle's pekeris/pekeris varying-mass mode.
+    eps^2.  Used by the oracle's pekeris mode, at any delta.
     """
     beta1, beta2 = strengths(p, mm, l, units)
     h22m = hbar2_over_2mu(mm.m0, units)

@@ -166,7 +166,7 @@ def test_criterion_4_pdm_continuity_and_identity():
                         break
                     closed.append(res)
                     n += 1
-                cfg = suggest_config(p, mm, l, mass_mode="pdm")
+                cfg = suggest_config(p, mm, l)
                 spectrum = solve(p, mm, l, cfg)
                 report = compare(closed, spectrum)
                 assert report.closed_count == report.oracle_count, (name, delta, l)
@@ -358,8 +358,7 @@ def test_criterion_9_pekeris_validity_characterization():
     mm = MassModel.from_molecule(mol, 0.0)
     closed = energy_constant_mass_params(p, mm, QuantumState(7, 10))
     e_top = closed.energy + 0.15
-    cfg = suggest_config(p, mm, 10, e_top=e_top,
-                         centrifugal_mode="exact", inverse_r_mode="exact")
+    cfg = suggest_config(p, mm, 10, e_top=e_top, centrifugal_mode="exact")
     spectrum = solve(p, mm, 10, cfg)
     deviation = abs(float(spectrum.eigenvalues[7]) - closed.energy)
     assert 0.03 <= deviation <= 0.15, deviation

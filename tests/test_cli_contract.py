@@ -1,14 +1,21 @@
 """The CLI's exit-code contract, fuzzed in-process over its argument grammar.
 
 For any argv drawn from the grammar of ``spectrum``, ``wavefunction``,
-``special-case``, ``table3`` and ``--show-constants`` (NaN, inf, negative and
-huge values included): the exit code is 0, 1, 2 or 3, stderr holds no
-traceback, and a request that exits 0 prints only finite numbers.
-``oracle-compare`` and ``nmax --full`` are left out: they build every bound
-state, and a huge ``--q`` makes that ladder grow without limit (``nmax --full``
-exits 2 past 10^5 rows, but a request near that cap takes a second).  For the
-same reason ``wavefunction --n`` stays at most 2000: its polynomial recurrence
-takes n steps over the grid.
+``special-case``, ``oracle-compare``, ``table3`` and ``--show-constants``
+(NaN, inf, negative and huge values included): the exit code is 0, 1, 2 or 3,
+stderr holds no traceback, and a request that exits 0 prints only finite
+numbers.  ``nmax --full`` is left out: it builds every bound state, and a huge
+``--q`` makes that ladder grow without limit (it exits 2 past 10^5 rows, but a
+request near that cap takes a second).  For the same reason ``wavefunction
+--n`` stays at most 2000: its polynomial recurrence takes n steps over the
+grid.
+
+``oracle-compare`` costs up to a second and a half per request at 3000 grid
+points or a 2500-level ladder, so its draws are bounded and it runs fewer
+examples: ``--q`` is finite only in [-2, 2] (about 170 CO levels at most) or
+one of 1e30 and 1e300 (which exit before solving), ``--grid`` is drawn from
+[-2, 800] or the out-of-range 3001 and 10^9, and ``--l`` from [-2, 60] or
+10^6.  ``--inverse-r``, a flag the parser does not know, must exit 2.
 """
 
 import contextlib
@@ -67,6 +74,20 @@ special_case = _command(
     {"alpha": real, "q": real, "dhat": real, "omega": real,
      "levels": st.integers(-2, 40).map(str)},
 )
+oracle_q = st.one_of(
+    st.floats(min_value=-2.0, max_value=2.0),
+    st.sampled_from([math.nan, math.inf, -math.inf, 1e30, 1e300, 5e-324, -0.0]),
+).map(repr)
+oracle_compare = _command(
+    "oracle-compare",
+    {"molecule": st.sampled_from(MOLECULES)},
+    {"q": oracle_q, "delta": real,
+     "l": st.one_of(st.integers(-2, 60), st.just(10**6)).map(str),
+     "centrifugal": st.sampled_from(["exact", "pekeris", "bogus"]),
+     "grid": st.one_of(st.integers(-2, 800), st.sampled_from([3001, 10**9])).map(str),
+     "n-levels": st.integers(-2, 100).map(str),
+     "inverse-r": st.sampled_from(["exact", "pekeris"])},
+)
 argvs = st.one_of(
     spectrum, wavefunction, special_case,
     output_flags.map(lambda out: _argv("table3", out)),
@@ -88,9 +109,7 @@ def _non_finite_fields(text):
     return fields
 
 
-@settings(deadline=None, max_examples=300)
-@given(argv=argvs)
-def test_exit_code_contract(argv):
+def _run(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
@@ -101,3 +120,18 @@ def test_exit_code_contract(argv):
     assert "Traceback" not in err.getvalue(), argv
     if code == 0:
         assert _non_finite_fields(out.getvalue()) == [], argv
+    return code
+
+
+@settings(deadline=None, max_examples=300)
+@given(argv=argvs)
+def test_exit_code_contract(argv):
+    _run(argv)
+
+
+@settings(deadline=None, max_examples=150)
+@given(argv=oracle_compare)
+def test_oracle_compare_exit_code_contract(argv):
+    code = _run(argv)
+    if any(arg.startswith("--inverse-r=") for arg in argv):
+        assert code == 2, argv

@@ -23,7 +23,8 @@ from qmorse.oracle import (
     solve_potential,
     suggest_config,
 )
-from qmorse.potential import MassModel, PotentialParams
+from qmorse.pekeris import pekeris_centrifugal
+from qmorse.potential import MassModel, PotentialParams, effective_potential, morse_potential
 from qmorse.spectrum import (
     QuantumState,
     bound_ladder,
@@ -110,7 +111,7 @@ def test_error_estimate_is_calibrated(name, delta, l):
     mol = builtin(name)
     p = PotentialParams.from_molecule(mol, 1.0)
     mm = MassModel.from_molecule(mol, delta)
-    cfg = suggest_config(p, mm, l, mass_mode="pdm" if delta > 0 else "constant")
+    cfg = suggest_config(p, mm, l)
     report = compare((bound_ladder(p, mm, l).energy + p.v3).tolist(), solve(p, mm, l, cfg))
     assert not report.count_mismatch
     worst = max(lv.deviation / lv.oracle_error for lv in report.levels)
@@ -140,11 +141,11 @@ def test_ground_state_overlap_with_analytic(h2_ref):
     assert overlap > 0.9999
 
 
-def test_pdm_reduced_mode_matches_closed_form(h2):
+def test_pekeris_mode_with_varying_mass_matches_closed_form(h2):
     p = PotentialParams.from_molecule(h2, 1.0)
     mm = MassModel.from_molecule(h2, 0.3)
     closed = _closed_levels(p, mm, 0, 40)
-    cfg = suggest_config(p, mm, 0, mass_mode="pdm")
+    cfg = suggest_config(p, mm, 0)
     spectrum = solve(p, mm, 0, cfg)
     report = compare(closed, spectrum)
     assert report.closed_count == report.oracle_count
@@ -154,7 +155,7 @@ def test_pdm_reduced_mode_matches_closed_form(h2):
 def test_pdm_pole_inside_domain_rejected(h2):
     p = PotentialParams.from_molecule(h2, 1.0)
     mm = MassModel.from_molecule(h2, 0.5)  # pole at ~0.385 A
-    cfg = OracleConfig(r_min=0.01, r_max=10.0, mass_mode="pdm")
+    cfg = OracleConfig(r_min=0.01, r_max=10.0)
     with pytest.raises(DomainError, match="pole"):
         solve(p, mm, 0, cfg)
 
@@ -166,6 +167,30 @@ def test_threshold_values(h2):
     pek_cfg = OracleConfig(r_min=1e-3, r_max=10.0, centrifugal_mode="pekeris")
     assert continuum_threshold(p, mm, 10, exact_cfg) == pytest.approx(p.v3)
     assert continuum_threshold(p, mm, 10, pek_cfg) > p.v3
+
+
+@pytest.mark.parametrize("delta", [0.0, 0.3])
+def test_exact_mode_w_is_the_effective_potential(h2, delta):
+    p = PotentialParams.from_molecule(h2, 1.0)
+    mm = MassModel.from_molecule(h2, delta)
+    w_fn, _ = build_w_and_b(p, mm, 5, OracleConfig(r_min=1e-3, r_max=10.0, centrifugal_mode="exact"))
+    r = np.linspace(p.r_e - 0.5 / p.a, p.r_e + 30.0 / p.a, 400)
+    assert np.array_equal(w_fn(r), effective_potential(p, mm, 5, r))
+
+
+@pytest.mark.parametrize("name", ["H2", "CO"])
+def test_pekeris_mode_at_delta_0_is_the_constant_mass_pekeris_problem(name):
+    # the reduced problem's delta -> 0 limit: expanded centrifugal term plus
+    # 2 m0 V / hbar^2, with the constant weight 2 m0 / hbar^2 bit for bit
+    mol = builtin(name)
+    p = PotentialParams.from_molecule(mol, 1.0)
+    mm = MassModel.from_molecule(mol, 0.0)
+    w_fn, b_fn = build_w_and_b(p, mm, 5, OracleConfig(r_min=1e-3, r_max=10.0))
+    r = np.linspace(max(MIN_RADIUS, p.r_e - 2.0 / p.a), p.r_e + 30.0 / p.a, 400)
+    inv_h22m = 1.0 / hbar2_over_2mu(mm.m0)
+    want = pekeris_centrifugal(p, 5, r) + inv_h22m * morse_potential(p, r)
+    np.testing.assert_allclose(w_fn(r), want, rtol=1e-12, atol=0.0)
+    assert np.all(b_fn(r) == inv_h22m)
 
 
 def test_compare_empty_closed_form(h2_ref):
@@ -237,7 +262,7 @@ def test_pole_side_wall_follows_the_decay_of_the_top_level():
     mol = builtin("CO")
     p = PotentialParams.from_molecule(mol, 1.0)
     mm = MassModel.from_molecule(mol, 0.3)
-    cfg = suggest_config(p, mm, 2, mass_mode="pdm")
+    cfg = suggest_config(p, mm, 2)
     assert cfg.grid_points <= 700
     assert cfg.r_min > pole_wall(p, mm, POLE_WALL)
 
@@ -249,12 +274,12 @@ def test_allowed_pole_side_keeps_the_deepest_wall(name):
     mol = builtin(name)
     p = PotentialParams.from_molecule(mol, 1.0)
     mm = MassModel.from_molecule(mol, 0.55)
-    probe = OracleConfig(r_min=MIN_RADIUS, r_max=1.0, mass_mode="pdm")
+    probe = OracleConfig(r_min=MIN_RADIUS, r_max=1.0)
     w_fn, b_fn = build_w_and_b(p, mm, 0, probe)
     e_top = continuum_threshold(p, mm, 0, probe) - 0.5
     wall = np.array([pole_wall(p, mm, POLE_WALL)])
     assert w_fn(wall)[0] / b_fn(wall)[0] < e_top
-    cfg = suggest_config(p, mm, 0, e_top=e_top, mass_mode="pdm")
+    cfg = suggest_config(p, mm, 0, e_top=e_top)
     assert cfg.r_min == wall[0]
 
 
@@ -264,11 +289,11 @@ def test_thin_pole_side_keeps_the_deepest_wall():
     mol = builtin("CO")
     p = PotentialParams.from_molecule(mol, 1.0)
     mm = MassModel.from_molecule(mol, 0.5)
-    probe = OracleConfig(r_min=MIN_RADIUS, r_max=1.0, mass_mode="pdm")
+    probe = OracleConfig(r_min=MIN_RADIUS, r_max=1.0)
     w_fn, b_fn = build_w_and_b(p, mm, 0, probe)
     wall = np.array([pole_wall(p, mm, POLE_WALL)])
-    assert w_fn(wall)[0] / b_fn(wall)[0] > formula_ladder_top(p, mm, 0, "pdm")[0]
-    assert suggest_config(p, mm, 0, mass_mode="pdm").r_min == wall[0]
+    assert w_fn(wall)[0] / b_fn(wall)[0] > formula_ladder_top(p, mm, 0)
+    assert suggest_config(p, mm, 0).r_min == wall[0]
 
 
 @pytest.mark.parametrize("delta", [0.05, 0.3])
@@ -278,7 +303,7 @@ def test_shallow_inner_wall_estimate_covers_deviation(h2, delta):
     # inner wall must see it, so every deviation stays within twice its estimate
     p = PotentialParams.from_molecule(h2, 1.0)
     mm = MassModel.from_molecule(h2, delta)
-    cfg = replace(suggest_config(p, mm, 0, mass_mode="pdm"), r_min=0.35)
+    cfg = replace(suggest_config(p, mm, 0), r_min=0.35)
     report = compare((bound_ladder(p, mm, 0).energy + p.v3).tolist(), solve(p, mm, 0, cfg))
     assert not report.count_mismatch
     assert report.max_deviation > 1e-4  # the wall really bites

@@ -1,12 +1,15 @@
-"""Every public name resolves, and every script imports with every qmorse name it uses.
+"""Every public name resolves, and every script imports and runs.
 
-A removed public name then fails here instead of silently breaking a script;
-the names a script imports inside a function are resolved too.
+A removed public name, or a changed signature, then fails here instead of
+silently breaking a script; the names a script imports inside a function are
+resolved too.  Each script's ``main()`` runs with its default arguments and
+its stdout captured.
 """
 
 import ast
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
@@ -16,15 +19,28 @@ import qmorse
 SCRIPTS = sorted((Path(__file__).resolve().parents[1] / "scripts").glob("*.py"))
 
 
+def _load(path):
+    spec = importlib.util.spec_from_file_location(f"_script_{path.stem}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)  # main() sits under __main__
+    return module
+
+
 def test_every_public_name_resolves():
     assert [name for name in qmorse.__all__ if not hasattr(qmorse, name)] == []
 
 
 @pytest.mark.parametrize("path", SCRIPTS, ids=lambda path: path.name)
 def test_script_imports(path):
-    spec = importlib.util.spec_from_file_location(f"_script_{path.stem}", path)
-    spec.loader.exec_module(importlib.util.module_from_spec(spec))  # main() sits under __main__
+    _load(path)
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
         if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("qmorse"):
             owner = importlib.import_module(node.module)
             assert all(hasattr(owner, alias.name) for alias in node.names), ast.unparse(node)
+
+
+@pytest.mark.parametrize("path", SCRIPTS, ids=lambda path: path.name)
+def test_script_runs(path, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", [str(path)])
+    _load(path).main()
+    assert capsys.readouterr().out.strip()
