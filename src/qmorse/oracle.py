@@ -59,10 +59,8 @@ from .potential import (
 from .spectrum import SpectrumResult, bound_ladder, ladder_length, reduced_coefficients
 from .units import UNITS, UnitSystem, hbar2_over_2mu
 
-#: Interior grid points: the least any grid has, the most ``suggest_config``
-#: asks for, and the most a configuration accepts (the banded solve costs
-#: O(N^2) time).
-MIN_GRID_POINTS = 500
+#: Interior grid points: the most ``suggest_config`` asks for, and the most a
+#: configuration accepts (the banded solve costs O(N^2) time).
 SUGGESTED_MAX_GRID_POINTS = 2000
 MAX_GRID_POINTS = 3000
 #: Largest local wavenumber times spacing, in the grid coordinate.
@@ -86,6 +84,8 @@ def _kinetic_band(p: int) -> np.ndarray:
 
 
 KINETIC_BAND = _kinetic_band(12)
+#: Fewest interior points a grid may have: one whole (2p+1)-point stencil.
+MIN_GRID_POINTS = 2 * len(KINETIC_BAND) - 1
 
 
 @dataclass(frozen=True)
@@ -328,8 +328,9 @@ def suggest_config(
     pole_wall(POLE_WALL) (or MIN_RADIUS for a virtual pole), where it stays
     when the pole side never decays that far.  The spacing resolves the
     largest local wavenumber at k h <= MAX_KH in the grid coordinate actually
-    used (log-radius when delta > 0).  ``centrifugal_mode`` is passed on to
-    the returned OracleConfig.
+    used (log-radius when delta > 0); that alone sets the number of points,
+    from one stencil up to SUGGESTED_MAX_GRID_POINTS.  ``centrifugal_mode``
+    is passed on to the returned OracleConfig.
     """
     probe_cfg = OracleConfig(
         r_min=MIN_RADIUS, r_max=MIN_RADIUS + 1.0, centrifugal_mode=centrifugal_mode)

@@ -184,7 +184,8 @@ def spectrum_grid(p: PotentialParams, mm: MassModel, n, l,
     qz = quantize(n, beta1, beta2, mm.delta)
     h22m = hbar2_over_2mu(mm.m0, units)
     gamma = l * (l + 1) / p.r_e**2
-    energy = h22m * gamma * pekeris_coefficients(p.alpha).a0 - h22m * p.a**2 * qz.eps**2
+    with np.errstate(over="ignore"):  # an overflowed energy is inf; callers check
+        energy = h22m * gamma * pekeris_coefficients(p.alpha).a0 - h22m * p.a**2 * qz.eps**2
     return replace(qz, energy=energy)
 
 

@@ -406,6 +406,16 @@ def test_wavefunction_overflow_leaks_no_warning(argv):
     assert "overflows" in proc.stderr and "RuntimeWarning" not in proc.stderr
 
 
+def test_spectrum_overflow_prints_one_line():
+    # eps**2 overflows at this q; stderr is the CLI's own line, no numpy warning
+    q = "3.8764196018196883e+180"
+    proc = subprocess.run(
+        [sys.executable, "-m", "qmorse.cli", "spectrum", "--molecule", "CO", "--delta", "0.75",
+         "--n", "5,49", "--l", "46,44", "--q", q], capture_output=True, text=True)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr == f"numeric failure: energies overflow a float at q={q}\n"
+
+
 @pytest.mark.parametrize("case, flags", [
     ("generalized-vibrational", {"D", "alpha", "q", "mu", "re"}),
     ("non-pt", {"D", "dhat", "mu", "re"}),

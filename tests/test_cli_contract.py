@@ -3,25 +3,28 @@
 For any argv drawn from the grammar of ``spectrum``, ``wavefunction``,
 ``special-case``, ``oracle-compare``, ``table3`` and ``--show-constants``
 (NaN, inf, negative and huge values included): the exit code is 0, 1, 2 or 3,
-stderr holds no traceback, and a request that exits 0 prints only finite
-numbers.  ``nmax --full`` is left out: it builds every bound state, and a huge
-``--q`` makes that ladder grow without limit (it exits 2 past 10^5 rows, but a
-request near that cap takes a second).  For the same reason ``wavefunction
---n`` stays at most 2000: its polynomial recurrence takes n steps over the
-grid.
+stderr holds no traceback, no Python warning (numpy's overflow and
+invalid-value warnings included) is issued, and a request that exits 0 prints
+only finite numbers.  ``nmax --full`` is left out: it builds every bound
+state, and a huge ``--q`` makes that ladder grow without limit (it exits 2
+past 10^5 rows, but a request near that cap takes a second).  For the same
+reason ``wavefunction --n`` stays at most 2000: its polynomial recurrence
+takes n steps over the grid.
 
 ``oracle-compare`` costs up to a second and a half per request at 3000 grid
 points or a 2500-level ladder, so its draws are bounded and it runs fewer
 examples: ``--q`` is finite only in [-2, 2] (about 170 CO levels at most) or
 one of 1e30 and 1e300 (which exit before solving), ``--grid`` is drawn from
-[-2, 800] or the out-of-range 3001 and 10^9, and ``--l`` from [-2, 60] or
-10^6.  ``--inverse-r``, a flag the parser does not know, must exit 2.
+[-2, 800], across the one-stencil floor of 25 points, or the out-of-range
+3001 and 10^9, and ``--l`` from [-2, 60] or 10^6.  ``--inverse-r``, a flag
+the parser does not know, must exit 2.
 """
 
 import contextlib
 import io
 import math
 import re
+import warnings
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -111,11 +114,14 @@ def _non_finite_fields(text):
 
 def _run(argv):
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with (contextlib.redirect_stdout(out), contextlib.redirect_stderr(err),
+          warnings.catch_warnings(record=True) as caught):
+        warnings.simplefilter("always")  # a warning main would swallow as exit 1 is recorded
         try:
             code = main(argv)
         except SystemExit as exc:  # argparse usage error
             code = exc.code
+    assert [str(w.message) for w in caught] == [], argv  # it would reach a user's stderr
     assert code in (0, 1, 2, 3), (argv, code, err.getvalue())
     assert "Traceback" not in err.getvalue(), argv
     if code == 0:

@@ -9,7 +9,9 @@ import pytest
 from qmorse import builtin
 from qmorse.errors import DomainError
 from qmorse.oracle import (
+    KINETIC_BAND,
     MAX_GRID_POINTS,
+    MIN_GRID_POINTS,
     MIN_RADIUS,
     POLE_WALL,
     ComparisonReport,
@@ -116,6 +118,22 @@ def test_error_estimate_is_calibrated(name, delta, l):
     assert not report.count_mismatch
     worst = max(lv.deviation / lv.oracle_error for lv in report.levels)
     assert 0.05 <= worst <= 2.0, worst
+    assert max(lv.oracle_error for lv in report.levels) <= 1e-5
+
+
+@pytest.mark.parametrize("name", ["H2", "H2-ref"])
+def test_suggested_grid_is_not_floored(name):
+    # MAX_KH alone sizes the grid: a light molecule's few levels need few
+    # points, and the coarse grid still meets the closed form within its estimate
+    mol = builtin(name)
+    p = PotentialParams.from_molecule(mol, 1.0)
+    mm = MassModel.from_molecule(mol, 0.3)
+    cfg = suggest_config(p, mm, 0)
+    assert cfg.grid_points < 150
+    report = compare((bound_ladder(p, mm, 0).energy + p.v3).tolist(), solve(p, mm, 0, cfg))
+    assert not report.count_mismatch
+    for lv in report.levels:
+        assert lv.deviation <= 2.0 * lv.oracle_error, lv
 
 
 def test_eigenvector_node_counts(h2_ref):
@@ -224,9 +242,14 @@ def test_config_validation():
     with pytest.raises(DomainError):
         OracleConfig(r_min=1.0, r_max=0.5)
     with pytest.raises(DomainError):
-        OracleConfig(r_min=0.1, r_max=2.0, grid_points=100)
+        OracleConfig(r_min=0.1, r_max=2.0, grid_points=MIN_GRID_POINTS - 1)
     with pytest.raises(DomainError):
         OracleConfig(r_min=0.1, r_max=2.0, centrifugal_mode="bogus")
+
+
+def test_config_accepts_one_stencil():
+    assert MIN_GRID_POINTS == 2 * (len(KINETIC_BAND) - 1) + 1 == 25
+    assert OracleConfig(r_min=0.1, r_max=2.0, grid_points=MIN_GRID_POINTS).grid_points == 25
 
 
 @pytest.mark.parametrize("bad", [
