@@ -62,10 +62,11 @@ def main() -> None:
 
     # ladder-edge consistency check
     mol = MoleculeRecord("winner", d_e / UNITS.wavenumber_to_eV, a, 0.7416, 0.50391)
-    from qmorse.spectrum import n_max, near_threshold_state
+    from qmorse.spectrum import n_max
 
-    edge = near_threshold_state(mol)
-    print(f"s-wave ladder: {n_max(mol)} bound levels, edge energy {edge.energy:.4e} eV "
+    count = n_max(mol)
+    edge = energy_constant_mass(mol, 1.0, QuantumState(count, 0))
+    print(f"s-wave ladder: {count} bound levels, edge energy {edge.energy:.4e} eV "
           f"(reference -1.231e-4, {abs(edge.energy + 1.231e-4) / 1.231e-4:.2%} off)")
 
 

@@ -26,10 +26,16 @@ from qmorse.oracle import (
     solve,
     solve_potential,
     suggest_config,
-    virtual_pole,
 )
 from qmorse.pekeris import pekeris_centrifugal, pekeris_inverse_r
-from qmorse.potential import MassModel, PotentialParams, mass, mass_pole_radius, morse_potential
+from qmorse.potential import (
+    MassModel,
+    PotentialParams,
+    mass,
+    mass_pole_radius,
+    morse_potential,
+    virtual_pole,
+)
 from qmorse.spectrum import bound_ladder
 from qmorse.units import hbar2_over_2mu
 

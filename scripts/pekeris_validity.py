@@ -14,10 +14,12 @@ Run: python scripts/pekeris_validity.py [molecule]
 
 import sys
 
+import numpy as np
+
 from qmorse import builtin
 from qmorse.oracle import solve, suggest_config
 from qmorse.potential import MassModel, PotentialParams
-from qmorse.spectrum import QuantumState, energy_constant_mass_params
+from qmorse.spectrum import spectrum_grid
 
 N_LIST = (0, 3, 5, 7)
 L_LIST = (0, 5, 10, 15, 20)
@@ -33,10 +35,11 @@ def main() -> None:
     print("# deviation = |exact-centrifugal oracle - closed form| in eV")
     print("n,l,closed_form_eV,exact_oracle_eV,deviation_eV")
     for l in L_LIST:
-        closed = [energy_constant_mass_params(p, mm, QuantumState(n, l)) for n in range(max(N_LIST) + 1)]
-        if not all(c.bound for c in closed):
+        grid = spectrum_grid(p, mm, np.arange(max(N_LIST) + 1), l).raise_fault()
+        if not grid.bound.all():
             continue
-        e_top = closed[-1].energy + 0.1 * abs(closed[-1].energy - closed[0].energy)
+        closed = (grid.energy + p.v3).tolist()  # the literal well value, as the oracle's
+        e_top = closed[-1] + 0.1 * abs(closed[-1] - closed[0])
         cfg = suggest_config(p, mm, l, e_top=e_top,
                              centrifugal_mode="exact")
         spectrum = solve(p, mm, l, cfg)
@@ -44,8 +47,8 @@ def main() -> None:
             if n >= len(spectrum.eigenvalues):
                 continue
             exact = float(spectrum.eigenvalues[n])
-            dev = abs(exact - closed[n].energy)
-            print(f"{n},{l},{closed[n].energy - p.v3:.6f},{exact - p.v3:.6f},{dev:.3e}")
+            dev = abs(exact - closed[n])
+            print(f"{n},{l},{closed[n] - p.v3:.6f},{exact - p.v3:.6f},{dev:.3e}")
 
 
 if __name__ == "__main__":

@@ -21,10 +21,7 @@ from .spectrum import (
     bound_ladder,
     energy_constant_mass,
     energy_pdm,
-    energy_s_wave,
     n_max,
-    near_threshold_state,
-    s_wave_ladder,
     spectrum_grid,
 )
 from .units import UNITS, UnitSystem, dissociation_energy_eV, hbar2_over_2mu
@@ -52,15 +49,12 @@ __all__ = [
     "effective_potential",
     "energy_constant_mass",
     "energy_pdm",
-    "energy_s_wave",
     "hbar2_over_2mu",
     "load_molecules",
     "mass",
     "morse_potential",
     "n_max",
-    "near_threshold_state",
     "pekeris_coefficients",
-    "s_wave_ladder",
     "serialize_molecules",
     "spectrum_grid",
 ]

@@ -1,8 +1,9 @@
 """Command-line front-end.
 
 Subcommands: spectrum, table3, nmax, wavefunction, oracle-compare,
-special-case.  Exit codes: 0 success, 1 numeric failure, 2 usage or domain
-error, 3 golden-value mismatch (table3).
+special-case.  Exit codes: 0 success, 1 numeric failure or a closed stdout
+pipe (nothing on stderr), 2 usage or domain error, 3 golden-value mismatch
+(table3).
 """
 
 from __future__ import annotations
@@ -23,25 +24,16 @@ from . import special_cases
 from .errors import DomainError
 from .molecules import MoleculeRecord, builtin, load_molecules
 from .oracle import compare, solve, suggest_config
-from .potential import MassModel, PotentialParams, mass, mass_pole_radius
+from .potential import MassModel, PotentialParams, mass_pole_radius
 from .reference import (
     REFERENCE_MINUS_E,
     TABLE_MOLECULE,
     cell_decimals,
     cell_matches,
 )
-from .spectrum import (
-    DELTA_CROSSOVER,
-    QuantumState,
-    bound_ladder,
-    energy_s_wave,
-    n_max,
-    near_threshold_state,
-    s_wave_ladder,
-    spectrum_grid,
-)
+from .spectrum import QuantumState, bound_ladder, ladder_length, spectrum_grid
 from .units import UNITS
-from .wavefunctions import constant_mass_wavefunction, pdm_wavefunction
+from .wavefunctions import radial_wavefunction
 
 ENV_MOLECULE_PATH = "MORSE_MOLECULE_PATH"
 
@@ -260,27 +252,28 @@ def cmd_table3(args, stream) -> int:
 
 def cmd_nmax(args, stream) -> int:
     names = [s.strip() for s in args.molecules.split(",") if s.strip()]
-    rows, ladder_mols, total = [], [], 0
+    wells = []
     for name in names:
         mol = _resolve_molecule(name, args.molecule_file)
-        count = n_max(mol, args.q)
-        edge = near_threshold_state(mol, args.q)
-        last_bound = energy_s_wave(mol, args.q, count - 1) if count > 0 else None
-        rows.append((
-            mol.name, count,
-            edge.energy,
-            last_bound.energy if last_bound else float("nan"),
-        ))
-        if args.full:
-            ladder_mols.append(mol)
-            total += count + (count > 0)  # the bound levels, and the edge row if any is bound
+        p, mm = PotentialParams.from_molecule(mol, args.q), MassModel.from_molecule(mol)
+        wells.append((mol.name, p, mm, ladder_length(p, mm, 0)))
+    # the bound levels, and the edge row if any is bound
+    total = sum(count + (count > 0) for *_, count in wells) if args.full else 0
     if total > MAX_LADDER_ROWS:
         raise DomainError(f"nmax --full at --q {args.q!r} would print {total} ladder rows, "
                           f"more than {MAX_LADDER_ROWS}; lower --q or drop --full")
-    ladder_rows = []
-    for mol in ladder_mols:
-        for res in s_wave_ladder(mol, args.q, include_edge=True):
-            ladder_rows.append((mol.name, res.state.n, res.energy, res.bound))
+    rows, ladder_rows = [], []
+    for name, p, mm, count in wells:
+        # one grid per molecule: n = 0..n_max with --full, else n_max - 1 and n_max
+        # (as floats: n_max outgrows an int64 at a huge --q); the summary reads
+        # its two cells from that grid, so they equal their ladder rows exactly
+        n = np.arange(count + 1) if args.full else np.array([max(count - 1, 0), count], float)
+        grid = spectrum_grid(p, mm, n, 0)
+        energy = grid.energy.tolist()
+        rows.append((name, count, energy[-1], energy[-2] if count > 0 else float("nan")))
+        if args.full:
+            shown = count + (count > 0)
+            ladder_rows += zip([name] * shown, range(shown), energy, grid.bound.tolist())
     params = {"molecules": args.molecules, "q": args.q,
               "note": "n_max = number of normalizable s-wave levels; "
                       "E_edge = formula value at index n_max (nearest the continuum); "
@@ -316,17 +309,7 @@ def cmd_wavefunction(args, stream) -> int:
         raise DomainError(f"wavefunction range needs 0 < r_min < r_max < inf, "
                           f"got r_min={r_lo:g}, r_max={r_hi:g}")
     grid = np.linspace(r_lo, r_hi, args.points)
-    if mm.delta >= DELTA_CROSSOVER:
-        u = pdm_wavefunction(p, mm, state, grid, kind="u")
-        m_of_r, _, _ = mass(mm, p, grid)
-        factor = np.sqrt(m_of_r / mm.m0)
-    else:
-        u = constant_mass_wavefunction(p, mol.mu_amu, args.n, grid, l=args.l)
-        factor = 1.0
-    with np.errstate(over="ignore"):
-        psi = u * factor / grid
-    if not np.isfinite(psi).all():  # u is finite; 1/r overflows at a subnormal --r-min
-        raise OverflowError(f"psi overflows a float at r_min={r_lo!r}")
+    u, psi = radial_wavefunction(p, mm, state, grid)
     # tuples of floats: the collector untracks them, so a dump's rows never
     # pile up in the oldest generation and trigger full collections
     rows = list(zip(grid.tolist(), u.tolist(), psi.tolist()))
@@ -496,7 +479,15 @@ def main(argv=None) -> int:
         if getattr(args, "output", None):
             with open(args.output, "w", encoding="utf-8", newline="\n") as handle:
                 return args.func(args, handle)
-        return args.func(args, sys.stdout)
+        code = args.func(args, sys.stdout)
+        sys.stdout.flush()  # a closed pipe fails here, not in the flush at exit
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout (`| head`): point it at devnull so the flush
+        # at exit cannot fail again, and report nothing
+        # (https://docs.python.org/3/library/signal.html#note-on-sigpipe)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

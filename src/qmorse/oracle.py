@@ -55,8 +55,9 @@ from .potential import (
     effective_potential,
     mass,
     mass_pole_radius,
+    virtual_pole,
 )
-from .spectrum import SpectrumResult, bound_ladder, ladder_length, reduced_coefficients
+from .spectrum import bound_ladder, ladder_length, reduced_coefficients
 from .units import UNITS, UnitSystem, hbar2_over_2mu
 
 #: Interior grid points: the most ``suggest_config`` asks for, and the most a
@@ -135,11 +136,6 @@ def continuum_threshold(
         gamma = l * (l + 1) / p.r_e**2
         threshold += h22m * gamma * pekeris_coefficients(p.alpha).a0
     return threshold
-
-
-def virtual_pole(p: PotentialParams, mm: MassModel) -> float:
-    """Radius where delta z = 1 (may be negative); log-grid origin when delta > 0."""
-    return p.r_e + math.log(mm.delta) / p.a
 
 
 def build_w_and_b(
@@ -459,7 +455,7 @@ class ComparisonReport:
 
 
 def compare(
-    closed_form: list[SpectrumResult] | list[float],
+    closed_form: list[float],
     oracle: OracleSpectrum,
     flag_factor: float = 10.0,
 ) -> ComparisonReport:
@@ -468,9 +464,7 @@ def compare(
     A deviation exceeding flag_factor times the oracle's own discretization
     error estimate is flagged.  A level-count mismatch is reported, not fatal.
     """
-    closed_vals = [
-        float(c.energy) if isinstance(c, SpectrumResult) else float(c) for c in closed_form
-    ]
+    closed_vals = [float(c) for c in closed_form]
     report = ComparisonReport(
         closed_count=len(closed_vals),
         oracle_count=len(oracle.eigenvalues),

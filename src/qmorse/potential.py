@@ -122,11 +122,16 @@ def mass(mm: MassModel, p: PotentialParams, r):
     return m, m1, m2
 
 
+def virtual_pole(p: PotentialParams, mm: MassModel) -> float:
+    """Radius where delta z = 1, r_e + ln(delta)/a (delta > 0); negative for a virtual pole."""
+    return p.r_e + math.log(mm.delta) / p.a
+
+
 def mass_pole_radius(mm: MassModel, p: PotentialParams) -> float | None:
     """Radius of the mass pole, or None when it lies outside r > 0."""
     if mm.delta <= 0.0:
         return None
-    r_pole = p.r_e + math.log(mm.delta) / p.a
+    r_pole = virtual_pole(p, mm)
     return r_pole if r_pole > 0.0 else None
 
 

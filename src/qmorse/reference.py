@@ -50,10 +50,9 @@ REFERENCE_LADDER: dict[str, tuple[int, float]] = {
     "CO": (83, -5.533e-7),
 }
 
-#: the LiH / HCl ladder figures are reported with contradictory orderings in
-#: the source; the pair is resolved computationally (see tests).  Candidate
-#: counts and energies, as sets.
-AMBIGUOUS_LADDER_COUNTS: frozenset[int] = frozenset({24, 29})
+#: the LiH / HCl ladder figures (counts 24 and 29) are reported with
+#: contradictory orderings in the source; the pair is resolved computationally
+#: (see tests).  Candidate energies, as a set.
 AMBIGUOUS_LADDER_ENERGIES: tuple[float, float] = (-1.303e-3, -1.270e-3)
 
 #: high-accuracy variational reference values for H2 (exact centrifugal term,
@@ -65,14 +64,13 @@ REFERENCE_EXACT_H2: dict[tuple[int, int], str] = {
 }
 
 
-def cell_tolerance(printed: str) -> float:
-    """Absolute tolerance of one unit in the cell's last printed digit."""
-    decimals = len(printed.split(".")[1]) if "." in printed else 0
-    return 10.0 ** (-decimals)
-
-
 def cell_decimals(printed: str) -> int:
     return len(printed.split(".")[1]) if "." in printed else 0
+
+
+def cell_tolerance(printed: str) -> float:
+    """Absolute tolerance of one unit in the cell's last printed digit."""
+    return 10.0 ** (-cell_decimals(printed))
 
 
 def cell_matches(computed_minus_e: float, printed: str) -> bool:

@@ -7,15 +7,15 @@ eps = beta2 / (2 sqrt(beta1)) - (n + 1/2) for delta = 0) and
 ``spectrum_grid`` (energies over an n x l grid, delta below DELTA_CROSSOVER
 routed to the constant-mass branch).  ``bound_ladder`` is the bound prefix
 n = 0, 1, ... of one l.  Failing states are reported per state, not raised;
-the scalar functions (``energy_pdm``, ``n_max``, ``near_threshold_state``,
-...) are thin wrappers over one state or one ladder that raise.
+``energy_pdm`` (one state of a molecule) raises, and ``n_max`` counts the
+s-wave ladder.
 
 Energies are computed below the separated-atoms limit, as
-gamma a0 hbar^2/2m0 - (hbar^2 a^2/2m0) eps^2, and the grids and the
-molecule-level functions return them so; the ``*_params`` functions add the
-constant offset v3 = q^2 D_e of the squared-bracket well form and give the
-literal formula value.  Forming the literal value first and subtracting v3
-would cancel: at q = 1e7 it leaves nothing of a level near the limit.
+gamma a0 hbar^2/2m0 - (hbar^2 a^2/2m0) eps^2, and every function here
+returns them so; a caller wanting the literal value of the squared-bracket
+well adds the constant offset v3 = q^2 D_e.  Forming the literal value first
+and subtracting v3 would cancel: at q = 1e7 it leaves nothing of a level near
+the limit.
 """
 
 from __future__ import annotations
@@ -72,7 +72,6 @@ class SpectrumResult:
     molecule: str | None = None
     q: float = 1.0
     delta: float = 0.0
-    zero: str = "dissociation"
 
 
 @dataclass(frozen=True)
@@ -233,99 +232,40 @@ def bound_ladder(p: PotentialParams, mm: MassModel, l: int,
     return grid[: unbound[0] if unbound.size else count + 1]
 
 
-def _state_result(
-    p: PotentialParams, mm: MassModel, state: QuantumState, units: UnitSystem
-) -> SpectrumResult:
-    """Closed form of one state, energy below the dissociation limit."""
-    grid = spectrum_grid(p, mm, state.n, state.l, units).raise_fault()
+def energy_pdm(mol: MoleculeRecord, q: float, delta: float, state: QuantumState,
+               units: UnitSystem = UNITS) -> SpectrumResult:
+    """Varying-mass energy of one state of a molecule, below the dissociation limit.
+
+    delta below DELTA_CROSSOVER is routed to the constant-mass branch; a
+    failing state raises.
+    """
+    p = PotentialParams.from_molecule(mol, q, units)
+    grid = spectrum_grid(p, MassModel.from_molecule(mol, delta), state.n, state.l,
+                         units).raise_fault()
     pdm = grid.delta > 0.0
     return SpectrumResult(
         state=state, energy=float(grid.energy), eps_nl=float(grid.eps),
         xi=float(grid.xi) if pdm else None, variant="pdm" if pdm else "constant_mass",
-        bound=bool(grid.bound), q=p.q, delta=grid.delta,
+        bound=bool(grid.bound), molecule=mol.name, q=p.q, delta=grid.delta,
     )
 
 
-def energy_pdm_params(
-    p: PotentialParams, mm: MassModel, state: QuantumState, units: UnitSystem = UNITS
-) -> SpectrumResult:
-    """Varying-mass closed form, literal well convention (offset v3 included).
-
-    delta below DELTA_CROSSOVER is routed to the constant-mass branch.
-    """
-    res = _state_result(p, mm, state, units)
-    return replace(res, energy=res.energy + p.v3, zero="potential")
-
-
-def energy_constant_mass_params(
-    p: PotentialParams, mm: MassModel, state: QuantumState, units: UnitSystem = UNITS
-) -> SpectrumResult:
-    """Constant-mass closed form (mass m0; mm.delta is ignored), literal convention."""
-    return energy_pdm_params(p, MassModel(m0=mm.m0), state, units)
-
-
-def energy_pdm(mol: MoleculeRecord, q: float, delta: float, state: QuantumState,
-               units: UnitSystem = UNITS, from_dissociation: bool = True) -> SpectrumResult:
-    """Varying-mass energy for a molecule, referenced to the dissociation limit."""
-    p = PotentialParams.from_molecule(mol, q, units)
-    result = _state_result if from_dissociation else energy_pdm_params
-    return replace(result(p, MassModel.from_molecule(mol, delta), state, units),
-                   molecule=mol.name)
-
-
 def energy_constant_mass(mol: MoleculeRecord, q: float, state: QuantumState,
-                         units: UnitSystem = UNITS,
-                         from_dissociation: bool = True) -> SpectrumResult:
-    """Constant-mass energy for a molecule, referenced to the dissociation limit."""
-    return energy_pdm(mol, q, 0.0, state, units, from_dissociation)
-
-
-def energy_s_wave(mol: MoleculeRecord, q: float, n: int, units: UnitSystem = UNITS,
-                  from_dissociation: bool = True) -> SpectrumResult:
-    """s-wave ladder energy: the constant-mass closed form at l = 0.
-
-    Unbound states (eps <= 0) are flagged but their formula value is still
-    reported for diagnostics.
-    """
-    res = energy_constant_mass(mol, q, QuantumState(n, 0), units, from_dissociation)
-    return replace(res, variant="s_wave")
+                         units: UnitSystem = UNITS) -> SpectrumResult:
+    """Constant-mass energy of one state of a molecule, below the dissociation limit."""
+    return energy_pdm(mol, q, 0.0, state, units)
 
 
 def n_max(mol: MoleculeRecord, q: float = 1.0, units: UnitSystem = UNITS) -> int:
     """Total number of normalizable s-wave levels.
 
     The largest normalizable index is n_max - 1; the closed form evaluated at
-    n = n_max gives the near-continuum edge energy reported by
-    ``near_threshold_state``.  Returns 0 (no bound branch) when V2 <= 0.
+    n = n_max (already non-normalizable, eps < 0) is the ladder entry nearest
+    the continuum, quoted with the count.  Returns 0 (no bound branch) when
+    V2 <= 0.
     """
     return ladder_length(PotentialParams.from_molecule(mol, q, units),
                          MassModel.from_molecule(mol), 0, units)
-
-
-def near_threshold_state(
-    mol: MoleculeRecord, q: float = 1.0, units: UnitSystem = UNITS
-) -> SpectrumResult:
-    """Formula value at index n = n_max: the ladder entry nearest the continuum.
-
-    This index is already non-normalizable (eps < 0); its closed-form energy
-    is the conventional 'last state' figure quoted with the bound-state count.
-    """
-    return energy_s_wave(mol, q, n_max(mol, q, units), units)
-
-
-def s_wave_ladder(mol: MoleculeRecord, q: float = 1.0, units: UnitSystem = UNITS,
-                  include_edge: bool = True) -> list[SpectrumResult]:
-    """Full s-wave ladder n = 0 .. n_max-1, optionally with the edge entry."""
-    p = PotentialParams.from_molecule(mol, q, units)
-    mm = MassModel.from_molecule(mol)
-    top = len(bound_ladder(p, mm, 0, units))
-    grid = spectrum_grid(p, mm, np.arange(top + (include_edge and top > 0)), 0, units)
-    rows = zip(grid.energy.tolist(), grid.eps.tolist(), grid.bound.tolist())
-    return [
-        SpectrumResult(state=QuantumState(n, 0), energy=energy, eps_nl=eps, variant="s_wave",
-                       bound=bound, molecule=mol.name, q=q)
-        for n, (energy, eps, bound) in enumerate(rows)
-    ]
 
 
 def reduced_coefficients(

@@ -1,17 +1,19 @@
 """Radial wavefunction evaluation and normalization.
 
-Varying-mass states are Jacobi-polynomial profiles in z = exp(-a (r - r_e));
-constant-mass states are Laguerre profiles in y = 2 sqrt(beta1) z.  Both
-normalization constants are exact: the norm integral over the transformed
-domain is a Jacobi or Laguerre orthogonality integral, evaluated with lgamma
+``radial_wavefunction`` evaluates one state's u and psi.  Varying-mass
+states are Jacobi-polynomial profiles in z = exp(-a (r - r_e)); constant-mass
+states are Laguerre profiles in y = 2 sqrt(beta1) z.  Both normalization
+constants are exact: the norm integral over the transformed domain is a
+Jacobi or Laguerre orthogonality integral, evaluated with lgamma
 (``pdm_log_norm``, ``constant_mass_log_norm``).  Quadrature and the paper's
 printed 3F2 series constant are cross-checks kept in the tests.
 
 Amplitudes for large eps (deep wells support eps of a few hundred) are
 assembled in the log domain to avoid overflow.  Where the polynomial
-recurrence overflows a float all the same (huge n), both amplitudes raise
-``OverflowError`` instead of returning NaN; past the recurrence work bound
-(``specfun.MAX_RECURRENCE_WORK``) they raise ``DomainError`` before it runs.
+recurrence overflows a float all the same (huge n), ``radial_wavefunction``
+raises ``OverflowError`` instead of returning NaN; past the recurrence work
+bound (``specfun.MAX_RECURRENCE_WORK``) it raises ``DomainError`` before the
+recurrence runs.
 """
 
 from __future__ import annotations
@@ -22,8 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, MassPoleError, NonNormalizableError
-from .potential import MassModel, PotentialParams
-from .spectrum import QuantumState, quantize, strengths
+from .potential import MassModel, PotentialParams, mass
+from .spectrum import QuantumState, _evaluated_mass, quantize, strengths
 from .specfun import genlaguerre_poly, jacobi_poly, log_gamma, log_gamma_ratio
 from .units import UNITS, UnitSystem
 
@@ -106,43 +108,25 @@ def pdm_log_norm(
     return _pdm_log_norm(pdm_shape(p, mm, state, units), state.n, p.a)
 
 
-def pdm_wavefunction(
-    p: PotentialParams,
-    mm: MassModel,
-    state: QuantumState,
-    r,
-    units: UnitSystem = UNITS,
-    kind: str = "u",
-    normalized: bool = True,
-):
-    """Varying-mass amplitude at separation r.
+def _jacobi_profile(p: PotentialParams, mm: MassModel, state: QuantumState, r: np.ndarray,
+                    units: UnitSystem) -> np.ndarray:
+    """u(r) = N z^eps (1 - delta z)^{(1+xi)/2} P_n^{(2 eps, xi)}(1 - 2 delta z), 0 < delta < 1.
 
-    kind="u":   u(r) = N z^eps (1 - delta z)^{(1+xi)/2} P_n^{(2 eps, xi)}(1 - 2 delta z)
-    kind="psi": psi(r) = u(r) sqrt(m(r)/m0) / r, i.e. the same profile with the
-                bracket exponent lowered to (xi-1)/2 and a 1/r factor.
-
-    N is the closed-form constant of ``pdm_log_norm``; with normalized=False
-    the bare profile (N = 1) is returned.  Raises ``OverflowError`` where the
-    amplitude is not finite.
+    N is the closed-form constant of ``pdm_log_norm``.
     """
     shape = pdm_shape(p, mm, state, units)
-    arr = np.asarray(r, dtype=float)
-    z = np.exp(-p.a * (arr - p.r_e))
+    z = np.exp(-p.a * (r - p.r_e))
     w = 1.0 - mm.delta * z
     if np.any(w <= 0.0):
         raise MassPoleError("requested r reaches the mass pole (delta z >= 1)")
-    if kind not in ("u", "psi"):
-        raise DomainError(f"kind must be 'u' or 'psi', got {kind!r}")
-    exponent = 0.5 * (shape.xi + (1.0 if kind == "u" else -1.0))
-    log_n = _pdm_log_norm(shape, state.n, p.a) if normalized else 0.0
+    log_n = _pdm_log_norm(shape, state.n, p.a)
     log_w = np.log(w.astype(np.longdouble))
     with np.errstate(all="ignore"):  # a non-finite amplitude raises below
         poly = jacobi_poly(state.n, 2.0 * shape.eps, shape.xi, 1.0 - 2.0 * mm.delta * z)
-        out = np.exp(log_n + shape.eps * _log_z(p, arr) + exponent * log_w).astype(float) * poly
-        if kind == "psi":
-            out = out / arr
+        out = np.exp(log_n + shape.eps * _log_z(p, r)
+                     + 0.5 * (shape.xi + 1.0) * log_w).astype(float) * poly
     _require_finite(out, state.n)
-    return float(out) if np.isscalar(r) else out
+    return out
 
 
 def _cm_eps_beta(p: PotentialParams, m0: float, n: int, l: int, units: UnitSystem):
@@ -172,30 +156,47 @@ def constant_mass_log_norm(
     return _cm_log_norm(eps, beta1, n, p.a)
 
 
-def constant_mass_wavefunction(
-    p: PotentialParams,
-    m0: float,
-    n: int,
-    r,
-    l: int = 0,
-    units: UnitSystem = UNITS,
-    normalized: bool = True,
-):
-    """Constant-mass amplitude R(r) = N (2 sqrt(beta1))^{-eps} y^eps e^{-y/2} L_n^{2 eps}(y).
+def _laguerre_profile(p: PotentialParams, mm: MassModel, state: QuantumState, r: np.ndarray,
+                      units: UnitSystem) -> np.ndarray:
+    """R(r) = N (2 sqrt(beta1))^{-eps} y^eps e^{-y/2} L_n^{2 eps}(y), y = 2 sqrt(beta1) z.
 
-    y = 2 sqrt(beta1) exp(-a (r - r_e)).  N is the closed-form constant of
-    ``constant_mass_log_norm``; with normalized=False the bare profile (N = 1)
-    is returned.  Raises ``OverflowError`` where the amplitude is not finite.
+    N is the closed-form constant of ``constant_mass_log_norm``.
     """
-    eps, beta1 = _cm_eps_beta(p, m0, n, l, units)
-    arr = np.asarray(r, dtype=float)
-    y = 2.0 * math.sqrt(beta1) * np.exp(-p.a * (arr - p.r_e))
-    log_n = _cm_log_norm(eps, beta1, n, p.a) if normalized else 0.0
+    n = state.n
+    eps, beta1 = _cm_eps_beta(p, mm.m0, n, state.l, units)
+    y = 2.0 * math.sqrt(beta1) * np.exp(-p.a * (r - p.r_e))
+    log_n = _cm_log_norm(eps, beta1, n, p.a)
     with np.errstate(all="ignore"):  # a non-finite amplitude raises below
-        out = np.exp(log_n + eps * _log_z(p, arr) - 0.5 * y).astype(float) \
+        out = np.exp(log_n + eps * _log_z(p, r) - 0.5 * y).astype(float) \
             * genlaguerre_poly(n, 2.0 * eps, y)
     _require_finite(out, n)
-    return float(out) if np.isscalar(r) else out
+    return out
+
+
+def radial_wavefunction(p: PotentialParams, mm: MassModel, state: QuantumState, r,
+                        units: UnitSystem = UNITS):
+    """Normalized amplitudes (u, psi) of one bound state at separation r.
+
+    The mass model is routed as the energies are (``spectrum._evaluated_mass``):
+    a Jacobi profile for delta >= DELTA_CROSSOVER, else the constant-mass
+    Laguerre profile.  psi(r) = u(r) sqrt(m(r)/m0) / r.  Scalar r gives two
+    floats, array r two arrays.  Raises ``OverflowError`` where u or psi is
+    not finite.
+    """
+    mm = _evaluated_mass(mm)
+    arr = np.asarray(r, dtype=float)
+    if mm.delta > 0.0:
+        u = _jacobi_profile(p, mm, state, arr, units)
+        m_of_r, _, _ = mass(mm, p, arr)
+        factor = np.sqrt(m_of_r / mm.m0)
+    else:
+        u = _laguerre_profile(p, mm, state, arr, units)
+        factor = 1.0
+    with np.errstate(all="ignore"):
+        psi = u * factor / arr
+    if not np.isfinite(psi).all():  # u is finite; 1/r overflows at a subnormal r
+        raise OverflowError(f"psi overflows a float at r={float(np.min(arr))!r}")
+    return (float(u), float(psi)) if np.isscalar(r) else (u, psi)
 
 
 def node_count(values, rel_tol: float = 1e-9) -> int:

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -263,6 +264,44 @@ def test_nmax_summary_evaluates_two_states_per_molecule(capsys, monkeypatch):
     code, out, _ = run_cli(["nmax", "--q", "1e7"], capsys)
     assert code == 0 and "834813753" in out
     assert sum(sizes) <= 2 * 4  # the four default molecules
+
+
+@pytest.mark.parametrize("q", [2.617495926584324, 1.0, 0.37, 4.2, 9.75])
+def test_nmax_summary_cells_equal_their_ladder_rows(capsys, q):
+    # the summary's E_edge (n = n_max) and E_last_bound (n = n_max - 1) are the
+    # ladder's own cells, bit for bit, with and without --full
+    argv = ["nmax", "--molecules", "H2-ref,H2,LiH,HCl,CO", "--q", repr(q), "--format", "json"]
+    code, out, _ = run_cli([*argv, "--full"], capsys)
+    assert code == 0
+    summary, ladder = (json.loads(block)["rows"] for block in out.split("\n\n"))
+    energies = {(name, n): energy for name, n, energy, _ in ladder}
+    for name, count, e_edge, e_last in summary:
+        assert count > 0
+        assert e_edge == energies[name, count], (name, q)
+        assert e_last == energies[name, count - 1], (name, q)
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0 and json.loads(out)["rows"] == summary
+
+
+@pytest.mark.parametrize("argv", [
+    ["nmax", "--full", "--q", "10", "--format", "json"],
+    ["wavefunction", "--molecule", "H2", "--n", "1", "--points", "20000"],
+], ids=["nmax", "wavefunction"])
+def test_closed_pipe_exits_1_silently(argv):
+    # a reader that stops after one line (`| head -1`) closes the pipe while
+    # the rest of the output (over 100 kB, more than a pipe buffers) is still
+    # being written: exit 1 and nothing on stderr, not a "numeric failure".
+    # Buffered stdout, as by default: unbuffered (-u) stdout drops the rest of
+    # a partly written chunk without an error
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    proc = subprocess.Popen([sys.executable, "-m", "qmorse.cli", *argv], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 1
+    assert first and err == b""
 
 
 def test_wavefunction_past_the_recurrence_work_bound_exits_2(capsys):

@@ -1,15 +1,18 @@
 """The CLI's exit-code contract, fuzzed in-process over its argument grammar.
 
 For any argv drawn from the grammar of ``spectrum``, ``wavefunction``,
-``special-case``, ``oracle-compare``, ``table3`` and ``--show-constants``
-(NaN, inf, negative and huge values included): the exit code is 0, 1, 2 or 3,
-stderr holds no traceback, no Python warning (numpy's overflow and
-invalid-value warnings included) is issued, and a request that exits 0 prints
-only finite numbers.  ``nmax --full`` is left out: it builds every bound
-state, and a huge ``--q`` makes that ladder grow without limit (it exits 2
-past 10^5 rows, but a request near that cap takes a second).  For the same
-reason ``wavefunction --n`` stays at most 2000: its polynomial recurrence
-takes n steps over the grid.
+``special-case``, ``nmax``, ``oracle-compare``, ``table3`` and
+``--show-constants`` (NaN, inf, negative and huge values included): the exit
+code is 0, 1, 2 or 3, stderr holds no traceback, no Python warning (numpy's
+overflow and invalid-value warnings included) is issued, and a request that
+exits 0 prints only finite numbers.  The one exemption is the documented
+sentinel of ``nmax``: ``E_last_bound_eV`` is ``nan`` for a molecule with
+n_max = 0, and only there.  ``nmax --full`` draws ``--q`` only from [-2, 10]:
+it builds every bound state, and a huge ``--q`` makes that ladder grow
+without limit (it exits 2 past 10^5 rows, but a request near that cap takes
+a second); [-2, 10] keeps it to a few thousand rows.  For the same reason
+``wavefunction --n`` stays at most 2000: its polynomial recurrence takes n
+steps over the grid.
 
 ``oracle-compare`` costs up to a second and a half per request at 3000 grid
 points or a 2500-level ladder, so its draws are bounded and it runs fewer
@@ -22,6 +25,7 @@ the parser does not know, must exit 2.
 
 import contextlib
 import io
+import json
 import math
 import re
 import warnings
@@ -77,6 +81,13 @@ special_case = _command(
     {"alpha": real, "q": real, "dhat": real, "omega": real,
      "levels": st.integers(-2, 40).map(str)},
 )
+nmax_molecules = st.lists(st.sampled_from(MOLECULES), min_size=1, max_size=4).map(",".join)
+nmax = st.one_of(
+    _command("nmax", {}, {"molecules": nmax_molecules, "q": real}),
+    _command("nmax", {}, {"molecules": nmax_molecules,
+                          "q": st.floats(min_value=-2.0, max_value=10.0).map(repr)})
+    .map(lambda argv: [*argv, "--full"]),
+)
 oracle_q = st.one_of(
     st.floats(min_value=-2.0, max_value=2.0),
     st.sampled_from([math.nan, math.inf, -math.inf, 1e30, 1e300, 5e-324, -0.0]),
@@ -92,7 +103,7 @@ oracle_compare = _command(
      "inverse-r": st.sampled_from(["exact", "pekeris"])},
 )
 argvs = st.one_of(
-    spectrum, wavefunction, special_case,
+    spectrum, wavefunction, special_case, nmax,
     output_flags.map(lambda out: _argv("table3", out)),
     st.just(["--show-constants"]),
 )
@@ -112,6 +123,18 @@ def _non_finite_fields(text):
     return fields
 
 
+def _nmax_sentinels(argv, text):
+    """The nan cells nmax may print: E_last_bound_eV of each summary row with n_max = 0."""
+    fmt = next((arg.split("=", 1)[1] for arg in argv if arg.startswith("--format=")), "text")
+    summary = text.split("\n\n")[0]
+    if fmt == "json":
+        rows = json.loads(summary)["rows"]
+    else:
+        lines = [line for line in summary.splitlines() if not line.startswith("#")][1:]
+        rows = [line.split("," if fmt == "csv" else None) for line in lines]
+    return ["NaN" if fmt == "json" else "nan"] * sum(int(row[1]) == 0 for row in rows)
+
+
 def _run(argv):
     out, err = io.StringIO(), io.StringIO()
     with (contextlib.redirect_stdout(out), contextlib.redirect_stderr(err),
@@ -125,7 +148,8 @@ def _run(argv):
     assert code in (0, 1, 2, 3), (argv, code, err.getvalue())
     assert "Traceback" not in err.getvalue(), argv
     if code == 0:
-        assert _non_finite_fields(out.getvalue()) == [], argv
+        allowed = _nmax_sentinels(argv, out.getvalue()) if argv[0] == "nmax" else []
+        assert _non_finite_fields(out.getvalue()) == allowed, argv
     return code
 
 

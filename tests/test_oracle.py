@@ -27,26 +27,19 @@ from qmorse.oracle import (
 )
 from qmorse.pekeris import pekeris_centrifugal
 from qmorse.potential import MassModel, PotentialParams, effective_potential, morse_potential
-from qmorse.spectrum import (
-    QuantumState,
-    bound_ladder,
-    energy_constant_mass_params,
-    energy_pdm_params,
-)
+from qmorse.spectrum import QuantumState, bound_ladder, spectrum_grid
 from qmorse.units import hbar2_over_2mu
-from qmorse.wavefunctions import constant_mass_wavefunction, node_count
+from qmorse.wavefunctions import node_count, radial_wavefunction
 
 
 def _closed_levels(p, mm, l, n_top):
+    """The bound levels n <= n_top, one state at a time, on the literal well (+ v3)."""
     out = []
     for n in range(n_top + 1):
-        if mm.delta > 0:
-            res = energy_pdm_params(p, mm, QuantumState(n, l))
-        else:
-            res = energy_constant_mass_params(p, mm, QuantumState(n, l))
+        res = spectrum_grid(p, mm, n, l).raise_fault()
         if not res.bound:
             break
-        out.append(res)
+        out.append(float(res.energy) + p.v3)
     return out
 
 
@@ -73,7 +66,7 @@ def test_h2_ground_state_matches_reference(h2_ref):
     p = PotentialParams.from_molecule(h2_ref, 1.0)
     mm = MassModel.from_molecule(h2_ref, 0.0)
     closed = _closed_levels(p, mm, 0, 2)
-    cfg = suggest_config(p, mm, 0, e_top=closed[-1].energy + 0.1)
+    cfg = suggest_config(p, mm, 0, e_top=closed[-1] + 0.1)
     spectrum = solve(p, mm, 0, cfg)
     # reference ground level at -4.47601 eV below dissociation: add back v3
     assert spectrum.eigenvalues[0] - p.v3 == pytest.approx(-4.47601, abs=2e-5)
@@ -151,7 +144,7 @@ def test_ground_state_overlap_with_analytic(h2_ref):
     cfg = OracleConfig(r_min=1e-3, r_max=14.0, grid_points=3000, want_vectors=True)
     spectrum = solve(p, mm, 0, cfg)
     grid = spectrum.grid
-    analytic = constant_mass_wavefunction(p, mm.m0, 0, grid, l=0)
+    analytic, _ = radial_wavefunction(p, mm, QuantumState(0, 0), grid)
     h = grid[1] - grid[0]
     numeric = spectrum.eigenvectors[:, 0]
     overlap = abs(np.sum(numeric * analytic) * h)

@@ -18,7 +18,7 @@ from qmorse.special_cases import (
     special_case_spectrum,
     is_non_real,
 )
-from qmorse.spectrum import energy_s_wave
+from qmorse.spectrum import QuantumState, energy_constant_mass
 from qmorse.units import UNITS
 
 
@@ -43,7 +43,7 @@ def test_gv_equals_s_wave_under_identification(rng):
         n = int(rng.integers(0, 4))
         case = GeneralizedVibrationalCase(D=D, alpha=alpha, q=q, mu=mu, r_e=r_e)
         gv = gv_energy(case, n)
-        sw = energy_s_wave(_equivalent_molecule(D, alpha, mu, r_e), q, n)
+        sw = energy_constant_mass(_equivalent_molecule(D, alpha, mu, r_e), q, QuantumState(n, 0))
         assert gv.energy == pytest.approx(sw.energy, rel=1e-12)
 
 

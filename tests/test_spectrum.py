@@ -16,14 +16,10 @@ from qmorse.spectrum import (
     QuantumState,
     bound_ladder,
     energy_constant_mass,
-    energy_constant_mass_params,
     energy_pdm,
-    energy_pdm_params,
-    energy_s_wave,
     n_max,
-    near_threshold_state,
     quantize,
-    s_wave_ladder,
+    spectrum_grid,
     strengths,
 )
 from qmorse.units import hbar2_over_2mu
@@ -48,14 +44,16 @@ def test_table_two_h2_row_misses_reference_cells():
 def test_s_wave_equals_constant_mass_at_l0():
     # independent restatement: E_n = -(1/4 kappa^2) [1 + 2n - eta kappa]^2 with
     # eta = V2/sqrt(V1), kappa = sqrt(2 mu)/(hbar a), from the dissociation limit
+    # (the ladder's array evaluation, a, and one state's, b)
     for name in ("H2", "LiH", "CO", "HCl"):
         mol = builtin(name)
         p = PotentialParams.from_molecule(mol, 1.0)
         kappa = 1.0 / math.sqrt(hbar2_over_2mu(mol.mu_amu) * p.a**2)
         eta = p.v2 / math.sqrt(p.v1)
+        ladder = spectrum_grid(p, MassModel.from_molecule(mol), np.arange(6), 0).energy
         for n in range(6):
             want = -(1.0 / (4.0 * kappa**2)) * (1.0 + 2.0 * n - eta * kappa) ** 2
-            a = energy_s_wave(mol, 1.0, n).energy
+            a = ladder[n]
             b = energy_constant_mass(mol, 1.0, QuantumState(n, 0)).energy
             assert a == pytest.approx(want, rel=1e-12)
             assert b == pytest.approx(want, rel=1e-12)
@@ -64,9 +62,10 @@ def test_s_wave_equals_constant_mass_at_l0():
 def test_h2_ladder_negative_and_increasing():
     mol = builtin("H2-ref")
     d_e = mol.d0_cm1 * 1.23985e-4
-    ladder = s_wave_ladder(mol, include_edge=True)
+    p, mm = PotentialParams.from_molecule(mol, 1.0), MassModel.from_molecule(mol)
+    ladder = spectrum_grid(p, mm, np.arange(len(bound_ladder(p, mm, 0)) + 1), 0)
     assert len(ladder) == 18  # n = 0..16 bound plus the edge entry at n = 17
-    energies = [res.energy for res in ladder]
+    energies = ladder.energy.tolist()
     assert all(-d_e < e < 0 for e in energies)
     assert all(b > a for a, b in zip(energies, energies[1:]))
 
@@ -79,9 +78,14 @@ def test_n_max_counts():
     assert n_max(builtin("HCl")) == 25
 
 
+def _edge(mol):
+    """The ladder entry at index n_max, nearest the continuum."""
+    return energy_constant_mass(mol, 1.0, QuantumState(n_max(mol), 0))
+
+
 def test_near_threshold_energies():
-    assert near_threshold_state(builtin("H2-ref")).energy == pytest.approx(-1.231e-4, rel=0.01)
-    assert near_threshold_state(builtin("CO")).energy == pytest.approx(-5.533e-7, rel=0.01)
+    assert _edge(builtin("H2-ref")).energy == pytest.approx(-1.231e-4, rel=0.01)
+    assert _edge(builtin("CO")).energy == pytest.approx(-5.533e-7, rel=0.01)
 
 
 def test_lih_hcl_ladder_assignment_resolved_by_computation():
@@ -124,13 +128,14 @@ def test_pdm_identity_routes_agree(rng):
         p = PotentialParams(d_e=d_e, a=a, r_e=r_e, q=q)
         mm = MassModel(m0=m0, delta=delta)
         try:
-            res = energy_pdm_params(p, mm, QuantumState(n, l))
+            res = spectrum_grid(p, mm, n, l).raise_fault()
         except Exception:
             continue
         if not res.bound:
             continue
-        other = energy_from_epsilon(p, mm, l, res.eps_nl)
-        worst = max(worst, abs(res.energy - other) / max(abs(res.energy), 1e-30))
+        energy = float(res.energy) + p.v3  # the literal well value, as energy_from_epsilon's
+        other = energy_from_epsilon(p, mm, l, float(res.eps))
+        worst = max(worst, abs(energy - other) / max(abs(energy), 1e-30))
         accepted += 1
     assert worst < 1e-12
 
@@ -216,7 +221,7 @@ def test_pdm_co_monotone_in_n_while_bound():
 
 def test_unbound_s_wave_flagged_but_reported():
     mol = builtin("H2")
-    res = energy_s_wave(mol, 1.0, n_max(mol))
+    res = _edge(mol)
     assert not res.bound
     assert math.isfinite(res.energy)
 
@@ -224,17 +229,6 @@ def test_unbound_s_wave_flagged_but_reported():
 def test_energy_sign_convention():
     res = energy_constant_mass(builtin("CO"), 1.0, QuantumState(0, 0))
     assert res.energy < 0 and res.bound
-    assert res.zero == "dissociation"
-
-
-def test_params_level_keeps_offset():
-    # the literal-well route retains the q^2 D_e offset; molecule-level removes it
-    mol = builtin("CO")
-    p = PotentialParams.from_molecule(mol, 1.0)
-    mm = MassModel.from_molecule(mol, 0.0)
-    lit = energy_constant_mass_params(p, mm, QuantumState(0, 0))
-    diss = energy_constant_mass(mol, 1.0, QuantumState(0, 0))
-    assert lit.energy - diss.energy == pytest.approx(p.v3, rel=1e-12)
 
 
 def test_beta_static_beta2_is_twice_beta1():
@@ -280,10 +274,10 @@ def test_bound_ladder_matches_prefix_loop():
                 closed = []
                 n = 0
                 while True:
-                    res = energy_pdm_params(p, mm, QuantumState(n, l))
+                    res = spectrum_grid(p, mm, n, l).raise_fault()
                     if not res.bound:
                         break
-                    closed.append((res.energy, res.eps_nl, res.xi))
+                    closed.append((float(res.energy) + p.v3, float(res.eps), float(res.xi)))
                     n += 1
                 ladder = bound_ladder(p, mm, l)
                 # the ladder's energies are below the limit; the loop's are literal

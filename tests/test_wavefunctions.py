@@ -16,33 +16,32 @@ from qmorse.specfun import genlaguerre_poly, jacobi_poly
 from qmorse.spectrum import QuantumState, quantize, strengths
 from qmorse.wavefunctions import (
     constant_mass_log_norm,
-    constant_mass_wavefunction,
     node_count,
     pdm_log_norm,
     pdm_shape,
-    pdm_wavefunction,
+    radial_wavefunction,
 )
 
 
+def _u(p, mm, state, r):
+    return radial_wavefunction(p, mm, state, r)[0]
+
+
+def _cm_u(p, m0, n, r, l=0):
+    """The constant-mass u of state (n, l) for reduced mass m0."""
+    return _u(p, MassModel(m0=m0), QuantumState(n, l), r)
+
+
 def test_pdm_ground_state_has_pure_envelope(h2_pdm):
-    # n = 0: the polynomial factor is 1, so u = z^eps (1 - delta z)^{(1+xi)/2}
+    # n = 0: the polynomial factor is 1, so u = N z^eps (1 - delta z)^{(1+xi)/2}
     p, mm = h2_pdm
-    shape = pdm_shape(p, mm, QuantumState(0, 0))
+    state = QuantumState(0, 0)
+    shape = pdm_shape(p, mm, state)
     r = np.linspace(0.3, 4.0, 50)
     z = np.exp(-p.a * (r - p.r_e))
     expected = z**shape.eps * (1.0 - mm.delta * z) ** (0.5 * (1.0 + shape.xi))
-    np.testing.assert_allclose(pdm_wavefunction(p, mm, QuantumState(0, 0), r, normalized=False),
+    np.testing.assert_allclose(_u(p, mm, state, r) / math.exp(pdm_log_norm(p, mm, state)),
                                expected, rtol=1e-14)
-
-
-def test_pdm_psi_u_consistency(h2_pdm):
-    p, mm = h2_pdm
-    state = QuantumState(2, 0)
-    r = np.linspace(0.3, 5.0, 200)
-    u = pdm_wavefunction(p, mm, state, r, kind="u")
-    psi = pdm_wavefunction(p, mm, state, r, kind="psi")
-    m_r, _, _ = mass(mm, p, r)
-    np.testing.assert_allclose(psi * r / np.sqrt(m_r / mm.m0), u, rtol=1e-12)
 
 
 @pytest.mark.parametrize("delta, q", [(0.0, 1e16), (0.01, 1e12)], ids=["constant", "pdm"])
@@ -54,24 +53,21 @@ def test_recurrence_overflow_raises(delta, q):
     r = np.linspace(p.r_e - 4.0 / p.a, p.r_e + 12.0 / p.a, 50)
     with warnings.catch_warnings(), pytest.raises(OverflowError, match="n=2000"):
         warnings.simplefilter("error")
-        if delta:
-            pdm_wavefunction(p, mm, QuantumState(2000, 0), r)
-        else:
-            constant_mass_wavefunction(p, co.mu_amu, 2000, r)
+        radial_wavefunction(p, mm, QuantumState(2000, 0), r)
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3])
 def test_pdm_node_counts(h2_pdm, n):
     p, mm = h2_pdm
     r = np.linspace(0.2, 8.0, 6000)
-    u = pdm_wavefunction(p, mm, QuantumState(n, 0), r)
+    u = _u(p, mm, QuantumState(n, 0), r)
     assert node_count(u) == n
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
 def test_constant_mass_node_counts(h2_params, n):
     r = np.linspace(0.15, 8.0, 6000)
-    u = constant_mass_wavefunction(h2_params, 0.50391, n, r, l=0)
+    u = _cm_u(h2_params, 0.50391, n, r, l=0)
     assert node_count(u) == n
 
 
@@ -79,7 +75,7 @@ def test_pdm_quadrature_normalization_is_unit(h2_pdm):
     p, mm = h2_pdm
     for n in (0, 1, 2, 3):
         state = QuantumState(n, 0)
-        integrand = lambda r: pdm_wavefunction(p, mm, state, r) ** 2
+        integrand = lambda r: _u(p, mm, state, r) ** 2
         total, _ = quad(integrand, 0.14, 60.0, limit=400, epsabs=0.0, epsrel=1e-10)
         assert total == pytest.approx(1.0, abs=1e-8)
 
@@ -221,9 +217,9 @@ def test_virtual_pole_profiles_integrate_to_one_over_r_positive():
             for n in (0, 5, 10):
                 state = QuantumState(n, 0)
                 if delta == 0.0:
-                    u = lambda r: constant_mass_wavefunction(p, mol.mu_amu, n, r)
+                    u = lambda r: _cm_u(p, mol.mu_amu, n, r)
                 else:
-                    u = lambda r: pdm_wavefunction(p, mm, state, r)
+                    u = lambda r: _u(p, mm, state, r)
                 total, _ = quad(lambda r: u(r) ** 2, 0.0, p.r_e + 40.0 / p.a, points=[p.r_e],
                                 limit=400, epsabs=0.0, epsrel=1e-12)
                 assert total == pytest.approx(1.0, abs=1e-10)
@@ -233,7 +229,7 @@ def test_constant_mass_normalized_unit_integral():
     for name, n, l in (("H2", 0, 0), ("H2", 4, 0), ("CO", 2, 10), ("LiH", 3, 5)):
         mol = builtin(name)
         p = PotentialParams.from_molecule(mol, 1.0)
-        f = lambda r: constant_mass_wavefunction(p, mol.mu_amu, n, r, l=l) ** 2
+        f = lambda r: _cm_u(p, mol.mu_amu, n, r, l=l) ** 2
         total, _ = quad(f, 1e-3, 40.0, limit=400, epsabs=0.0, epsrel=1e-10)
         assert total == pytest.approx(1.0, abs=1e-8)
 
@@ -241,7 +237,7 @@ def test_constant_mass_normalized_unit_integral():
 def test_constant_mass_orthogonality(h2_params):
     grids = {}
     for n in range(5):
-        grids[n] = lambda r, n=n: constant_mass_wavefunction(h2_params, 0.50391, n, r, l=0)
+        grids[n] = lambda r, n=n: _cm_u(h2_params, 0.50391, n, r, l=0)
     for n in range(5):
         for m in range(n + 1, 5):
             overlap, _ = quad(lambda r: grids[n](r) * grids[m](r), 1e-3, 40.0,
@@ -256,7 +252,7 @@ def test_pdm_orthogonality_weight_is_mass_weighted(h2_pdm, capsys):
     states = [QuantumState(n, 0) for n in range(3)]
 
     def u(nidx, r):
-        return pdm_wavefunction(p, mm, states[nidx], r)
+        return _u(p, mm, states[nidx], r)
 
     for i in range(3):
         for j in range(i + 1, 3):
