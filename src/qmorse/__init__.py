@@ -24,7 +24,7 @@ from .spectrum import (
     n_max,
     spectrum_grid,
 )
-from .units import UNITS, UnitSystem, dissociation_energy_eV, hbar2_over_2mu
+from .units import UNITS, dissociation_energy_eV, hbar2_over_2mu
 
 __all__ = [
     "BUILTIN_NAMES",
@@ -41,7 +41,6 @@ __all__ = [
     "SpectrumResult",
     "ThresholdStateError",
     "UNITS",
-    "UnitSystem",
     "bound_ladder",
     "builtin",
     "composite_spq",

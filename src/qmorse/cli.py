@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import io
 import json
 import math
 import os
@@ -463,6 +464,20 @@ def _parser(build) -> argparse.ArgumentParser:
     return build()
 
 
+def _buffered(stdout):
+    """stdout, or over the raw file of an unbuffered (-u) stdout a buffered text layer.
+
+    When the reader closes the pipe, the raw file takes only part of a large
+    write; the unbuffered text layer drops the rest without an error, while a
+    BufferedWriter writes on and raises BrokenPipeError.
+    """
+    raw = getattr(stdout, "buffer", None)
+    if not isinstance(raw, io.RawIOBase):
+        return stdout
+    return io.TextIOWrapper(io.BufferedWriter(raw), encoding=stdout.encoding,
+                            errors=stdout.errors)
+
+
 def main(argv=None) -> int:
     # argparse keeps no state between parses, so one tree serves every call in
     # the process; keyed on the builder, so a replaced build_parser takes effect
@@ -475,13 +490,15 @@ def main(argv=None) -> int:
     if not getattr(args, "command", None):
         parser.print_help()
         return 2
+    stdout = _buffered(sys.stdout)
     try:
-        if getattr(args, "output", None):
-            with open(args.output, "w", encoding="utf-8", newline="\n") as handle:
-                return args.func(args, handle)
-        code = args.func(args, sys.stdout)
-        sys.stdout.flush()  # a closed pipe fails here, not in the flush at exit
-        return code
+        try:
+            if getattr(args, "output", None):
+                with open(args.output, "w", encoding="utf-8", newline="\n") as handle:
+                    return args.func(args, handle)
+            return args.func(args, stdout)
+        finally:
+            stdout.flush()  # a closed pipe fails here, not in the flush at exit
     except BrokenPipeError:
         # the reader closed stdout (`| head`): point it at devnull so the flush
         # at exit cannot fail again, and report nothing
@@ -494,6 +511,9 @@ def main(argv=None) -> int:
     except Exception as exc:  # numeric or internal failure
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if stdout is not sys.stdout:  # let go of the raw file without closing it
+            stdout.detach().detach()
 
 
 if __name__ == "__main__":

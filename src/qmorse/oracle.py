@@ -58,7 +58,7 @@ from .potential import (
     virtual_pole,
 )
 from .spectrum import bound_ladder, ladder_length, reduced_coefficients
-from .units import UNITS, UnitSystem, hbar2_over_2mu
+from .units import hbar2_over_2mu
 
 #: Interior grid points: the most ``suggest_config`` asks for, and the most a
 #: configuration accepts (the banded solve costs O(N^2) time).
@@ -74,6 +74,8 @@ POLE_WALL = 1e-5
 CHECK_POLE_WALL = 1e-8
 #: Innermost radius of a suggested domain or check solve that no real pole bounds.
 MIN_RADIUS = 1e-3
+#: ``compare`` flags a level whose deviation exceeds this many error estimates.
+FLAG_FACTOR = 10.0
 
 
 def _kinetic_band(p: int) -> np.ndarray:
@@ -126,11 +128,9 @@ class OracleSpectrum:
     eigenvectors: np.ndarray | None = None
 
 
-def continuum_threshold(
-    p: PotentialParams, mm: MassModel, l: int, cfg: OracleConfig, units: UnitSystem = UNITS
-) -> float:
+def continuum_threshold(p: PotentialParams, mm: MassModel, l: int, cfg: OracleConfig) -> float:
     """r -> infinity limit of W/B: energies below it are bound."""
-    h22m = hbar2_over_2mu(mm.m0, units)
+    h22m = hbar2_over_2mu(mm.m0)
     threshold = p.v3
     if cfg.centrifugal_mode == "pekeris":
         gamma = l * (l + 1) / p.r_e**2
@@ -138,11 +138,9 @@ def continuum_threshold(
     return threshold
 
 
-def build_w_and_b(
-    p: PotentialParams, mm: MassModel, l: int, cfg: OracleConfig, units: UnitSystem = UNITS
-):
+def build_w_and_b(p: PotentialParams, mm: MassModel, l: int, cfg: OracleConfig):
     """Return callables W(r) [1/A^2] and B(r) [1/(eV A^2)] for the configuration."""
-    inv_h22m = 1.0 / hbar2_over_2mu(mm.m0, units)  # = 2 m0 / hbar^2
+    inv_h22m = 1.0 / hbar2_over_2mu(mm.m0)  # = 2 m0 / hbar^2
 
     def b(r):
         m, _, _ = mass(mm, p, r)
@@ -151,11 +149,11 @@ def build_w_and_b(
     if cfg.centrifugal_mode == "exact":
 
         def w_exact(r):
-            return effective_potential(p, mm, l, r, units)
+            return effective_potential(p, mm, l, r)
 
         return w_exact, b
 
-    beta1, beta2, c0 = reduced_coefficients(p, mm, l, units)
+    beta1, beta2, c0 = reduced_coefficients(p, mm, l)
 
     def w_reduced(r):
         z = np.exp(-p.a * (np.asarray(r, dtype=float) - p.r_e))
@@ -264,9 +262,7 @@ def solve_potential(
     )
 
 
-def solve(
-    p: PotentialParams, mm: MassModel, l: int, cfg: OracleConfig, units: UnitSystem = UNITS
-) -> OracleSpectrum:
+def solve(p: PotentialParams, mm: MassModel, l: int, cfg: OracleConfig) -> OracleSpectrum:
     """All bound levels of the configured problem (eV, strictly increasing)."""
     log_origin = check_r_min = None
     if mm.delta > 0.0:
@@ -277,14 +273,12 @@ def solve(
             )
         log_origin = virtual_pole(p, mm)
         check_r_min = pole_wall(p, mm, CHECK_POLE_WALL) if pole is not None else MIN_RADIUS
-    w_fn, b_fn = build_w_and_b(p, mm, l, cfg, units)
-    threshold = continuum_threshold(p, mm, l, cfg, units)
+    w_fn, b_fn = build_w_and_b(p, mm, l, cfg)
+    threshold = continuum_threshold(p, mm, l, cfg)
     return solve_potential(w_fn, b_fn, cfg, threshold, log_origin, check_r_min)
 
 
-def formula_ladder_top(
-    p: PotentialParams, mm: MassModel, l: int, units: UnitSystem = UNITS
-) -> float | None:
+def formula_ladder_top(p: PotentialParams, mm: MassModel, l: int) -> float | None:
     """Literal energy of the shallowest bound level per the closed form.
 
     Used only to aim the oracle's domain (adequacy is still verified by grid
@@ -292,24 +286,18 @@ def formula_ladder_top(
     and raises DomainError when it predicts more levels than a grid may have
     points.
     """
-    count = ladder_length(p, mm, l, units)
+    count = ladder_length(p, mm, l)
     if count > MAX_GRID_POINTS:
         raise DomainError(f"the closed form has {count} bound levels at l = {l}, more than"
                           f" the {MAX_GRID_POINTS} points an oracle grid may have")
-    ladder = bound_ladder(p, mm, l, units)
+    ladder = bound_ladder(p, mm, l)
     if len(ladder) == 0:
         return None
     return float(ladder.energy[-1]) + p.v3
 
 
-def suggest_config(
-    p: PotentialParams,
-    mm: MassModel,
-    l: int,
-    units: UnitSystem = UNITS,
-    e_top: float | None = None,
-    centrifugal_mode: str = "pekeris",
-) -> OracleConfig:
+def suggest_config(p: PotentialParams, mm: MassModel, l: int, e_top: float | None = None,
+                   centrifugal_mode: str = "pekeris") -> OracleConfig:
     """Domain and grid adequate for all levels up to e_top.
 
     By default e_top is the closed-form ladder top (shallowest bound level);
@@ -330,10 +318,10 @@ def suggest_config(
     """
     probe_cfg = OracleConfig(
         r_min=MIN_RADIUS, r_max=MIN_RADIUS + 1.0, centrifugal_mode=centrifugal_mode)
-    w_fn, b_fn = build_w_and_b(p, mm, l, probe_cfg, units)
-    threshold = continuum_threshold(p, mm, l, probe_cfg, units)
+    w_fn, b_fn = build_w_and_b(p, mm, l, probe_cfg)
+    threshold = continuum_threshold(p, mm, l, probe_cfg)
     log_grid = mm.delta > 0.0
-    ladder_top = formula_ladder_top(p, mm, l, units)
+    ladder_top = formula_ladder_top(p, mm, l)
     if e_top is None:
         e_top = ladder_top if ladder_top is not None else threshold - 1e-3
     e_top = min(e_top, threshold - 1e-12)
@@ -403,7 +391,6 @@ class ComparisonReport:
     levels: list[LevelComparison] = field(default_factory=list)
     closed_count: int = 0
     oracle_count: int = 0
-    flag_factor: float = 10.0
 
     @property
     def count_mismatch(self) -> bool:
@@ -419,7 +406,7 @@ class ComparisonReport:
                 "closed_count": self.closed_count,
                 "oracle_count": self.oracle_count,
                 "count_mismatch": self.count_mismatch,
-                "flag_factor": self.flag_factor,
+                "flag_factor": FLAG_FACTOR,
                 "max_deviation_eV": self.max_deviation,
                 "levels": [
                     {
@@ -454,26 +441,19 @@ class ComparisonReport:
         return "\n".join(lines)
 
 
-def compare(
-    closed_form: list[float],
-    oracle: OracleSpectrum,
-    flag_factor: float = 10.0,
-) -> ComparisonReport:
+def compare(closed_form: list[float], oracle: OracleSpectrum) -> ComparisonReport:
     """Pair levels by index and report deviations.
 
-    A deviation exceeding flag_factor times the oracle's own discretization
-    error estimate is flagged.  A level-count mismatch is reported, not fatal.
+    A deviation exceeding FLAG_FACTOR (10) times the oracle's own
+    discretization error estimate is flagged; the JSON report echoes the
+    factor.  A level-count mismatch is reported, not fatal.
     """
     closed_vals = [float(c) for c in closed_form]
-    report = ComparisonReport(
-        closed_count=len(closed_vals),
-        oracle_count=len(oracle.eigenvalues),
-        flag_factor=flag_factor,
-    )
+    report = ComparisonReport(closed_count=len(closed_vals), oracle_count=len(oracle.eigenvalues))
     for idx in range(min(len(closed_vals), len(oracle.eigenvalues))):
         deviation = abs(closed_vals[idx] - float(oracle.eigenvalues[idx]))
         err = float(oracle.error_estimates[idx])
-        flagged = deviation > flag_factor * err
+        flagged = deviation > FLAG_FACTOR * err
         report.levels.append(
             LevelComparison(
                 index=idx,

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DomainError, MassPoleError
 from .molecules import MoleculeRecord
-from .units import UNITS, UnitSystem, dissociation_energy_eV
+from .units import UNITS, dissociation_energy_eV
 
 
 @dataclass(frozen=True)
@@ -57,11 +57,9 @@ class PotentialParams:
         return self.q**2 * self.d_e
 
     @classmethod
-    def from_molecule(
-        cls, mol: MoleculeRecord, q: float = 1.0, units: UnitSystem = UNITS
-    ) -> "PotentialParams":
+    def from_molecule(cls, mol: MoleculeRecord, q: float = 1.0) -> "PotentialParams":
         """Build parameters from a molecule record (the single cm^-1 -> eV conversion)."""
-        return cls(d_e=dissociation_energy_eV(mol.d0_cm1, units), a=mol.a_invA, r_e=mol.r0_A, q=q)
+        return cls(d_e=dissociation_energy_eV(mol.d0_cm1), a=mol.a_invA, r_e=mol.r0_A, q=q)
 
 
 @dataclass(frozen=True)
@@ -135,9 +133,7 @@ def mass_pole_radius(mm: MassModel, p: PotentialParams) -> float | None:
     return r_pole if r_pole > 0.0 else None
 
 
-def effective_potential(
-    p: PotentialParams, mm: MassModel, l: int, r, units: UnitSystem = UNITS
-):
+def effective_potential(p: PotentialParams, mm: MassModel, l: int, r):
     """Exact effective potential of the transformed radial equation, in 1/A^2.
 
     W(r) = -m''/2m + (3/4)(m'/m)^2 - (m'/m)/r + l(l+1)/r^2 + (2m/hbar^2) V(r),
@@ -148,7 +144,7 @@ def effective_potential(
         raise DomainError(f"l must be a non-negative integer, got {l}")
     arr = _as_positive_radius(r)
     m, m1, m2 = mass(mm, p, arr)
-    two_m_over_hbar2 = 2.0 * m * units.amu_to_eV_per_c2 / units.hbar_c**2
+    two_m_over_hbar2 = 2.0 * m * UNITS.amu_to_eV_per_c2 / UNITS.hbar_c**2
     out = (
         -m2 / (2.0 * m)
         + 0.75 * (m1 / m) ** 2

@@ -15,7 +15,7 @@ from typing import Callable, NamedTuple
 
 from .errors import DomainError
 from .spectrum import EPS_TIE_TOL, QuantumState, SpectrumResult
-from .units import UNITS, UnitSystem, hbar2_over_2mu
+from .units import UNITS, hbar2_over_2mu
 
 
 def _require_finite(case) -> None:
@@ -90,25 +90,25 @@ class PtType2Case:
             raise DomainError("D, alpha, mu, r_e must be positive and omega nonzero")
 
 
-def energy_scale(mu: float, r_e: float, units: UnitSystem = UNITS) -> float:
+def energy_scale(mu: float, r_e: float) -> float:
     """E0 = hbar^2 / (2 mu r_e^2) in eV."""
-    return hbar2_over_2mu(mu, units) / r_e**2
+    return hbar2_over_2mu(mu) / r_e**2
 
 
-def _kappa(mu: float, r_e: float, D: float, units: UnitSystem) -> float:
+def _kappa(mu: float, r_e: float, D: float) -> float:
     """(r_e / hbar) sqrt(2 mu D), dimensionless in the eV/Angstrom system."""
-    return r_e * math.sqrt(2.0 * mu * units.amu_to_eV_per_c2 * D) / units.hbar_c
+    return r_e * math.sqrt(2.0 * mu * UNITS.amu_to_eV_per_c2 * D) / UNITS.hbar_c
 
 
-def gv_lambda(case: GeneralizedVibrationalCase, units: UnitSystem = UNITS) -> float:
-    e0 = energy_scale(case.mu, case.r_e, units)
+def gv_lambda(case: GeneralizedVibrationalCase) -> float:
+    e0 = energy_scale(case.mu, case.r_e)
     return math.sqrt(case.D / (case.alpha**2 * e0))
 
 
-def gv_energy(case: GeneralizedVibrationalCase, n: int, units: UnitSystem = UNITS) -> SpectrumResult:
+def gv_energy(case: GeneralizedVibrationalCase, n: int) -> SpectrumResult:
     """E_n = -alpha^2 E0 [lambda q - n - 1/2]^2, bound while lambda q > n + 1/2."""
-    e0 = energy_scale(case.mu, case.r_e, units)
-    lam = gv_lambda(case, units)
+    e0 = energy_scale(case.mu, case.r_e)
+    lam = gv_lambda(case)
     eps = lam * case.q - n - 0.5
     energy = -(case.alpha**2) * e0 * eps**2
     return SpectrumResult(
@@ -117,10 +117,10 @@ def gv_energy(case: GeneralizedVibrationalCase, n: int, units: UnitSystem = UNIT
     )
 
 
-def non_pt_energy(case: NonPtCase, n: int, units: UnitSystem = UNITS) -> SpectrumResult:
+def non_pt_energy(case: NonPtCase, n: int) -> SpectrumResult:
     """Real spectrum of the complex well: E_n = -E0 [d_hat kappa/2 - n - 1/2]^2."""
-    e0 = energy_scale(case.mu, case.r_e, units)
-    kappa1 = _kappa(case.mu, case.r_e, case.D, units)
+    e0 = energy_scale(case.mu, case.r_e)
+    kappa1 = _kappa(case.mu, case.r_e, case.D)
     eps = 0.5 * case.d_hat * kappa1 - n - 0.5
     energy = -e0 * eps**2
     return SpectrumResult(
@@ -129,14 +129,14 @@ def non_pt_energy(case: NonPtCase, n: int, units: UnitSystem = UNITS) -> Spectru
     )
 
 
-def pt_type1_energy(case: PtType1Case, n: int, units: UnitSystem = UNITS) -> SpectrumResult:
+def pt_type1_energy(case: PtType1Case, n: int) -> SpectrumResult:
     """Non-real spectrum: E_n = +E0 [d_hat kappa2/2 - n - 1/2]^2 with imaginary kappa2.
 
     kappa2 = (r_e / i hbar) sqrt(2 mu D) = -i (r_e/hbar) sqrt(2 mu D).  The
     result is complex and deliberately returned as such; bound is False.
     """
-    e0 = energy_scale(case.mu, case.r_e, units)
-    kappa2 = -1j * _kappa(case.mu, case.r_e, case.D, units)
+    e0 = energy_scale(case.mu, case.r_e)
+    kappa2 = -1j * _kappa(case.mu, case.r_e, case.D)
     eps = 0.5 * case.d_hat * kappa2 - n - 0.5
     energy = e0 * eps**2
     return SpectrumResult(
@@ -145,10 +145,10 @@ def pt_type1_energy(case: PtType1Case, n: int, units: UnitSystem = UNITS) -> Spe
     )
 
 
-def pt_type2_energy(case: PtType2Case, n: int, units: UnitSystem = UNITS) -> SpectrumResult:
+def pt_type2_energy(case: PtType2Case, n: int) -> SpectrumResult:
     """Real spectrum: E_n = +E0 [ (sqrt(D)/omega) kappa3 / 2 - n - 1/2 ]^2."""
-    e0 = energy_scale(case.mu, case.r_e, units)
-    kappa3 = _kappa(case.mu, case.r_e, case.D, units)
+    e0 = energy_scale(case.mu, case.r_e)
+    kappa3 = _kappa(case.mu, case.r_e, case.D)
     eps = 0.5 * (math.sqrt(case.D) / case.omega) * kappa3 - n - 0.5
     energy = e0 * eps**2
     return SpectrumResult(
@@ -174,22 +174,22 @@ SPECIAL_CASES = {
 CASE_IDS = tuple(SPECIAL_CASES)
 
 
-def special_case_spectrum(case_id: str, case, n: int, units: UnitSystem = UNITS) -> SpectrumResult:
+def special_case_spectrum(case_id: str, case, n: int) -> SpectrumResult:
     """Dispatch on case_id; pt_type1 yields a complex energy flagged unbound.
 
     An energy that overflows a float raises OverflowError.
     """
     if case_id not in SPECIAL_CASES:
         raise DomainError(f"unknown special case {case_id!r}; available: {', '.join(CASE_IDS)}")
-    result = SPECIAL_CASES[case_id].energy(case, n, units)
+    result = SPECIAL_CASES[case_id].energy(case, n)
     if not cmath.isfinite(result.energy):
         raise OverflowError(f"{case_id} level n={n} overflows: energy {result.energy!r}")
     return result
 
 
-def is_non_real(result: SpectrumResult, tol: float = 0.0) -> bool:
+def is_non_real(result: SpectrumResult) -> bool:
     energy = result.energy
-    return isinstance(energy, complex) and abs(energy.imag) > tol
+    return isinstance(energy, complex) and energy.imag != 0
 
 
 __all__ = [

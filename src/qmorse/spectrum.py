@@ -30,7 +30,7 @@ from .errors import DomainError, NoRealSolutionError, ThresholdStateError
 from .molecules import MoleculeRecord
 from .pekeris import composite_spq, pekeris_coefficients
 from .potential import MassModel, PotentialParams
-from .units import UNITS, UnitSystem, hbar2_over_2mu
+from .units import hbar2_over_2mu
 
 #: below this delta the varying-mass closed form is numerically ill-conditioned
 #: (xi diverges like 1/delta); such calls are routed to the constant-mass branch.
@@ -38,6 +38,10 @@ DELTA_CROSSOVER = 1e-10
 
 #: eps at or below this is classified unbound (ties count as unbound).
 EPS_TIE_TOL = 1e-12
+
+#: most bound levels a ladder may count: past it n + 1/2 is no longer exact in a
+#: float, so neighbouring n share one eps (and past 2**53, n and n - 1 coincide)
+MAX_LADDER_LENGTH = 2**52 - 1
 
 #: per-state fault codes of ``quantize`` (0: none), in the order they are checked
 FAULT_BETA1, FAULT_THRESHOLD, FAULT_XI = 1, 2, 3
@@ -117,14 +121,14 @@ class SpectrumGrid:
         raise NoRealSolutionError("no real NU solution: xi^2 < 0", value)
 
 
-def strengths(p: PotentialParams, mm: MassModel, l, units: UnitSystem = UNITS):
+def strengths(p: PotentialParams, mm: MassModel, l):
     """The state-independent strength composites (beta1, beta2) over an array of l.
 
     beta1 = (2 m0 V1 / hbar^2 + gamma a2)/a^2 + P delta + Q delta^2
     beta2 = (2 m0 V2 / hbar^2 - gamma a1)/a^2 + S delta
     """
     l = np.asarray(l, dtype=float)
-    h22m = hbar2_over_2mu(mm.m0, units)
+    h22m = hbar2_over_2mu(mm.m0)
     big_k = h22m * p.a**2
     pc = pekeris_coefficients(p.alpha)
     spq = composite_spq(p, l)
@@ -170,8 +174,7 @@ def _evaluated_mass(mm: MassModel) -> MassModel:
     return mm if mm.delta >= DELTA_CROSSOVER else MassModel(m0=mm.m0)
 
 
-def spectrum_grid(p: PotentialParams, mm: MassModel, n, l,
-                  units: UnitSystem = UNITS) -> SpectrumGrid:
+def spectrum_grid(p: PotentialParams, mm: MassModel, n, l) -> SpectrumGrid:
     """eps, xi, den, energy and bound over broadcast n x l arrays.
 
     E = gamma a0 hbar^2/2m0 - (hbar^2 a^2/2m0) eps^2, below the dissociation
@@ -179,12 +182,14 @@ def spectrum_grid(p: PotentialParams, mm: MassModel, n, l,
     """
     mm = _evaluated_mass(mm)
     l = np.asarray(l, dtype=float)
-    beta1, beta2 = strengths(p, mm, l, units)
+    beta1, beta2 = strengths(p, mm, l)
     qz = quantize(n, beta1, beta2, mm.delta)
-    h22m = hbar2_over_2mu(mm.m0, units)
+    h22m = hbar2_over_2mu(mm.m0)
     gamma = l * (l + 1) / p.r_e**2
     with np.errstate(over="ignore"):  # an overflowed energy is inf; callers check
-        energy = h22m * gamma * pekeris_coefficients(p.alpha).a0 - h22m * p.a**2 * qz.eps**2
+        # np.square, as on an array: the scalar power of a 0-d eps can round differently
+        eps_sq = np.square(qz.eps)
+        energy = h22m * gamma * pekeris_coefficients(p.alpha).a0 - h22m * p.a**2 * eps_sq
     return replace(qz, energy=energy)
 
 
@@ -194,7 +199,7 @@ def _ladder_length(beta1: float, beta2: float, delta: float) -> int:
     At delta = 0, eps_n = eps_0 - n.  For delta > 0, den_n > 0 below
     n = sqrt(beta1)/delta - 1/2, and the sign of eps_n follows the numerator
     delta n^2 + (delta - 2 sqrt(beta1)) n + beta2 - sqrt(beta1), positive
-    below its smaller root.
+    below its smaller root.  Raises DomainError past MAX_LADDER_LENGTH.
     """
     if not beta1 > 0.0:
         return 0
@@ -209,39 +214,39 @@ def _ladder_length(beta1: float, beta2: float, delta: float) -> int:
         if disc >= 0.0 and b < 0.0:  # b >= 0 leaves den_0 <= 0: no bound state
             # smaller root, in the form free of cancellation for small delta
             edge = min(edge, 2.0 * c / (math.sqrt(disc) - b))
+    if not edge <= MAX_LADDER_LENGTH:  # also an infinite edge
+        raise DomainError(f"the ladder has more than {MAX_LADDER_LENGTH} bound levels,"
+                          " more than a float can index")
     return max(0, math.ceil(edge - EPS_TIE_TOL))
 
 
-def ladder_length(p: PotentialParams, mm: MassModel, l: int, units: UnitSystem = UNITS) -> int:
+def ladder_length(p: PotentialParams, mm: MassModel, l: int) -> int:
     """Closed-form count of the bound states of one l, without building them."""
     mm = _evaluated_mass(mm)
-    beta1, beta2 = strengths(p, mm, l, units)
+    beta1, beta2 = strengths(p, mm, l)
     return _ladder_length(float(beta1), float(beta2), mm.delta)
 
 
-def bound_ladder(p: PotentialParams, mm: MassModel, l: int,
-                 units: UnitSystem = UNITS) -> SpectrumGrid:
+def bound_ladder(p: PotentialParams, mm: MassModel, l: int) -> SpectrumGrid:
     """Bound states n = 0, 1, ... of one l, up to the first unbound or failing n.
 
     The candidates are the closed-form count plus one, so rounding at the
     ladder edge cannot cut it short; the bound rule then picks the prefix.
     """
-    count = ladder_length(p, mm, l, units)
-    grid = spectrum_grid(p, mm, np.arange(count + 1), l, units)
+    count = ladder_length(p, mm, l)
+    grid = spectrum_grid(p, mm, np.arange(count + 1), l)
     unbound = np.flatnonzero(~grid.bound)
     return grid[: unbound[0] if unbound.size else count + 1]
 
 
-def energy_pdm(mol: MoleculeRecord, q: float, delta: float, state: QuantumState,
-               units: UnitSystem = UNITS) -> SpectrumResult:
+def energy_pdm(mol: MoleculeRecord, q: float, delta: float, state: QuantumState) -> SpectrumResult:
     """Varying-mass energy of one state of a molecule, below the dissociation limit.
 
     delta below DELTA_CROSSOVER is routed to the constant-mass branch; a
     failing state raises.
     """
-    p = PotentialParams.from_molecule(mol, q, units)
-    grid = spectrum_grid(p, MassModel.from_molecule(mol, delta), state.n, state.l,
-                         units).raise_fault()
+    p = PotentialParams.from_molecule(mol, q)
+    grid = spectrum_grid(p, MassModel.from_molecule(mol, delta), state.n, state.l).raise_fault()
     pdm = grid.delta > 0.0
     return SpectrumResult(
         state=state, energy=float(grid.energy), eps_nl=float(grid.eps),
@@ -250,13 +255,12 @@ def energy_pdm(mol: MoleculeRecord, q: float, delta: float, state: QuantumState,
     )
 
 
-def energy_constant_mass(mol: MoleculeRecord, q: float, state: QuantumState,
-                         units: UnitSystem = UNITS) -> SpectrumResult:
+def energy_constant_mass(mol: MoleculeRecord, q: float, state: QuantumState) -> SpectrumResult:
     """Constant-mass energy of one state of a molecule, below the dissociation limit."""
-    return energy_pdm(mol, q, 0.0, state, units)
+    return energy_pdm(mol, q, 0.0, state)
 
 
-def n_max(mol: MoleculeRecord, q: float = 1.0, units: UnitSystem = UNITS) -> int:
+def n_max(mol: MoleculeRecord, q: float = 1.0) -> int:
     """Total number of normalizable s-wave levels.
 
     The largest normalizable index is n_max - 1; the closed form evaluated at
@@ -264,13 +268,10 @@ def n_max(mol: MoleculeRecord, q: float = 1.0, units: UnitSystem = UNITS) -> int
     the continuum, quoted with the count.  Returns 0 (no bound branch) when
     V2 <= 0.
     """
-    return ladder_length(PotentialParams.from_molecule(mol, q, units),
-                         MassModel.from_molecule(mol), 0, units)
+    return ladder_length(PotentialParams.from_molecule(mol, q), MassModel.from_molecule(mol), 0)
 
 
-def reduced_coefficients(
-    p: PotentialParams, mm: MassModel, l: int, units: UnitSystem = UNITS
-) -> tuple[float, float, float]:
+def reduced_coefficients(p: PotentialParams, mm: MassModel, l: int) -> tuple[float, float, float]:
     """(beta1, beta2, c0) of the reduced quadratic problem.
 
     The transformed equation the closed form solves is, in r-space,
@@ -281,8 +282,8 @@ def reduced_coefficients(
     with c0 = (gamma a0 + 2 m0 V3 / hbar^2)/a^2 the state-independent part of
     eps^2.  Used by the oracle's pekeris mode, at any delta.
     """
-    beta1, beta2 = strengths(p, mm, l, units)
-    h22m = hbar2_over_2mu(mm.m0, units)
+    beta1, beta2 = strengths(p, mm, l)
+    h22m = hbar2_over_2mu(mm.m0)
     gamma = l * (l + 1) / p.r_e**2
     a0 = pekeris_coefficients(p.alpha).a0
     c0 = (gamma * a0 + p.v3 / h22m) / p.a**2

@@ -1,9 +1,11 @@
-"""Unit constants and conversions.
+"""The package's one unit system: eV, Angstrom and amu.
 
 All energies are in eV and all lengths in Angstrom throughout the package.
-The three conversion constants are deliberately pinned to the values that
-generated the bundled reference energies (``qmorse.reference``); substituting
-CODATA values shifts the golden table by more than its printed precision.
+The three conversion constants of ``UNITS`` are pinned, not substitutable:
+they are the values that generated the bundled reference energies
+(``qmorse.reference``), and substituting CODATA values shifts that golden
+table by more than its printed precision.  Every function reads ``UNITS``;
+none takes a unit system as an argument.
 """
 
 from __future__ import annotations
@@ -31,15 +33,15 @@ class UnitSystem:
 UNITS = UnitSystem()
 
 
-def dissociation_energy_eV(d0_wavenumber: float, units: UnitSystem = UNITS) -> float:
+def dissociation_energy_eV(d0_wavenumber: float) -> float:
     """Convert a well depth quoted in 1/cm into eV."""
     if not d0_wavenumber > 0.0:
         raise DomainError(f"well depth must be positive, got {d0_wavenumber}")
-    return d0_wavenumber * units.wavenumber_to_eV
+    return d0_wavenumber * UNITS.wavenumber_to_eV
 
 
-def hbar2_over_2mu(mu_amu: float, units: UnitSystem = UNITS) -> float:
+def hbar2_over_2mu(mu_amu: float) -> float:
     """hbar^2 / (2 mu) in eV*Angstrom^2 for a reduced mass given in amu."""
     if not mu_amu > 0.0:
         raise DomainError(f"reduced mass must be positive, got {mu_amu}")
-    return units.hbar_c**2 / (2.0 * mu_amu * units.amu_to_eV_per_c2)
+    return UNITS.hbar_c**2 / (2.0 * mu_amu * UNITS.amu_to_eV_per_c2)

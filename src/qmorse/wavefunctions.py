@@ -27,7 +27,6 @@ from .errors import DomainError, MassPoleError, NonNormalizableError
 from .potential import MassModel, PotentialParams, mass
 from .spectrum import QuantumState, _evaluated_mass, quantize, strengths
 from .specfun import genlaguerre_poly, jacobi_poly, log_gamma, log_gamma_ratio
-from .units import UNITS, UnitSystem
 
 
 @dataclass(frozen=True)
@@ -41,9 +40,9 @@ class PdmShape:
     delta: float
 
 
-def _normalizable(p: PotentialParams, mm: MassModel, n: int, l: int, units: UnitSystem):
+def _normalizable(p: PotentialParams, mm: MassModel, n: int, l: int):
     """(eps, xi, beta1, beta2) of a bound state of the closed form at mm.delta."""
-    beta1, beta2 = map(float, strengths(p, mm, l, units))
+    beta1, beta2 = map(float, strengths(p, mm, l))
     qz = quantize(n, beta1, beta2, mm.delta).raise_fault()
     if not qz.bound:
         raise NonNormalizableError(
@@ -53,12 +52,10 @@ def _normalizable(p: PotentialParams, mm: MassModel, n: int, l: int, units: Unit
     return float(qz.eps), float(qz.xi), beta1, beta2
 
 
-def pdm_shape(
-    p: PotentialParams, mm: MassModel, state: QuantumState, units: UnitSystem = UNITS
-) -> PdmShape:
+def pdm_shape(p: PotentialParams, mm: MassModel, state: QuantumState) -> PdmShape:
     if not 0.0 < mm.delta < 1.0:
         raise DomainError("varying-mass wavefunctions require 0 < delta < 1")
-    eps, xi, beta1, beta2 = _normalizable(p, mm, state.n, state.l, units)
+    eps, xi, beta1, beta2 = _normalizable(p, mm, state.n, state.l)
     return PdmShape(eps=eps, xi=xi, beta1=beta1, beta2=beta2, delta=mm.delta)
 
 
@@ -101,20 +98,18 @@ def _pdm_log_norm(shape: PdmShape, n: int, a: float) -> float:
     return -0.5 * log_integral
 
 
-def pdm_log_norm(
-    p: PotentialParams, mm: MassModel, state: QuantumState, units: UnitSystem = UNITS
-) -> float:
+def pdm_log_norm(p: PotentialParams, mm: MassModel, state: QuantumState) -> float:
     """log of the normalization constant of the varying-mass u-profile."""
-    return _pdm_log_norm(pdm_shape(p, mm, state, units), state.n, p.a)
+    return _pdm_log_norm(pdm_shape(p, mm, state), state.n, p.a)
 
 
-def _jacobi_profile(p: PotentialParams, mm: MassModel, state: QuantumState, r: np.ndarray,
-                    units: UnitSystem) -> np.ndarray:
+def _jacobi_profile(p: PotentialParams, mm: MassModel, state: QuantumState,
+                    r: np.ndarray) -> np.ndarray:
     """u(r) = N z^eps (1 - delta z)^{(1+xi)/2} P_n^{(2 eps, xi)}(1 - 2 delta z), 0 < delta < 1.
 
     N is the closed-form constant of ``pdm_log_norm``.
     """
-    shape = pdm_shape(p, mm, state, units)
+    shape = pdm_shape(p, mm, state)
     z = np.exp(-p.a * (r - p.r_e))
     w = 1.0 - mm.delta * z
     if np.any(w <= 0.0):
@@ -129,8 +124,8 @@ def _jacobi_profile(p: PotentialParams, mm: MassModel, state: QuantumState, r: n
     return out
 
 
-def _cm_eps_beta(p: PotentialParams, m0: float, n: int, l: int, units: UnitSystem):
-    eps, _, beta1, _ = _normalizable(p, MassModel(m0=m0), n, l, units)
+def _cm_eps_beta(p: PotentialParams, m0: float, n: int, l: int):
+    eps, _, beta1, _ = _normalizable(p, MassModel(m0=m0), n, l)
     return eps, beta1
 
 
@@ -148,22 +143,20 @@ def _cm_log_norm(eps: float, beta1: float, n: int, a: float) -> float:
     return -0.5 * log_integral
 
 
-def constant_mass_log_norm(
-    p: PotentialParams, m0: float, n: int, l: int = 0, units: UnitSystem = UNITS
-) -> float:
+def constant_mass_log_norm(p: PotentialParams, m0: float, n: int, l: int = 0) -> float:
     """log of the normalization constant of R(r)."""
-    eps, beta1 = _cm_eps_beta(p, m0, n, l, units)
+    eps, beta1 = _cm_eps_beta(p, m0, n, l)
     return _cm_log_norm(eps, beta1, n, p.a)
 
 
-def _laguerre_profile(p: PotentialParams, mm: MassModel, state: QuantumState, r: np.ndarray,
-                      units: UnitSystem) -> np.ndarray:
+def _laguerre_profile(p: PotentialParams, mm: MassModel, state: QuantumState,
+                      r: np.ndarray) -> np.ndarray:
     """R(r) = N (2 sqrt(beta1))^{-eps} y^eps e^{-y/2} L_n^{2 eps}(y), y = 2 sqrt(beta1) z.
 
     N is the closed-form constant of ``constant_mass_log_norm``.
     """
     n = state.n
-    eps, beta1 = _cm_eps_beta(p, mm.m0, n, state.l, units)
+    eps, beta1 = _cm_eps_beta(p, mm.m0, n, state.l)
     y = 2.0 * math.sqrt(beta1) * np.exp(-p.a * (r - p.r_e))
     log_n = _cm_log_norm(eps, beta1, n, p.a)
     with np.errstate(all="ignore"):  # a non-finite amplitude raises below
@@ -173,8 +166,7 @@ def _laguerre_profile(p: PotentialParams, mm: MassModel, state: QuantumState, r:
     return out
 
 
-def radial_wavefunction(p: PotentialParams, mm: MassModel, state: QuantumState, r,
-                        units: UnitSystem = UNITS):
+def radial_wavefunction(p: PotentialParams, mm: MassModel, state: QuantumState, r):
     """Normalized amplitudes (u, psi) of one bound state at separation r.
 
     The mass model is routed as the energies are (``spectrum._evaluated_mass``):
@@ -186,11 +178,11 @@ def radial_wavefunction(p: PotentialParams, mm: MassModel, state: QuantumState, 
     mm = _evaluated_mass(mm)
     arr = np.asarray(r, dtype=float)
     if mm.delta > 0.0:
-        u = _jacobi_profile(p, mm, state, arr, units)
+        u = _jacobi_profile(p, mm, state, arr)
         m_of_r, _, _ = mass(mm, p, arr)
         factor = np.sqrt(m_of_r / mm.m0)
     else:
-        u = _laguerre_profile(p, mm, state, arr, units)
+        u = _laguerre_profile(p, mm, state, arr)
         factor = 1.0
     with np.errstate(all="ignore"):
         psi = u * factor / arr
@@ -198,12 +190,3 @@ def radial_wavefunction(p: PotentialParams, mm: MassModel, state: QuantumState, 
         raise OverflowError(f"psi overflows a float at r={float(np.min(arr))!r}")
     return (float(u), float(psi)) if np.isscalar(r) else (u, psi)
 
-
-def node_count(values, rel_tol: float = 1e-9) -> int:
-    """Interior sign changes of a sampled profile, ignoring near-zero samples."""
-    arr = np.asarray(values, dtype=float)
-    scale = np.max(np.abs(arr))
-    if scale == 0.0:
-        return 0
-    signs = np.sign(arr[np.abs(arr) > rel_tol * scale])
-    return int(np.sum(signs[1:] * signs[:-1] < 0))

@@ -3,20 +3,18 @@
 from qmorse import MassModel, PotentialParams, QuantumState, builtin, energy_constant_mass, n_max
 from qmorse.pekeris import pekeris_coefficients
 from qmorse.reference import AMBIGUOUS_LADDER_ENERGIES
-from qmorse.units import UNITS, UnitSystem, hbar2_over_2mu
+from qmorse.units import hbar2_over_2mu
 
 
-def energy_from_epsilon(
-    p: PotentialParams, mm: MassModel, l: int, eps: float, units: UnitSystem = UNITS
-) -> float:
+def energy_from_epsilon(p: PotentialParams, mm: MassModel, l: int, eps: float) -> float:
     """Invert the eps definition: E = V3 + gamma a0 hbar^2/2m0 - (hbar^2 a^2/2m0) eps^2."""
-    h22m = hbar2_over_2mu(mm.m0, units)
+    h22m = hbar2_over_2mu(mm.m0)
     gamma = l * (l + 1) / p.r_e**2
     a0 = pekeris_coefficients(p.alpha).a0
     return p.v3 + h22m * gamma * a0 - h22m * p.a**2 * eps**2
 
 
-def resolve_reported_ladder(units: UnitSystem = UNITS) -> dict[str, tuple[int, float, float]]:
+def resolve_reported_ladder() -> dict[str, tuple[int, float, float]]:
     """Computational resolution of the LiH/HCl ladder-figure assignment.
 
     The two reported (count, edge-energy) pairs for LiH and HCl carry
@@ -31,10 +29,10 @@ def resolve_reported_ladder(units: UnitSystem = UNITS) -> dict[str, tuple[int, f
     out: dict[str, tuple[int, float, float]] = {}
     for name in ("LiH", "HCl"):
         mol = builtin(name)
-        count = n_max(mol, 1.0, units)
+        count = n_max(mol, 1.0)
         best: tuple[int, float, float] | None = None
         for idx in (count - 1, count):
-            energy = energy_constant_mass(mol, 1.0, QuantumState(idx, 0), units).energy
+            energy = energy_constant_mass(mol, 1.0, QuantumState(idx, 0)).energy
             for ref in AMBIGUOUS_LADDER_ENERGIES:
                 rel = abs(energy - ref) / abs(ref)
                 if best is None or rel < best[2]:

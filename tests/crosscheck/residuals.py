@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 
-from qmorse import UNITS, MassModel, PotentialParams, QuantumState, UnitSystem
+from qmorse import MassModel, PotentialParams, QuantumState
 from qmorse.specfun import genlaguerre_poly, jacobi_poly
 from qmorse.spectrum import quantize, strengths
 from qmorse.wavefunctions import pdm_shape
@@ -12,15 +12,13 @@ from qmorse.wavefunctions import pdm_shape
 from .series import genlaguerre_poly_deriv, jacobi_poly_deriv
 
 
-def transformed_residual_constant_mass(
-    p: PotentialParams, m0: float, n: int, l: int, z_grid, units: UnitSystem = UNITS
-):
+def transformed_residual_constant_mass(p: PotentialParams, m0: float, n: int, l: int, z_grid):
     """Max-norm relative residual of the transformed equation for the Laguerre profile.
 
     Checks u'' + u'/z + (-beta1 z^2 + beta2 z - eps^2)/z^2 u = 0 with all
     derivatives taken analytically (Laguerre derivative identities).
     """
-    beta1, beta2 = map(float, strengths(p, MassModel(m0=m0, delta=0.0), l, units))
+    beta1, beta2 = map(float, strengths(p, MassModel(m0=m0, delta=0.0), l))
     eps = float(quantize(n, beta1, beta2, 0.0).raise_fault().eps)
     c = 2.0 * math.sqrt(beta1)
     z = np.asarray(z_grid, dtype=float)
@@ -41,11 +39,9 @@ def transformed_residual_constant_mass(
     return float(np.max(np.abs(residual) / np.where(scale > 0, scale, 1.0)))
 
 
-def transformed_residual_pdm(
-    p: PotentialParams, mm: MassModel, state: QuantumState, z_grid, units: UnitSystem = UNITS
-):
+def transformed_residual_pdm(p: PotentialParams, mm: MassModel, state: QuantumState, z_grid):
     """Same residual check for the Jacobi profile of the varying-mass problem."""
-    shape = pdm_shape(p, mm, state, units)
+    shape = pdm_shape(p, mm, state)
     eps, xi, delta = shape.eps, shape.xi, mm.delta
     z = np.asarray(z_grid, dtype=float)
     w = 1.0 - delta * z

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from crosscheck.ladder import energy_from_epsilon, resolve_reported_ladder
+from crosscheck.nodes import node_count
 from crosscheck.nu import NuInput, derive_constants, energy_equation_residual, exact_sqrt, key_polynomials, morse_nu_input
 from crosscheck.residuals import transformed_residual_constant_mass, transformed_residual_pdm
 from crosscheck.series import hyp2f1, hyp3f2
@@ -46,7 +47,7 @@ from qmorse.spectrum import (
     spectrum_grid,
 )
 from qmorse.units import UNITS
-from qmorse.wavefunctions import node_count, pdm_log_norm, radial_wavefunction
+from qmorse.wavefunctions import pdm_log_norm, radial_wavefunction
 
 RNG_SEED = 739297
 

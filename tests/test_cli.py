@@ -9,12 +9,12 @@ import sys
 import numpy as np
 import pytest
 
+from crosscheck.nodes import node_count
 from qmorse import builtin
 from qmorse.cli import main
 from qmorse.oracle import MAX_GRID_POINTS
 from qmorse.potential import MassModel, PotentialParams, mass_pole_radius
 from qmorse.units import UNITS
-from qmorse.wavefunctions import node_count
 
 
 def run_cli(args, capsys):
@@ -234,6 +234,15 @@ def test_oracle_compare_past_the_grid_cap_exits_2():
     assert "834813753" in proc.stderr and "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("q", ["1e16", "1e300"])
+def test_nmax_refuses_a_count_past_float_precision(capsys, q):
+    # H2 at q = 1e16 has 1.7e17 levels: past 2**53, n_max - 1 and n_max are
+    # one float, and the summary printed zero energies with exit 0
+    code, out, err = run_cli(["nmax", "--molecules", "H2,CO", "--q", q], capsys)
+    assert code == 2 and out == ""
+    assert "more than a float can index" in err
+
+
 def test_nmax_full_row_bound_counts_the_printed_ladder(capsys, monkeypatch):
     # at q = 1 the four default molecules print 158 ladder rows: the bound
     # admits exactly that many and refuses one fewer
@@ -283,17 +292,15 @@ def test_nmax_summary_cells_equal_their_ladder_rows(capsys, q):
     assert code == 0 and json.loads(out)["rows"] == summary
 
 
-@pytest.mark.parametrize("argv", [
-    ["nmax", "--full", "--q", "10", "--format", "json"],
-    ["wavefunction", "--molecule", "H2", "--n", "1", "--points", "20000"],
-], ids=["nmax", "wavefunction"])
-def test_closed_pipe_exits_1_silently(argv):
-    # a reader that stops after one line (`| head -1`) closes the pipe while
-    # the rest of the output (over 100 kB, more than a pipe buffers) is still
-    # being written: exit 1 and nothing on stderr, not a "numeric failure".
-    # Buffered stdout, as by default: unbuffered (-u) stdout drops the rest of
-    # a partly written chunk without an error
-    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+#: requests whose output (over 100 kB) is more than a pipe buffers
+CLOSED_PIPE_ARGV = [
+    pytest.param(["nmax", "--full", "--q", "10", "--format", "json"], id="nmax"),
+    pytest.param(["wavefunction", "--molecule", "H2", "--n", "1", "--points", "20000"],
+                 id="wavefunction"),
+]
+
+
+def _assert_closed_pipe_exits_1_silently(argv, env):
     proc = subprocess.Popen([sys.executable, "-m", "qmorse.cli", *argv], env=env,
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE)
     first = proc.stdout.readline()
@@ -302,6 +309,35 @@ def test_closed_pipe_exits_1_silently(argv):
     proc.stderr.close()
     assert proc.wait() == 1
     assert first and err == b""
+
+
+@pytest.mark.parametrize("argv", CLOSED_PIPE_ARGV)
+def test_closed_pipe_exits_1_silently(argv):
+    # a reader that stops after one line (`| head -1`) closes the pipe while
+    # the rest of the output (over 100 kB, more than a pipe buffers) is still
+    # being written: exit 1 and nothing on stderr, not a "numeric failure".
+    # Buffered stdout, as by default
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    _assert_closed_pipe_exits_1_silently(argv, env)
+
+
+@pytest.mark.parametrize("argv", CLOSED_PIPE_ARGV)
+def test_closed_pipe_exits_1_silently_unbuffered(argv):
+    # the same under unbuffered stdout (-u), whose raw file takes only part of
+    # the one large write: the CLI writes through a BufferedWriter, which
+    # raises on the rest, where the unbuffered text layer would drop it (exit 0)
+    _assert_closed_pipe_exits_1_silently(argv, {**os.environ, "PYTHONUNBUFFERED": "1"})
+
+
+def test_unbuffered_stdout_prints_what_buffered_stdout_prints():
+    # the buffered layer over a -u stdout writes the same bytes, and leaves
+    # fd 1 open for the interpreter's own flush at exit
+    argv = [sys.executable, "-m", "qmorse.cli", "nmax", "--full", "--format", "csv"]
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    buffered = subprocess.run(argv, env=env, capture_output=True)
+    unbuffered = subprocess.run(argv, env={**env, "PYTHONUNBUFFERED": "1"}, capture_output=True)
+    assert buffered.returncode == unbuffered.returncode == 0
+    assert unbuffered.stdout == buffered.stdout and unbuffered.stderr == buffered.stderr == b""
 
 
 def test_wavefunction_past_the_recurrence_work_bound_exits_2(capsys):
@@ -400,7 +436,7 @@ def test_spectrum_threshold_state_exits_1(capsys, monkeypatch):
     # (n=3, l=0) and (n=2, l=1): the first failing row, (2, 1), is reported
     import qmorse.spectrum as spectrum_mod
 
-    def strengths(p, mm, l, units=None):
+    def strengths(p, mm, l):
         return np.array([3.0625, 1.5625]), np.full(2, 10.0)
 
     monkeypatch.setattr(spectrum_mod, "strengths", strengths)

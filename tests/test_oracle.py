@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-
+from crosscheck.nodes import node_count
 from qmorse import builtin
 from qmorse.errors import DomainError
 from qmorse.oracle import (
@@ -29,7 +29,7 @@ from qmorse.pekeris import pekeris_centrifugal
 from qmorse.potential import MassModel, PotentialParams, effective_potential, morse_potential
 from qmorse.spectrum import QuantumState, bound_ladder, spectrum_grid
 from qmorse.units import hbar2_over_2mu
-from qmorse.wavefunctions import node_count, radial_wavefunction
+from qmorse.wavefunctions import radial_wavefunction
 
 
 def _closed_levels(p, mm, l, n_top):

@@ -9,6 +9,8 @@ its stdout captured.
 import ast
 import importlib
 import importlib.util
+import inspect
+import pkgutil
 import sys
 from pathlib import Path
 
@@ -28,6 +30,30 @@ def _load(path):
 
 def test_every_public_name_resolves():
     assert [name for name in qmorse.__all__ if not hasattr(qmorse, name)] == []
+
+
+def _callables(module):
+    """The functions a module defines, and the methods (constructors too) of its classes."""
+    for obj in vars(module).values():
+        if getattr(obj, "__module__", None) != module.__name__:
+            continue
+        if inspect.isfunction(obj):
+            yield obj
+        elif inspect.isclass(obj):
+            for attr in vars(obj).values():
+                attr = getattr(attr, "__func__", getattr(attr, "fget", attr))
+                if inspect.isfunction(attr):
+                    yield attr
+
+
+def test_no_signature_takes_a_unit_system():
+    # the package has one pinned unit system, UNITS: no function takes another
+    modules = [importlib.import_module(f"qmorse.{info.name}")
+               for info in pkgutil.iter_modules(qmorse.__path__)]
+    offenders = [f"{module.__name__}.{obj.__qualname__}"
+                 for module in modules for obj in _callables(module)
+                 if "units" in inspect.signature(obj).parameters]
+    assert len(modules) > 10 and offenders == []
 
 
 @pytest.mark.parametrize("path", SCRIPTS, ids=lambda path: path.name)

@@ -13,10 +13,12 @@ from qmorse.molecules import BUILTIN_NAMES
 from qmorse.potential import MassModel, PotentialParams
 from qmorse.reference import REFERENCE_MINUS_E, TABLE_MOLECULE, cell_matches
 from qmorse.spectrum import (
+    MAX_LADDER_LENGTH,
     QuantumState,
     bound_ladder,
     energy_constant_mass,
     energy_pdm,
+    ladder_length,
     n_max,
     quantize,
     spectrum_grid,
@@ -287,6 +289,45 @@ def test_bound_ladder_matches_prefix_loop():
         tiny = bound_ladder(p, MassModel.from_molecule(mol, 1e-9), 0)
         assert len(tiny) == n_max(mol)
         assert np.isfinite(tiny.energy).all() and np.isfinite(tiny.xi).all()
+
+
+def test_one_state_equals_its_grid_cell():
+    # a 0-d eps squared by numpy's scalar power gave ...639e-05 at n = 45,
+    # while the ladder's (and nmax's) array cell is ...637e-05
+    mol, q = builtin("H2-ref"), 2.617495926584324
+    p, mm = PotentialParams.from_molecule(mol, q), MassModel.from_molecule(mol)
+    count = n_max(mol, q)
+    grid = spectrum_grid(p, mm, np.arange(count + 1), 0)
+    for n in range(count + 1):
+        assert energy_constant_mass(mol, q, QuantumState(n, 0)).energy == grid.energy[n], n
+    assert grid.energy[45] == -8.573024569181637e-05
+
+
+@pytest.mark.parametrize("q", [3e14, 1e16, 1e300, 1e308])
+def test_ladder_length_refuses_counts_a_float_cannot_index(q):
+    # at q = 3e14 the H2 count (5.2e15) is past 2**52, where n + 1/2 rounds and
+    # the last counted level came out unbound; at 1e16 (1.7e17) it is past
+    # 2**53, where n_max - 1 and n_max are one float; at 1e308 the strengths
+    # overflow to inf
+    mol = builtin("H2")
+    p, mm = PotentialParams.from_molecule(mol, q), MassModel.from_molecule(mol)
+    with pytest.raises(DomainError, match="float"):
+        ladder_length(p, mm, 0)
+    with pytest.raises(DomainError):
+        n_max(mol, q)
+
+
+def test_ladder_length_below_the_cap_keeps_its_edge():
+    # just below MAX_LADDER_LENGTH the last counted level is still bound and
+    # the edge row is not: n + 1/2 is exact for every row
+    mol = builtin("H2")
+    per_q = n_max(mol, 1e12) / 1e12
+    for q in (2.5e14, 0.999 * MAX_LADDER_LENGTH / per_q):
+        count = n_max(mol, q)
+        assert 2**51 < count <= MAX_LADDER_LENGTH
+        p, mm = PotentialParams.from_molecule(mol, q), MassModel.from_molecule(mol)
+        grid = spectrum_grid(p, mm, np.array([count - 1, count], float), 0)
+        assert grid.bound.tolist() == [True, False], q
 
 
 @pytest.mark.parametrize("field", ["n", "l"])

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from crosscheck.nodes import node_count
 from crosscheck.residuals import transformed_residual_constant_mass, transformed_residual_pdm
 from crosscheck.series import hyp2f1, hyp3f2
 from qmorse import builtin
@@ -16,7 +17,6 @@ from qmorse.specfun import genlaguerre_poly, jacobi_poly
 from qmorse.spectrum import QuantumState, quantize, strengths
 from qmorse.wavefunctions import (
     constant_mass_log_norm,
-    node_count,
     pdm_log_norm,
     pdm_shape,
     radial_wavefunction,
