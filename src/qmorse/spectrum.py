@@ -156,7 +156,7 @@ def quantize(n, beta1, beta2, delta: float) -> SpectrumGrid:
             xi_sq = np.full(n.shape, np.inf)
         else:
             eps = 0.5 * (n * (n + 1) * delta - 2.0 * (n + 0.5) * sqrt_b1 + beta2) / den
-            xi_sq = 1.0 + 4.0 * eps**2 + (4.0 / delta) * (beta1 / delta - beta2)
+            xi_sq = 1.0 + 4.0 * np.square(eps) + (4.0 / delta) * (beta1 / delta - beta2)
             threshold = np.abs(den) <= 1e-14 * np.maximum(1.0, sqrt_b1)
             fault = np.where(beta1 < 0.0, FAULT_BETA1, np.where(
                 threshold, FAULT_THRESHOLD, np.where(xi_sq < 0.0, FAULT_XI, 0)))

@@ -388,6 +388,20 @@ def test_oracle_compare_small(capsys):
     assert len(payload["levels"]) == 3
 
 
+@pytest.mark.parametrize("extra, coordinate", [
+    ([], "log"),
+    (["--delta", "0.3"], "log"),
+    (["--centrifugal", "exact"], "uniform"),
+])
+def test_oracle_compare_header_names_the_grid_coordinate(capsys, extra, coordinate):
+    # only exact mode at delta = 0 keeps the uniform r grid
+    code, out, _ = run_cli(["oracle-compare", "--molecule", "H2", "--n-levels", "1", *extra], capsys)
+    assert code == 0
+    header = out.splitlines()[0].split()
+    at = header.index(f"coordinate={coordinate}")
+    assert header[at + 1].startswith("grid=")
+
+
 def test_oracle_compare_grid_above_cap_exits_2(capsys):
     # rejected when the configuration is built, before any solve
     code, _, err = run_cli(

@@ -14,6 +14,7 @@ from qmorse.oracle import (
     MIN_GRID_POINTS,
     MIN_RADIUS,
     POLE_WALL,
+    SUGGESTED_MAX_GRID_POINTS,
     ComparisonReport,
     OracleConfig,
     build_w_and_b,
@@ -83,14 +84,18 @@ def test_eigenvalues_strictly_increasing(h2_ref):
 def test_spacing_refinement_gains_two_orders():
     # 25-point stencil: each 1.5x finer spacing cuts the worst level error by
     # at least 100x (about 1.5^24 for smooth profiles) until roundoff, which
-    # is below 1e-11 eV on these grids; levels above n = 74 feel the 8 A wall
+    # is below 1e-11 eV on these grids; levels above n = 74 feel the 8 A wall.
+    # The plain r coordinate (log_origin=None), where 511 points are coarse
+    # for CO; the Pekeris problem's own log grid is already at 1e-8 eV there
     mol = builtin("CO")
     p = PotentialParams.from_molecule(mol, 1.0)
     mm = MassModel.from_molecule(mol, 0.0)
     exact = bound_ladder(p, mm, 0).energy[:75] + p.v3
     errors = []
     for n_pts in (511, 767, 1151, 1727, 2591):  # n + 1 = 512 * 1.5^k
-        levels = solve(p, mm, 0, OracleConfig(r_min=0.6, r_max=8.0, grid_points=n_pts)).eigenvalues
+        cfg = OracleConfig(r_min=0.6, r_max=8.0, grid_points=n_pts)
+        w_fn, b_fn = build_w_and_b(p, mm, 0, cfg)
+        levels = solve_potential(w_fn, b_fn, cfg, continuum_threshold(p, mm, 0, cfg)).eigenvalues
         errors.append(float(np.max(np.abs(levels[:75] - exact))))
     assert errors[0] > 1e-3
     for coarse, fine in zip(errors, errors[1:]):
@@ -112,6 +117,32 @@ def test_error_estimate_is_calibrated(name, delta, l):
     worst = max(lv.deviation / lv.oracle_error for lv in report.levels)
     assert 0.05 <= worst <= 2.0, worst
     assert max(lv.oracle_error for lv in report.levels) <= 1e-5
+
+
+@pytest.mark.parametrize("name, l", [("CO", 5), ("HCl", 10), ("LiH", 3)])
+def test_constant_mass_pekeris_oracle_resolves_deep_ladders(name, l):
+    # at q = 2 a uniform r grid ran into the point cap: estimates up to 2.4 eV
+    # and HCl found 18 of 50 levels; t = ln r resolves every level
+    mol = builtin(name)
+    p = PotentialParams.from_molecule(mol, 2.0)
+    mm = MassModel.from_molecule(mol, 0.0)
+    cfg = suggest_config(p, mm, l)
+    assert cfg.grid_points < SUGGESTED_MAX_GRID_POINTS
+    report = compare((bound_ladder(p, mm, l).energy + p.v3).tolist(), solve(p, mm, l, cfg))
+    assert not report.count_mismatch
+    assert not any(lv.flagged for lv in report.levels)
+    assert max(lv.oracle_error for lv in report.levels) <= 1e-5
+
+
+def test_constant_mass_pekeris_cells_fit_in_1100_points():
+    # the five delta = 0 oracle_verify cells: 3577 points on a uniform r grid, 978 on t = ln r
+    cells = [("CO", 5), ("HCl", 10), ("LiH", 3), ("H2-ref", 7), ("H2", 0)]
+    total = 0
+    for name, l in cells:
+        mol = builtin(name)
+        p, mm = PotentialParams.from_molecule(mol, 1.0), MassModel.from_molecule(mol, 0.0)
+        total += suggest_config(p, mm, l).grid_points
+    assert total <= 1100, total
 
 
 @pytest.mark.parametrize("name", ["H2", "H2-ref"])

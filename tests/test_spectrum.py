@@ -303,6 +303,19 @@ def test_one_state_equals_its_grid_cell():
     assert grid.energy[45] == -8.573024569181637e-05
 
 
+def test_one_pdm_state_xi_equals_its_grid_cell():
+    # xi_sq squared a 0-d eps by numpy's scalar power, which gave
+    # 263.54774369385257 at n = 42, while the ladder's array cell is ...528
+    mol, q, delta, l = builtin("CO"), 4.2, 0.3, 5
+    p, mm = PotentialParams.from_molecule(mol, q), MassModel.from_molecule(mol, delta)
+    count = ladder_length(p, mm, l)
+    grid = spectrum_grid(p, mm, np.arange(count), l)
+    for n in range(count):
+        assert float(spectrum_grid(p, mm, n, l).xi) == grid.xi[n], n
+        assert energy_pdm(mol, q, delta, QuantumState(n, l)).xi == grid.xi[n], n
+    assert grid.xi[42] == 263.5477436938528
+
+
 @pytest.mark.parametrize("q", [3e14, 1e16, 1e300, 1e308])
 def test_ladder_length_refuses_counts_a_float_cannot_index(q):
     # at q = 3e14 the H2 count (5.2e15) is past 2**52, where n + 1/2 rounds and
