@@ -18,11 +18,10 @@ Run: python scripts/pdm_oracle_sweep.py
 from qmorse import builtin
 from qmorse.oracle import (
     CHECK_POLE_WALL,
-    MIN_RADIUS,
     build_w_and_b,
     compare,
     continuum_threshold,
-    pole_wall,
+    inner_wall,
     solve,
     solve_potential,
     suggest_config,
@@ -32,7 +31,6 @@ from qmorse.potential import (
     MassModel,
     PotentialParams,
     mass,
-    mass_pole_radius,
     morse_potential,
     virtual_pole,
 )
@@ -61,11 +59,10 @@ def substituted_w(p, mm, l):
 
 def solve_substituted(p, mm, l, cfg):
     """The substituted problem on the log grid and check wall that ``solve`` uses."""
-    _, b = build_w_and_b(p, mm, l, cfg)
-    pole = mass_pole_radius(mm, p)
-    check_r_min = pole_wall(p, mm, CHECK_POLE_WALL) if pole is not None else MIN_RADIUS
-    return solve_potential(substituted_w(p, mm, l), b, cfg, continuum_threshold(p, mm, l, cfg),
-                           virtual_pole(p, mm), check_r_min)
+    _, b = build_w_and_b(p, mm, l, cfg.centrifugal_mode)
+    threshold = continuum_threshold(p, mm, l, cfg.centrifugal_mode)
+    return solve_potential(substituted_w(p, mm, l), b, cfg, threshold,
+                           virtual_pole(p, mm), inner_wall(p, mm, CHECK_POLE_WALL))
 
 
 def main() -> None:

@@ -335,8 +335,9 @@ def cmd_oracle_compare(args, stream) -> int:
     if args.grid is not None:
         cfg = dataclasses.replace(cfg, grid_points=args.grid)
     spectrum_oracle = solve(p, mm, args.l, cfg)
-    closed = (bound_ladder(p, mm, args.l).energy[:args.n_levels] + p.v3).tolist()
-    report = compare(closed, spectrum_oracle)
+    closed = (bound_ladder(p, mm, args.l).energy + p.v3).tolist()
+    report = compare(closed, spectrum_oracle)  # counts describe the whole ladders
+    report.levels = report.levels[:args.n_levels]
     if args.format == "json":
         stream.write(report.to_json() + "\n")
     else:
@@ -352,7 +353,7 @@ def cmd_oracle_compare(args, stream) -> int:
 
 def cmd_special_case(args, stream) -> int:
     case_id = args.case.replace("-", "_")
-    case_type = special_cases.SPECIAL_CASES[case_id].case_type
+    case_type = special_cases.SPECIAL_CASES[case_id]
     values, flags = {}, {}  # by field name, and by flag name for the params header
     for field in dataclasses.fields(case_type):
         flag = CASE_FLAGS.get(field.name, field.name)

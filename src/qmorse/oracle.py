@@ -47,7 +47,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -96,6 +96,11 @@ KINETIC_BAND = _kinetic_band(12)
 MIN_GRID_POINTS = 2 * len(KINETIC_BAND) - 1
 
 
+def _check_mode(centrifugal_mode: str) -> None:
+    if centrifugal_mode not in ("exact", "pekeris"):
+        raise DomainError(f"bad centrifugal_mode {centrifugal_mode!r}")
+
+
 @dataclass(frozen=True)
 class OracleConfig:
     r_min: float
@@ -117,8 +122,7 @@ class OracleConfig:
             raise DomainError(
                 f"grid_points must be an integer in [{MIN_GRID_POINTS}, {MAX_GRID_POINTS}],"
                 f" got {n!r}")
-        if self.centrifugal_mode not in ("exact", "pekeris"):
-            raise DomainError(f"bad centrifugal_mode {self.centrifugal_mode!r}")
+        _check_mode(self.centrifugal_mode)
 
 
 @dataclass
@@ -133,25 +137,26 @@ class OracleSpectrum:
     eigenvectors: np.ndarray | None = None
 
 
-def continuum_threshold(p: PotentialParams, mm: MassModel, l: int, cfg: OracleConfig) -> float:
+def continuum_threshold(p: PotentialParams, mm: MassModel, l: int, centrifugal_mode: str) -> float:
     """r -> infinity limit of W/B: energies below it are bound."""
     h22m = hbar2_over_2mu(mm.m0)
     threshold = p.v3
-    if cfg.centrifugal_mode == "pekeris":
+    if centrifugal_mode == "pekeris":
         gamma = l * (l + 1) / p.r_e**2
         threshold += h22m * gamma * pekeris_coefficients(p.alpha).a0
     return threshold
 
 
-def build_w_and_b(p: PotentialParams, mm: MassModel, l: int, cfg: OracleConfig):
-    """Return callables W(r) [1/A^2] and B(r) [1/(eV A^2)] for the configuration."""
+def build_w_and_b(p: PotentialParams, mm: MassModel, l: int, centrifugal_mode: str):
+    """Return callables W(r) [1/A^2] and B(r) [1/(eV A^2)] for the centrifugal mode."""
+    _check_mode(centrifugal_mode)
     inv_h22m = 1.0 / hbar2_over_2mu(mm.m0)  # = 2 m0 / hbar^2
 
     def b(r):
         m, _, _ = mass(mm, p, r)
         return m / mm.m0 * inv_h22m
 
-    if cfg.centrifugal_mode == "exact":
+    if centrifugal_mode == "exact":
 
         def w_exact(r):
             return effective_potential(p, mm, l, r)
@@ -171,6 +176,11 @@ def build_w_and_b(p: PotentialParams, mm: MassModel, l: int, cfg: OracleConfig):
 def pole_wall(p: PotentialParams, mm: MassModel, w: float) -> float:
     """Radius where 1 - delta z = w, outside a real mass pole."""
     return virtual_pole(p, mm) - math.log1p(-w) / p.a
+
+
+def inner_wall(p: PotentialParams, mm: MassModel, w: float) -> float:
+    """Innermost radius of a domain: pole_wall(w) outside a real mass pole, else MIN_RADIUS."""
+    return pole_wall(p, mm, w) if mass_pole_radius(mm, p) is not None else MIN_RADIUS
 
 
 def grid_origin(p: PotentialParams, mm: MassModel, centrifugal_mode: str) -> float | None:
@@ -281,16 +291,12 @@ def solve_potential(
 def solve(p: PotentialParams, mm: MassModel, l: int, cfg: OracleConfig) -> OracleSpectrum:
     """All bound levels of the configured problem (eV, strictly increasing)."""
     log_origin = grid_origin(p, mm, cfg.centrifugal_mode)
-    check_r_min = None if log_origin is None else MIN_RADIUS
     pole = mass_pole_radius(mm, p)
-    if pole is not None:
-        if cfg.r_min <= pole:
-            raise DomainError(
-                f"mass pole at r = {pole:.6f} A lies inside the domain; raise r_min"
-            )
-        check_r_min = pole_wall(p, mm, CHECK_POLE_WALL)
-    w_fn, b_fn = build_w_and_b(p, mm, l, cfg)
-    threshold = continuum_threshold(p, mm, l, cfg)
+    if pole is not None and cfg.r_min <= pole:
+        raise DomainError(f"mass pole at r = {pole:.6f} A lies inside the domain; raise r_min")
+    check_r_min = None if log_origin is None else inner_wall(p, mm, CHECK_POLE_WALL)
+    w_fn, b_fn = build_w_and_b(p, mm, l, cfg.centrifugal_mode)
+    threshold = continuum_threshold(p, mm, l, cfg.centrifugal_mode)
     return solve_potential(w_fn, b_fn, cfg, threshold, log_origin, check_r_min)
 
 
@@ -323,9 +329,9 @@ def suggest_config(p: PotentialParams, mm: MassModel, l: int, e_top: float | Non
     8 decay lengths of the shallowest level.  Inward, a log-grid domain (every
     problem but exact mode at delta = 0, see grid_origin) reaches where the
     WKB decay of the shallowest level, the integral of kappa dt from its
-    inner turning point, is POLE_SIDE_EFOLDS, but never deeper than the
-    pole-side wall pole_wall(POLE_WALL) for a real pole (MIN_RADIUS
-    otherwise), where it stays when the pole side never decays that far.
+    inner turning point, is POLE_SIDE_EFOLDS, but never deeper than
+    inner_wall(POLE_WALL), where it stays when the pole side never decays
+    that far.
     Exact mode at delta = 0 keeps the uniform r grid, padded inward by 2.2/a,
     where the profile dies super-exponentially.  The spacing resolves the
     largest local wavenumber at k h <= MAX_KH in the grid coordinate actually
@@ -333,18 +339,16 @@ def suggest_config(p: PotentialParams, mm: MassModel, l: int, e_top: float | Non
     SUGGESTED_MAX_GRID_POINTS.  ``centrifugal_mode`` is passed on to the
     returned OracleConfig.
     """
-    probe_cfg = OracleConfig(
-        r_min=MIN_RADIUS, r_max=MIN_RADIUS + 1.0, centrifugal_mode=centrifugal_mode)
-    w_fn, b_fn = build_w_and_b(p, mm, l, probe_cfg)
-    threshold = continuum_threshold(p, mm, l, probe_cfg)
+    w_fn, b_fn = build_w_and_b(p, mm, l, centrifugal_mode)
+    threshold = continuum_threshold(p, mm, l, centrifugal_mode)
     origin = grid_origin(p, mm, centrifugal_mode)
     ladder_top = formula_ladder_top(p, mm, l)
     if e_top is None:
         e_top = ladder_top if ladder_top is not None else threshold - 1e-3
     e_top = min(e_top, threshold - 1e-12)
 
+    scan_lo = inner_wall(p, mm, POLE_WALL)
     if origin is not None:
-        scan_lo = pole_wall(p, mm, POLE_WALL) if origin > 0 else MIN_RADIUS
         t_scan = np.linspace(
             math.log(scan_lo - origin),
             math.log(p.r_e + 60.0 / p.a - origin),
@@ -352,7 +356,6 @@ def suggest_config(p: PotentialParams, mm: MassModel, l: int, e_top: float | Non
         )
         scan = origin + np.exp(t_scan)
     else:
-        scan_lo = MIN_RADIUS
         scan = np.linspace(max(scan_lo, p.r_e - 12.0 / p.a), p.r_e + 60.0 / p.a, 6000)
         scan = scan[scan > scan_lo]
     w_scan = np.asarray(w_fn(scan))
@@ -387,7 +390,8 @@ def suggest_config(p: PotentialParams, mm: MassModel, l: int, e_top: float | Non
     k_max = float(np.max(k_local))
     n_points = math.ceil(span * k_max / MAX_KH)
     n_points = min(max(MIN_GRID_POINTS, n_points), SUGGESTED_MAX_GRID_POINTS)
-    return replace(probe_cfg, r_min=r_min, r_max=r_max, grid_points=n_points)
+    return OracleConfig(r_min=r_min, r_max=r_max, grid_points=n_points,
+                        centrifugal_mode=centrifugal_mode)
 
 
 @dataclass

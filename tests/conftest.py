@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from crosscheck.residuals import state_shape
 from crosscheck.series import SeriesDivergenceError, hyp3f2
 from qmorse import builtin
 from qmorse.potential import MassModel, PotentialParams
-from qmorse.wavefunctions import pdm_shape
 
 
 @pytest.fixture
@@ -91,7 +91,7 @@ def series_log_norm():
     """The printed series constant of one varying-mass state: (log N or None, note)."""
 
     def evaluate(p, mm, state):
-        shape = pdm_shape(p, mm, state)
-        return _series_log_norm(shape.eps, shape.xi, mm.delta, p.alpha, state.n)
+        eps, xi, _, _ = state_shape(p, mm, state)
+        return _series_log_norm(eps, xi, mm.delta, p.alpha, state.n)
 
     return evaluate

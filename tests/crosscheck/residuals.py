@@ -7,9 +7,15 @@ import numpy as np
 from qmorse import MassModel, PotentialParams, QuantumState
 from qmorse.specfun import genlaguerre_poly, jacobi_poly
 from qmorse.spectrum import quantize, strengths
-from qmorse.wavefunctions import pdm_shape
 
 from .series import genlaguerre_poly_deriv, jacobi_poly_deriv
+
+
+def state_shape(p: PotentialParams, mm: MassModel, state: QuantumState):
+    """(eps, xi, beta1, beta2) of one state of the closed form at mm.delta, unrouted."""
+    beta1, beta2 = map(float, strengths(p, mm, state.l))
+    qz = quantize(state.n, beta1, beta2, mm.delta).raise_fault()
+    return float(qz.eps), float(qz.xi), beta1, beta2
 
 
 def transformed_residual_constant_mass(p: PotentialParams, m0: float, n: int, l: int, z_grid):
@@ -41,8 +47,8 @@ def transformed_residual_constant_mass(p: PotentialParams, m0: float, n: int, l:
 
 def transformed_residual_pdm(p: PotentialParams, mm: MassModel, state: QuantumState, z_grid):
     """Same residual check for the Jacobi profile of the varying-mass problem."""
-    shape = pdm_shape(p, mm, state)
-    eps, xi, delta = shape.eps, shape.xi, mm.delta
+    eps, xi, beta1, beta2 = state_shape(p, mm, state)
+    delta = mm.delta
     z = np.asarray(z_grid, dtype=float)
     w = 1.0 - delta * z
     x = 1.0 - 2.0 * delta * z
@@ -57,7 +63,7 @@ def transformed_residual_pdm(p: PotentialParams, mm: MassModel, state: QuantumSt
     u = h * f0
     up = h * (hp_over_h * f0 + f1)
     upp = h * (hpp_over_h * f0 + 2.0 * hp_over_h * f1 + f2)
-    potential_term = (-shape.beta1 * z**2 + shape.beta2 * z - eps**2) / (z * w) ** 2 * u
+    potential_term = (-beta1 * z**2 + beta2 * z - eps**2) / (z * w) ** 2 * u
     residual = upp + up / z + potential_term
     scale = np.maximum.reduce([np.abs(upp), np.abs(up / z), np.abs(potential_term)])
     return float(np.max(np.abs(residual) / np.where(scale > 0, scale, 1.0)))

@@ -32,11 +32,9 @@ from qmorse.special_cases import (
     GeneralizedVibrationalCase,
     PtType1Case,
     PtType2Case,
-    gv_energy,
     gv_lambda,
     is_non_real,
-    pt_type1_energy,
-    pt_type2_energy,
+    special_case_spectrum,
 )
 from qmorse.spectrum import (
     QuantumState,
@@ -47,7 +45,7 @@ from qmorse.spectrum import (
     spectrum_grid,
 )
 from qmorse.units import UNITS
-from qmorse.wavefunctions import pdm_log_norm, radial_wavefunction
+from qmorse.wavefunctions import log_norm, radial_wavefunction
 
 RNG_SEED = 739297
 
@@ -284,7 +282,7 @@ def test_criterion_7_wavefunctions(series_log_norm):
     notes = []
     for n in (0, 1, 2):
         series, note = series_log_norm(p, mm, QuantumState(n, 0))
-        ratio = None if series is None else math.exp(series - pdm_log_norm(p, mm, QuantumState(n, 0)))
+        ratio = None if series is None else math.exp(series - log_norm(p, mm, QuantumState(n, 0)))
         notes.append(f"n={n}: ratio={ratio!r} ({note or 'series evaluated'})")
     print(
         "[criterion 7] PASS - nodes, residual %.1e, overlap %.6f, beta-integral ok; "
@@ -307,7 +305,7 @@ def test_criterion_8_special_cases():
         n = int(rng.integers(0, 4))
         case = GeneralizedVibrationalCase(D=d_well, alpha=alpha, q=q, mu=mu, r_e=r_e)
         mol = MoleculeRecord("synthetic", d_well / UNITS.wavenumber_to_eV, alpha / r_e, r_e, mu)
-        gv = gv_energy(case, n).energy
+        gv = special_case_spectrum("generalized_vibrational", case, n).energy
         sw = energy_constant_mass(mol, q, QuantumState(n, 0)).energy
         worst = max(worst, abs(gv - sw) / max(abs(sw), 1e-30))
     assert worst < 1e-12
@@ -321,18 +319,18 @@ def test_criterion_8_special_cases():
     d_exact = 4.0 * alpha0**2 * _e_scale(mu0, re0)
     tuned = GeneralizedVibrationalCase(D=d_exact, alpha=alpha0, q=0.25, mu=mu0, r_e=re0)
     assert gv_lambda(tuned) == 2.0
-    assert gv_energy(tuned, 0).energy == 0.0
+    assert special_case_spectrum("generalized_vibrational", tuned, 0).energy == 0.0
     # float-roundoff robustness of the same condition at a generic lambda
     base = GeneralizedVibrationalCase(D=4.7, alpha=1.5, q=1.0, mu=0.6, r_e=0.9)
     lam = gv_lambda(base)
     generic = GeneralizedVibrationalCase(D=4.7, alpha=1.5, q=1.0 / (2.0 * lam), mu=0.6, r_e=0.9)
-    assert abs(gv_energy(generic, 0).energy) < 1e-30
+    assert abs(special_case_spectrum("generalized_vibrational", generic, 0).energy) < 1e-30
 
     # first PT-symmetric type: non-real energies for generic real parameters
     for _ in range(10):
         case1 = PtType1Case(D=rng.uniform(0.5, 5.0), d_hat=rng.uniform(0.5, 3.0),
                             mu=rng.uniform(0.3, 3.0), r_e=rng.uniform(0.5, 2.0))
-        res = pt_type1_energy(case1, int(rng.integers(0, 4)))
+        res = special_case_spectrum("pt_type1", case1, int(rng.integers(0, 4)))
         assert is_non_real(res)
 
     # second PT-symmetric type: real spectrum matching its closed form
@@ -341,7 +339,7 @@ def test_criterion_8_special_cases():
 
     kappa3 = case2.r_e * math.sqrt(2.0 * case2.mu * UNITS.amu_to_eV_per_c2 * case2.D) / UNITS.hbar_c
     for n in range(4):
-        res = pt_type2_energy(case2, n)
+        res = special_case_spectrum("pt_type2", case2, n)
         want = energy_scale(case2.mu, case2.r_e) * (
             0.5 * math.sqrt(case2.D) / case2.omega * kappa3 - n - 0.5) ** 2
         assert isinstance(res.energy, float)

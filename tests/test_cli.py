@@ -388,6 +388,18 @@ def test_oracle_compare_small(capsys):
     assert len(payload["levels"]) == 3
 
 
+def test_oracle_compare_n_levels_cuts_only_the_rows(capsys):
+    # both counts describe the whole ladders; --n-levels only shortens the table
+    code, out, _ = run_cli(
+        ["oracle-compare", "--molecule", "H2-ref", "--l", "0", "--n-levels", "3",
+         "--format", "json"], capsys)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["count_mismatch"] is False
+    assert payload["closed_count"] == payload["oracle_count"] > 3
+    assert len(payload["levels"]) == 3
+
+
 @pytest.mark.parametrize("extra, coordinate", [
     ([], "log"),
     (["--delta", "0.3"], "log"),

@@ -94,8 +94,9 @@ def test_spacing_refinement_gains_two_orders():
     errors = []
     for n_pts in (511, 767, 1151, 1727, 2591):  # n + 1 = 512 * 1.5^k
         cfg = OracleConfig(r_min=0.6, r_max=8.0, grid_points=n_pts)
-        w_fn, b_fn = build_w_and_b(p, mm, 0, cfg)
-        levels = solve_potential(w_fn, b_fn, cfg, continuum_threshold(p, mm, 0, cfg)).eigenvalues
+        w_fn, b_fn = build_w_and_b(p, mm, 0, "pekeris")
+        threshold = continuum_threshold(p, mm, 0, "pekeris")
+        levels = solve_potential(w_fn, b_fn, cfg, threshold).eigenvalues
         errors.append(float(np.max(np.abs(levels[:75] - exact))))
     assert errors[0] > 1e-3
     for coarse, fine in zip(errors, errors[1:]):
@@ -205,17 +206,15 @@ def test_pdm_pole_inside_domain_rejected(h2):
 def test_threshold_values(h2):
     p = PotentialParams.from_molecule(h2, 1.0)
     mm = MassModel.from_molecule(h2, 0.0)
-    exact_cfg = OracleConfig(r_min=1e-3, r_max=10.0, centrifugal_mode="exact")
-    pek_cfg = OracleConfig(r_min=1e-3, r_max=10.0, centrifugal_mode="pekeris")
-    assert continuum_threshold(p, mm, 10, exact_cfg) == pytest.approx(p.v3)
-    assert continuum_threshold(p, mm, 10, pek_cfg) > p.v3
+    assert continuum_threshold(p, mm, 10, "exact") == pytest.approx(p.v3)
+    assert continuum_threshold(p, mm, 10, "pekeris") > p.v3
 
 
 @pytest.mark.parametrize("delta", [0.0, 0.3])
 def test_exact_mode_w_is_the_effective_potential(h2, delta):
     p = PotentialParams.from_molecule(h2, 1.0)
     mm = MassModel.from_molecule(h2, delta)
-    w_fn, _ = build_w_and_b(p, mm, 5, OracleConfig(r_min=1e-3, r_max=10.0, centrifugal_mode="exact"))
+    w_fn, _ = build_w_and_b(p, mm, 5, "exact")
     r = np.linspace(p.r_e - 0.5 / p.a, p.r_e + 30.0 / p.a, 400)
     assert np.array_equal(w_fn(r), effective_potential(p, mm, 5, r))
 
@@ -227,7 +226,7 @@ def test_pekeris_mode_at_delta_0_is_the_constant_mass_pekeris_problem(name):
     mol = builtin(name)
     p = PotentialParams.from_molecule(mol, 1.0)
     mm = MassModel.from_molecule(mol, 0.0)
-    w_fn, b_fn = build_w_and_b(p, mm, 5, OracleConfig(r_min=1e-3, r_max=10.0))
+    w_fn, b_fn = build_w_and_b(p, mm, 5, "pekeris")
     r = np.linspace(max(MIN_RADIUS, p.r_e - 2.0 / p.a), p.r_e + 30.0 / p.a, 400)
     inv_h22m = 1.0 / hbar2_over_2mu(mm.m0)
     want = pekeris_centrifugal(p, 5, r) + inv_h22m * morse_potential(p, r)
@@ -321,9 +320,8 @@ def test_allowed_pole_side_keeps_the_deepest_wall(name):
     mol = builtin(name)
     p = PotentialParams.from_molecule(mol, 1.0)
     mm = MassModel.from_molecule(mol, 0.55)
-    probe = OracleConfig(r_min=MIN_RADIUS, r_max=1.0)
-    w_fn, b_fn = build_w_and_b(p, mm, 0, probe)
-    e_top = continuum_threshold(p, mm, 0, probe) - 0.5
+    w_fn, b_fn = build_w_and_b(p, mm, 0, "pekeris")
+    e_top = continuum_threshold(p, mm, 0, "pekeris") - 0.5
     wall = np.array([pole_wall(p, mm, POLE_WALL)])
     assert w_fn(wall)[0] / b_fn(wall)[0] < e_top
     cfg = suggest_config(p, mm, 0, e_top=e_top)
@@ -336,8 +334,7 @@ def test_thin_pole_side_keeps_the_deepest_wall():
     mol = builtin("CO")
     p = PotentialParams.from_molecule(mol, 1.0)
     mm = MassModel.from_molecule(mol, 0.5)
-    probe = OracleConfig(r_min=MIN_RADIUS, r_max=1.0)
-    w_fn, b_fn = build_w_and_b(p, mm, 0, probe)
+    w_fn, b_fn = build_w_and_b(p, mm, 0, "pekeris")
     wall = np.array([pole_wall(p, mm, POLE_WALL)])
     assert w_fn(wall)[0] / b_fn(wall)[0] > formula_ladder_top(p, mm, 0)
     assert suggest_config(p, mm, 0).r_min == wall[0]

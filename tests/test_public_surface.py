@@ -28,8 +28,17 @@ def _load(path):
     return module
 
 
+def _modules():
+    return [qmorse] + [importlib.import_module(f"qmorse.{info.name}")
+                       for info in pkgutil.iter_modules(qmorse.__path__)]
+
+
 def test_every_public_name_resolves():
-    assert [name for name in qmorse.__all__ if not hasattr(qmorse, name)] == []
+    # the package's __all__ and every submodule's: a stale export fails here
+    exporting = [module for module in _modules() if hasattr(module, "__all__")]
+    stale = [f"{module.__name__}.{name}"
+             for module in exporting for name in module.__all__ if not hasattr(module, name)]
+    assert len(exporting) > 1 and stale == []
 
 
 def _callables(module):
@@ -48,8 +57,7 @@ def _callables(module):
 
 def test_no_signature_takes_a_unit_system():
     # the package has one pinned unit system, UNITS: no function takes another
-    modules = [importlib.import_module(f"qmorse.{info.name}")
-               for info in pkgutil.iter_modules(qmorse.__path__)]
+    modules = _modules()[1:]
     offenders = [f"{module.__name__}.{obj.__qualname__}"
                  for module in modules for obj in _callables(module)
                  if "units" in inspect.signature(obj).parameters]

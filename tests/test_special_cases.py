@@ -10,15 +10,11 @@ from qmorse.special_cases import (
     PtType1Case,
     PtType2Case,
     energy_scale,
-    gv_energy,
     gv_lambda,
-    non_pt_energy,
-    pt_type1_energy,
-    pt_type2_energy,
     special_case_spectrum,
     is_non_real,
 )
-from qmorse.spectrum import QuantumState, energy_constant_mass
+from qmorse.spectrum import EPS_TIE_TOL, QuantumState, energy_constant_mass
 from qmorse.units import UNITS
 
 
@@ -42,7 +38,7 @@ def test_gv_equals_s_wave_under_identification(rng):
         r_e = rng.uniform(0.5, 2.5)
         n = int(rng.integers(0, 4))
         case = GeneralizedVibrationalCase(D=D, alpha=alpha, q=q, mu=mu, r_e=r_e)
-        gv = gv_energy(case, n)
+        gv = special_case_spectrum("generalized_vibrational", case, n)
         sw = energy_constant_mass(_equivalent_molecule(D, alpha, mu, r_e), q, QuantumState(n, 0))
         assert gv.energy == pytest.approx(sw.energy, rel=1e-12)
 
@@ -52,7 +48,7 @@ def test_gv_final_state_condition_gives_zero_energy():
     case = GeneralizedVibrationalCase(D=4.7, alpha=1.5, q=1.0, mu=0.6, r_e=0.9)
     lam = gv_lambda(case)
     tuned = GeneralizedVibrationalCase(D=4.7, alpha=1.5, q=1.0 / (2.0 * lam), mu=0.6, r_e=0.9)
-    res = gv_energy(tuned, 0)
+    res = special_case_spectrum("generalized_vibrational", tuned, 0)
     assert res.energy == pytest.approx(0.0, abs=1e-25)
     assert not res.bound  # eps = 0 counts as unbound (tie rule)
 
@@ -61,8 +57,8 @@ def test_gv_unbound_flag_beyond_ladder():
     case = GeneralizedVibrationalCase(D=2.0, alpha=1.2, q=0.8, mu=0.5, r_e=0.8)
     lam_q = gv_lambda(case) * case.q
     n_top = int(math.floor(lam_q - 0.5))
-    assert gv_energy(case, n_top).bound
-    assert not gv_energy(case, n_top + 1).bound
+    assert special_case_spectrum("generalized_vibrational", case, n_top).bound
+    assert not special_case_spectrum("generalized_vibrational", case, n_top + 1).bound
 
 
 def test_non_pt_energy_real_and_matches_closed_form():
@@ -70,7 +66,7 @@ def test_non_pt_energy_real_and_matches_closed_form():
     e0 = energy_scale(case.mu, case.r_e)
     kappa1 = case.r_e * math.sqrt(2.0 * case.mu * UNITS.amu_to_eV_per_c2 * case.D) / UNITS.hbar_c
     for n in range(3):
-        res = non_pt_energy(case, n)
+        res = special_case_spectrum("non_pt", case, n)
         expected = -e0 * (0.5 * case.d_hat * kappa1 - n - 0.5) ** 2
         assert isinstance(res.energy, float)
         assert res.energy == pytest.approx(expected, rel=1e-14)
@@ -79,7 +75,7 @@ def test_non_pt_energy_real_and_matches_closed_form():
 def test_pt_type1_energies_are_non_real():
     case = PtType1Case(D=2.0, d_hat=1.5, mu=0.9, r_e=1.2)
     for n in range(4):
-        res = pt_type1_energy(case, n)
+        res = special_case_spectrum("pt_type1", case, n)
         assert isinstance(res.energy, complex)
         assert is_non_real(res)
         assert not res.bound
@@ -97,19 +93,35 @@ def test_pt_type2_energies_real_and_match():
     e0 = energy_scale(case.mu, case.r_e)
     kappa3 = case.r_e * math.sqrt(2.0 * case.mu * UNITS.amu_to_eV_per_c2 * case.D) / UNITS.hbar_c
     for n in range(3):
-        res = pt_type2_energy(case, n)
+        res = special_case_spectrum("pt_type2", case, n)
         expected = e0 * (0.5 * math.sqrt(case.D) / case.omega * kappa3 - n - 0.5) ** 2
         assert isinstance(res.energy, float)
         assert res.energy == pytest.approx(expected, rel=1e-14)
         assert not is_non_real(res)
 
 
-def test_dispatch_and_unknown_case():
-    case = NonPtCase(D=2.0, d_hat=1.5, mu=0.9, r_e=1.2)
-    res = special_case_spectrum("non_pt", case, 0)
-    assert res.variant == "special_case:non_pt"
+DISPATCH_CASES = {
+    "generalized_vibrational": GeneralizedVibrationalCase(D=2.0, alpha=1.2, q=0.8, mu=0.5, r_e=0.8),
+    "non_pt": NonPtCase(D=2.0, d_hat=1.5, mu=0.9, r_e=1.2),
+    "pt_type1": PtType1Case(D=2.0, d_hat=1.5, mu=0.9, r_e=1.2),
+    "pt_type2": PtType2Case(D=3.0, omega=1.4, alpha=1.1, mu=0.8, r_e=1.0),
+}
+
+
+@pytest.mark.parametrize("case_id", sorted(DISPATCH_CASES))
+def test_dispatch_and_unknown_case(case_id):
+    case = DISPATCH_CASES[case_id]
+    for n in range(8):
+        res = special_case_spectrum(case_id, case, n)
+        assert res.variant == f"special_case:{case_id}"
+        assert (res.eps_nl is None) == (case_id == "pt_type1")
+        # bound iff eps > EPS_TIE_TOL; the complex pt_type1 levels never are
+        assert res.bound == (res.eps_nl is not None and res.eps_nl > EPS_TIE_TOL)
     with pytest.raises(DomainError):
         special_case_spectrum("bogus", case, 0)
+    other = "pt_type2" if case_id == "non_pt" else "non_pt"
+    with pytest.raises(DomainError, match=type(case).__name__):
+        special_case_spectrum(other, case, 0)
 
 
 def test_case_validation():

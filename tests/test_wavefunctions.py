@@ -7,20 +7,19 @@ import pytest
 from scipy.integrate import quad
 
 from crosscheck.nodes import node_count
-from crosscheck.residuals import transformed_residual_constant_mass, transformed_residual_pdm
+from crosscheck.residuals import (
+    state_shape,
+    transformed_residual_constant_mass,
+    transformed_residual_pdm,
+)
 from crosscheck.series import hyp2f1, hyp3f2
 from qmorse import builtin
 from qmorse.errors import NonNormalizableError
 from qmorse.potential import MassModel, PotentialParams, mass, mass_pole_radius
 from qmorse.special_cases import GeneralizedVibrationalCase, gv_lambda
 from qmorse.specfun import genlaguerre_poly, jacobi_poly
-from qmorse.spectrum import QuantumState, quantize, strengths
-from qmorse.wavefunctions import (
-    constant_mass_log_norm,
-    pdm_log_norm,
-    pdm_shape,
-    radial_wavefunction,
-)
+from qmorse.spectrum import DELTA_CROSSOVER, QuantumState, quantize, strengths
+from qmorse.wavefunctions import log_norm, radial_wavefunction
 
 
 def _u(p, mm, state, r):
@@ -36,11 +35,11 @@ def test_pdm_ground_state_has_pure_envelope(h2_pdm):
     # n = 0: the polynomial factor is 1, so u = N z^eps (1 - delta z)^{(1+xi)/2}
     p, mm = h2_pdm
     state = QuantumState(0, 0)
-    shape = pdm_shape(p, mm, state)
+    eps, xi, _, _ = state_shape(p, mm, state)
     r = np.linspace(0.3, 4.0, 50)
     z = np.exp(-p.a * (r - p.r_e))
-    expected = z**shape.eps * (1.0 - mm.delta * z) ** (0.5 * (1.0 + shape.xi))
-    np.testing.assert_allclose(_u(p, mm, state, r) / math.exp(pdm_log_norm(p, mm, state)),
+    expected = z**eps * (1.0 - mm.delta * z) ** (0.5 * (1.0 + xi))
+    np.testing.assert_allclose(_u(p, mm, state, r) / math.exp(log_norm(p, mm, state)),
                                expected, rtol=1e-14)
 
 
@@ -89,7 +88,7 @@ def test_pdm_series_constant_reported_not_trusted(h2_pdm, series_log_norm, capsy
     assert series0 is None and "n = 0" in note0
     for n in (1, 2):
         state = QuantumState(n, 0)
-        closed = pdm_log_norm(p, mm, state)
+        closed = log_norm(p, mm, state)
         series, note = series_log_norm(p, mm, state)
         log_ratio = None if series is None else series - closed
         print(f"series/closed-form log ratio (n={n}):", log_ratio, "note:", note or "ok")
@@ -104,17 +103,17 @@ def _quad_log_norm_pdm(p, mm, state):
     dr = -dz/(a z); z runs from 0 (r -> infinity) to r = 0 or to the mass
     pole, whichever comes first.
     """
-    shape = pdm_shape(p, mm, state)
-    two_eps, s_exp = 2.0 * shape.eps, 1.0 + shape.xi
+    eps, xi, _, _ = state_shape(p, mm, state)
+    two_eps, s_exp = 2.0 * eps, 1.0 + xi
     z_hi = min(math.exp(p.alpha), 1.0 / mm.delta)
-    z_peak = (shape.eps / mm.delta) / (shape.eps + 0.5 * s_exp)
+    z_peak = (eps / mm.delta) / (eps + 0.5 * s_exp)
     g_peak = (two_eps - 1.0) * math.log(z_peak) + s_exp * math.log1p(-mm.delta * z_peak)
 
     def integrand(z):
         w = 1.0 - mm.delta * z
         if z <= 0.0 or w <= 0.0:
             return 0.0
-        poly = jacobi_poly(state.n, two_eps, shape.xi, 1.0 - 2.0 * mm.delta * z)
+        poly = jacobi_poly(state.n, two_eps, xi, 1.0 - 2.0 * mm.delta * z)
         return math.exp((two_eps - 1.0) * math.log(z) + s_exp * math.log(w) - g_peak) * poly**2
 
     points = [z_peak] if z_peak < z_hi else None
@@ -154,11 +153,10 @@ def test_closed_form_norms_match_quadrature(name):
         mm = MassModel.from_molecule(mol, delta)
         for n in range(11):
             for l in (0, 5):
+                closed = log_norm(p, mm, QuantumState(n, l))
                 if delta == 0.0:
-                    closed = constant_mass_log_norm(p, mol.mu_amu, n, l)
                     reference = _quad_log_norm_constant_mass(p, mol.mu_amu, n, l)
                 else:
-                    closed = pdm_log_norm(p, mm, QuantumState(n, l))
                     reference = _quad_log_norm_pdm(p, mm, QuantumState(n, l))
                 worst = max(worst, abs(closed - reference))
     assert worst <= 1e-10
@@ -200,9 +198,22 @@ def test_pdm_log_norm_matches_mpmath(name, delta, n):
     p = PotentialParams.from_molecule(mol, 1.0)
     mm = MassModel.from_molecule(mol, delta)
     state = QuantumState(n, 0)
-    shape = pdm_shape(p, mm, state)
-    reference = _mp_log_norm_pdm(shape.eps, shape.xi, delta, p.a, n)
-    assert pdm_log_norm(p, mm, state) == pytest.approx(reference, abs=1e-12)
+    eps, xi, _, _ = state_shape(p, mm, state)
+    reference = _mp_log_norm_pdm(eps, xi, delta, p.a, n)
+    assert log_norm(p, mm, state) == pytest.approx(reference, abs=1e-12)
+
+
+@pytest.mark.parametrize("name", ["H2", "LiH", "HCl", "CO"])
+def test_log_norm_below_crossover_is_the_constant_mass_norm(name):
+    # 0 < delta < DELTA_CROSSOVER is routed to the constant-mass branch, bit for bit
+    mol = builtin(name)
+    p = PotentialParams.from_molecule(mol, 1.0)
+    tiny = MassModel.from_molecule(mol, 1e-12)
+    assert 0.0 < tiny.delta < DELTA_CROSSOVER
+    for n in (0, 3, 10):
+        for l in (0, 5):
+            state = QuantumState(n, l)
+            assert log_norm(p, tiny, state) == log_norm(p, MassModel.from_molecule(mol, 0.0), state)
 
 
 def test_virtual_pole_profiles_integrate_to_one_over_r_positive():
@@ -299,4 +310,4 @@ def test_special_case_gv_final_state_loses_decay():
 def test_pdm_nonnormalizable_epsilon_rejected(h2_pdm):
     p, mm = h2_pdm
     with pytest.raises(NonNormalizableError):
-        pdm_shape(p, mm, QuantumState(60, 0))
+        log_norm(p, mm, QuantumState(60, 0))
