@@ -24,7 +24,8 @@ import numpy as np
 from . import special_cases
 from .errors import DomainError
 from .molecules import MoleculeRecord, builtin, load_molecules
-from .oracle import compare, grid_origin, solve, suggest_config
+from .oracle import (SUGGESTED_MAX_GRID_POINTS, closed_ladder, compare, grid_origin, solve,
+                     suggest_config)
 from .potential import MassModel, PotentialParams, mass_pole_radius
 from .reference import (
     REFERENCE_MINUS_E,
@@ -32,7 +33,7 @@ from .reference import (
     cell_decimals,
     cell_matches,
 )
-from .spectrum import QuantumState, bound_ladder, ladder_length, spectrum_grid
+from .spectrum import QuantumState, ladder_length, spectrum_grid
 from .units import UNITS
 from .wavefunctions import radial_wavefunction
 
@@ -331,12 +332,14 @@ def cmd_oracle_compare(args, stream) -> int:
     mol = _resolve_molecule(args.molecule, args.molecule_file)
     p = PotentialParams.from_molecule(mol, args.q)
     mm = MassModel.from_molecule(mol, args.delta)
-    cfg = suggest_config(p, mm, args.l, centrifugal_mode=args.centrifugal)
+    closed = closed_ladder(p, mm, args.l)
+    cfg = suggest_config(p, mm, args.l, e_top=float(closed[-1]) if len(closed) else None,
+                         centrifugal_mode=args.centrifugal)
+    at_cap = args.grid is None and cfg.grid_points == SUGGESTED_MAX_GRID_POINTS
     if args.grid is not None:
         cfg = dataclasses.replace(cfg, grid_points=args.grid)
     spectrum_oracle = solve(p, mm, args.l, cfg)
-    closed = (bound_ladder(p, mm, args.l).energy + p.v3).tolist()
-    report = compare(closed, spectrum_oracle)  # counts describe the whole ladders
+    report = compare(closed.tolist(), spectrum_oracle)  # counts describe the whole ladders
     report.levels = report.levels[:args.n_levels]
     if args.format == "json":
         stream.write(report.to_json() + "\n")
@@ -345,7 +348,8 @@ def cmd_oracle_compare(args, stream) -> int:
         stream.write(
             f"molecule={mol.name} q={args.q} delta={args.delta} l={args.l} "
             f"centrifugal={cfg.centrifugal_mode} coordinate={coordinate} "
-            f"grid={cfg.grid_points} domain=[{cfg.r_min:.4f},{cfg.r_max:.4f}]\n"
+            f"grid={cfg.grid_points}{' (at cap)' if at_cap else ''}"
+            f" domain=[{cfg.r_min:.4f},{cfg.r_max:.4f}]\n"
         )
         stream.write(report.to_text() + "\n")
     return 0

@@ -24,8 +24,11 @@ One equation for both grids.  On the log grid the Sturm-Liouville form
 the uniform grid is the same equation with t = r, W^ = W and B^ = B.
 -phi'' is the central (2p+1)-point stencil with p = 12 (Colbert & Miller,
 J. Chem. Phys. 96, 1982 (1992), give its p -> infinity limit, the sinc-DVR).
-Scaling by B^{-1/2} makes the matrix symmetric with bandwidth p, and LAPACK's
-banded solver returns the levels below the threshold in O(p N) memory.
+Scaling by B^{-1/2} makes the matrix symmetric with bandwidth p.  LAPACK's
+dsbevd reduces it to tridiagonal form (O(p N^2) time, O(p N) memory), dsterf's
+root-free QR takes all N eigenvalues in O(N^2), and those below the threshold
+are kept.  Once ~5% of them are bound that beats scipy's dsbevx, which bisects
+each bound level to 2 safmin.
 
 Error estimate.  Each level's estimate is its difference from a second solve
 whose grid is finer (spacing h/1.25) and wider: the outer wall is pushed out
@@ -66,7 +69,7 @@ from .spectrum import bound_ladder, ladder_length, reduced_coefficients
 from .units import hbar2_over_2mu
 
 #: Interior grid points: the most ``suggest_config`` asks for, and the most a
-#: configuration accepts (the banded solve costs O(N^2) time).
+#: configuration accepts (the banded solve finds all N eigenvalues in O(p N^2) time).
 SUGGESTED_MAX_GRID_POINTS = 2000
 MAX_GRID_POINTS = 3000
 #: Largest local wavenumber times spacing, in the grid coordinate.
@@ -229,11 +232,8 @@ def _solve_once(w_fn, b_fn, t_lo, t_hi, n, threshold, want_vectors, log_origin):
         off_sum[:-k] += np.abs(off)
         off_sum[k:] += np.abs(off)
     roundoff = 16.0 * np.finfo(float).eps * float(np.max(np.abs(diag) + off_sum))
-    lo = float(np.min(diag - off_sum)) - 1.0  # below every Gershgorin disc
-    hi = float(threshold) - 1e-12
-    if hi <= lo:
-        return np.array([]), roundoff, grid, None
-    vals = eig_banded(band[:p + 1], eigvals_only=True, select="v", select_range=(lo, hi))
+    vals = eig_banded(band[:p + 1], eigvals_only=True)
+    vals = vals[vals <= float(threshold) - 1e-12]
     if not want_vectors:
         return vals, roundoff, grid, None
     # inverse iteration on the same band: O(p^2 N) per level, no N x N array
@@ -300,22 +300,17 @@ def solve(p: PotentialParams, mm: MassModel, l: int, cfg: OracleConfig) -> Oracl
     return solve_potential(w_fn, b_fn, cfg, threshold, log_origin, check_r_min)
 
 
-def formula_ladder_top(p: PotentialParams, mm: MassModel, l: int) -> float | None:
-    """Literal energy of the shallowest bound level per the closed form.
+def closed_ladder(p: PotentialParams, mm: MassModel, l: int) -> np.ndarray:
+    """Literal energies (eV) of the closed form's bound levels, which the oracle checks.
 
-    Used only to aim the oracle's domain (adequacy is still verified by grid
-    convergence); returns None when the closed form predicts no bound level,
-    and raises DomainError when it predicts more levels than a grid may have
-    points.
+    Raises DomainError, before any level is built, when the closed form
+    predicts more levels than a grid may have points.
     """
     count = ladder_length(p, mm, l)
     if count > MAX_GRID_POINTS:
         raise DomainError(f"the closed form has {count} bound levels at l = {l}, more than"
                           f" the {MAX_GRID_POINTS} points an oracle grid may have")
-    ladder = bound_ladder(p, mm, l)
-    if len(ladder) == 0:
-        return None
-    return float(ladder.energy[-1]) + p.v3
+    return bound_ladder(p, mm, l).energy + p.v3
 
 
 def suggest_config(p: PotentialParams, mm: MassModel, l: int, e_top: float | None = None,
@@ -342,9 +337,9 @@ def suggest_config(p: PotentialParams, mm: MassModel, l: int, e_top: float | Non
     w_fn, b_fn = build_w_and_b(p, mm, l, centrifugal_mode)
     threshold = continuum_threshold(p, mm, l, centrifugal_mode)
     origin = grid_origin(p, mm, centrifugal_mode)
-    ladder_top = formula_ladder_top(p, mm, l)
     if e_top is None:
-        e_top = ladder_top if ladder_top is not None else threshold - 1e-3
+        ladder = closed_ladder(p, mm, l)
+        e_top = float(ladder[-1]) if len(ladder) else threshold - 1e-3
     e_top = min(e_top, threshold - 1e-12)
 
     scan_lo = inner_wall(p, mm, POLE_WALL)

@@ -414,6 +414,27 @@ def test_oracle_compare_header_names_the_grid_coordinate(capsys, extra, coordina
     assert header[at + 1].startswith("grid=")
 
 
+EXACT_README_LINE = ["oracle-compare", "--molecule", "H2-ref", "--l", "10", "--centrifugal", "exact"]
+
+
+@pytest.mark.parametrize("argv, grid", [
+    (EXACT_README_LINE, "grid=2000 (at cap) domain="),
+    (EXACT_README_LINE + ["--grid", "2000"], "grid=2000 domain="),
+    (["oracle-compare", "--molecule", "H2-ref", "--l", "10"], "grid=156 domain="),
+    (EXACT_README_LINE + ["--format", "json"], None),
+])
+def test_oracle_compare_header_marks_a_suggested_grid_at_the_cap(capsys, argv, grid):
+    # the exact-mode README line sizes past the cap; a grid given by --grid or
+    # sized below the cap is not marked, and the JSON report has no header
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    if grid is None:
+        assert set(json.loads(out)) == {"closed_count", "oracle_count", "count_mismatch",
+                                        "flag_factor", "max_deviation_eV", "levels"}
+    else:
+        assert grid in out.splitlines()[0]
+
+
 def test_oracle_compare_grid_above_cap_exits_2(capsys):
     # rejected when the configuration is built, before any solve
     code, _, err = run_cli(

@@ -4,9 +4,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.linalg import toeplitz
 
 from crosscheck.nodes import node_count
-from qmorse import builtin
+from qmorse import builtin, oracle
 from qmorse.errors import DomainError
 from qmorse.oracle import (
     KINETIC_BAND,
@@ -18,9 +19,10 @@ from qmorse.oracle import (
     ComparisonReport,
     OracleConfig,
     build_w_and_b,
+    closed_ladder,
     compare,
     continuum_threshold,
-    formula_ladder_top,
+    grid_origin,
     pole_wall,
     solve,
     solve_potential,
@@ -336,7 +338,7 @@ def test_thin_pole_side_keeps_the_deepest_wall():
     mm = MassModel.from_molecule(mol, 0.5)
     w_fn, b_fn = build_w_and_b(p, mm, 0, "pekeris")
     wall = np.array([pole_wall(p, mm, POLE_WALL)])
-    assert w_fn(wall)[0] / b_fn(wall)[0] > formula_ladder_top(p, mm, 0)
+    assert w_fn(wall)[0] / b_fn(wall)[0] > closed_ladder(p, mm, 0)[-1]
     assert suggest_config(p, mm, 0).r_min == wall[0]
 
 
@@ -353,3 +355,53 @@ def test_shallow_inner_wall_estimate_covers_deviation(h2, delta):
     assert report.max_deviation > 1e-4  # the wall really bites
     for lv in report.levels:
         assert lv.deviation <= 2.0 * lv.oracle_error, lv
+
+
+@pytest.mark.parametrize("name, delta, l", [("H2", 0.0, 0), ("H2-ref", 0.5, 3), ("HCl", 0.3, 3)])
+def test_dense_eigvalsh_of_the_same_matrix_agrees(name, delta, l):
+    # the full symmetric matrix of the same stencil, grid and weights, solved
+    # by numpy's dense eigvalsh instead of the banded LAPACK driver
+    mol = builtin(name)
+    p = PotentialParams.from_molecule(mol, 1.0)
+    mm = MassModel.from_molecule(mol, delta)
+    cfg = suggest_config(p, mm, l)
+    spectrum = solve(p, mm, l, cfg)
+    origin = grid_origin(p, mm, cfg.centrifugal_mode)
+    t_lo, t_hi = math.log(cfg.r_min - origin), math.log(cfg.r_max - origin)
+    n = cfg.grid_points
+    h = (t_hi - t_lo) / (n + 1)
+    r_minus_origin = np.exp(t_lo + h * np.arange(1, n + 1))
+    w_fn, b_fn = build_w_and_b(p, mm, l, cfg.centrifugal_mode)
+    w_hat = w_fn(origin + r_minus_origin) * r_minus_origin**2 + 0.25
+    b_hat = b_fn(origin + r_minus_origin) * r_minus_origin**2
+    first_row = np.zeros(n)
+    first_row[:len(KINETIC_BAND)] = KINETIC_BAND / h**2
+    scale = 1.0 / np.sqrt(b_hat)
+    dense = (toeplitz(first_row) + np.diag(w_hat)) * scale[:, None] * scale[None, :]
+    vals = np.linalg.eigvalsh(dense)
+    vals = vals[vals <= spectrum.threshold - 1e-12]
+    floor = 16.0 * np.finfo(float).eps * np.max(np.sum(np.abs(dense), axis=1))
+    assert len(vals) == len(spectrum.eigenvalues) > 0
+    assert np.all(np.abs(vals - spectrum.eigenvalues) <= floor)
+
+
+def test_threshold_below_the_well_skips_the_check_solve(monkeypatch):
+    # every level of the harmonic self-test well lies above 0, so a threshold
+    # below it leaves no level and needs no check solve to size estimates
+    calls = []
+    solve_once = oracle._solve_once
+
+    def spy(*args):
+        calls.append(args)
+        return solve_once(*args)
+
+    monkeypatch.setattr(oracle, "_solve_once", spy)
+    b_const = 1.0 / hbar2_over_2mu(1.0)
+    spectrum = solve_potential(
+        lambda r: b_const * 2.5 * (r - 5.0) ** 2,
+        lambda r: b_const * np.ones_like(np.asarray(r)),
+        OracleConfig(r_min=1.0, r_max=9.0, grid_points=500),
+        threshold=-1.0,
+    )
+    assert len(calls) == 1
+    assert spectrum.eigenvalues.shape == spectrum.error_estimates.shape == (0,)
