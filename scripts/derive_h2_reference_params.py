@@ -15,7 +15,7 @@ import itertools
 
 from qmorse.molecules import MoleculeRecord
 from qmorse.reference import REFERENCE_MINUS_E, cell_decimals
-from qmorse.spectrum import QuantumState, energy_constant_mass
+from qmorse.spectrum import QuantumState, energy_pdm
 from qmorse.units import UNITS
 
 
@@ -24,7 +24,7 @@ def score(d_e: float, a: float, r_e: float, mu: float) -> tuple[float, float]:
     mol = MoleculeRecord("cand", d_e / UNITS.wavenumber_to_eV, a, r_e, mu)
     worst_round = worst_raw = 0.0
     for (n, l), printed in REFERENCE_MINUS_E["H2"].items():
-        minus_e = -energy_constant_mass(mol, 1.0, QuantumState(n, l)).energy
+        minus_e = -energy_pdm(mol, 1.0, 0.0, QuantumState(n, l)).energy
         ulp = 10.0 ** (-cell_decimals(printed))
         worst_raw = max(worst_raw, abs(minus_e - float(printed)) / ulp)
         worst_round = max(worst_round, abs(round(minus_e, cell_decimals(printed)) - float(printed)) / ulp)
@@ -65,7 +65,7 @@ def main() -> None:
     from qmorse.spectrum import n_max
 
     count = n_max(mol)
-    edge = energy_constant_mass(mol, 1.0, QuantumState(count, 0))
+    edge = energy_pdm(mol, 1.0, 0.0, QuantumState(count, 0))
     print(f"s-wave ladder: {count} bound levels, edge energy {edge.energy:.4e} eV "
           f"(reference -1.231e-4, {abs(edge.energy + 1.231e-4) / 1.231e-4:.2%} off)")
 

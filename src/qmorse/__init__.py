@@ -14,12 +14,11 @@ from .errors import (
 )
 from .molecules import BUILTIN_NAMES, MoleculeRecord, builtin, load_molecules, serialize_molecules
 from .potential import MassModel, PotentialParams, effective_potential, mass, morse_potential
-from .pekeris import CompositeSPQ, PekerisCoefficients, composite_spq, pekeris_coefficients
+from .pekeris import PekerisCoefficients, pekeris_coefficients
 from .spectrum import (
     QuantumState,
     SpectrumResult,
     bound_ladder,
-    energy_constant_mass,
     energy_pdm,
     n_max,
     spectrum_grid,
@@ -28,7 +27,6 @@ from .units import UNITS, dissociation_energy_eV, hbar2_over_2mu
 
 __all__ = [
     "BUILTIN_NAMES",
-    "CompositeSPQ",
     "DomainError",
     "MassModel",
     "MassPoleError",
@@ -43,10 +41,8 @@ __all__ = [
     "UNITS",
     "bound_ladder",
     "builtin",
-    "composite_spq",
     "dissociation_energy_eV",
     "effective_potential",
-    "energy_constant_mass",
     "energy_pdm",
     "hbar2_over_2mu",
     "load_molecules",

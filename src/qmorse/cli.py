@@ -39,8 +39,9 @@ from .wavefunctions import radial_wavefunction
 
 ENV_MOLECULE_PATH = "MORSE_MOLECULE_PATH"
 
-#: most s-wave ladder rows one ``nmax --full`` request may print (CO has 8.3e8 at
-#: q = 1e7); 1e5 rows take about 1 s and 90 MB on one core of a 2-core x86-64 VM
+#: most rows one request may print: the s-wave ladder of ``nmax --full`` (CO has
+#: 8.3e8 at q = 1e7), ``special-case --levels`` and ``wavefunction --points``;
+#: 1e5 ladder rows take about 1 s and 90 MB on one core of a 2-core x86-64 VM
 MAX_LADDER_ROWS = 10**5
 
 #: special-case fields whose CLI flag differs from the field name
@@ -185,6 +186,12 @@ def _json_safe(value):
     return value
 
 
+def _check_rows(flag: str, count: int) -> None:
+    """Refuse, before anything is built, a request for more than MAX_LADDER_ROWS rows."""
+    if count > MAX_LADDER_ROWS:
+        raise DomainError(f"{flag} {count} asks for more than {MAX_LADDER_ROWS} rows")
+
+
 def _positive_int(text: str) -> int:
     if not text.isdigit() or int(text) == 0:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
@@ -296,6 +303,7 @@ def cmd_nmax(args, stream) -> int:
 
 
 def cmd_wavefunction(args, stream) -> int:
+    _check_rows("--points", args.points)
     mol = _resolve_molecule(args.molecule, args.molecule_file)
     p = PotentialParams.from_molecule(mol, args.q)
     mm = MassModel.from_molecule(mol, args.delta)
@@ -356,6 +364,7 @@ def cmd_oracle_compare(args, stream) -> int:
 
 
 def cmd_special_case(args, stream) -> int:
+    _check_rows("--levels", args.levels)
     case_id = args.case.replace("-", "_")
     case_type = special_cases.SPECIAL_CASES[case_id]
     values, flags = {}, {}  # by field name, and by flag name for the params header

@@ -22,6 +22,7 @@ round-trip through config tooling).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import DomainError
@@ -53,8 +54,9 @@ class MoleculeRecord:
     def __post_init__(self):
         for field in ("d0_cm1", "a_invA", "r0_A", "mu_amu"):
             value = getattr(self, field)
-            if not value > 0.0:
-                raise DomainError(f"molecule {self.name!r}: {field} must be positive, got {value}")
+            if not 0.0 < value < math.inf:
+                raise DomainError(
+                    f"molecule {self.name!r}: {field} must be positive and finite, got {value}")
 
 
 # Published constants for the four standard molecules.
@@ -94,8 +96,8 @@ def load_molecules(text: str) -> list[MoleculeRecord]:
     """Parse a molecule file into validated records.
 
     Returns an empty list for an empty document.  Raises DomainError with a
-    line diagnostic on parse failure, a missing or non-positive field, or a
-    duplicate name.
+    line diagnostic on parse failure, a missing, non-positive or non-finite
+    field, or a duplicate name.
     """
     blocks: list[dict[str, str]] = []
     current: dict[str, str] = {}
@@ -130,18 +132,14 @@ def load_molecules(text: str) -> list[MoleculeRecord]:
                 numbers[field] = float(block[field])
             except ValueError as exc:
                 raise DomainError(f"field {field!r}: not a number: {block[field]!r}") from exc
-        try:
-            record = MoleculeRecord(
-                name=block["name"],
-                d0_cm1=numbers["D0_cm1"],
-                a_invA=numbers["a_invA"],
-                r0_A=numbers["r0_A"],
-                mu_amu=numbers["mu_amu"],
-                source=block.get("source", "file"),
-            )
-        except DomainError as exc:
-            # re-raise naming the violated field (message already carries it)
-            raise DomainError(str(exc)) from exc
+        record = MoleculeRecord(
+            name=block["name"],
+            d0_cm1=numbers["D0_cm1"],
+            a_invA=numbers["a_invA"],
+            r0_A=numbers["r0_A"],
+            mu_amu=numbers["mu_amu"],
+            source=block.get("source", "file"),
+        )
         if record.name.lower() in seen:
             raise DomainError(f"duplicate molecule name {record.name!r}")
         seen.add(record.name.lower())

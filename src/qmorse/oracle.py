@@ -41,7 +41,8 @@ deviation/estimate is of order one.
 Mode semantics.  B = 2 m(r)/hbar^2 in both modes.  centrifugal_mode "pekeris"
 solves the reduced quadratic problem, the transformed equation whose
 eigenvalues the closed form gives exactly, with both l(l+1)/r^2 and 1/r
-replaced by their second-order exponential expansions; at delta = 0 it is the
+replaced by their second-order exponential expansions; its beta1, beta2 and
+continuum offset come from ``spectrum.strengths``, and at delta = 0 it is the
 constant-mass Pekeris problem.  "exact" solves the untransformed equation with
 W = potential.effective_potential, keeping l(l+1)/r^2 and 1/r as they are.
 """
@@ -56,7 +57,6 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DomainError
-from .pekeris import pekeris_coefficients
 from .potential import (
     MassModel,
     PotentialParams,
@@ -65,7 +65,7 @@ from .potential import (
     mass_pole_radius,
     virtual_pole,
 )
-from .spectrum import bound_ladder, ladder_length, reduced_coefficients
+from .spectrum import bound_ladder, ladder_length, strengths
 from .units import hbar2_over_2mu
 
 #: Interior grid points: the most ``suggest_config`` asks for, and the most a
@@ -141,13 +141,8 @@ class OracleSpectrum:
 
 
 def continuum_threshold(p: PotentialParams, mm: MassModel, l: int, centrifugal_mode: str) -> float:
-    """r -> infinity limit of W/B: energies below it are bound."""
-    h22m = hbar2_over_2mu(mm.m0)
-    threshold = p.v3
-    if centrifugal_mode == "pekeris":
-        gamma = l * (l + 1) / p.r_e**2
-        threshold += h22m * gamma * pekeris_coefficients(p.alpha).a0
-    return threshold
+    """r -> infinity limit of W/B: v3, plus the offset of ``strengths`` in pekeris mode."""
+    return p.v3 + (float(strengths(p, mm, l)[2]) if centrifugal_mode == "pekeris" else 0.0)
 
 
 def build_w_and_b(p: PotentialParams, mm: MassModel, l: int, centrifugal_mode: str):
@@ -166,7 +161,8 @@ def build_w_and_b(p: PotentialParams, mm: MassModel, l: int, centrifugal_mode: s
 
         return w_exact, b
 
-    beta1, beta2, c0 = reduced_coefficients(p, mm, l)
+    beta1, beta2, offset = map(float, strengths(p, mm, l))
+    c0 = (offset + p.v3) / (hbar2_over_2mu(mm.m0) * p.a**2)
 
     def w_reduced(r):
         z = np.exp(-p.a * (np.asarray(r, dtype=float) - p.r_e))

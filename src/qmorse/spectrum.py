@@ -1,8 +1,9 @@
 """Closed-form rovibrational bound-state energies.
 
-One array evaluator holds the closed form: ``strengths`` (beta1, beta2 over
-l), ``quantize`` (eps_nl, xi, den and the bound rule over broadcast arrays:
-the varying-mass bracket for delta > 0, its delta -> 0 limit
+One array evaluator holds the closed form: ``strengths`` (the reduced
+problem over l, the one place the Pekeris expansion enters: beta1, beta2 and
+the continuum offset), ``quantize`` (eps_nl, xi, den and the bound rule over
+broadcast arrays: the varying-mass bracket for delta > 0, its delta -> 0 limit
 eps = beta2 / (2 sqrt(beta1)) - (n + 1/2) for delta = 0) and
 ``spectrum_grid`` (energies over an n x l grid, delta below DELTA_CROSSOVER
 routed to the constant-mass branch).  ``bound_ladder`` is the bound prefix
@@ -11,11 +12,11 @@ n = 0, 1, ... of one l.  Failing states are reported per state, not raised;
 s-wave ladder.
 
 Energies are computed below the separated-atoms limit, as
-gamma a0 hbar^2/2m0 - (hbar^2 a^2/2m0) eps^2, and every function here
-returns them so; a caller wanting the literal value of the squared-bracket
-well adds the constant offset v3 = q^2 D_e.  Forming the literal value first
-and subtracting v3 would cancel: at q = 1e7 it leaves nothing of a level near
-the limit.
+offset - (hbar^2 a^2/2m0) eps^2 with offset = gamma a0 hbar^2/2m0, and every
+function here returns them so; a caller wanting the literal value of the
+squared-bracket well adds the constant v3 = q^2 D_e.  Forming the literal
+value first and subtracting v3 would cancel: at q = 1e7 it leaves nothing of
+a level near the limit.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import numpy as np
 
 from .errors import DomainError, NoRealSolutionError, ThresholdStateError
 from .molecules import MoleculeRecord
-from .pekeris import composite_spq, pekeris_coefficients
+from .pekeris import pekeris_coefficients
 from .potential import MassModel, PotentialParams
 from .units import hbar2_over_2mu
 
@@ -122,20 +123,32 @@ class SpectrumGrid:
 
 
 def strengths(p: PotentialParams, mm: MassModel, l):
-    """The state-independent strength composites (beta1, beta2) over an array of l.
+    """The reduced problem over an array of l: (beta1, beta2, offset), from the Pekeris
+    expansion (the only place it enters), with gamma = l(l+1)/r_e^2 and B = 1 - 2 b0/alpha:
 
     beta1 = (2 m0 V1 / hbar^2 + gamma a2)/a^2 + P delta + Q delta^2
     beta2 = (2 m0 V2 / hbar^2 - gamma a1)/a^2 + S delta
+    offset = gamma a0 hbar^2/2m0 (eV), S = B + 2 gamma a0/a^2,
+    P = 2 b1/alpha - 2 gamma a1/a^2, Q = B + gamma a0/a^2.
+
+    In r-space: -u'' + a^2 (beta1 z^2 - beta2 z + c0)/(1 - delta z)^2 u
+    = (2 m(r) E / hbar^2) u, with c0 = (offset + V3)/(hbar^2 a^2/2m0).
     """
     l = np.asarray(l, dtype=float)
+    if not ((l >= 0) & (l % 1 == 0)).all():
+        raise DomainError(f"l must be a non-negative integer, got {l}")
     h22m = hbar2_over_2mu(mm.m0)
     big_k = h22m * p.a**2
     pc = pekeris_coefficients(p.alpha)
-    spq = composite_spq(p, l)
     gamma = l * (l + 1) / p.r_e**2
-    beta1 = (p.v1 + h22m * gamma * pc.a2) / big_k + spq.P * mm.delta + spq.Q * mm.delta**2
-    beta2 = (p.v2 - h22m * gamma * pc.a1) / big_k + spq.S * mm.delta
-    return beta1, beta2
+    gamma_over_a2 = l * (l + 1) / p.alpha**2
+    base = 1.0 - 2.0 * pc.b0 / p.alpha
+    s = base + 2.0 * gamma_over_a2 * pc.a0
+    pp = 2.0 * pc.b1 / p.alpha - 2.0 * gamma_over_a2 * pc.a1
+    q = base + gamma_over_a2 * pc.a0
+    beta1 = (p.v1 + h22m * gamma * pc.a2) / big_k + pp * mm.delta + q * mm.delta**2
+    beta2 = (p.v2 - h22m * gamma * pc.a1) / big_k + s * mm.delta
+    return beta1, beta2, h22m * gamma * pc.a0
 
 
 def quantize(n, beta1, beta2, delta: float) -> SpectrumGrid:
@@ -177,19 +190,16 @@ def _evaluated_mass(mm: MassModel) -> MassModel:
 def spectrum_grid(p: PotentialParams, mm: MassModel, n, l) -> SpectrumGrid:
     """eps, xi, den, energy and bound over broadcast n x l arrays.
 
-    E = gamma a0 hbar^2/2m0 - (hbar^2 a^2/2m0) eps^2, below the dissociation
-    limit (add p.v3 for the literal well value).
+    E = offset - (hbar^2 a^2/2m0) eps^2, with the offset of ``strengths``,
+    below the dissociation limit (add p.v3 for the literal well value).
     """
     mm = _evaluated_mass(mm)
-    l = np.asarray(l, dtype=float)
-    beta1, beta2 = strengths(p, mm, l)
+    beta1, beta2, offset = strengths(p, mm, l)
     qz = quantize(n, beta1, beta2, mm.delta)
-    h22m = hbar2_over_2mu(mm.m0)
-    gamma = l * (l + 1) / p.r_e**2
     with np.errstate(over="ignore"):  # an overflowed energy is inf; callers check
         # np.square, as on an array: the scalar power of a 0-d eps can round differently
         eps_sq = np.square(qz.eps)
-        energy = h22m * gamma * pekeris_coefficients(p.alpha).a0 - h22m * p.a**2 * eps_sq
+        energy = offset - hbar2_over_2mu(mm.m0) * p.a**2 * eps_sq
     return replace(qz, energy=energy)
 
 
@@ -223,7 +233,7 @@ def _ladder_length(beta1: float, beta2: float, delta: float) -> int:
 def ladder_length(p: PotentialParams, mm: MassModel, l: int) -> int:
     """Closed-form count of the bound states of one l, without building them."""
     mm = _evaluated_mass(mm)
-    beta1, beta2 = strengths(p, mm, l)
+    beta1, beta2, _ = strengths(p, mm, l)
     return _ladder_length(float(beta1), float(beta2), mm.delta)
 
 
@@ -255,11 +265,6 @@ def energy_pdm(mol: MoleculeRecord, q: float, delta: float, state: QuantumState)
     )
 
 
-def energy_constant_mass(mol: MoleculeRecord, q: float, state: QuantumState) -> SpectrumResult:
-    """Constant-mass energy of one state of a molecule, below the dissociation limit."""
-    return energy_pdm(mol, q, 0.0, state)
-
-
 def n_max(mol: MoleculeRecord, q: float = 1.0) -> int:
     """Total number of normalizable s-wave levels.
 
@@ -269,22 +274,3 @@ def n_max(mol: MoleculeRecord, q: float = 1.0) -> int:
     V2 <= 0.
     """
     return ladder_length(PotentialParams.from_molecule(mol, q), MassModel.from_molecule(mol), 0)
-
-
-def reduced_coefficients(p: PotentialParams, mm: MassModel, l: int) -> tuple[float, float, float]:
-    """(beta1, beta2, c0) of the reduced quadratic problem.
-
-    The transformed equation the closed form solves is, in r-space,
-
-        -u'' + a^2 (beta1 z^2 - beta2 z + c0) / (1 - delta z)^2 u
-            = (2 m(r) E / hbar^2) u,
-
-    with c0 = (gamma a0 + 2 m0 V3 / hbar^2)/a^2 the state-independent part of
-    eps^2.  Used by the oracle's pekeris mode, at any delta.
-    """
-    beta1, beta2 = strengths(p, mm, l)
-    h22m = hbar2_over_2mu(mm.m0)
-    gamma = l * (l + 1) / p.r_e**2
-    a0 = pekeris_coefficients(p.alpha).a0
-    c0 = (gamma * a0 + p.v3 / h22m) / p.a**2
-    return float(beta1), float(beta2), c0

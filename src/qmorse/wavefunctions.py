@@ -34,7 +34,7 @@ from .specfun import genlaguerre_poly, jacobi_poly, log_gamma, log_gamma_ratio
 
 def _bound_state(p: PotentialParams, mm: MassModel, state: QuantumState):
     """(eps, xi, beta1) of a bound state of the closed form at mm.delta."""
-    beta1, beta2 = map(float, strengths(p, mm, state.l))
+    beta1, beta2, _ = map(float, strengths(p, mm, state.l))
     qz = quantize(state.n, beta1, beta2, mm.delta).raise_fault()
     if not qz.bound:
         raise NonNormalizableError(

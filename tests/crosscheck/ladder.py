@@ -1,6 +1,6 @@
 """The eps-inversion energy and the LiH/HCl ladder-figure assignment."""
 
-from qmorse import MassModel, PotentialParams, QuantumState, builtin, energy_constant_mass, n_max
+from qmorse import MassModel, PotentialParams, QuantumState, builtin, energy_pdm, n_max
 from qmorse.pekeris import pekeris_coefficients
 from qmorse.reference import AMBIGUOUS_LADDER_ENERGIES
 from qmorse.units import hbar2_over_2mu
@@ -32,7 +32,7 @@ def resolve_reported_ladder() -> dict[str, tuple[int, float, float]]:
         count = n_max(mol, 1.0)
         best: tuple[int, float, float] | None = None
         for idx in (count - 1, count):
-            energy = energy_constant_mass(mol, 1.0, QuantumState(idx, 0)).energy
+            energy = energy_pdm(mol, 1.0, 0.0, QuantumState(idx, 0)).energy
             for ref in AMBIGUOUS_LADDER_ENERGIES:
                 rel = abs(energy - ref) / abs(ref)
                 if best is None or rel < best[2]:

@@ -13,7 +13,7 @@ from .series import genlaguerre_poly_deriv, jacobi_poly_deriv
 
 def state_shape(p: PotentialParams, mm: MassModel, state: QuantumState):
     """(eps, xi, beta1, beta2) of one state of the closed form at mm.delta, unrouted."""
-    beta1, beta2 = map(float, strengths(p, mm, state.l))
+    beta1, beta2, _ = map(float, strengths(p, mm, state.l))
     qz = quantize(state.n, beta1, beta2, mm.delta).raise_fault()
     return float(qz.eps), float(qz.xi), beta1, beta2
 
@@ -24,7 +24,7 @@ def transformed_residual_constant_mass(p: PotentialParams, m0: float, n: int, l:
     Checks u'' + u'/z + (-beta1 z^2 + beta2 z - eps^2)/z^2 u = 0 with all
     derivatives taken analytically (Laguerre derivative identities).
     """
-    beta1, beta2 = map(float, strengths(p, MassModel(m0=m0, delta=0.0), l))
+    beta1, beta2, _ = map(float, strengths(p, MassModel(m0=m0, delta=0.0), l))
     eps = float(quantize(n, beta1, beta2, 0.0).raise_fault().eps)
     c = 2.0 * math.sqrt(beta1)
     z = np.asarray(z_grid, dtype=float)

@@ -38,7 +38,6 @@ from qmorse.special_cases import (
 )
 from qmorse.spectrum import (
     QuantumState,
-    energy_constant_mass,
     energy_pdm,
     n_max,
     quantize,
@@ -56,7 +55,7 @@ def test_criterion_1_reference_table_reproduction():
     for block, cells in REFERENCE_MINUS_E.items():
         mol = builtin(TABLE_MOLECULE[block])
         for (n, l), printed in cells.items():
-            res = energy_constant_mass(mol, 1.0, QuantumState(n, l))
+            res = energy_pdm(mol, 1.0, 0.0, QuantumState(n, l))
             assert cell_matches(-res.energy, printed), (block, n, l, -res.energy, printed)
             matched += 1
     assert matched == 36
@@ -71,8 +70,8 @@ def test_criterion_2_bound_state_counts_and_final_levels():
     assert n_max(h2) == count_h2
     assert n_max(co) == count_co
     # the formula value at index n_max, the ladder entry nearest the continuum
-    e_h2 = energy_constant_mass(h2, 1.0, QuantumState(count_h2, 0)).energy
-    e_co = energy_constant_mass(co, 1.0, QuantumState(count_co, 0)).energy
+    e_h2 = energy_pdm(h2, 1.0, 0.0, QuantumState(count_h2, 0)).energy
+    e_co = energy_pdm(co, 1.0, 0.0, QuantumState(count_co, 0)).energy
     assert e_h2 == pytest.approx(edge_h2, rel=0.01)
     assert e_co == pytest.approx(edge_co, rel=0.01)
 
@@ -120,7 +119,7 @@ def test_criterion_4_pdm_continuity_and_identity():
         for (n, l) in cells:
             state = QuantumState(n, l)
             gap = abs(energy_pdm(mol, 1.0, 1e-6, state).energy
-                      - energy_constant_mass(mol, 1.0, state).energy)
+                      - energy_pdm(mol, 1.0, 0.0, state).energy)
             worst_a = max(worst_a, gap)
             assert gap < 1e-4
 
@@ -306,7 +305,7 @@ def test_criterion_8_special_cases():
         case = GeneralizedVibrationalCase(D=d_well, alpha=alpha, q=q, mu=mu, r_e=r_e)
         mol = MoleculeRecord("synthetic", d_well / UNITS.wavenumber_to_eV, alpha / r_e, r_e, mu)
         gv = special_case_spectrum("generalized_vibrational", case, n).energy
-        sw = energy_constant_mass(mol, q, QuantumState(n, 0)).energy
+        sw = energy_pdm(mol, q, 0.0, QuantumState(n, 0)).energy
         worst = max(worst, abs(gv - sw) / max(abs(sw), 1e-30))
     assert worst < 1e-12
 

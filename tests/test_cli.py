@@ -257,6 +257,30 @@ def test_nmax_full_row_bound_counts_the_printed_ladder(capsys, monkeypatch):
     assert code == 2 and out == "" and "158 ladder rows" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["special-case", "--case", "non-pt", "--D", "2.0", "--dhat", "1.5", "--mu", "0.9",
+     "--re", "1.2", "--levels"],
+    ["wavefunction", "--molecule", "H2", "--n", "0", "--points"],
+], ids=["levels", "points"])
+def test_row_flags_past_the_cap_exit_2_before_building(capsys, monkeypatch, argv):
+    import qmorse.cli as cli_mod
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("built rows past the cap")
+
+    monkeypatch.setattr(cli_mod.special_cases, "special_case_spectrum", refuse)
+    monkeypatch.setattr(cli_mod, "radial_wavefunction", refuse)
+    for count in (cli_mod.MAX_LADDER_ROWS + 1, 10**9):
+        code, out, err = run_cli([*argv, str(count)], capsys)
+        assert code == 2 and out == ""
+        assert f"{argv[-1]} {count} asks for more than {cli_mod.MAX_LADDER_ROWS} rows" in err
+    # the cap itself is admitted
+    monkeypatch.undo()
+    monkeypatch.setattr(cli_mod, "MAX_LADDER_ROWS", 30)
+    code, out, _ = run_cli([*argv, "30", "--format", "json"], capsys)
+    assert code == 0 and len(json.loads(out)["rows"]) == 30
+
+
 def test_nmax_summary_evaluates_two_states_per_molecule(capsys, monkeypatch):
     import qmorse.cli as cli_mod
     import qmorse.spectrum as spectrum_mod
@@ -484,7 +508,7 @@ def test_spectrum_threshold_state_exits_1(capsys, monkeypatch):
     import qmorse.spectrum as spectrum_mod
 
     def strengths(p, mm, l):
-        return np.array([3.0625, 1.5625]), np.full(2, 10.0)
+        return np.array([3.0625, 1.5625]), np.full(2, 10.0), np.zeros(2)
 
     monkeypatch.setattr(spectrum_mod, "strengths", strengths)
     code, out, err = run_cli(

@@ -12,7 +12,9 @@ it builds every bound state, and a huge ``--q`` makes that ladder grow
 without limit (it exits 2 past 10^5 rows, but a request near that cap takes
 a second); [-2, 10] keeps it to a few thousand rows.  For the same reason
 ``wavefunction --n`` stays at most 2000: its polynomial recurrence takes n
-steps over the grid.
+steps over the grid.  ``wavefunction --points`` and ``special-case
+--levels`` draw up to 2000 and 40, or 10^5 + 1 and 10^9, which exit 2 at
+the 10^5-row cap before anything is built.
 
 ``oracle-compare`` costs up to a second and a half per request at 3000 grid
 points or a 2500-level ladder, so its draws are bounded and it runs fewer
@@ -73,13 +75,14 @@ wavefunction = _command(
     {"molecule": st.sampled_from(MOLECULES),
      "n": st.one_of(st.integers(-2, 40), st.integers(-10**12, 2000)).map(str)},
     {"q": real, "delta": real, "l": st.integers(-2, 40).map(str), "r-min": real,
-     "r-max": real, "points": st.integers(-2, 2000).map(str)},
+     "r-max": real,
+     "points": st.one_of(st.integers(-2, 2000), st.sampled_from([10**5 + 1, 10**9])).map(str)},
 )
 special_case = _command(
     "special-case",
     {"case": st.sampled_from(sorted(special_cases.CASE_IDS)), "D": real, "mu": real, "re": real},
     {"alpha": real, "q": real, "dhat": real, "omega": real,
-     "levels": st.integers(-2, 40).map(str)},
+     "levels": st.one_of(st.integers(-2, 40), st.sampled_from([10**5 + 1, 10**9])).map(str)},
 )
 nmax_molecules = st.lists(st.sampled_from(MOLECULES), min_size=1, max_size=4).map(",".join)
 nmax = st.one_of(

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from qmorse.errors import DomainError
@@ -85,3 +87,18 @@ def test_records_are_immutable():
 def test_direct_record_validation():
     with pytest.raises(DomainError, match="r0_A"):
         MoleculeRecord("bad", 1.0, 1.0, -1.0, 1.0)
+
+
+@pytest.mark.parametrize("field", ["D0_cm1", "a_invA", "r0_A", "mu_amu"])
+@pytest.mark.parametrize("value", ["inf", "nan", "1e309", "-inf"])
+def test_non_finite_field_in_a_file_is_rejected(field, value):
+    fields = {"D0_cm1": "100", "a_invA": "1.0", "r0_A": "1.0", "mu_amu": "1.0", field: value}
+    text = "name = X\n" + "".join(f"{key} = {val}\n" for key, val in fields.items())
+    with pytest.raises(DomainError, match=f"(?i){field} must be positive and finite"):
+        load_molecules(text)
+
+
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+def test_direct_record_rejects_non_finite(value):
+    with pytest.raises(DomainError, match="mu_amu"):
+        MoleculeRecord("bad", 1.0, 1.0, 1.0, value)

@@ -213,6 +213,19 @@ def test_threshold_values(h2):
 
 
 @pytest.mark.parametrize("delta", [0.0, 0.3])
+@pytest.mark.parametrize("l", [0, 10])
+def test_reduced_w_over_b_tends_to_the_threshold(h2, delta, l):
+    # z = e^-60 at r_e + 60/a: W/B = hbar^2 a^2/2m0 (beta1 z^2 - beta2 z + c0)
+    # is c0's share, v3 + offset, to roundoff
+    p = PotentialParams.from_molecule(h2, 1.0)
+    mm = MassModel.from_molecule(h2, delta)
+    w_fn, b_fn = build_w_and_b(p, mm, l, "pekeris")
+    r = np.array([p.r_e + 60.0 / p.a])
+    threshold = continuum_threshold(p, mm, l, "pekeris")
+    assert float(w_fn(r)[0] / b_fn(r)[0]) == pytest.approx(threshold, rel=1e-14)
+
+
+@pytest.mark.parametrize("delta", [0.0, 0.3])
 def test_exact_mode_w_is_the_effective_potential(h2, delta):
     p = PotentialParams.from_molecule(h2, 1.0)
     mm = MassModel.from_molecule(h2, delta)

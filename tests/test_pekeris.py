@@ -6,13 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qmorse.errors import DomainError
-from qmorse.pekeris import (
-    composite_spq,
-    pekeris_centrifugal,
-    pekeris_coefficients,
-    pekeris_inverse_r,
-)
-from qmorse.potential import PotentialParams
+from qmorse.pekeris import pekeris_centrifugal, pekeris_coefficients, pekeris_inverse_r
+from qmorse.potential import MassModel, PotentialParams
+from qmorse.spectrum import strengths
+from qmorse.units import hbar2_over_2mu
 
 
 def test_alpha_three_exact_values():
@@ -76,25 +73,48 @@ def test_third_order_residual_slope():
         assert slope == pytest.approx(3.0, abs=0.2)
 
 
+def _spq(p, l):
+    """S, P and Q read off ``strengths``: beta2 is linear in delta, beta1 quadratic.
+
+    They do not depend on the mass; a light one (1e-6 amu) makes the
+    delta-free parts of beta1 and beta2, which scale with m0, small enough
+    that the differences keep S, P and Q to roundoff.
+    """
+    (b1_0, b2_0, offset), (b1_1, _, _), (b1_2, b2_2, _) = (
+        strengths(p, MassModel(m0=1e-6, delta=d), l) for d in (0.0, 0.25, 0.5))
+    s = (b2_2 - b2_0) / 0.5
+    q = (b1_2 - 2.0 * b1_1 + b1_0) / (2.0 * 0.25**2)
+    pp = (b1_1 - b1_0) / 0.25 - q * 0.25
+    return s, pp, q, offset / (hbar2_over_2mu(1e-6) * p.a**2)
+
+
 def test_composite_l0_forms():
     p = PotentialParams(d_e=4.7446, a=1.9425, r_e=0.7416)
     pc = pekeris_coefficients(p.alpha)
-    spq = composite_spq(p, 0)
-    assert spq.S == pytest.approx(1.0 - 2.0 * pc.b0 / p.alpha, rel=1e-14)
-    assert spq.Q == spq.S
-    assert spq.P == pytest.approx(2.0 * pc.b1 / p.alpha, rel=1e-14)
+    s, pp, q, _ = _spq(p, 0)
+    assert s == pytest.approx(1.0 - 2.0 * pc.b0 / p.alpha, rel=1e-14)
+    assert q == pytest.approx(s, rel=1e-14)
+    assert pp == pytest.approx(2.0 * pc.b1 / p.alpha, rel=1e-14)
 
 
 def test_composite_s_minus_q_identity():
+    # S - Q = gamma a0 / a^2, which is also the continuum offset over hbar^2 a^2/2m0
     p = PotentialParams(d_e=4.7446, a=1.9425, r_e=0.7416)
     pc = pekeris_coefficients(p.alpha)
     for l in (1, 5, 7, 10):
-        spq = composite_spq(p, l)
+        s, _, q, offset_over_k = _spq(p, l)
         gamma_a0 = l * (l + 1) / p.r_e**2 * pc.a0 / p.a**2
-        assert spq.S - spq.Q == pytest.approx(gamma_a0, rel=1e-12)
+        assert s - q == pytest.approx(gamma_a0, rel=1e-12)
+        assert s - q == pytest.approx(offset_over_k, rel=1e-12)
 
 
 def test_composite_finite_for_high_l():
     p = PotentialParams(d_e=11.2256019, a=2.2994, r_e=1.1283)
-    spq = composite_spq(p, 10)
-    assert all(math.isfinite(v) for v in (spq.S, spq.P, spq.Q))
+    assert all(math.isfinite(v) for v in _spq(p, 10))
+
+
+@pytest.mark.parametrize("l", [-1, 1.5, [0, 2.5]])
+def test_strengths_reject_a_non_integer_l(l):
+    p = PotentialParams(d_e=4.7446, a=1.9425, r_e=0.7416)
+    with pytest.raises(DomainError, match="non-negative integer"):
+        strengths(p, MassModel(m0=0.5), l)

@@ -14,7 +14,7 @@ from qmorse.special_cases import (
     special_case_spectrum,
     is_non_real,
 )
-from qmorse.spectrum import EPS_TIE_TOL, QuantumState, energy_constant_mass
+from qmorse.spectrum import EPS_TIE_TOL, QuantumState, energy_pdm
 from qmorse.units import UNITS
 
 
@@ -39,7 +39,7 @@ def test_gv_equals_s_wave_under_identification(rng):
         n = int(rng.integers(0, 4))
         case = GeneralizedVibrationalCase(D=D, alpha=alpha, q=q, mu=mu, r_e=r_e)
         gv = special_case_spectrum("generalized_vibrational", case, n)
-        sw = energy_constant_mass(_equivalent_molecule(D, alpha, mu, r_e), q, QuantumState(n, 0))
+        sw = energy_pdm(_equivalent_molecule(D, alpha, mu, r_e), q, 0.0, QuantumState(n, 0))
         assert gv.energy == pytest.approx(sw.energy, rel=1e-12)
 
 

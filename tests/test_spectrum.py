@@ -16,7 +16,6 @@ from qmorse.spectrum import (
     MAX_LADDER_LENGTH,
     QuantumState,
     bound_ladder,
-    energy_constant_mass,
     energy_pdm,
     ladder_length,
     n_max,
@@ -31,14 +30,14 @@ def test_reference_table_all_36_cells():
     for block, cells in REFERENCE_MINUS_E.items():
         mol = builtin(TABLE_MOLECULE[block])
         for (n, l), printed in cells.items():
-            res = energy_constant_mass(mol, 1.0, QuantumState(n, l))
+            res = energy_pdm(mol, 1.0, 0.0, QuantumState(n, l))
             assert cell_matches(-res.energy, printed), (block, n, l, -res.energy, printed)
 
 
 def test_table_two_h2_row_misses_reference_cells():
     # the published H2 constants do NOT regenerate the reference energies;
     # the dedicated H2-ref parameter set exists precisely for that
-    res = energy_constant_mass(builtin("H2"), 1.0, QuantumState(0, 0))
+    res = energy_pdm(builtin("H2"), 1.0, 0.0, QuantumState(0, 0))
     assert not cell_matches(-res.energy, "4.47601")
     assert -res.energy == pytest.approx(4.47601, abs=3e-4)
 
@@ -56,7 +55,7 @@ def test_s_wave_equals_constant_mass_at_l0():
         for n in range(6):
             want = -(1.0 / (4.0 * kappa**2)) * (1.0 + 2.0 * n - eta * kappa) ** 2
             a = ladder[n]
-            b = energy_constant_mass(mol, 1.0, QuantumState(n, 0)).energy
+            b = energy_pdm(mol, 1.0, 0.0, QuantumState(n, 0)).energy
             assert a == pytest.approx(want, rel=1e-12)
             assert b == pytest.approx(want, rel=1e-12)
 
@@ -82,7 +81,7 @@ def test_n_max_counts():
 
 def _edge(mol):
     """The ladder entry at index n_max, nearest the continuum."""
-    return energy_constant_mass(mol, 1.0, QuantumState(n_max(mol), 0))
+    return energy_pdm(mol, 1.0, 0.0, QuantumState(n_max(mol), 0))
 
 
 def test_near_threshold_energies():
@@ -149,7 +148,7 @@ def test_delta_continuity_with_constant_mass():
         for (n, l) in cells:
             state = QuantumState(n, l)
             e_pdm = energy_pdm(mol, 1.0, 1e-6, state).energy
-            e_cm = energy_constant_mass(mol, 1.0, state).energy
+            e_cm = energy_pdm(mol, 1.0, 0.0, state).energy
             assert abs(e_pdm - e_cm) < 1e-4
 
 
@@ -164,9 +163,9 @@ def test_pdm_h2_delta_01_epsilon_positive_and_larger():
     # above the delta -> 0 value for the H2 ground state (deeper effective well)
     mol = builtin("H2")
     p = PotentialParams.from_molecule(mol, 1.0)
-    eps_pdm = float(quantize(0, *strengths(p, MassModel(m0=mol.mu_amu, delta=0.1), 0), 0.1)
+    eps_pdm = float(quantize(0, *strengths(p, MassModel(m0=mol.mu_amu, delta=0.1), 0)[:2], 0.1)
                     .raise_fault().eps)
-    eps_cm = float(quantize(0, *strengths(p, MassModel(m0=mol.mu_amu, delta=0.0), 0), 0.0)
+    eps_cm = float(quantize(0, *strengths(p, MassModel(m0=mol.mu_amu, delta=0.0), 0)[:2], 0.0)
                    .raise_fault().eps)
     assert eps_pdm > 0.0
     assert eps_pdm > eps_cm
@@ -199,11 +198,11 @@ def test_monotone_in_n_and_l_for_bound_states():
     for name in ("H2-ref", "LiH", "CO", "HCl"):
         mol = builtin(name)
         for l in (0, 5, 10):
-            energies = [energy_constant_mass(mol, 1.0, QuantumState(n, l)).energy
+            energies = [energy_pdm(mol, 1.0, 0.0, QuantumState(n, l)).energy
                         for n in (0, 5, 7)]
             assert energies[0] < energies[1] < energies[2] < 0
         for n in (0, 5, 7):
-            energies = [energy_constant_mass(mol, 1.0, QuantumState(n, l)).energy
+            energies = [energy_pdm(mol, 1.0, 0.0, QuantumState(n, l)).energy
                         for l in (0, 5, 10)]
             assert energies[0] < energies[1] < energies[2]
 
@@ -229,14 +228,14 @@ def test_unbound_s_wave_flagged_but_reported():
 
 
 def test_energy_sign_convention():
-    res = energy_constant_mass(builtin("CO"), 1.0, QuantumState(0, 0))
+    res = energy_pdm(builtin("CO"), 1.0, 0.0, QuantumState(0, 0))
     assert res.energy < 0 and res.bound
 
 
 def test_beta_static_beta2_is_twice_beta1():
     mol = builtin("H2")
     p = PotentialParams.from_molecule(mol, 1.0)
-    beta1, beta2 = map(float, strengths(p, MassModel(m0=mol.mu_amu, delta=0.0), 0))
+    beta1, beta2, _ = map(float, strengths(p, MassModel(m0=mol.mu_amu, delta=0.0), 0))
     # beta2 = 2 beta1 exactly at q = 1, l = 0 for the constant-mass case
     assert beta2 == pytest.approx(2.0 * beta1, rel=1e-14)
 
@@ -299,7 +298,7 @@ def test_one_state_equals_its_grid_cell():
     count = n_max(mol, q)
     grid = spectrum_grid(p, mm, np.arange(count + 1), 0)
     for n in range(count + 1):
-        assert energy_constant_mass(mol, q, QuantumState(n, 0)).energy == grid.energy[n], n
+        assert energy_pdm(mol, q, 0.0, QuantumState(n, 0)).energy == grid.energy[n], n
     assert grid.energy[45] == -8.573024569181637e-05
 
 

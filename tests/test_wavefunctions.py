@@ -123,7 +123,7 @@ def _quad_log_norm_pdm(p, mm, state):
 
 def _quad_log_norm_constant_mass(p, m0, n, l):
     """-(1/2) log of int R^2 dr for the bare profile, by adaptive quadrature in y."""
-    beta1, beta2 = map(float, strengths(p, MassModel(m0=m0), l))
+    beta1, beta2, _ = map(float, strengths(p, MassModel(m0=m0), l))
     two_eps = 2.0 * float(quantize(n, beta1, beta2, 0.0).raise_fault().eps)
     c = 2.0 * math.sqrt(beta1)
     y_hi = c * math.exp(p.alpha)
