@@ -20,7 +20,6 @@ from qmorse.oracle import (
     CHECK_POLE_WALL,
     build_w_and_b,
     compare,
-    continuum_threshold,
     inner_wall,
     solve,
     solve_potential,
@@ -59,8 +58,7 @@ def substituted_w(p, mm, l):
 
 def solve_substituted(p, mm, l, cfg):
     """The substituted problem on the log grid and check wall that ``solve`` uses."""
-    _, b = build_w_and_b(p, mm, l, cfg.centrifugal_mode)
-    threshold = continuum_threshold(p, mm, l, cfg.centrifugal_mode)
+    _, b, threshold = build_w_and_b(p, mm, l, cfg.centrifugal_mode)
     return solve_potential(substituted_w(p, mm, l), b, cfg, threshold,
                            virtual_pole(p, mm), inner_wall(p, mm, CHECK_POLE_WALL))
 

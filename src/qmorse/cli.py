@@ -373,20 +373,13 @@ def cmd_special_case(args, stream) -> int:
         if getattr(args, flag) is None:
             raise DomainError(f"--case {args.case} requires --{flag}")
         values[field.name] = flags[flag] = getattr(args, flag)
-    case = case_type(**values)
-    rows = []
-    for n in range(args.levels):
-        res = special_cases.special_case_spectrum(case_id, case, n)
-        energy = res.energy
-        non_real = special_cases.is_non_real(res)
-        if isinstance(energy, complex):
-            rows.append((n, energy.real, energy.imag, res.bound, non_real))
-        else:
-            rows.append((n, energy, 0.0, res.bound, non_real))
+    energy, bound = special_cases.special_case_ladder(case_type(**values), np.arange(args.levels))
+    imag = np.imag(energy)
     table = {
         "params": {"case": case_id, **flags},
         "columns": ["n", "Re_E_eV", "Im_E_eV", "bound", "non_real"],
-        "rows": rows,
+        "rows": list(zip(range(args.levels), np.real(energy).tolist(), imag.tolist(),
+                         bound.tolist(), (imag != 0).tolist())),
     }
     _emit(table, args, stream)
     return 0

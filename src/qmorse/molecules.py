@@ -101,13 +101,12 @@ def load_molecules(text: str) -> list[MoleculeRecord]:
     """
     blocks: list[dict[str, str]] = []
     current: dict[str, str] = {}
-    current_lines: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             if not line and current:
                 blocks.append(current)
-                current, current_lines = {}, {}
+                current = {}
             continue
         if "=" not in line:
             raise DomainError(f"line {lineno}: expected 'key = value', got {raw!r}")
@@ -116,7 +115,6 @@ def load_molecules(text: str) -> list[MoleculeRecord]:
         if key in current:
             raise DomainError(f"line {lineno}: duplicate field {key!r} in block")
         current[key] = value
-        current_lines[key] = lineno
     if current:
         blocks.append(current)
 

@@ -140,13 +140,10 @@ class OracleSpectrum:
     eigenvectors: np.ndarray | None = None
 
 
-def continuum_threshold(p: PotentialParams, mm: MassModel, l: int, centrifugal_mode: str) -> float:
-    """r -> infinity limit of W/B: v3, plus the offset of ``strengths`` in pekeris mode."""
-    return p.v3 + (float(strengths(p, mm, l)[2]) if centrifugal_mode == "pekeris" else 0.0)
-
-
 def build_w_and_b(p: PotentialParams, mm: MassModel, l: int, centrifugal_mode: str):
-    """Return callables W(r) [1/A^2] and B(r) [1/(eV A^2)] for the centrifugal mode."""
+    """Return W(r) [1/A^2] and B(r) [1/(eV A^2)] callables for the centrifugal mode,
+    and the threshold, their r -> infinity limit W/B (eV): v3, plus the offset
+    of ``strengths`` in pekeris mode."""
     _check_mode(centrifugal_mode)
     inv_h22m = 1.0 / hbar2_over_2mu(mm.m0)  # = 2 m0 / hbar^2
 
@@ -159,17 +156,18 @@ def build_w_and_b(p: PotentialParams, mm: MassModel, l: int, centrifugal_mode: s
         def w_exact(r):
             return effective_potential(p, mm, l, r)
 
-        return w_exact, b
+        return w_exact, b, p.v3
 
     beta1, beta2, offset = map(float, strengths(p, mm, l))
-    c0 = (offset + p.v3) / (hbar2_over_2mu(mm.m0) * p.a**2)
+    threshold = p.v3 + offset
+    c0 = threshold / (hbar2_over_2mu(mm.m0) * p.a**2)
 
     def w_reduced(r):
         z = np.exp(-p.a * (np.asarray(r, dtype=float) - p.r_e))
         w = 1.0 - mm.delta * z
         return p.a**2 * (beta1 * z**2 - beta2 * z + c0) / w**2
 
-    return w_reduced, b
+    return w_reduced, b, threshold
 
 
 def pole_wall(p: PotentialParams, mm: MassModel, w: float) -> float:
@@ -291,8 +289,7 @@ def solve(p: PotentialParams, mm: MassModel, l: int, cfg: OracleConfig) -> Oracl
     if pole is not None and cfg.r_min <= pole:
         raise DomainError(f"mass pole at r = {pole:.6f} A lies inside the domain; raise r_min")
     check_r_min = None if log_origin is None else inner_wall(p, mm, CHECK_POLE_WALL)
-    w_fn, b_fn = build_w_and_b(p, mm, l, cfg.centrifugal_mode)
-    threshold = continuum_threshold(p, mm, l, cfg.centrifugal_mode)
+    w_fn, b_fn, threshold = build_w_and_b(p, mm, l, cfg.centrifugal_mode)
     return solve_potential(w_fn, b_fn, cfg, threshold, log_origin, check_r_min)
 
 
@@ -330,8 +327,7 @@ def suggest_config(p: PotentialParams, mm: MassModel, l: int, e_top: float | Non
     SUGGESTED_MAX_GRID_POINTS.  ``centrifugal_mode`` is passed on to the
     returned OracleConfig.
     """
-    w_fn, b_fn = build_w_and_b(p, mm, l, centrifugal_mode)
-    threshold = continuum_threshold(p, mm, l, centrifugal_mode)
+    w_fn, b_fn, threshold = build_w_and_b(p, mm, l, centrifugal_mode)
     origin = grid_origin(p, mm, centrifugal_mode)
     if e_top is None:
         ladder = closed_ladder(p, mm, l)

@@ -3,26 +3,38 @@
 Four named reductions of the general three-strength well, including two
 non-Hermitian complex-parameter variants.  All four share one closed form,
 E_n = scale (c - n - 1/2)^2: each case supplies its (c, scale) through
-``ladder()`` and ``special_case_spectrum`` evaluates it.  The first
-PT-symmetric type has an imaginary c and so a genuinely non-real spectrum,
-computed in complex arithmetic without taking a real part.
+``ladder()`` and ``special_case_ladder`` evaluates it over an array of n,
+with the bound rule c - n - 1/2 > EPS_TIE_TOL.  The first PT-symmetric type
+has an imaginary c and so a genuinely non-real spectrum, computed in complex
+arithmetic without taking a real part; its levels are never bound.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, fields
 
+import numpy as np
+
 from .errors import DomainError
-from .spectrum import EPS_TIE_TOL, QuantumState, SpectrumResult
+from .spectrum import EPS_TIE_TOL
 from .units import UNITS, hbar2_over_2mu
 
 
-def _require_finite(case) -> None:
-    for field in fields(case):
-        if not math.isfinite(getattr(case, field.name)):
-            raise DomainError(f"{field.name} must be finite, got {getattr(case, field.name)!r}")
+class _Case:
+    """The one validation rule of the four cases: every field finite; D, alpha,
+    mu and r_e positive; omega nonzero."""
+
+    def __post_init__(self):
+        values = {field.name: getattr(self, field.name) for field in fields(self)}
+        for name, value in values.items():
+            if not math.isfinite(value):
+                raise DomainError(f"{name} must be finite, got {value!r}")
+        for name, value in values.items():
+            if name in ("D", "alpha", "mu", "r_e") and not value > 0:
+                raise DomainError(f"{name} must be positive, got {value!r}")
+            if name == "omega" and value == 0:
+                raise DomainError(f"omega must be nonzero, got {value!r}")
 
 
 def energy_scale(mu: float, r_e: float) -> float:
@@ -36,7 +48,7 @@ def _kappa(mu: float, r_e: float, D: float) -> float:
 
 
 @dataclass(frozen=True)
-class GeneralizedVibrationalCase:
+class GeneralizedVibrationalCase(_Case):
     """V1 = D, V2 = 2 q D, V3 = 0; vibrational well with deformation q.
 
     c = lambda q and scale = -alpha^2 E0: bound while lambda q > n + 1/2.
@@ -48,18 +60,13 @@ class GeneralizedVibrationalCase:
     mu: float
     r_e: float
 
-    def __post_init__(self):
-        _require_finite(self)
-        if self.D <= 0 or self.alpha <= 0 or self.mu <= 0 or self.r_e <= 0:
-            raise DomainError("D, alpha, mu and r_e must all be positive")
-
     def ladder(self):
         e0 = energy_scale(self.mu, self.r_e)
         return gv_lambda(self) * self.q, -(self.alpha**2) * e0
 
 
 @dataclass(frozen=True)
-class NonPtCase:
+class NonPtCase(_Case):
     """Complex strengths V1 = (A1 + i B1)^2, V2 = (2 C1 + 1)(A1 + i B1), alpha = 1.
 
     Parameterized by the real well scale D and coupling d_hat of
@@ -72,18 +79,13 @@ class NonPtCase:
     mu: float
     r_e: float
 
-    def __post_init__(self):
-        _require_finite(self)
-        if self.D <= 0 or self.mu <= 0 or self.r_e <= 0:
-            raise DomainError("D, mu and r_e must be positive")
-
     def ladder(self):
         e0 = energy_scale(self.mu, self.r_e)
         return 0.5 * self.d_hat * _kappa(self.mu, self.r_e, self.D), -e0
 
 
 @dataclass(frozen=True)
-class PtType1Case:
+class PtType1Case(_Case):
     """Same strengths as the non-PT case but alpha = i: V(x) = -D [exp(-2ix) + i d_hat exp(-ix)].
 
     Non-real spectrum: c = d_hat kappa2 / 2 with the imaginary
@@ -95,18 +97,13 @@ class PtType1Case:
     mu: float
     r_e: float
 
-    def __post_init__(self):
-        _require_finite(self)
-        if self.D <= 0 or self.mu <= 0 or self.r_e <= 0:
-            raise DomainError("D, mu and r_e must be positive")
-
     def ladder(self):
         e0 = energy_scale(self.mu, self.r_e)
         return 0.5 * self.d_hat * (-1j * _kappa(self.mu, self.r_e, self.D)), e0
 
 
 @dataclass(frozen=True)
-class PtType2Case:
+class PtType2Case(_Case):
     """V1 = omega^2, V2 = D, V3 = 0 with alpha -> i alpha: V(x) = -omega^2 e^{-2 i a x} + D e^{-i a x}.
 
     Real spectrum: c = (sqrt(D)/omega) kappa3 / 2 and scale = +E0.
@@ -117,11 +114,6 @@ class PtType2Case:
     alpha: float
     mu: float
     r_e: float
-
-    def __post_init__(self):
-        _require_finite(self)
-        if self.D <= 0 or self.omega == 0 or self.alpha <= 0 or self.mu <= 0 or self.r_e <= 0:
-            raise DomainError("D, alpha, mu, r_e must be positive and omega nonzero")
 
     def ladder(self):
         e0 = energy_scale(self.mu, self.r_e)
@@ -141,35 +133,39 @@ SPECIAL_CASES = {
 }
 
 CASE_IDS = tuple(SPECIAL_CASES)
+_CASE_ID = {case_type: case_id for case_id, case_type in SPECIAL_CASES.items()}
 
 
-def special_case_spectrum(case_id: str, case, n: int) -> SpectrumResult:
-    """E_n = scale (c - n - 1/2)^2 for the case's (c, scale); bound while c - n - 1/2 > 0.
+def special_case_ladder(case, n) -> tuple[np.ndarray, np.ndarray]:
+    """(energy, bound) over an array of n: E_n = scale (c - n - 1/2)^2 for the
+    case's (c, scale), bound while c - n - 1/2 > EPS_TIE_TOL.
 
-    pt_type1's c is imaginary: its energy is complex, with eps_nl None and
-    bound False.  An energy that overflows a float raises OverflowError.
+    pt_type1's c is imaginary: its energies are complex and never bound.  A
+    negative or non-integer n raises DomainError; an energy that overflows a
+    float (or a c or scale that does) raises OverflowError naming the case and
+    the first such level.
     """
-    if case_id not in SPECIAL_CASES:
-        raise DomainError(f"unknown special case {case_id!r}; available: {', '.join(CASE_IDS)}")
-    case_type = SPECIAL_CASES[case_id]
-    if not isinstance(case, case_type):
-        raise DomainError(f"{case_id} takes a {case_type.__name__}, got {type(case).__name__}")
-    c, scale = case.ladder()
-    eps = c - n - 0.5
-    energy = scale * eps**2
-    if not cmath.isfinite(energy):
-        raise OverflowError(f"{case_id} level n={n} overflows: energy {energy!r}")
-    real = not isinstance(eps, complex)
-    return SpectrumResult(
-        state=QuantumState(n, 0), energy=energy, eps_nl=eps if real else None,
-        variant=f"special_case:{case_id}", bound=real and eps > EPS_TIE_TOL,
-        q=getattr(case, "q", 1.0),
-    )
-
-
-def is_non_real(result: SpectrumResult) -> bool:
-    energy = result.energy
-    return isinstance(energy, complex) and energy.imag != 0
+    case_id = _CASE_ID.get(type(case))
+    if case_id is None:
+        raise DomainError(f"not a special case: {type(case).__name__}")
+    n = np.asarray(n)
+    with np.errstate(all="ignore"):
+        bad = ~((n >= 0) & (n % 1 == 0))  # also NaN and inf
+        if bad.any():
+            raise DomainError(f"n must be a non-negative integer, got {n[bad][0].item()!r}")
+        try:
+            c, scale = case.ladder()
+        except ArithmeticError:  # a square or quotient of the fields is past the float range
+            c = scale = math.nan
+        eps = c - n - 0.5
+        energy = scale * np.square(eps)
+        overflow = np.flatnonzero(~np.isfinite(energy))
+    if overflow.size:
+        i = overflow[0]
+        raise OverflowError(f"{case_id} level n={n.flat[i].item()} overflows:"
+                            f" energy {energy.flat[i].item()!r}")
+    bound = np.zeros(eps.shape, bool) if np.iscomplexobj(eps) else eps > EPS_TIE_TOL
+    return energy, bound
 
 
 __all__ = [
@@ -181,6 +177,5 @@ __all__ = [
     "PtType2Case",
     "energy_scale",
     "gv_lambda",
-    "special_case_spectrum",
-    "is_non_real",
+    "special_case_ladder",
 ]

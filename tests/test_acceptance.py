@@ -33,8 +33,7 @@ from qmorse.special_cases import (
     PtType1Case,
     PtType2Case,
     gv_lambda,
-    is_non_real,
-    special_case_spectrum,
+    special_case_ladder,
 )
 from qmorse.spectrum import (
     QuantumState,
@@ -301,12 +300,12 @@ def test_criterion_8_special_cases():
         q = rng.uniform(0.3, 2.0)
         mu = rng.uniform(0.3, 10.0)
         r_e = rng.uniform(0.5, 2.5)
-        n = int(rng.integers(0, 4))
         case = GeneralizedVibrationalCase(D=d_well, alpha=alpha, q=q, mu=mu, r_e=r_e)
         mol = MoleculeRecord("synthetic", d_well / UNITS.wavenumber_to_eV, alpha / r_e, r_e, mu)
-        gv = special_case_spectrum("generalized_vibrational", case, n).energy
-        sw = energy_pdm(mol, q, 0.0, QuantumState(n, 0)).energy
-        worst = max(worst, abs(gv - sw) / max(abs(sw), 1e-30))
+        gv, _ = special_case_ladder(case, np.arange(4))
+        sw = spectrum_grid(PotentialParams.from_molecule(mol, q), MassModel.from_molecule(mol),
+                           np.arange(4), 0).energy
+        worst = max(worst, float(np.max(np.abs(gv - sw) / np.maximum(np.abs(sw), 1e-30))))
     assert worst < 1e-12
 
     # final-bound-state condition q = 1/(2 lambda) gives E = 0 exactly; the
@@ -318,31 +317,31 @@ def test_criterion_8_special_cases():
     d_exact = 4.0 * alpha0**2 * _e_scale(mu0, re0)
     tuned = GeneralizedVibrationalCase(D=d_exact, alpha=alpha0, q=0.25, mu=mu0, r_e=re0)
     assert gv_lambda(tuned) == 2.0
-    assert special_case_spectrum("generalized_vibrational", tuned, 0).energy == 0.0
+    assert special_case_ladder(tuned, np.arange(1))[0][0] == 0.0
     # float-roundoff robustness of the same condition at a generic lambda
     base = GeneralizedVibrationalCase(D=4.7, alpha=1.5, q=1.0, mu=0.6, r_e=0.9)
     lam = gv_lambda(base)
     generic = GeneralizedVibrationalCase(D=4.7, alpha=1.5, q=1.0 / (2.0 * lam), mu=0.6, r_e=0.9)
-    assert abs(special_case_spectrum("generalized_vibrational", generic, 0).energy) < 1e-30
+    assert abs(special_case_ladder(generic, np.arange(1))[0][0]) < 1e-30
 
     # first PT-symmetric type: non-real energies for generic real parameters
     for _ in range(10):
         case1 = PtType1Case(D=rng.uniform(0.5, 5.0), d_hat=rng.uniform(0.5, 3.0),
                             mu=rng.uniform(0.3, 3.0), r_e=rng.uniform(0.5, 2.0))
-        res = special_case_spectrum("pt_type1", case1, int(rng.integers(0, 4)))
-        assert is_non_real(res)
+        energy, _ = special_case_ladder(case1, np.arange(4))
+        assert np.all(energy.imag != 0)
 
     # second PT-symmetric type: real spectrum matching its closed form
     case2 = PtType2Case(D=3.0, omega=1.4, alpha=1.1, mu=0.8, r_e=1.0)
     from qmorse.special_cases import energy_scale
 
     kappa3 = case2.r_e * math.sqrt(2.0 * case2.mu * UNITS.amu_to_eV_per_c2 * case2.D) / UNITS.hbar_c
-    for n in range(4):
-        res = special_case_spectrum("pt_type2", case2, n)
-        want = energy_scale(case2.mu, case2.r_e) * (
-            0.5 * math.sqrt(case2.D) / case2.omega * kappa3 - n - 0.5) ** 2
-        assert isinstance(res.energy, float)
-        assert res.energy == pytest.approx(want, rel=1e-14)
+    n = np.arange(4)
+    energy, _ = special_case_ladder(case2, n)
+    want = energy_scale(case2.mu, case2.r_e) * (
+        0.5 * math.sqrt(case2.D) / case2.omega * kappa3 - n - 0.5) ** 2
+    assert energy.dtype == np.float64
+    assert energy == pytest.approx(want, rel=1e-14)
     print(f"[criterion 8] PASS - special cases; vibrational-vs-s-wave worst rel {worst:.2e}")
 
 

@@ -268,7 +268,7 @@ def test_row_flags_past_the_cap_exit_2_before_building(capsys, monkeypatch, argv
     def refuse(*args, **kwargs):
         raise AssertionError("built rows past the cap")
 
-    monkeypatch.setattr(cli_mod.special_cases, "special_case_spectrum", refuse)
+    monkeypatch.setattr(cli_mod.special_cases, "special_case_ladder", refuse)
     monkeypatch.setattr(cli_mod, "radial_wavefunction", refuse)
     for count in (cli_mod.MAX_LADDER_ROWS + 1, 10**9):
         code, out, err = run_cli([*argv, str(count)], capsys)
@@ -400,6 +400,46 @@ def test_special_case_pt1_complex(capsys):
     payload = json.loads(out)
     non_real_column = payload["columns"].index("non_real")
     assert all(row[non_real_column] for row in payload["rows"])
+
+
+#: finite special-case requests whose level-0 energy overflows a float
+SPECIAL_CASE_OVERFLOWS = [
+    ["--case", "pt-type2", "--D", "1e300", "--mu", "0.01", "--re", "9.77", "--omega", "5.67",
+     "--alpha", "900"],
+    ["--case", "non-pt", "--D", "1000", "--mu", "1000", "--re", "0.06", "--dhat", "5e200"],
+    ["--case", "generalized-vibrational", "--D", "1000", "--mu", "1000", "--re", "0.06",
+     "--alpha", "1", "--q", "1e160"],
+    ["--case", "pt-type1", "--D", "1000", "--mu", "1000", "--re", "0.06", "--dhat", "5e200"],
+]
+
+
+@pytest.mark.parametrize("argv", SPECIAL_CASE_OVERFLOWS, ids=lambda argv: argv[1])
+def test_special_case_overflow_names_the_level(capsys, argv):
+    code, out, err = run_cli(["special-case", *argv], capsys)
+    case_id = argv[1].replace("-", "_")
+    assert code == 1 and out == ""
+    assert err.startswith(f"numeric failure: {case_id} level n=0 overflows: "), err
+
+
+def test_oracle_compare_forms_the_reduced_problem_five_times(capsys, monkeypatch):
+    # closed_ladder three times (two ladder counts and the grid), then one
+    # build_w_and_b each for suggest_config and solve, which also yields the threshold
+    import qmorse.oracle as oracle_mod
+    import qmorse.spectrum as spectrum_mod
+
+    calls = []
+    strengths = spectrum_mod.strengths
+
+    def spy(*args):
+        calls.append(args[2])
+        return strengths(*args)
+
+    for owner in (oracle_mod, spectrum_mod):
+        monkeypatch.setattr(owner, "strengths", spy)
+    code, _, _ = run_cli(["oracle-compare", "--molecule", "H2", "--delta", "0.3", "--l", "5"],
+                         capsys)
+    assert code == 0
+    assert len(calls) == 5
 
 
 def test_oracle_compare_small(capsys):

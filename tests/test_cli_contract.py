@@ -4,17 +4,19 @@ For any argv drawn from the grammar of ``spectrum``, ``wavefunction``,
 ``special-case``, ``nmax``, ``oracle-compare``, ``table3`` and
 ``--show-constants`` (NaN, inf, negative and huge values included): the exit
 code is 0, 1, 2 or 3, stderr holds no traceback, no Python warning (numpy's
-overflow and invalid-value warnings included) is issued, and a request that
-exits 0 prints only finite numbers.  The one exemption is the documented
-sentinel of ``nmax``: ``E_last_bound_eV`` is ``nan`` for a molecule with
-n_max = 0, and only there.  ``nmax --full`` draws ``--q`` only from [-2, 10]:
-it builds every bound state, and a huge ``--q`` makes that ladder grow
-without limit (it exits 2 past 10^5 rows, but a request near that cap takes
-a second); [-2, 10] keeps it to a few thousand rows.  For the same reason
-``wavefunction --n`` stays at most 2000: its polynomial recurrence takes n
-steps over the grid.  ``wavefunction --points`` and ``special-case
---levels`` draw up to 2000 and 40, or 10^5 + 1 and 10^9, which exit 2 at
-the 10^5-row cap before anything is built.
+overflow and invalid-value warnings included) is issued, a request that
+exits 0 prints only finite numbers, and a ``special-case`` request that
+exits 1 names the case and the level whose energy overflowed a float.  The
+one exemption is the documented sentinel of ``nmax``: ``E_last_bound_eV`` is
+``nan`` for a molecule with n_max = 0, and only there.  ``nmax --full``
+draws ``--q`` only from [-2, 10]: it builds every bound state, and a huge
+``--q`` makes that ladder grow without limit (it exits 2 past 10^5 rows, but
+a request near that cap takes a second); [-2, 10] keeps it to a few thousand
+rows.  For the same reason ``wavefunction --n`` stays at most 2000: its
+polynomial recurrence takes n steps over the grid.  ``wavefunction
+--points`` and ``special-case --levels`` draw up to 2000 and 40, or
+10^5 + 1 and 10^9, which exit 2 at the 10^5-row cap before anything is
+built.
 
 ``oracle-compare`` costs up to a second and a half per request at 3000 grid
 points or a 2500-level ladder, so its draws are bounded and it runs fewer
@@ -32,7 +34,7 @@ import math
 import re
 import warnings
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qmorse import special_cases
@@ -150,6 +152,9 @@ def _run(argv):
     assert [str(w.message) for w in caught] == [], argv  # it would reach a user's stderr
     assert code in (0, 1, 2, 3), (argv, code, err.getvalue())
     assert "Traceback" not in err.getvalue(), argv
+    if argv[0] == "special-case" and code == 1:
+        assert re.match(r"numeric failure: [a-z_0-9]+ level n=\d+ overflows: ", err.getvalue()), (
+            argv, err.getvalue())
     if code == 0:
         allowed = _nmax_sentinels(argv, out.getvalue()) if argv[0] == "nmax" else []
         assert _non_finite_fields(out.getvalue()) == allowed, argv
@@ -158,6 +163,15 @@ def _run(argv):
 
 @settings(deadline=None, max_examples=300)
 @given(argv=argvs)
+# finite requests whose level-0 energy overflows a float
+@example(argv=["special-case", "--case=pt-type2", "--D=1e300", "--mu=0.01", "--re=9.77",
+               "--omega=5.67", "--alpha=900"])
+@example(argv=["special-case", "--case=non-pt", "--D=1000", "--mu=1000", "--re=0.06",
+               "--dhat=5e200"])
+@example(argv=["special-case", "--case=generalized-vibrational", "--D=1000", "--mu=1000",
+               "--re=0.06", "--alpha=1", "--q=1e160"])
+@example(argv=["special-case", "--case=pt-type1", "--D=1000", "--mu=1000", "--re=0.06",
+               "--dhat=5e200"])
 def test_exit_code_contract(argv):
     _run(argv)
 

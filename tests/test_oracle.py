@@ -21,7 +21,6 @@ from qmorse.oracle import (
     build_w_and_b,
     closed_ladder,
     compare,
-    continuum_threshold,
     grid_origin,
     pole_wall,
     solve,
@@ -96,8 +95,7 @@ def test_spacing_refinement_gains_two_orders():
     errors = []
     for n_pts in (511, 767, 1151, 1727, 2591):  # n + 1 = 512 * 1.5^k
         cfg = OracleConfig(r_min=0.6, r_max=8.0, grid_points=n_pts)
-        w_fn, b_fn = build_w_and_b(p, mm, 0, "pekeris")
-        threshold = continuum_threshold(p, mm, 0, "pekeris")
+        w_fn, b_fn, threshold = build_w_and_b(p, mm, 0, "pekeris")
         levels = solve_potential(w_fn, b_fn, cfg, threshold).eigenvalues
         errors.append(float(np.max(np.abs(levels[:75] - exact))))
     assert errors[0] > 1e-3
@@ -208,8 +206,8 @@ def test_pdm_pole_inside_domain_rejected(h2):
 def test_threshold_values(h2):
     p = PotentialParams.from_molecule(h2, 1.0)
     mm = MassModel.from_molecule(h2, 0.0)
-    assert continuum_threshold(p, mm, 10, "exact") == pytest.approx(p.v3)
-    assert continuum_threshold(p, mm, 10, "pekeris") > p.v3
+    assert build_w_and_b(p, mm, 10, "exact")[2] == pytest.approx(p.v3)
+    assert build_w_and_b(p, mm, 10, "pekeris")[2] > p.v3
 
 
 @pytest.mark.parametrize("delta", [0.0, 0.3])
@@ -219,9 +217,8 @@ def test_reduced_w_over_b_tends_to_the_threshold(h2, delta, l):
     # is c0's share, v3 + offset, to roundoff
     p = PotentialParams.from_molecule(h2, 1.0)
     mm = MassModel.from_molecule(h2, delta)
-    w_fn, b_fn = build_w_and_b(p, mm, l, "pekeris")
+    w_fn, b_fn, threshold = build_w_and_b(p, mm, l, "pekeris")
     r = np.array([p.r_e + 60.0 / p.a])
-    threshold = continuum_threshold(p, mm, l, "pekeris")
     assert float(w_fn(r)[0] / b_fn(r)[0]) == pytest.approx(threshold, rel=1e-14)
 
 
@@ -229,7 +226,7 @@ def test_reduced_w_over_b_tends_to_the_threshold(h2, delta, l):
 def test_exact_mode_w_is_the_effective_potential(h2, delta):
     p = PotentialParams.from_molecule(h2, 1.0)
     mm = MassModel.from_molecule(h2, delta)
-    w_fn, _ = build_w_and_b(p, mm, 5, "exact")
+    w_fn, _, _ = build_w_and_b(p, mm, 5, "exact")
     r = np.linspace(p.r_e - 0.5 / p.a, p.r_e + 30.0 / p.a, 400)
     assert np.array_equal(w_fn(r), effective_potential(p, mm, 5, r))
 
@@ -241,7 +238,7 @@ def test_pekeris_mode_at_delta_0_is_the_constant_mass_pekeris_problem(name):
     mol = builtin(name)
     p = PotentialParams.from_molecule(mol, 1.0)
     mm = MassModel.from_molecule(mol, 0.0)
-    w_fn, b_fn = build_w_and_b(p, mm, 5, "pekeris")
+    w_fn, b_fn, _ = build_w_and_b(p, mm, 5, "pekeris")
     r = np.linspace(max(MIN_RADIUS, p.r_e - 2.0 / p.a), p.r_e + 30.0 / p.a, 400)
     inv_h22m = 1.0 / hbar2_over_2mu(mm.m0)
     want = pekeris_centrifugal(p, 5, r) + inv_h22m * morse_potential(p, r)
@@ -335,8 +332,8 @@ def test_allowed_pole_side_keeps_the_deepest_wall(name):
     mol = builtin(name)
     p = PotentialParams.from_molecule(mol, 1.0)
     mm = MassModel.from_molecule(mol, 0.55)
-    w_fn, b_fn = build_w_and_b(p, mm, 0, "pekeris")
-    e_top = continuum_threshold(p, mm, 0, "pekeris") - 0.5
+    w_fn, b_fn, threshold = build_w_and_b(p, mm, 0, "pekeris")
+    e_top = threshold - 0.5
     wall = np.array([pole_wall(p, mm, POLE_WALL)])
     assert w_fn(wall)[0] / b_fn(wall)[0] < e_top
     cfg = suggest_config(p, mm, 0, e_top=e_top)
@@ -349,7 +346,7 @@ def test_thin_pole_side_keeps_the_deepest_wall():
     mol = builtin("CO")
     p = PotentialParams.from_molecule(mol, 1.0)
     mm = MassModel.from_molecule(mol, 0.5)
-    w_fn, b_fn = build_w_and_b(p, mm, 0, "pekeris")
+    w_fn, b_fn, _ = build_w_and_b(p, mm, 0, "pekeris")
     wall = np.array([pole_wall(p, mm, POLE_WALL)])
     assert w_fn(wall)[0] / b_fn(wall)[0] > closed_ladder(p, mm, 0)[-1]
     assert suggest_config(p, mm, 0).r_min == wall[0]
@@ -384,7 +381,7 @@ def test_dense_eigvalsh_of_the_same_matrix_agrees(name, delta, l):
     n = cfg.grid_points
     h = (t_hi - t_lo) / (n + 1)
     r_minus_origin = np.exp(t_lo + h * np.arange(1, n + 1))
-    w_fn, b_fn = build_w_and_b(p, mm, l, cfg.centrifugal_mode)
+    w_fn, b_fn, _ = build_w_and_b(p, mm, l, cfg.centrifugal_mode)
     w_hat = w_fn(origin + r_minus_origin) * r_minus_origin**2 + 0.25
     b_hat = b_fn(origin + r_minus_origin) * r_minus_origin**2
     first_row = np.zeros(n)

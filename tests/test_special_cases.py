@@ -1,9 +1,11 @@
 import math
 
+import numpy as np
 import pytest
 
 from qmorse.errors import DomainError
 from qmorse.molecules import MoleculeRecord
+from qmorse.potential import MassModel, PotentialParams
 from qmorse.special_cases import (
     GeneralizedVibrationalCase,
     NonPtCase,
@@ -11,10 +13,9 @@ from qmorse.special_cases import (
     PtType2Case,
     energy_scale,
     gv_lambda,
-    special_case_spectrum,
-    is_non_real,
+    special_case_ladder,
 )
-from qmorse.spectrum import EPS_TIE_TOL, QuantumState, energy_pdm
+from qmorse.spectrum import EPS_TIE_TOL, spectrum_grid
 from qmorse.units import UNITS
 
 
@@ -36,11 +37,12 @@ def test_gv_equals_s_wave_under_identification(rng):
         q = rng.uniform(0.3, 2.0)
         mu = rng.uniform(0.3, 10.0)
         r_e = rng.uniform(0.5, 2.5)
-        n = int(rng.integers(0, 4))
         case = GeneralizedVibrationalCase(D=D, alpha=alpha, q=q, mu=mu, r_e=r_e)
-        gv = special_case_spectrum("generalized_vibrational", case, n)
-        sw = energy_pdm(_equivalent_molecule(D, alpha, mu, r_e), q, 0.0, QuantumState(n, 0))
-        assert gv.energy == pytest.approx(sw.energy, rel=1e-12)
+        gv, _ = special_case_ladder(case, np.arange(4))
+        mol = _equivalent_molecule(D, alpha, mu, r_e)
+        sw = spectrum_grid(PotentialParams.from_molecule(mol, q), MassModel.from_molecule(mol),
+                           np.arange(4), 0).energy
+        assert gv == pytest.approx(sw, rel=1e-12)
 
 
 def test_gv_final_state_condition_gives_zero_energy():
@@ -48,56 +50,55 @@ def test_gv_final_state_condition_gives_zero_energy():
     case = GeneralizedVibrationalCase(D=4.7, alpha=1.5, q=1.0, mu=0.6, r_e=0.9)
     lam = gv_lambda(case)
     tuned = GeneralizedVibrationalCase(D=4.7, alpha=1.5, q=1.0 / (2.0 * lam), mu=0.6, r_e=0.9)
-    res = special_case_spectrum("generalized_vibrational", tuned, 0)
-    assert res.energy == pytest.approx(0.0, abs=1e-25)
-    assert not res.bound  # eps = 0 counts as unbound (tie rule)
+    energy, bound = special_case_ladder(tuned, np.arange(1))
+    assert energy[0] == pytest.approx(0.0, abs=1e-25)
+    assert not bound[0]  # eps = 0 counts as unbound (tie rule)
 
 
 def test_gv_unbound_flag_beyond_ladder():
     case = GeneralizedVibrationalCase(D=2.0, alpha=1.2, q=0.8, mu=0.5, r_e=0.8)
     lam_q = gv_lambda(case) * case.q
     n_top = int(math.floor(lam_q - 0.5))
-    assert special_case_spectrum("generalized_vibrational", case, n_top).bound
-    assert not special_case_spectrum("generalized_vibrational", case, n_top + 1).bound
+    _, bound = special_case_ladder(case, np.arange(n_top + 2))
+    assert bound.tolist() == [True] * (n_top + 1) + [False]
 
 
 def test_non_pt_energy_real_and_matches_closed_form():
     case = NonPtCase(D=2.0, d_hat=1.5, mu=0.9, r_e=1.2)
     e0 = energy_scale(case.mu, case.r_e)
     kappa1 = case.r_e * math.sqrt(2.0 * case.mu * UNITS.amu_to_eV_per_c2 * case.D) / UNITS.hbar_c
-    for n in range(3):
-        res = special_case_spectrum("non_pt", case, n)
-        expected = -e0 * (0.5 * case.d_hat * kappa1 - n - 0.5) ** 2
-        assert isinstance(res.energy, float)
-        assert res.energy == pytest.approx(expected, rel=1e-14)
+    n = np.arange(3)
+    energy, _ = special_case_ladder(case, n)
+    expected = -e0 * (0.5 * case.d_hat * kappa1 - n - 0.5) ** 2
+    assert energy.dtype == np.float64
+    assert energy == pytest.approx(expected, rel=1e-14)
 
 
 def test_pt_type1_energies_are_non_real():
     case = PtType1Case(D=2.0, d_hat=1.5, mu=0.9, r_e=1.2)
-    for n in range(4):
-        res = special_case_spectrum("pt_type1", case, n)
-        assert isinstance(res.energy, complex)
-        assert is_non_real(res)
-        assert not res.bound
-        # real and imaginary parts follow E0 [d_hat kappa2 / 2 - n - 1/2]^2
-        kappa = case.r_e * math.sqrt(2.0 * case.mu * UNITS.amu_to_eV_per_c2 * case.D) / UNITS.hbar_c
-        e0 = energy_scale(case.mu, case.r_e)
-        a_part = 0.5 * case.d_hat * kappa
-        b_part = n + 0.5
-        expected = e0 * complex(b_part**2 - a_part**2, 2.0 * a_part * b_part)
-        assert res.energy == pytest.approx(expected, rel=1e-12)
+    n = np.arange(4)
+    energy, bound = special_case_ladder(case, n)
+    assert energy.dtype == np.complex128
+    assert np.all(energy.imag != 0)
+    assert not bound.any()
+    # real and imaginary parts follow E0 [d_hat kappa2 / 2 - n - 1/2]^2
+    kappa = case.r_e * math.sqrt(2.0 * case.mu * UNITS.amu_to_eV_per_c2 * case.D) / UNITS.hbar_c
+    e0 = energy_scale(case.mu, case.r_e)
+    a_part = 0.5 * case.d_hat * kappa
+    b_part = n + 0.5
+    expected = e0 * (b_part**2 - a_part**2 + 2j * a_part * b_part)
+    assert energy == pytest.approx(expected, rel=1e-12)
 
 
 def test_pt_type2_energies_real_and_match():
     case = PtType2Case(D=3.0, omega=1.4, alpha=1.1, mu=0.8, r_e=1.0)
     e0 = energy_scale(case.mu, case.r_e)
     kappa3 = case.r_e * math.sqrt(2.0 * case.mu * UNITS.amu_to_eV_per_c2 * case.D) / UNITS.hbar_c
-    for n in range(3):
-        res = special_case_spectrum("pt_type2", case, n)
-        expected = e0 * (0.5 * math.sqrt(case.D) / case.omega * kappa3 - n - 0.5) ** 2
-        assert isinstance(res.energy, float)
-        assert res.energy == pytest.approx(expected, rel=1e-14)
-        assert not is_non_real(res)
+    n = np.arange(3)
+    energy, _ = special_case_ladder(case, n)
+    expected = e0 * (0.5 * math.sqrt(case.D) / case.omega * kappa3 - n - 0.5) ** 2
+    assert energy.dtype == np.float64
+    assert energy == pytest.approx(expected, rel=1e-14)
 
 
 DISPATCH_CASES = {
@@ -111,17 +112,23 @@ DISPATCH_CASES = {
 @pytest.mark.parametrize("case_id", sorted(DISPATCH_CASES))
 def test_dispatch_and_unknown_case(case_id):
     case = DISPATCH_CASES[case_id]
-    for n in range(8):
-        res = special_case_spectrum(case_id, case, n)
-        assert res.variant == f"special_case:{case_id}"
-        assert (res.eps_nl is None) == (case_id == "pt_type1")
-        # bound iff eps > EPS_TIE_TOL; the complex pt_type1 levels never are
-        assert res.bound == (res.eps_nl is not None and res.eps_nl > EPS_TIE_TOL)
-    with pytest.raises(DomainError):
-        special_case_spectrum("bogus", case, 0)
-    other = "pt_type2" if case_id == "non_pt" else "non_pt"
-    with pytest.raises(DomainError, match=type(case).__name__):
-        special_case_spectrum(other, case, 0)
+    n = np.arange(8)
+    energy, bound = special_case_ladder(case, n)
+    assert energy.shape == bound.shape == (8,)
+    assert np.iscomplexobj(energy) == (case_id == "pt_type1")
+    # bound iff eps > EPS_TIE_TOL; the complex pt_type1 levels never are
+    c, _ = case.ladder()
+    eps = c - n - 0.5
+    assert bound.tolist() == (np.isrealobj(eps) & (eps.real > EPS_TIE_TOL)).tolist()
+    # a case id in place of its case is refused, not looked up
+    with pytest.raises(DomainError, match="str"):
+        special_case_ladder(case_id, n)
+
+
+@pytest.mark.parametrize("n", [-1, 1.5, [0, -1], np.array([0.0, 1.5])])
+def test_ladder_rejects_a_non_integer_or_negative_n(n):
+    with pytest.raises(DomainError, match="n must be a non-negative integer"):
+        special_case_ladder(DISPATCH_CASES["non_pt"], n)
 
 
 def test_case_validation():
@@ -148,8 +155,34 @@ def test_case_rejects_non_finite(case_type, field, value):
         case_type(**{**VALID_CASES[case_type], field: value})
 
 
-def test_overflowing_energy_raises():
-    # finite inputs whose energy overflows a float: 2 mu D in kappa is 1.9e309
-    case = NonPtCase(D=2.0, d_hat=1.5, mu=1e300, r_e=1.2)
-    with pytest.raises(OverflowError, match="non_pt level n=0"):
-        special_case_spectrum("non_pt", case, 0)
+@pytest.mark.parametrize("case_type, field, value", [
+    (case_type, field, value) for case_type, values in VALID_CASES.items()
+    for field in values if field in ("D", "alpha", "mu", "r_e") for value in (0.0, -1.0)
+] + [(PtType2Case, "omega", 0.0)])
+def test_case_rejects_out_of_domain(case_type, field, value):
+    with pytest.raises(DomainError, match=f"^{field} must be"):
+        case_type(**{**VALID_CASES[case_type], field: value})
+
+
+@pytest.mark.parametrize("case_type, field", [
+    (GeneralizedVibrationalCase, "q"), (NonPtCase, "d_hat"), (PtType1Case, "d_hat"),
+    (PtType2Case, "omega"),
+])
+def test_case_takes_a_negative_deformation_or_coupling(case_type, field):
+    case_type(**{**VALID_CASES[case_type], field: -1.5})
+
+
+@pytest.mark.parametrize("case, level", [
+    # 2 mu D in kappa is 1.9e309
+    (NonPtCase(D=2.0, d_hat=1.5, mu=1e300, r_e=1.2), "non_pt level n=0"),
+    # r_e^2 in E0 overflows, and alpha^2 E0 in lambda underflows to a zero divisor
+    (PtType1Case(D=2.0, d_hat=1.5, mu=0.9, r_e=1e300), "pt_type1 level n=0"),
+    (GeneralizedVibrationalCase(D=2.0, alpha=1e-200, q=1.0, mu=0.9, r_e=1.2),
+     "generalized_vibrational level n=0"),
+])
+def test_overflowing_energy_raises(case, level):
+    # finite inputs whose energy, or whose c or scale, overflows a float
+    with pytest.raises(OverflowError, match=f"^{level} overflows: energy "):
+        special_case_ladder(case, np.arange(3))
+    with pytest.raises(OverflowError, match=level):
+        special_case_ladder(case, 0)
