@@ -172,17 +172,24 @@ def test_case_takes_a_negative_deformation_or_coupling(case_type, field):
     case_type(**{**VALID_CASES[case_type], field: -1.5})
 
 
+def _assert_ladder_overflows(case, level):
+    with pytest.raises(OverflowError, match=f"^{level} overflows: energy "):
+        special_case_ladder(case, np.arange(3))
+    with pytest.raises(OverflowError, match=level):
+        special_case_ladder(case, 0)
+
+
+def test_overflowing_energy_raises():
+    # finite inputs whose energy overflows a float: 2 mu D in kappa is 1.9e309
+    _assert_ladder_overflows(NonPtCase(D=2.0, d_hat=1.5, mu=1e300, r_e=1.2), "non_pt level n=0")
+
+
 @pytest.mark.parametrize("case, level", [
-    # 2 mu D in kappa is 1.9e309
-    (NonPtCase(D=2.0, d_hat=1.5, mu=1e300, r_e=1.2), "non_pt level n=0"),
     # r_e^2 in E0 overflows, and alpha^2 E0 in lambda underflows to a zero divisor
     (PtType1Case(D=2.0, d_hat=1.5, mu=0.9, r_e=1e300), "pt_type1 level n=0"),
     (GeneralizedVibrationalCase(D=2.0, alpha=1e-200, q=1.0, mu=0.9, r_e=1.2),
      "generalized_vibrational level n=0"),
 ])
-def test_overflowing_energy_raises(case, level):
-    # finite inputs whose energy, or whose c or scale, overflows a float
-    with pytest.raises(OverflowError, match=f"^{level} overflows: energy "):
-        special_case_ladder(case, np.arange(3))
-    with pytest.raises(OverflowError, match=level):
-        special_case_ladder(case, 0)
+def test_overflowing_scale_raises(case, level):
+    # finite inputs whose c or scale overflows a float
+    _assert_ladder_overflows(case, level)
