@@ -13,18 +13,25 @@ Run: python scripts/derive_h2_reference_params.py
 
 import itertools
 
+import numpy as np
+
 from qmorse.molecules import MoleculeRecord
+from qmorse.potential import MassModel, PotentialParams
 from qmorse.reference import REFERENCE_MINUS_E, cell_decimals
-from qmorse.spectrum import QuantumState, energy_pdm
+from qmorse.spectrum import ladder_length, spectrum_grid
 from qmorse.units import UNITS
 
 
 def score(d_e: float, a: float, r_e: float, mu: float) -> tuple[float, float]:
     """(worst rounded deviation, worst raw deviation), in last-digit units."""
     mol = MoleculeRecord("cand", d_e / UNITS.wavenumber_to_eV, a, r_e, mu)
+    cells = REFERENCE_MINUS_E["H2"]
+    n, l = np.array(list(cells)).T
+    grid = spectrum_grid(PotentialParams.from_molecule(mol, 1.0), MassModel.from_molecule(mol),
+                         n, l).raise_fault()
     worst_round = worst_raw = 0.0
-    for (n, l), printed in REFERENCE_MINUS_E["H2"].items():
-        minus_e = -energy_pdm(mol, 1.0, 0.0, QuantumState(n, l)).energy
+    for printed, energy in zip(cells.values(), grid.energy.tolist()):
+        minus_e = -energy
         ulp = 10.0 ** (-cell_decimals(printed))
         worst_raw = max(worst_raw, abs(minus_e - float(printed)) / ulp)
         worst_round = max(worst_round, abs(round(minus_e, cell_decimals(printed)) - float(printed)) / ulp)
@@ -62,12 +69,11 @@ def main() -> None:
 
     # ladder-edge consistency check
     mol = MoleculeRecord("winner", d_e / UNITS.wavenumber_to_eV, a, 0.7416, 0.50391)
-    from qmorse.spectrum import n_max
-
-    count = n_max(mol)
-    edge = energy_pdm(mol, 1.0, 0.0, QuantumState(count, 0))
-    print(f"s-wave ladder: {count} bound levels, edge energy {edge.energy:.4e} eV "
-          f"(reference -1.231e-4, {abs(edge.energy + 1.231e-4) / 1.231e-4:.2%} off)")
+    p, mm = PotentialParams.from_molecule(mol, 1.0), MassModel.from_molecule(mol)
+    count = ladder_length(p, mm, 0)
+    edge = float(spectrum_grid(p, mm, count, 0).raise_fault().energy)
+    print(f"s-wave ladder: {count} bound levels, edge energy {edge:.4e} eV "
+          f"(reference -1.231e-4, {abs(edge + 1.231e-4) / 1.231e-4:.2%} off)")
 
 
 if __name__ == "__main__":

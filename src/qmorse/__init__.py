@@ -15,14 +15,7 @@ from .errors import (
 from .molecules import BUILTIN_NAMES, MoleculeRecord, builtin, load_molecules, serialize_molecules
 from .potential import MassModel, PotentialParams, effective_potential, mass, morse_potential
 from .pekeris import PekerisCoefficients, pekeris_coefficients
-from .spectrum import (
-    QuantumState,
-    SpectrumResult,
-    bound_ladder,
-    energy_pdm,
-    n_max,
-    spectrum_grid,
-)
+from .spectrum import QuantumState, bound_ladder, spectrum_grid
 from .units import UNITS, dissociation_energy_eV, hbar2_over_2mu
 
 __all__ = [
@@ -36,19 +29,16 @@ __all__ = [
     "PekerisCoefficients",
     "PotentialParams",
     "QuantumState",
-    "SpectrumResult",
     "ThresholdStateError",
     "UNITS",
     "bound_ladder",
     "builtin",
     "dissociation_energy_eV",
     "effective_potential",
-    "energy_pdm",
     "hbar2_over_2mu",
     "load_molecules",
     "mass",
     "morse_potential",
-    "n_max",
     "pekeris_coefficients",
     "serialize_molecules",
     "spectrum_grid",

@@ -261,6 +261,8 @@ def cmd_table3(args, stream) -> int:
 
 def cmd_nmax(args, stream) -> int:
     names = [s.strip() for s in args.molecules.split(",") if s.strip()]
+    if not names:
+        raise DomainError("empty molecule list")
     wells = []
     for name in names:
         mol = _resolve_molecule(name, args.molecule_file)

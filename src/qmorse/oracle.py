@@ -135,7 +135,6 @@ class OracleSpectrum:
     eigenvalues: np.ndarray
     error_estimates: np.ndarray
     threshold: float
-    config: OracleConfig
     grid: np.ndarray | None = None
     eigenvectors: np.ndarray | None = None
 
@@ -277,7 +276,7 @@ def solve_potential(
         other[:shared] = check_vals[:shared]
         estimates = np.maximum(np.abs(vals - other), max(roundoff, check_roundoff))
     return OracleSpectrum(
-        eigenvalues=vals, error_estimates=estimates, threshold=threshold, config=cfg,
+        eigenvalues=vals, error_estimates=estimates, threshold=threshold,
         grid=grid, eigenvectors=vectors,
     )
 

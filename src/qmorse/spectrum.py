@@ -7,9 +7,10 @@ broadcast arrays: the varying-mass bracket for delta > 0, its delta -> 0 limit
 eps = beta2 / (2 sqrt(beta1)) - (n + 1/2) for delta = 0) and
 ``spectrum_grid`` (energies over an n x l grid, delta below DELTA_CROSSOVER
 routed to the constant-mass branch).  ``bound_ladder`` is the bound prefix
-n = 0, 1, ... of one l.  Failing states are reported per state, not raised;
-``energy_pdm`` (one state of a molecule) raises, and ``n_max`` counts the
-s-wave ladder.
+n = 0, 1, ... of one l, and ``ladder_length`` its closed-form count.  Every
+function takes a (PotentialParams, MassModel) pair, of a molecule through
+their ``from_molecule``.  Failing states are reported per state, not raised;
+``SpectrumGrid.raise_fault`` raises the first.
 
 Energies are computed below the separated-atoms limit, as
 offset - (hbar^2 a^2/2m0) eps^2 with offset = gamma a0 hbar^2/2m0, and every
@@ -28,7 +29,6 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .errors import DomainError, NoRealSolutionError, ThresholdStateError
-from .molecules import MoleculeRecord
 from .pekeris import pekeris_coefficients
 from .potential import MassModel, PotentialParams
 from .units import hbar2_over_2mu
@@ -62,21 +62,6 @@ class QuantumState:
             if (isinstance(value, bool) or not isinstance(value, numbers.Real)
                     or not 0 <= value < math.inf or value != int(value)):
                 raise DomainError(f"{name} must be a non-negative integer, got {value!r}")
-
-
-@dataclass(frozen=True)
-class SpectrumResult:
-    """One bound-state (or flagged unbound) energy with provenance."""
-
-    state: QuantumState
-    energy: float | complex
-    eps_nl: float | None
-    variant: str
-    bound: bool
-    xi: float | None = None
-    molecule: str | None = None
-    q: float = 1.0
-    delta: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -247,30 +232,3 @@ def bound_ladder(p: PotentialParams, mm: MassModel, l: int) -> SpectrumGrid:
     grid = spectrum_grid(p, mm, np.arange(count + 1), l)
     unbound = np.flatnonzero(~grid.bound)
     return grid[: unbound[0] if unbound.size else count + 1]
-
-
-def energy_pdm(mol: MoleculeRecord, q: float, delta: float, state: QuantumState) -> SpectrumResult:
-    """Varying-mass energy of one state of a molecule, below the dissociation limit.
-
-    delta below DELTA_CROSSOVER is routed to the constant-mass branch; a
-    failing state raises.
-    """
-    p = PotentialParams.from_molecule(mol, q)
-    grid = spectrum_grid(p, MassModel.from_molecule(mol, delta), state.n, state.l).raise_fault()
-    pdm = grid.delta > 0.0
-    return SpectrumResult(
-        state=state, energy=float(grid.energy), eps_nl=float(grid.eps),
-        xi=float(grid.xi) if pdm else None, variant="pdm" if pdm else "constant_mass",
-        bound=bool(grid.bound), molecule=mol.name, q=p.q, delta=grid.delta,
-    )
-
-
-def n_max(mol: MoleculeRecord, q: float = 1.0) -> int:
-    """Total number of normalizable s-wave levels.
-
-    The largest normalizable index is n_max - 1; the closed form evaluated at
-    n = n_max (already non-normalizable, eps < 0) is the ladder entry nearest
-    the continuum, quoted with the count.  Returns 0 (no bound branch) when
-    V2 <= 0.
-    """
-    return ladder_length(PotentialParams.from_molecule(mol, q), MassModel.from_molecule(mol), 0)

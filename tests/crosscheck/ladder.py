@@ -1,8 +1,9 @@
 """The eps-inversion energy and the LiH/HCl ladder-figure assignment."""
 
-from qmorse import MassModel, PotentialParams, QuantumState, builtin, energy_pdm, n_max
+from qmorse import MassModel, PotentialParams, builtin, spectrum_grid
 from qmorse.pekeris import pekeris_coefficients
 from qmorse.reference import AMBIGUOUS_LADDER_ENERGIES
+from qmorse.spectrum import ladder_length
 from qmorse.units import hbar2_over_2mu
 
 
@@ -29,10 +30,12 @@ def resolve_reported_ladder() -> dict[str, tuple[int, float, float]]:
     out: dict[str, tuple[int, float, float]] = {}
     for name in ("LiH", "HCl"):
         mol = builtin(name)
-        count = n_max(mol, 1.0)
+        p, mm = PotentialParams.from_molecule(mol, 1.0), MassModel.from_molecule(mol)
+        count = ladder_length(p, mm, 0)
         best: tuple[int, float, float] | None = None
-        for idx in (count - 1, count):
-            energy = energy_pdm(mol, 1.0, 0.0, QuantumState(idx, 0)).energy
+        indices = (count - 1, count)
+        energies = spectrum_grid(p, mm, indices, 0).raise_fault().energy.tolist()
+        for idx, energy in zip(indices, energies):
             for ref in AMBIGUOUS_LADDER_ENERGIES:
                 rel = abs(energy - ref) / abs(ref)
                 if best is None or rel < best[2]:

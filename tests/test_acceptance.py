@@ -35,13 +35,7 @@ from qmorse.special_cases import (
     gv_lambda,
     special_case_ladder,
 )
-from qmorse.spectrum import (
-    QuantumState,
-    energy_pdm,
-    n_max,
-    quantize,
-    spectrum_grid,
-)
+from qmorse.spectrum import QuantumState, ladder_length, quantize, spectrum_grid
 from qmorse.units import UNITS
 from qmorse.wavefunctions import log_norm, radial_wavefunction
 
@@ -53,9 +47,10 @@ def test_criterion_1_reference_table_reproduction():
     matched = 0
     for block, cells in REFERENCE_MINUS_E.items():
         mol = builtin(TABLE_MOLECULE[block])
-        for (n, l), printed in cells.items():
-            res = energy_pdm(mol, 1.0, 0.0, QuantumState(n, l))
-            assert cell_matches(-res.energy, printed), (block, n, l, -res.energy, printed)
+        p, mm = PotentialParams.from_molecule(mol, 1.0), MassModel.from_molecule(mol)
+        grid = spectrum_grid(p, mm, *np.array(list(cells)).T).raise_fault()
+        for ((n, l), printed), energy in zip(cells.items(), grid.energy):
+            assert cell_matches(-energy, printed), (block, n, l, -energy, printed)
             matched += 1
     assert matched == 36
     print(f"\n[criterion 1] PASS - reference energy table: {matched}/36 cells at printed precision")
@@ -66,11 +61,13 @@ def test_criterion_2_bound_state_counts_and_final_levels():
     co = builtin("CO")
     count_h2, edge_h2 = REFERENCE_LADDER["H2"]
     count_co, edge_co = REFERENCE_LADDER["CO"]
-    assert n_max(h2) == count_h2
-    assert n_max(co) == count_co
-    # the formula value at index n_max, the ladder entry nearest the continuum
-    e_h2 = energy_pdm(h2, 1.0, 0.0, QuantumState(count_h2, 0)).energy
-    e_co = energy_pdm(co, 1.0, 0.0, QuantumState(count_co, 0)).energy
+    edges = []
+    for mol, count in ((h2, count_h2), (co, count_co)):
+        p, mm = PotentialParams.from_molecule(mol, 1.0), MassModel.from_molecule(mol)
+        assert ladder_length(p, mm, 0) == count
+        # the formula value at index n_max, the ladder entry nearest the continuum
+        edges.append(float(spectrum_grid(p, mm, count, 0).raise_fault().energy))
+    e_h2, e_co = edges
     assert e_h2 == pytest.approx(edge_h2, rel=0.01)
     assert e_co == pytest.approx(edge_co, rel=0.01)
 
@@ -115,12 +112,12 @@ def test_criterion_4_pdm_continuity_and_identity():
     worst_a = 0.0
     for block, cells in REFERENCE_MINUS_E.items():
         mol = builtin(TABLE_MOLECULE[block])
-        for (n, l) in cells:
-            state = QuantumState(n, l)
-            gap = abs(energy_pdm(mol, 1.0, 1e-6, state).energy
-                      - energy_pdm(mol, 1.0, 0.0, state).energy)
-            worst_a = max(worst_a, gap)
-            assert gap < 1e-4
+        p = PotentialParams.from_molecule(mol, 1.0)
+        n, l = np.array(list(cells)).T
+        gap = abs(spectrum_grid(p, MassModel.from_molecule(mol, 1e-6), n, l).raise_fault().energy
+                  - spectrum_grid(p, MassModel.from_molecule(mol), n, l).raise_fault().energy)
+        worst_a = max(worst_a, gap.max())
+        assert (gap < 1e-4).all()
 
     # (b) explicit bracket route vs eps-inversion identity, 1e3 random draws
     rng = np.random.default_rng(RNG_SEED)

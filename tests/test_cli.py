@@ -60,6 +60,14 @@ def test_unknown_molecule_exit_2(capsys):
     assert "Xe2" in err
 
 
+@pytest.mark.parametrize("molecules", [",", "", " , "])
+def test_nmax_empty_molecule_list_exits_2(capsys, molecules):
+    # a usage error, as an empty spectrum --n list is, not an empty table
+    code, out, err = run_cli(["nmax", f"--molecules={molecules}"], capsys)
+    assert code == 2 and out == ""
+    assert "empty molecule list" in err
+
+
 def test_table3_passes(capsys):
     code, out, _ = run_cli(["table3"], capsys)
     assert code == 0

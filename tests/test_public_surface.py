@@ -64,6 +64,19 @@ def test_no_signature_takes_a_unit_system():
     assert len(modules) > 10 and offenders == []
 
 
+def test_closed_form_takes_no_molecule():
+    # the closed forms take a (PotentialParams, MassModel) pair: no function
+    # of theirs takes a molecule, and the evaluator does not import its type
+    modules = [importlib.import_module(f"qmorse.{name}")
+               for name in ("spectrum", "wavefunctions", "oracle", "special_cases")]
+    offenders = [f"{module.__name__}.{obj.__qualname__}"
+                 for module in modules for obj in _callables(module)
+                 for param in inspect.signature(obj).parameters.values()
+                 if "MoleculeRecord" in str(param.annotation)]  # a class, or a string
+    assert offenders == []
+    assert not hasattr(modules[0], "MoleculeRecord")
+
+
 @pytest.mark.parametrize("path", SCRIPTS, ids=lambda path: path.name)
 def test_script_imports(path):
     _load(path)

@@ -16,9 +16,7 @@ from qmorse.spectrum import (
     MAX_LADDER_LENGTH,
     QuantumState,
     bound_ladder,
-    energy_pdm,
     ladder_length,
-    n_max,
     quantize,
     spectrum_grid,
     strengths,
@@ -26,36 +24,46 @@ from qmorse.spectrum import (
 from qmorse.units import hbar2_over_2mu
 
 
+def _well(mol, q=1.0, delta=0.0):
+    return PotentialParams.from_molecule(mol, q), MassModel.from_molecule(mol, delta)
+
+
+def _cells(cells):
+    """The (n, l) arrays of a reference block, one grid for all its cells."""
+    return np.array(list(cells)).T
+
+
 def test_reference_table_all_36_cells():
     for block, cells in REFERENCE_MINUS_E.items():
         mol = builtin(TABLE_MOLECULE[block])
-        for (n, l), printed in cells.items():
-            res = energy_pdm(mol, 1.0, 0.0, QuantumState(n, l))
-            assert cell_matches(-res.energy, printed), (block, n, l, -res.energy, printed)
+        grid = spectrum_grid(*_well(mol), *_cells(cells)).raise_fault()
+        for ((n, l), printed), energy in zip(cells.items(), grid.energy):
+            assert cell_matches(-energy, printed), (block, n, l, -energy, printed)
 
 
 def test_table_two_h2_row_misses_reference_cells():
     # the published H2 constants do NOT regenerate the reference energies;
     # the dedicated H2-ref parameter set exists precisely for that
-    res = energy_pdm(builtin("H2"), 1.0, 0.0, QuantumState(0, 0))
-    assert not cell_matches(-res.energy, "4.47601")
-    assert -res.energy == pytest.approx(4.47601, abs=3e-4)
+    energy = float(spectrum_grid(*_well(builtin("H2")), 0, 0).raise_fault().energy)
+    assert not cell_matches(-energy, "4.47601")
+    assert -energy == pytest.approx(4.47601, abs=3e-4)
 
 
 def test_s_wave_equals_constant_mass_at_l0():
     # independent restatement: E_n = -(1/4 kappa^2) [1 + 2n - eta kappa]^2 with
     # eta = V2/sqrt(V1), kappa = sqrt(2 mu)/(hbar a), from the dissociation limit
-    # (the ladder's array evaluation, a, and one state's, b)
+    # (the ladder's array evaluation, a, and one state's 0-d evaluation, b)
     for name in ("H2", "LiH", "CO", "HCl"):
         mol = builtin(name)
         p = PotentialParams.from_molecule(mol, 1.0)
         kappa = 1.0 / math.sqrt(hbar2_over_2mu(mol.mu_amu) * p.a**2)
         eta = p.v2 / math.sqrt(p.v1)
-        ladder = spectrum_grid(p, MassModel.from_molecule(mol), np.arange(6), 0).energy
+        mm = MassModel.from_molecule(mol)
+        ladder = spectrum_grid(p, mm, np.arange(6), 0).energy
         for n in range(6):
             want = -(1.0 / (4.0 * kappa**2)) * (1.0 + 2.0 * n - eta * kappa) ** 2
             a = ladder[n]
-            b = energy_pdm(mol, 1.0, 0.0, QuantumState(n, 0)).energy
+            b = float(spectrum_grid(p, mm, n, 0).raise_fault().energy)
             assert a == pytest.approx(want, rel=1e-12)
             assert b == pytest.approx(want, rel=1e-12)
 
@@ -72,21 +80,19 @@ def test_h2_ladder_negative_and_increasing():
 
 
 def test_n_max_counts():
-    assert n_max(builtin("H2-ref")) == 17
-    assert n_max(builtin("H2")) == 17
-    assert n_max(builtin("CO")) == 83
-    assert n_max(builtin("LiH")) == 29
-    assert n_max(builtin("HCl")) == 25
+    counts = {"H2-ref": 17, "H2": 17, "CO": 83, "LiH": 29, "HCl": 25}
+    assert {name: ladder_length(*_well(builtin(name)), 0) for name in counts} == counts
 
 
 def _edge(mol):
     """The ladder entry at index n_max, nearest the continuum."""
-    return energy_pdm(mol, 1.0, 0.0, QuantumState(n_max(mol), 0))
+    p, mm = _well(mol)
+    return spectrum_grid(p, mm, ladder_length(p, mm, 0), 0).raise_fault()
 
 
 def test_near_threshold_energies():
-    assert _edge(builtin("H2-ref")).energy == pytest.approx(-1.231e-4, rel=0.01)
-    assert _edge(builtin("CO")).energy == pytest.approx(-5.533e-7, rel=0.01)
+    assert float(_edge(builtin("H2-ref")).energy) == pytest.approx(-1.231e-4, rel=0.01)
+    assert float(_edge(builtin("CO")).energy) == pytest.approx(-5.533e-7, rel=0.01)
 
 
 def test_lih_hcl_ladder_assignment_resolved_by_computation():
@@ -104,13 +110,13 @@ def test_n_max_scaling_with_mass():
     import dataclasses
 
     heavy = dataclasses.replace(mol, mu_amu=2.0 * mol.mu_amu)
-    light_count, heavy_count = n_max(mol), n_max(heavy)
+    light_count, heavy_count = ladder_length(*_well(mol), 0), ladder_length(*_well(heavy), 0)
     assert heavy_count in (int(math.sqrt(2) * (light_count + 1)), int(math.sqrt(2) * light_count),
                            int(math.sqrt(2) * light_count) + 1)
 
 
 def test_n_max_zero_for_negative_q():
-    assert n_max(builtin("H2"), q=-0.5) == 0
+    assert ladder_length(*_well(builtin("H2"), q=-0.5), 0) == 0
 
 
 def test_pdm_identity_routes_agree(rng):
@@ -145,17 +151,17 @@ def test_delta_continuity_with_constant_mass():
     # delta = 1e-6 varies from the constant-mass limit by far less than 1e-4 eV
     for block, cells in REFERENCE_MINUS_E.items():
         mol = builtin(TABLE_MOLECULE[block])
-        for (n, l) in cells:
-            state = QuantumState(n, l)
-            e_pdm = energy_pdm(mol, 1.0, 1e-6, state).energy
-            e_cm = energy_pdm(mol, 1.0, 0.0, state).energy
-            assert abs(e_pdm - e_cm) < 1e-4
+        n, l = _cells(cells)
+        e_pdm = spectrum_grid(*_well(mol, delta=1e-6), n, l).raise_fault().energy
+        e_cm = spectrum_grid(*_well(mol), n, l).raise_fault().energy
+        assert (abs(e_pdm - e_cm) < 1e-4).all()
 
 
 def test_tiny_delta_routed_to_constant_mass():
     mol = builtin("H2")
-    res = energy_pdm(mol, 1.0, 1e-12, QuantumState(0, 0))
-    assert res.variant == "constant_mass"
+    grid = spectrum_grid(*_well(mol, delta=1e-12), 0, 0).raise_fault()
+    assert grid.delta == 0.0
+    assert float(grid.xi) == math.inf
 
 
 def test_pdm_h2_delta_01_epsilon_positive_and_larger():
@@ -197,39 +203,31 @@ def test_zero_numerator_gives_threshold_epsilon():
 def test_monotone_in_n_and_l_for_bound_states():
     for name in ("H2-ref", "LiH", "CO", "HCl"):
         mol = builtin(name)
-        for l in (0, 5, 10):
-            energies = [energy_pdm(mol, 1.0, 0.0, QuantumState(n, l)).energy
-                        for n in (0, 5, 7)]
-            assert energies[0] < energies[1] < energies[2] < 0
-        for n in (0, 5, 7):
-            energies = [energy_pdm(mol, 1.0, 0.0, QuantumState(n, l)).energy
-                        for l in (0, 5, 10)]
-            assert energies[0] < energies[1] < energies[2]
+        # rows n in (0, 5, 7), columns l in (0, 5, 10)
+        energies = spectrum_grid(*_well(mol), np.array([0, 5, 7])[:, None],
+                                 np.array([0, 5, 10])).raise_fault().energy
+        assert (np.diff(energies, axis=0) > 0).all() and (energies < 0).all()
+        assert (np.diff(energies, axis=1) > 0).all()
 
 
 def test_pdm_co_monotone_in_n_while_bound():
-    mol = builtin("CO")
-    previous = None
-    for n in range(0, 30):
-        res = energy_pdm(mol, 1.0, 0.2, QuantumState(n, 0))
-        if not res.bound:
-            break
-        if previous is not None:
-            assert res.energy > previous
-        previous = res.energy
-    assert previous is not None
+    grid = spectrum_grid(*_well(builtin("CO"), delta=0.2), np.arange(30), 0).raise_fault()
+    unbound = np.flatnonzero(~grid.bound)
+    energies = grid.energy[: unbound[0] if unbound.size else 30]
+    assert energies.size > 0
+    assert (np.diff(energies) > 0).all()
 
 
 def test_unbound_s_wave_flagged_but_reported():
     mol = builtin("H2")
-    res = _edge(mol)
-    assert not res.bound
-    assert math.isfinite(res.energy)
+    grid = _edge(mol)
+    assert not grid.bound
+    assert math.isfinite(grid.energy)
 
 
 def test_energy_sign_convention():
-    res = energy_pdm(builtin("CO"), 1.0, 0.0, QuantumState(0, 0))
-    assert res.energy < 0 and res.bound
+    grid = spectrum_grid(*_well(builtin("CO")), 0, 0).raise_fault()
+    assert grid.energy < 0 and grid.bound
 
 
 def test_beta_static_beta2_is_twice_beta1():
@@ -259,7 +257,7 @@ def test_bound_ladder_length_is_n_max_at_l0(name, log_q):
     mol, q = builtin(name), 10.0**log_q
     p = PotentialParams.from_molecule(mol, q)
     ladder = bound_ladder(p, MassModel.from_molecule(mol, 0.0), 0)
-    assert len(ladder) == n_max(mol, q)
+    assert len(ladder) == ladder_length(*_well(mol, q), 0)
     assert ladder.bound.all()
 
 
@@ -286,7 +284,7 @@ def test_bound_ladder_matches_prefix_loop():
         # near the crossover the length comes from the numerator's root, not
         # from the den > 0 limit sqrt(beta1)/delta ~ 1e10
         tiny = bound_ladder(p, MassModel.from_molecule(mol, 1e-9), 0)
-        assert len(tiny) == n_max(mol)
+        assert len(tiny) == ladder_length(*_well(mol), 0)
         assert np.isfinite(tiny.energy).all() and np.isfinite(tiny.xi).all()
 
 
@@ -295,10 +293,10 @@ def test_one_state_equals_its_grid_cell():
     # while the ladder's (and nmax's) array cell is ...637e-05
     mol, q = builtin("H2-ref"), 2.617495926584324
     p, mm = PotentialParams.from_molecule(mol, q), MassModel.from_molecule(mol)
-    count = n_max(mol, q)
+    count = ladder_length(p, mm, 0)
     grid = spectrum_grid(p, mm, np.arange(count + 1), 0)
     for n in range(count + 1):
-        assert energy_pdm(mol, q, 0.0, QuantumState(n, 0)).energy == grid.energy[n], n
+        assert float(spectrum_grid(p, mm, n, 0).energy) == grid.energy[n], n
     assert grid.energy[45] == -8.573024569181637e-05
 
 
@@ -311,7 +309,6 @@ def test_one_pdm_state_xi_equals_its_grid_cell():
     grid = spectrum_grid(p, mm, np.arange(count), l)
     for n in range(count):
         assert float(spectrum_grid(p, mm, n, l).xi) == grid.xi[n], n
-        assert energy_pdm(mol, q, delta, QuantumState(n, l)).xi == grid.xi[n], n
     assert grid.xi[42] == 263.5477436938528
 
 
@@ -325,19 +322,17 @@ def test_ladder_length_refuses_counts_a_float_cannot_index(q):
     p, mm = PotentialParams.from_molecule(mol, q), MassModel.from_molecule(mol)
     with pytest.raises(DomainError, match="float"):
         ladder_length(p, mm, 0)
-    with pytest.raises(DomainError):
-        n_max(mol, q)
 
 
 def test_ladder_length_below_the_cap_keeps_its_edge():
     # just below MAX_LADDER_LENGTH the last counted level is still bound and
     # the edge row is not: n + 1/2 is exact for every row
     mol = builtin("H2")
-    per_q = n_max(mol, 1e12) / 1e12
+    per_q = ladder_length(*_well(mol, 1e12), 0) / 1e12
     for q in (2.5e14, 0.999 * MAX_LADDER_LENGTH / per_q):
-        count = n_max(mol, q)
+        p, mm = _well(mol, q)
+        count = ladder_length(p, mm, 0)
         assert 2**51 < count <= MAX_LADDER_LENGTH
-        p, mm = PotentialParams.from_molecule(mol, q), MassModel.from_molecule(mol)
         grid = spectrum_grid(p, mm, np.array([count - 1, count], float), 0)
         assert grid.bound.tolist() == [True, False], q
 
