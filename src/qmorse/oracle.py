@@ -31,12 +31,19 @@ are kept.  Once ~5% of them are bound that beats scipy's dsbevx, which bisects
 each bound level to 2 safmin.
 
 Error estimate.  Each level's estimate is its difference from a second solve
-whose grid is finer (spacing h/1.25) and wider: the outer wall is pushed out
-by a quarter of the span, in the grid coordinate, and on the log grid so is
-the inner wall, but never past w = 1 - delta z = 1e-8 when the mass pole is
-real, nor below r = MIN_RADIUS otherwise.  The estimate is floored at the
-matrix's roundoff, 16 eps ||H||_inf.  On the exactly solvable reduced problems
-deviation/estimate is of order one.
+with spacing h/1.25.  The check solve keeps the reported walls, except that it
+widens a wall the shallowest level has not decayed to: where the WKB sum of
+sqrt(max(W^ - E B^, 0)) h from that level's innermost (outermost) allowed
+point to the inner (outer) wall, read off the reported solve's own grid, is
+below WALL_EFOLDS.  Moving a Dirichlet wall shifts a level by ~|u'|^2 at the
+wall (Kong & Zettl, J. Differential Equations 126, 389 (1996)), far below the
+spacing error once the level has decayed there.  A widened outer wall moves
+out by a quarter of the span, in the grid coordinate; on the log grid a
+widened inner wall moves in by a quarter of the span too, but never past
+w = 1 - delta z = CHECK_POLE_WALL when the mass pole is real, nor below
+r = MIN_RADIUS otherwise.  The estimate is floored at the matrix's roundoff,
+16 eps ||H||_inf.  On the exactly solvable reduced problems deviation/estimate
+is of order one.
 
 Mode semantics.  B = 2 m(r)/hbar^2 in both modes.  centrifugal_mode "pekeris"
 solves the reduced quadratic problem, the transformed equation whose
@@ -82,6 +89,9 @@ POLE_WALL = 1e-5
 CHECK_POLE_WALL = 1e-8
 #: Innermost radius of a suggested domain or check solve that no real pole bounds.
 MIN_RADIUS = 1e-3
+#: WKB decay, in e-folds, of the shallowest level out to a wall that the check
+#: solve keeps; a wall it has decayed less toward is widened.
+WALL_EFOLDS = 6.0
 #: ``compare`` flags a level whose deviation exceeds this many error estimates.
 FLAG_FACTOR = 10.0
 
@@ -190,8 +200,21 @@ def grid_origin(p: PotentialParams, mm: MassModel, centrifugal_mode: str) -> flo
     return 0.0 if centrifugal_mode == "pekeris" else None
 
 
+def _wall_efolds(w_hat, b_hat, e, h):
+    """WKB e-folds of decay of a level at e from its innermost allowed point to
+    the inner wall and from its outermost allowed point to the outer wall."""
+    gap = w_hat - e * b_hat
+    allowed = np.flatnonzero(gap < 0.0)
+    if not allowed.size:
+        return 0.0, 0.0
+    kappa_h = np.sqrt(np.maximum(gap, 0.0)) * h
+    return float(np.sum(kappa_h[:allowed[0]])), float(np.sum(kappa_h[allowed[-1] + 1:]))
+
+
 def _solve_once(w_fn, b_fn, t_lo, t_hi, n, threshold, want_vectors, log_origin):
-    """Levels below threshold on n interior points of [t_lo, t_hi], and their roundoff.
+    """Levels below threshold on n interior points of [t_lo, t_hi], their
+    roundoff, the grid, the eigenvectors (or None) and the shallowest level's
+    decay to each wall (``_wall_efolds``; zero when no level is bound).
 
     t is r itself, or ln(r - log_origin) on the log grid.  The roundoff is
     16 eps ||H||_inf.
@@ -227,8 +250,9 @@ def _solve_once(w_fn, b_fn, t_lo, t_hi, n, threshold, want_vectors, log_origin):
     roundoff = 16.0 * np.finfo(float).eps * float(np.max(np.abs(diag) + off_sum))
     vals = eig_banded(band[:p + 1], eigvals_only=True)
     vals = vals[vals <= float(threshold) - 1e-12]
+    efolds = _wall_efolds(w_hat, b_hat, vals[-1], h) if len(vals) else (0.0, 0.0)
     if not want_vectors:
-        return vals, roundoff, grid, None
+        return vals, roundoff, grid, None, efolds
     # inverse iteration on the same band: O(p^2 N) per level, no N x N array
     vecs = np.empty((n, len(vals)))
     for j, val in enumerate(vals):
@@ -239,7 +263,7 @@ def _solve_once(w_fn, b_fn, t_lo, t_hi, n, threshold, want_vectors, log_origin):
             x /= np.linalg.norm(x)
         vecs[:, j] = x
     u = vecs * (inv_sqrt_b * np.sqrt(dr_dt))[:, None]  # back to u = e^{t/2} phi
-    return vals, roundoff, grid, u / np.sqrt(h * (dr_dt @ u**2))
+    return vals, roundoff, grid, u / np.sqrt(h * (dr_dt @ u**2)), efolds
 
 
 def solve_potential(
@@ -249,26 +273,28 @@ def solve_potential(
     """Solve the discretized problem for arbitrary W and B callables.
 
     Used directly by self-tests (e.g. a quadratic well against the textbook
-    oscillator ladder) and by ``solve``.  When ``check_r_min`` is given, the
-    check solve that sizes the error estimates moves the inner wall in by a
-    quarter of the span, as it moves the outer wall out, but not past
-    ``check_r_min``.
+    oscillator ladder) and by ``solve``.  The check solve that sizes the error
+    estimates has spacing h/1.25 on the same walls, save that a wall the
+    shallowest level has decayed less than WALL_EFOLDS toward moves out by a
+    quarter of the span; the inner wall moves only when ``check_r_min`` is
+    given, and not past it.
     """
     def coord(r):
         return r if log_origin is None else math.log(r - log_origin)
 
     t_lo, t_hi = coord(cfg.r_min), coord(cfg.r_max)
-    vals, roundoff, grid, vectors = _solve_once(
+    vals, roundoff, grid, vectors, (inner, outer) = _solve_once(
         w_fn, b_fn, t_lo, t_hi, cfg.grid_points, threshold, cfg.want_vectors, log_origin)
     estimates = np.empty(0)
     if len(vals):
         span = t_hi - t_lo
-        check_lo = t_lo
-        if check_r_min is not None:
+        check_lo, check_hi = t_lo, t_hi
+        if check_r_min is not None and inner < WALL_EFOLDS:
             check_lo = min(t_lo, max(t_lo - 0.25 * span, coord(check_r_min)))
-        check_hi = t_hi + 0.25 * span
+        if outer < WALL_EFOLDS:
+            check_hi = t_hi + 0.25 * span
         check_n = math.ceil(1.25 * (check_hi - check_lo) / span * (cfg.grid_points + 1)) - 1
-        check_vals, check_roundoff, _, _ = _solve_once(
+        check_vals, check_roundoff, *_ = _solve_once(
             w_fn, b_fn, check_lo, check_hi, check_n, threshold, False, log_origin)
         # a level the check solve lost may lie anywhere up to the threshold
         other = np.full(len(vals), float(threshold))

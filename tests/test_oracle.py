@@ -105,9 +105,14 @@ def test_spacing_refinement_gains_two_orders():
         assert fine <= max(coarse / 100.0, 1e-11), errors
 
 
-@pytest.mark.parametrize("name", ["H2", "LiH", "HCl", "CO"])
-@pytest.mark.parametrize("delta", [0.0, 0.05, 0.3])
-@pytest.mark.parametrize("l", [0, 5])
+# every molecule at delta < 0.5 and l in {0, 5}, and the delta = 0.5 cells
+# short of the turnover, one of them with its inner wall at POLE_WALL
+CALIBRATED_CELLS = [(name, delta, l) for l in (0, 5) for delta in (0.0, 0.05, 0.3)
+                    for name in ("CO", "H2", "HCl", "LiH")] + [("LiH", 0.5, 0), ("H2-ref", 0.5, 3)]
+
+
+@pytest.mark.parametrize("name, delta, l", CALIBRATED_CELLS,
+                         ids=[f"{l}-{delta}-{name}" for name, delta, l in CALIBRATED_CELLS])
 def test_error_estimate_is_calibrated(name, delta, l):
     # the reduced problems are solved exactly by the closed form, so the
     # deviation is the oracle's true error: the estimate must match it
@@ -146,6 +151,57 @@ def test_constant_mass_pekeris_cells_fit_in_1100_points():
         p, mm = PotentialParams.from_molecule(mol, 1.0), MassModel.from_molecule(mol, 0.0)
         total += suggest_config(p, mm, l).grid_points
     assert total <= 1100, total
+
+
+# the 20 oracle_verify cells but HCl delta = 0.5 l = 7, which has no allowed region
+ORACLE_VERIFY_CELLS = [
+    ("H2", 0.0, 0), ("H2", 0.05, 3), ("H2", 0.3, 7), ("H2", 0.5, 10),
+    ("H2-ref", 0.0, 7), ("H2-ref", 0.05, 10), ("H2-ref", 0.3, 0), ("H2-ref", 0.5, 3),
+    ("LiH", 0.0, 3), ("LiH", 0.05, 7), ("LiH", 0.3, 10), ("LiH", 0.5, 0),
+    ("HCl", 0.0, 10), ("HCl", 0.05, 0), ("HCl", 0.3, 3),
+    ("CO", 0.0, 5), ("CO", 0.05, 9), ("CO", 0.3, 2), ("CO", 0.5, 6),
+]
+
+
+def _solve_once_args(monkeypatch, name, delta, l):
+    """The reported and the check solve's (t_lo, t_hi, n) for one suggested cell."""
+    calls = []
+    solve_once = oracle._solve_once
+
+    def spy(*args):
+        calls.append(args[2:5])
+        return solve_once(*args)
+
+    mol = builtin(name)
+    p, mm = PotentialParams.from_molecule(mol, 1.0), MassModel.from_molecule(mol, delta)
+    with monkeypatch.context() as patch:
+        patch.setattr(oracle, "_solve_once", spy)
+        solve(p, mm, l, suggest_config(p, mm, l))
+    assert len(calls) == 2
+    return calls
+
+
+@pytest.mark.parametrize("name, delta, l, inner, outer", [
+    ("H2", 0.3, 0, False, False),  # both walls deep in the decay
+    ("LiH", 0.5, 0, True, False),  # inner wall held at POLE_WALL: 3.6 e-folds
+    ("CO", 0.5, 6, True, True),  # past the turnover the top level reaches both walls
+])
+def test_check_solve_widens_only_undecayed_walls(monkeypatch, name, delta, l, inner, outer):
+    (lo, hi, n), (check_lo, check_hi, check_n) = _solve_once_args(monkeypatch, name, delta, l)
+    assert (check_lo < lo, check_hi > hi) == (inner, outer)
+    assert check_lo <= lo and check_hi >= hi
+    assert check_n == math.ceil(1.25 * (check_hi - check_lo) / (hi - lo) * (n + 1)) - 1
+    if not (inner or outer):
+        assert (check_lo, check_hi, check_n) == (lo, hi, math.ceil(1.25 * (n + 1)) - 1)
+
+
+def test_oracle_verify_check_solves_fit_in_7500_points(monkeypatch):
+    # check solves widened on both walls held 9649 points; the reported solves hold 5171
+    total = 0
+    for name, delta, l in ORACLE_VERIFY_CELLS:
+        (_, _, n), (_, _, check_n) = _solve_once_args(monkeypatch, name, delta, l)
+        total += check_n
+    assert total <= 7500, total
 
 
 @pytest.mark.parametrize("name", ["H2", "H2-ref"])

@@ -2,8 +2,8 @@
 
 A removed public name, or a changed signature, then fails here instead of
 silently breaking a script; the names a script imports inside a function are
-resolved too.  Each script's ``main()`` runs with its default arguments and
-its stdout captured.
+resolved too.  Each script runs as its own process with its default arguments:
+it must exit 0, write nothing to stderr and print what ``SCRIPT_OUTPUT`` expects.
 """
 
 import ast
@@ -11,6 +11,7 @@ import importlib
 import importlib.util
 import inspect
 import pkgutil
+import subprocess
 import sys
 from pathlib import Path
 
@@ -86,8 +87,25 @@ def test_script_imports(path):
             assert all(hasattr(owner, alias.name) for alias in node.names), ast.unparse(node)
 
 
+def _names_a_winner(out):
+    return any(line.startswith("winner: ") for line in out.splitlines())
+
+
+def _prints_the_csv_table(out):
+    rows = [line for line in out.splitlines() if not line.startswith("#")]
+    return rows[0] == "n,l,closed_form_eV,exact_oracle_eV,deviation_eV" and len(rows) == 17
+
+
+#: what each script's default run must print; a new script needs its entry
+SCRIPT_OUTPUT = {
+    "derive_h2_reference_params.py": _names_a_winner,
+    # 4 n x 4 l: on its uniform r grid the exact-mode oracle finds no level at l = 20
+    "pekeris_validity.py": _prints_the_csv_table,
+}
+
+
 @pytest.mark.parametrize("path", SCRIPTS, ids=lambda path: path.name)
-def test_script_runs(path, monkeypatch, capsys):
-    monkeypatch.setattr(sys, "argv", [str(path)])
-    _load(path).main()
-    assert capsys.readouterr().out.strip()
+def test_script_runs(path):
+    proc = subprocess.run([sys.executable, str(path)], capture_output=True, text=True)
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    assert SCRIPT_OUTPUT[path.name](proc.stdout), proc.stdout

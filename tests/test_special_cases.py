@@ -117,7 +117,7 @@ def test_dispatch_and_unknown_case(case_id):
     assert energy.shape == bound.shape == (8,)
     assert np.iscomplexobj(energy) == (case_id == "pt_type1")
     # bound iff eps > EPS_TIE_TOL; the complex pt_type1 levels never are
-    c, _ = case.ladder()
+    c, _, _ = case.ladder()
     eps = c - n - 0.5
     assert bound.tolist() == (np.isrealobj(eps) & (eps.real > EPS_TIE_TOL)).tolist()
     # a case id in place of its case is refused, not looked up
@@ -185,11 +185,25 @@ def test_overflowing_energy_raises():
 
 
 @pytest.mark.parametrize("case, level", [
-    # r_e^2 in E0 overflows, and alpha^2 E0 in lambda underflows to a zero divisor
-    (PtType1Case(D=2.0, d_hat=1.5, mu=0.9, r_e=1e300), "pt_type1 level n=0"),
-    (GeneralizedVibrationalCase(D=2.0, alpha=1e-200, q=1.0, mu=0.9, r_e=1.2),
+    # k = alpha sqrt(hbar^2 / 2 mu) / r_e overflows: sqrt(hbar^2 / 2 mu) is
+    # 4.6e148 at mu = 1e-300, and alpha / r_e is 1e310
+    (PtType1Case(D=2.0, d_hat=1.5, mu=1e-300, r_e=1e-200), "pt_type1 level n=0"),
+    (GeneralizedVibrationalCase(D=2.0, alpha=1e300, q=1.0, mu=0.9, r_e=1e-10),
      "generalized_vibrational level n=0"),
 ])
 def test_overflowing_scale_raises(case, level):
     # finite inputs whose c or scale overflows a float
     _assert_ladder_overflows(case, level)
+
+
+@pytest.mark.parametrize("case, ground", [
+    # alpha^2 E0 = 2e-403 underflows, though E_0 = -(sqrt(D) q - k / 2)^2 is ordinary
+    (GeneralizedVibrationalCase(D=1.0, alpha=1e-200, q=1.0, mu=0.9, r_e=1.0), -1.0),
+    (GeneralizedVibrationalCase(D=2.0, alpha=1e-200, q=1.0, mu=0.9, r_e=1.2), -2.0),
+    # r_e^2 = 1e400 overflows, though E0 kappa^2 = D keeps E_0 = -D d_hat^2 / 4
+    (NonPtCase(D=1.0, d_hat=1.5, mu=0.9, r_e=1e200), -0.5625),
+])
+def test_extreme_scale_keeps_an_ordinary_energy(case, ground):
+    energy, bound = special_case_ladder(case, np.arange(3))
+    assert energy == pytest.approx([ground] * 3, rel=1e-12)
+    assert bound.all()
