@@ -7,7 +7,8 @@ Their difference is therefore the physical error of the expansion itself.
 It grows with l (the expansion is local around r_e) and with n (higher
 states sample larger |r - r_e|).
 
-Emits a plot-ready CSV table to stdout.
+Emits a plot-ready CSV table to stdout; a `#` comment names each (n, l)
+the exact-mode oracle has no level for, with the number of levels it found.
 
 Run: python scripts/pekeris_validity.py [molecule]
 """
@@ -43,8 +44,13 @@ def main() -> None:
         cfg = suggest_config(p, mm, l, e_top=e_top,
                              centrifugal_mode="exact")
         spectrum = solve(p, mm, l, cfg)
+        found = len(spectrum.eigenvalues)
+        missing = [f"({n}, {l})" for n in N_LIST if n >= found]
+        if missing:
+            print(f"# missing (n, l) = {', '.join(missing)}: "
+                  f"the exact-mode oracle found {found} levels")
         for n in N_LIST:
-            if n >= len(spectrum.eigenvalues):
+            if n >= found:
                 continue
             exact = float(spectrum.eigenvalues[n])
             dev = abs(exact - closed[n])

@@ -81,30 +81,21 @@ def _parse_int_list(text: str) -> list[int]:
 
 
 _BOOL_TEXT = {True: "true", False: "false"}
+#: json's text of the non-finite floats, by their repr
+_JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def _cell_formatter(digits: int):
-    """Return value -> cell text, for the cells of a column with no single plain type."""
+def _column_type(name: str, column) -> type:
+    """The one type of every cell of the column: float, int, bool or str (str if empty).
 
-    def cell(value) -> str:
-        if isinstance(value, bool):
-            return _BOOL_TEXT[value]
-        if isinstance(value, (int, np.integer)):
-            return str(int(value))
-        if isinstance(value, complex):
-            return f"{value.real:.{digits}g}{value.imag:+.{digits}g}j"
-        if isinstance(value, float):
-            return f"{value:.{digits}g}"
-        return str(value)
-
-    return cell
-
-
-def _column_type(column):
-    """The exact type of every cell of the column, if it is float, int, bool or str."""
+    Raises ``TypeError`` naming the column for mixed types, numpy scalars,
+    complex, None or any other cell.
+    """
     kinds = set(map(type, column))
-    kind = kinds.pop() if len(kinds) == 1 else None
-    return kind if kind in (float, int, bool, str) else None
+    if len(kinds) > 1 or not kinds <= {float, int, bool, str}:
+        raise TypeError(f"column {name!r} holds {', '.join(sorted(k.__name__ for k in kinds))}; "
+                        "a column holds cells of one type: float, int, bool or str")
+    return kinds.pop() if kinds else str
 
 
 def _fill(template: str, columns, count: int, sep: str = "\n") -> str:
@@ -113,53 +104,37 @@ def _fill(template: str, columns, count: int, sep: str = "\n") -> str:
     return sep.join([template] * count) % tuple(chain.from_iterable(zip(*columns)))
 
 
-def _json_cells(column, kind) -> list[str]:
-    """JSON text of each cell of a column that one ``%`` spec cannot format."""
-    if kind is bool:
-        return list(map(_BOOL_TEXT.__getitem__, column))
-    if kind is str:
-        return list(map(encode_basestring_ascii, column))
-    # NaN/Infinity, numpy scalars, complex and None, as json writes them at a
-    # cell's depth; json escapes newlines in strings, so each one is layout
-    return [json.dumps(_json_safe(v), indent=2, sort_keys=True).replace("\n", "\n      ")
-            for v in column]
-
-
 def _emit(table: dict, args, stream) -> None:
     rows = table["rows"]
     columns = table["columns"]
-    # transposed once; a column of one plain type is formatted by one % spec
+    is_json = args.format == "json"
+    # transposed once; each column is formatted by one % spec
     data = list(zip(*rows)) if rows else [()] * len(columns)
-    kinds = list(map(_column_type, data))
-    if args.format == "json":
+    specs = []
+    for i, (name, column) in enumerate(zip(columns, data)):
+        kind = _column_type(name, column)
+        if kind is bool:
+            data[i] = list(map(_BOOL_TEXT.__getitem__, column))
+        elif kind is str and is_json:
+            data[i] = list(map(encode_basestring_ascii, column))
+        elif kind is float and is_json and not all(map(math.isfinite, column)):
+            data[i] = [_JSON_NON_FINITE.get(text, text) for text in map(repr, column)]
+            kind = str
+        if kind is int:
+            specs.append("%d")
+        elif kind is float:  # float.__repr__ is how json writes a finite float
+            specs.append("%r" if is_json else f"%.{args.digits}g")
+        else:
+            specs.append("%s")
+    if is_json:
         head = json.dumps({"params": table["params"], "constants": _constants_dict(),
                            "columns": columns, "rows": []}, indent=2, sort_keys=True)
         if rows:  # "rows" sorts last: its [] is the last one in the head
-            specs = []
-            for i, (column, kind) in enumerate(zip(data, kinds)):
-                if kind is float and all(map(math.isfinite, column)):
-                    specs.append("%r")  # float.__repr__, as json writes a finite float
-                elif kind is int:
-                    specs.append("%d")
-                else:
-                    specs.append("%s")
-                    data[i] = _json_cells(column, kind)
             row = "    [\n      " + ",\n      ".join(specs) + "\n    ]"
             before, _, after = head.rpartition("[]")
             head = before + "[\n" + _fill(row, data, len(rows), ",\n") + "\n  ]" + after
         stream.write(head + "\n")
         return
-    specs = []
-    cell = _cell_formatter(args.digits)
-    for i, (column, kind) in enumerate(zip(data, kinds)):
-        if kind is float:
-            specs.append(f"%.{args.digits}g")
-        elif kind is int:
-            specs.append("%d")
-        else:
-            specs.append("%s")
-            if kind is not str:
-                data[i] = list(map(_BOOL_TEXT.__getitem__ if kind is bool else cell, column))
     if args.format == "csv":
         lines = [f"# {key} = {table['params'][key]}" for key in sorted(table["params"])]
         lines += [f"# {key} = {value!r}" for key, value in sorted(_constants_dict().items())]
@@ -176,14 +151,6 @@ def _emit(table: dict, args, stream) -> None:
         if rows:
             lines.append(_fill(row, texts, len(rows)))
     stream.write("\n".join(lines) + "\n")
-
-
-def _json_safe(value):
-    if isinstance(value, complex):
-        return {"re": value.real, "im": value.imag}
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    return value
 
 
 def _check_rows(flag: str, count: int) -> None:
@@ -396,13 +363,18 @@ def build_parser() -> argparse.ArgumentParser:
                         help="print the three unit constants and exit")
     sub = parser.add_subparsers(dest="command")
 
-    def add_common(sp):
-        sp.add_argument("--format", choices=("text", "csv", "json"), default="text")
+    def add_common(sp, table=True, molecules=True):
+        # --digits and csv only where _emit prints the result, --molecule-file
+        # only where _resolve_molecule reads it
+        sp.add_argument("--format", choices=("text", "csv", "json") if table else ("text", "json"),
+                        default="text")
         sp.add_argument("--output", default=None, help="write to this path instead of stdout")
-        sp.add_argument("--digits", type=_positive_int, default=6,
-                        help="significant digits (default 6)")
-        sp.add_argument("--molecule-file", default=None,
-                        help=f"molecule definition file (default: ${ENV_MOLECULE_PATH})")
+        if table:
+            sp.add_argument("--digits", type=_positive_int, default=6,
+                            help="significant digits (default 6)")
+        if molecules:
+            sp.add_argument("--molecule-file", default=None,
+                            help=f"molecule definition file (default: ${ENV_MOLECULE_PATH})")
 
     sp = sub.add_parser("spectrum", help="closed-form energies over n/l ranges")
     add_common(sp)
@@ -417,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
         "table3",
         help="reproduce the bundled reference energy table and check every cell",
     )
-    add_common(sp)
+    add_common(sp, molecules=False)
     sp.set_defaults(func=cmd_table3)
 
     sp = sub.add_parser("nmax", help="bound-state counts and ladder-edge energies")
@@ -440,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_wavefunction)
 
     sp = sub.add_parser("oracle-compare", help="finite-difference check of the closed forms")
-    add_common(sp)
+    add_common(sp, table=False)
     sp.add_argument("--molecule", required=True)
     sp.add_argument("--q", type=float, default=1.0)
     sp.add_argument("--delta", type=float, default=0.0)
@@ -451,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_oracle_compare)
 
     sp = sub.add_parser("special-case", help="closed forms of the named special wells")
-    add_common(sp)
+    add_common(sp, molecules=False)
     sp.add_argument("--case", required=True, choices=[
         form for case_id in special_cases.CASE_IDS
         for form in (case_id.replace("_", "-"), case_id)

@@ -1,11 +1,11 @@
 """Special-function toolkit: log-Gamma ratio, Jacobi and Laguerre polynomials.
 
-Polynomials are evaluated by stable three-term recurrences and accept complex
-parameters and arguments.  The recurrence is a Python loop of n steps over
-the whole argument array, so its work is bounded: past n * (points + overhead)
-= ``MAX_RECURRENCE_WORK`` = 2e8, about 1 s on one core of a 2-core x86-64 VM,
-both raise ``DomainError`` before the loop.  A step's overhead counts as 1000
-points for an array argument and 200 for a scalar.
+Polynomials are evaluated by stable three-term recurrences.  The recurrence
+is a Python loop of n steps over the whole argument array, so its work is
+bounded: past n * (points + overhead) = ``MAX_RECURRENCE_WORK`` = 2e8, about
+1 s on one core of a 2-core x86-64 VM, both raise ``DomainError`` before the
+loop.  A step's overhead counts as 1000 points for an array argument and 200
+for a scalar.
 """
 
 from __future__ import annotations
@@ -65,7 +65,7 @@ def jacobi_poly(n: int, a, b, x):
     if n < 0:
         raise DomainError(f"degree must be non-negative, got {n}")
     if n == 0:
-        return 1.0 if not isinstance(x, complex) else complex(1.0)
+        return 1.0
     _check_work(n, x)
     p_prev = 1.0
     p_cur = 0.5 * (a - b) + (1.0 + 0.5 * (a + b)) * x
@@ -88,7 +88,7 @@ def genlaguerre_poly(n: int, a, y):
     if n < 0:
         raise DomainError(f"degree must be non-negative, got {n}")
     if n == 0:
-        return 1.0 if not isinstance(y, complex) else complex(1.0)
+        return 1.0
     _check_work(n, y)
     l_prev = 1.0
     l_cur = 1.0 + a - y

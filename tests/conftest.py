@@ -1,4 +1,6 @@
 import math
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +9,11 @@ from crosscheck.residuals import state_shape
 from crosscheck.series import SeriesDivergenceError, hyp3f2
 from qmorse import builtin
 from qmorse.potential import MassModel, PotentialParams
+
+# the subprocesses the tests start (python -m qmorse.cli, the scripts) import
+# the same tree as the tests, wherever pytest runs from
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]))
 
 
 @pytest.fixture

@@ -1,3 +1,5 @@
+import argparse
+import contextlib
 import csv
 import io
 import json
@@ -11,7 +13,7 @@ import pytest
 
 from crosscheck.nodes import node_count
 from qmorse import builtin
-from qmorse.cli import main
+from qmorse.cli import build_parser, main
 from qmorse.oracle import MAX_GRID_POINTS
 from qmorse.potential import MassModel, PotentialParams, mass_pole_radius
 from qmorse.units import UNITS
@@ -522,6 +524,117 @@ def test_molecule_file_env(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("MORSE_MOLECULE_PATH", str(path))
     code, out, _ = run_cli(["spectrum", "--molecule", "Fake", "--n", "0", "--l", "0"], capsys)
     assert code == 0
+
+
+#: one request per subcommand that every probe below varies by one flag
+PROBE_BASE = {
+    "spectrum": ["spectrum", "--molecule", "H2", "--n", "0,1", "--l", "0,1"],
+    "table3": ["table3"],
+    "nmax": ["nmax"],
+    "wavefunction": ["wavefunction", "--molecule", "H2", "--n", "1", "--points", "20"],
+    "oracle-compare": ["oracle-compare", "--molecule", "H2", "--delta", "0.3"],
+    "special-case": ["special-case", "--case", "generalized-vibrational", "--D", "2",
+                     "--mu", "0.9", "--re", "1.2"],
+}
+#: the same two values of a flag on every subcommand that takes it;
+#: PROBE_MOLECULES redefines H2, which every base request reads
+SHARED_PROBES = {
+    "--format": (["--format", "text"], ["--format", "json"]),
+    "--output": ([], ["--output", "out"]),
+    "--digits": (["--digits", "3"], ["--digits", "9"]),
+    "--molecule-file": ([], ["--molecule-file", "molecules.txt"]),
+}
+PROBE_MOLECULES = "name = H2\nD0_cm1 = 20000\na_invA = 1.5\nr0_A = 1.0\nmu_amu = 1.0\n"
+#: (subcommand, flag) -> two argument lists that differ only in that flag
+FLAG_PROBES = {
+    **{(command, flag): SHARED_PROBES[flag]
+       for command, flags in [
+           ("spectrum", ("--format", "--output", "--digits", "--molecule-file")),
+           ("table3", ("--format", "--output", "--digits")),
+           ("nmax", ("--format", "--output", "--digits", "--molecule-file")),
+           ("wavefunction", ("--format", "--output", "--digits", "--molecule-file")),
+           ("oracle-compare", ("--format", "--output", "--molecule-file")),
+           ("special-case", ("--format", "--output", "--digits")),
+       ] for flag in flags},
+    ("spectrum", "--q"): ([], ["--q", "2"]),
+    ("spectrum", "--delta"): ([], ["--delta", "0.3"]),
+    ("nmax", "--molecules"): ([], ["--molecules", "CO"]),
+    ("nmax", "--q"): ([], ["--q", "2"]),
+    ("nmax", "--full"): ([], ["--full"]),
+    ("wavefunction", "--q"): ([], ["--q", "2"]),
+    ("wavefunction", "--delta"): ([], ["--delta", "0.3"]),
+    ("wavefunction", "--l"): ([], ["--l", "3"]),
+    ("wavefunction", "--r-min"): ([], ["--r-min", "0.5"]),
+    ("wavefunction", "--r-max"): ([], ["--r-max", "3"]),
+    ("wavefunction", "--points"): ([], ["--points", "21"]),
+    ("oracle-compare", "--q"): ([], ["--q", "1.1"]),
+    ("oracle-compare", "--delta"): ([], ["--delta", "0.05"]),
+    ("oracle-compare", "--l"): ([], ["--l", "3"]),
+    ("oracle-compare", "--centrifugal"): ([], ["--centrifugal", "exact"]),
+    ("oracle-compare", "--grid"): ([], ["--grid", "200"]),
+    ("oracle-compare", "--n-levels"): ([], ["--n-levels", "2"]),
+    ("special-case", "--alpha"): ([], ["--alpha", "1.1"]),
+    ("special-case", "--q"): ([], ["--q", "0.9"]),
+    # a later --case replaces the base request's well by one that reads the flag
+    ("special-case", "--dhat"): (["--case", "non-pt", "--dhat", "1.5"],
+                                 ["--case", "non-pt", "--dhat", "1.2"]),
+    ("special-case", "--omega"): (["--case", "pt-type2", "--omega", "1.3"],
+                                  ["--case", "pt-type2", "--omega", "1.4"]),
+    ("special-case", "--levels"): ([], ["--levels", "3"]),
+}
+
+
+def _optional_flags():
+    """(subcommand, flag) for every optional, settable flag of every subparser."""
+    sub = next(action for action in build_parser()._actions
+               if isinstance(action, argparse._SubParsersAction))
+    return {(command, action.option_strings[-1])
+            for command, parser in sub.choices.items() for action in parser._actions
+            if action.option_strings and not action.required
+            and not isinstance(action, argparse._HelpAction)}
+
+
+def _probe(argv, tmp_path, monkeypatch):
+    """(exit code, stdout, --output bytes) of one request, run in tmp_path."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("MORSE_MOLECULE_PATH", raising=False)
+    (tmp_path / "molecules.txt").write_text(PROBE_MOLECULES)
+    (tmp_path / "out").unlink(missing_ok=True)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse usage error
+            code = exc.code
+    written = (tmp_path / "out").read_bytes() if (tmp_path / "out").exists() else None
+    return code, out.getvalue(), written
+
+
+def test_every_flag_has_a_probe():
+    # a flag that no probe shows to change a request is a setting nothing reads
+    assert _optional_flags() == set(FLAG_PROBES)
+
+
+@pytest.mark.parametrize("command, flag", sorted(FLAG_PROBES), ids="{0[0]}{0[1]}".format)
+def test_every_flag_changes_its_request(tmp_path, monkeypatch, command, flag):
+    first, second = FLAG_PROBES[command, flag]
+    assert flag in first + second
+    outcomes = [_probe([*PROBE_BASE[command], *extra], tmp_path, monkeypatch)
+                for extra in (first, second)]
+    assert outcomes[0] != outcomes[1]
+    assert all(code == 0 for code, *_ in outcomes)
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("table3", ["--molecule-file", "molecules.txt"]),
+    ("special-case", ["--molecule-file", "molecules.txt"]),
+    ("oracle-compare", ["--digits", "9"]),
+    ("oracle-compare", ["--format", "csv"]),
+], ids=["table3-molecule-file", "special-case-molecule-file", "oracle-compare-digits",
+        "oracle-compare-csv"])
+def test_flag_a_command_does_not_read_is_a_usage_error(tmp_path, monkeypatch, command, extra):
+    code, out, written = _probe([*PROBE_BASE[command], *extra], tmp_path, monkeypatch)
+    assert (code, out, written) == (2, "", None)
 
 
 def test_cli_entry_point_subprocess():

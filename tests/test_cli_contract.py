@@ -23,8 +23,9 @@ points or a 2500-level ladder, so its draws are bounded and it runs fewer
 examples: ``--q`` is finite only in [-2, 2] (about 170 CO levels at most) or
 one of 1e30 and 1e300 (which exit before solving), ``--grid`` is drawn from
 [-2, 800], across the one-stencil floor of 25 points, or the out-of-range
-3001 and 10^9, and ``--l`` from [-2, 60] or 10^6.  ``--inverse-r``, a flag
-the parser does not know, must exit 2.
+3001 and 10^9, and ``--l`` from [-2, 60] or 10^6, and its ``--format`` only
+from text and json.  ``--inverse-r``, a flag the parser does not know, must
+exit 2.
 """
 
 import contextlib
@@ -62,9 +63,9 @@ def _argv(command, flags):
     return [command, *(f"--{name}={value}" for name, value in flags.items())]
 
 
-def _command(name, required, optional):
+def _command(name, required, optional, output=output_flags):
     return st.fixed_dictionaries(required, optional=optional).flatmap(
-        lambda flags: output_flags.map(lambda out: _argv(name, {**flags, **out})))
+        lambda flags: output.map(lambda out: _argv(name, {**flags, **out})))
 
 
 spectrum = _command(
@@ -107,6 +108,8 @@ oracle_compare = _command(
      "grid": st.one_of(st.integers(-2, 800), st.sampled_from([3001, 10**9])).map(str),
      "n-levels": st.integers(-2, 100).map(str),
      "inverse-r": st.sampled_from(["exact", "pekeris"])},
+    # the report is not a table: no csv and no --digits
+    st.fixed_dictionaries({}, optional={"format": st.sampled_from(["text", "json"])}),
 )
 argvs = st.one_of(
     spectrum, wavefunction, special_case, nmax,

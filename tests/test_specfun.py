@@ -157,10 +157,3 @@ def test_recurrence_work_bound(poly):
         assert np.shape(poly(2000, np.linspace(0.0, 0.5, 2000))) == (2000,)
         # a scalar keeps the range an array overhead would refuse
         assert np.isfinite(poly(int(MAX_RECURRENCE_WORK // 1001) + 1, 0.25))
-
-
-def test_complex_arguments_supported():
-    value = genlaguerre_poly(3, 1.0 + 0.5j, 2.0 - 1.0j)
-    assert isinstance(value, complex)
-    value_j = jacobi_poly(3, 0.5, 0.5, 0.3 + 0.1j)
-    assert isinstance(value_j, complex)
