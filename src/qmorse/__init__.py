@@ -3,45 +3,35 @@
 Closed-form spectra and wavefunctions for diatomic molecules in a deformed
 Morse well, for both constant and reciprocal-Morse position-dependent mass,
 with a finite-difference eigenvalue oracle for verification.
+
+Importing the package loads none of its modules: each public name is looked
+up in its submodule on first access (PEP 562), so ``python -m qmorse.cli``
+imports only what its subcommand runs.
 """
 
-from .errors import (
-    DomainError,
-    MassPoleError,
-    NoRealSolutionError,
-    NonNormalizableError,
-    ThresholdStateError,
-)
-from .molecules import BUILTIN_NAMES, MoleculeRecord, builtin, load_molecules, serialize_molecules
-from .potential import MassModel, PotentialParams, effective_potential, mass, morse_potential
-from .pekeris import PekerisCoefficients, pekeris_coefficients
-from .spectrum import QuantumState, bound_ladder, spectrum_grid
-from .units import UNITS, dissociation_energy_eV, hbar2_over_2mu
+import importlib
 
-__all__ = [
-    "BUILTIN_NAMES",
-    "DomainError",
-    "MassModel",
-    "MassPoleError",
-    "MoleculeRecord",
-    "NoRealSolutionError",
-    "NonNormalizableError",
-    "PekerisCoefficients",
-    "PotentialParams",
-    "QuantumState",
-    "ThresholdStateError",
-    "UNITS",
-    "bound_ladder",
-    "builtin",
-    "dissociation_energy_eV",
-    "effective_potential",
-    "hbar2_over_2mu",
-    "load_molecules",
-    "mass",
-    "morse_potential",
-    "pekeris_coefficients",
-    "serialize_molecules",
-    "spectrum_grid",
-]
+#: the submodule that defines each public name
+_SUBMODULE = {
+    **dict.fromkeys(("DomainError", "MassPoleError", "NoRealSolutionError",
+                     "NonNormalizableError", "ThresholdStateError"), "errors"),
+    **dict.fromkeys(("BUILTIN_NAMES", "MoleculeRecord", "builtin", "load_molecules"),
+                    "molecules"),
+    **dict.fromkeys(("MassModel", "PotentialParams", "effective_potential", "mass",
+                     "morse_potential"), "potential"),
+    **dict.fromkeys(("PekerisCoefficients", "pekeris_coefficients"), "pekeris"),
+    **dict.fromkeys(("QuantumState", "bound_ladder", "spectrum_grid"), "spectrum"),
+    **dict.fromkeys(("UNITS", "dissociation_energy_eV", "hbar2_over_2mu"), "units"),
+}
+
+__all__ = sorted(_SUBMODULE)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    if name not in _SUBMODULE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_SUBMODULE[name]}", __name__), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value

@@ -3,7 +3,10 @@
 Subcommands: spectrum, table3, nmax, wavefunction, oracle-compare,
 special-case.  Exit codes: 0 success, 1 numeric failure or a closed stdout
 pipe (nothing on stderr), 2 usage or domain error, 3 golden-value mismatch
-(table3).
+(table3).  At module level only the standard library and the numpy-free
+errors, units and molecules are imported; each ``cmd_*`` imports numpy and
+its evaluators when it runs, so ``--show-constants`` loads no numpy and only
+``oracle-compare`` loads scipy.
 """
 
 from __future__ import annotations
@@ -19,23 +22,9 @@ import sys
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 
-import numpy as np
-
-from . import special_cases
 from .errors import DomainError
 from .molecules import MoleculeRecord, builtin, load_molecules
-from .oracle import (SUGGESTED_MAX_GRID_POINTS, closed_ladder, compare, grid_origin, solve,
-                     suggest_config)
-from .potential import MassModel, PotentialParams, mass_pole_radius
-from .reference import (
-    REFERENCE_MINUS_E,
-    TABLE_MOLECULE,
-    cell_decimals,
-    cell_matches,
-)
-from .spectrum import QuantumState, ladder_length, spectrum_grid
 from .units import UNITS
-from .wavefunctions import radial_wavefunction
 
 ENV_MOLECULE_PATH = "MORSE_MOLECULE_PATH"
 
@@ -46,6 +35,9 @@ MAX_LADDER_ROWS = 10**5
 
 #: special-case fields whose CLI flag differs from the field name
 CASE_FLAGS = {"r_e": "re", "d_hat": "dhat"}
+
+#: ``special_cases.CASE_IDS``, spelled out so that parsing imports no numpy
+CASE_IDS = ("generalized_vibrational", "non_pt", "pt_type1", "pt_type2")
 
 
 def _constants_dict() -> dict:
@@ -165,6 +157,14 @@ def _positive_int(text: str) -> int:
     return int(text)
 
 
+def _digits(text: str) -> int:
+    """1 to 17 significant digits: 17 tell every float64 apart, and more would
+    print digits of its binary expansion that carry nothing."""
+    if not text.isdigit() or not 1 <= int(text) <= 17:
+        raise argparse.ArgumentTypeError(f"expected 1 to 17 significant digits, got {text!r}")
+    return int(text)
+
+
 def _finite_float(text: str) -> float:
     value = float(text)
     if not math.isfinite(value):
@@ -173,6 +173,11 @@ def _finite_float(text: str) -> float:
 
 
 def cmd_spectrum(args, stream) -> int:
+    import numpy as np
+
+    from .potential import MassModel, PotentialParams
+    from .spectrum import spectrum_grid
+
     mol = _resolve_molecule(args.molecule, args.molecule_file)
     n_list = _parse_int_list(args.n)
     l_list = _parse_int_list(args.l)
@@ -199,6 +204,10 @@ def cmd_spectrum(args, stream) -> int:
 
 
 def cmd_table3(args, stream) -> int:
+    from .potential import MassModel, PotentialParams
+    from .reference import REFERENCE_MINUS_E, TABLE_MOLECULE, cell_decimals, cell_matches
+    from .spectrum import spectrum_grid
+
     rows = []
     all_ok = True
     for block in ("H2", "LiH", "CO", "HCl"):
@@ -227,6 +236,11 @@ def cmd_table3(args, stream) -> int:
 
 
 def cmd_nmax(args, stream) -> int:
+    import numpy as np
+
+    from .potential import MassModel, PotentialParams
+    from .spectrum import ladder_length, spectrum_grid
+
     names = [s.strip() for s in args.molecules.split(",") if s.strip()]
     if not names:
         raise DomainError("empty molecule list")
@@ -272,6 +286,12 @@ def cmd_nmax(args, stream) -> int:
 
 
 def cmd_wavefunction(args, stream) -> int:
+    import numpy as np
+
+    from .potential import MassModel, PotentialParams, mass_pole_radius
+    from .spectrum import QuantumState
+    from .wavefunctions import radial_wavefunction
+
     _check_rows("--points", args.points)
     mol = _resolve_molecule(args.molecule, args.molecule_file)
     p = PotentialParams.from_molecule(mol, args.q)
@@ -306,6 +326,10 @@ def cmd_wavefunction(args, stream) -> int:
 
 
 def cmd_oracle_compare(args, stream) -> int:
+    from .oracle import (SUGGESTED_MAX_GRID_POINTS, closed_ladder, compare, grid_origin, solve,
+                         suggest_config)
+    from .potential import MassModel, PotentialParams
+
     mol = _resolve_molecule(args.molecule, args.molecule_file)
     p = PotentialParams.from_molecule(mol, args.q)
     mm = MassModel.from_molecule(mol, args.delta)
@@ -333,6 +357,10 @@ def cmd_oracle_compare(args, stream) -> int:
 
 
 def cmd_special_case(args, stream) -> int:
+    import numpy as np
+
+    from . import special_cases
+
     _check_rows("--levels", args.levels)
     case_id = args.case.replace("-", "_")
     case_type = special_cases.SPECIAL_CASES[case_id]
@@ -370,8 +398,8 @@ def build_parser() -> argparse.ArgumentParser:
                         default="text")
         sp.add_argument("--output", default=None, help="write to this path instead of stdout")
         if table:
-            sp.add_argument("--digits", type=_positive_int, default=6,
-                            help="significant digits (default 6)")
+            sp.add_argument("--digits", type=_digits, default=6,
+                            help="significant digits, 1 to 17 (default 6)")
         if molecules:
             sp.add_argument("--molecule-file", default=None,
                             help=f"molecule definition file (default: ${ENV_MOLECULE_PATH})")
@@ -425,7 +453,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("special-case", help="closed forms of the named special wells")
     add_common(sp, molecules=False)
     sp.add_argument("--case", required=True, choices=[
-        form for case_id in special_cases.CASE_IDS
+        form for case_id in CASE_IDS
         for form in (case_id.replace("_", "-"), case_id)
     ])
     sp.add_argument("--D", type=_finite_float, required=True, help="well scale (eV)")

@@ -144,21 +144,3 @@ def load_molecules(text: str) -> list[MoleculeRecord]:
         records.append(record)
     return records
 
-
-def serialize_molecules(records: list[MoleculeRecord]) -> str:
-    """Render records in the molecule-file format (round-trips exactly)."""
-    blocks = []
-    for rec in records:
-        blocks.append(
-            "\n".join(
-                [
-                    f"name = {rec.name}",
-                    f"D0_cm1 = {rec.d0_cm1!r}",
-                    f"a_invA = {rec.a_invA!r}",
-                    f"r0_A = {rec.r0_A!r}",
-                    f"mu_amu = {rec.mu_amu!r}",
-                    f"source = {rec.source}",
-                ]
-            )
-        )
-    return "\n\n".join(blocks) + "\n"

@@ -40,11 +40,6 @@ class _Case:
                 raise DomainError(f"omega must be nonzero, got {value!r}")
 
 
-def energy_scale(mu: float, r_e: float) -> float:
-    """E0 = hbar^2 / (2 mu r_e^2) in eV."""
-    return hbar2_over_2mu(mu) / r_e**2
-
-
 def _root_scale(mu: float, r_e: float, alpha: float = 1.0) -> float:
     """k = alpha sqrt(hbar^2 / 2 mu) / r_e = sqrt(alpha^2 E0), in sqrt(eV)."""
     return alpha * math.sqrt(hbar2_over_2mu(mu)) / r_e
@@ -182,7 +177,6 @@ __all__ = [
     "NonPtCase",
     "PtType1Case",
     "PtType2Case",
-    "energy_scale",
     "gv_lambda",
     "special_case_ladder",
 ]

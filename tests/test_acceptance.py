@@ -36,7 +36,7 @@ from qmorse.special_cases import (
     special_case_ladder,
 )
 from qmorse.spectrum import QuantumState, ladder_length, quantize, spectrum_grid
-from qmorse.units import UNITS
+from qmorse.units import UNITS, hbar2_over_2mu
 from qmorse.wavefunctions import log_norm, radial_wavefunction
 
 RNG_SEED = 739297
@@ -308,10 +308,8 @@ def test_criterion_8_special_cases():
     # final-bound-state condition q = 1/(2 lambda) gives E = 0 exactly; the
     # well depth is chosen so lambda = 2 is exactly representable and every
     # step stays exact in floating point
-    from qmorse.special_cases import energy_scale as _e_scale
-
     alpha0, mu0, re0 = 1.5, 0.6, 0.9
-    d_exact = 4.0 * alpha0**2 * _e_scale(mu0, re0)
+    d_exact = 4.0 * alpha0**2 * (hbar2_over_2mu(mu0) / re0**2)
     tuned = GeneralizedVibrationalCase(D=d_exact, alpha=alpha0, q=0.25, mu=mu0, r_e=re0)
     assert gv_lambda(tuned) == 2.0
     assert special_case_ladder(tuned, np.arange(1))[0][0] == 0.0
@@ -330,12 +328,10 @@ def test_criterion_8_special_cases():
 
     # second PT-symmetric type: real spectrum matching its closed form
     case2 = PtType2Case(D=3.0, omega=1.4, alpha=1.1, mu=0.8, r_e=1.0)
-    from qmorse.special_cases import energy_scale
-
     kappa3 = case2.r_e * math.sqrt(2.0 * case2.mu * UNITS.amu_to_eV_per_c2 * case2.D) / UNITS.hbar_c
     n = np.arange(4)
     energy, _ = special_case_ladder(case2, n)
-    want = energy_scale(case2.mu, case2.r_e) * (
+    want = hbar2_over_2mu(case2.mu) / case2.r_e**2 * (
         0.5 * math.sqrt(case2.D) / case2.omega * kappa3 - n - 0.5) ** 2
     assert energy.dtype == np.float64
     assert energy == pytest.approx(want, rel=1e-14)

@@ -77,11 +77,11 @@ def test_table3_passes(capsys):
 
 
 def test_table3_mismatch_exits_3(capsys, monkeypatch):
-    import qmorse.cli as cli_mod
+    import qmorse.reference as reference_mod
 
-    tampered = {k: dict(v) for k, v in cli_mod.REFERENCE_MINUS_E.items()}
+    tampered = {k: dict(v) for k, v in reference_mod.REFERENCE_MINUS_E.items()}
     tampered["CO"][(0, 0)] = "11.0925"  # off by ten last-digit units
-    monkeypatch.setattr(cli_mod, "REFERENCE_MINUS_E", tampered)
+    monkeypatch.setattr(reference_mod, "REFERENCE_MINUS_E", tampered)
     code, out, _ = run_cli(["table3"], capsys)
     assert code == 3
     assert "35/36 cells matched" in out
@@ -274,12 +274,14 @@ def test_nmax_full_row_bound_counts_the_printed_ladder(capsys, monkeypatch):
 ], ids=["levels", "points"])
 def test_row_flags_past_the_cap_exit_2_before_building(capsys, monkeypatch, argv):
     import qmorse.cli as cli_mod
+    import qmorse.special_cases as special_cases_mod
+    import qmorse.wavefunctions as wavefunctions_mod
 
     def refuse(*args, **kwargs):
         raise AssertionError("built rows past the cap")
 
-    monkeypatch.setattr(cli_mod.special_cases, "special_case_ladder", refuse)
-    monkeypatch.setattr(cli_mod, "radial_wavefunction", refuse)
+    monkeypatch.setattr(special_cases_mod, "special_case_ladder", refuse)
+    monkeypatch.setattr(wavefunctions_mod, "radial_wavefunction", refuse)
     for count in (cli_mod.MAX_LADDER_ROWS + 1, 10**9):
         code, out, err = run_cli([*argv, str(count)], capsys)
         assert code == 2 and out == ""
@@ -292,7 +294,6 @@ def test_row_flags_past_the_cap_exit_2_before_building(capsys, monkeypatch, argv
 
 
 def test_nmax_summary_evaluates_two_states_per_molecule(capsys, monkeypatch):
-    import qmorse.cli as cli_mod
     import qmorse.spectrum as spectrum_mod
 
     sizes = []
@@ -302,8 +303,7 @@ def test_nmax_summary_evaluates_two_states_per_molecule(capsys, monkeypatch):
         sizes.append(np.broadcast(np.asarray(n), np.asarray(l)).size)
         return evaluate(p, mm, n, l, *args)
 
-    for owner in (cli_mod, spectrum_mod):
-        monkeypatch.setattr(owner, "spectrum_grid", spy)
+    monkeypatch.setattr(spectrum_mod, "spectrum_grid", spy)
     code, out, _ = run_cli(["nmax", "--q", "1e7"], capsys)
     assert code == 0 and "834813753" in out
     assert sum(sizes) <= 2 * 4  # the four default molecules
@@ -382,15 +382,52 @@ def test_wavefunction_past_the_recurrence_work_bound_exits_2(capsys):
     assert "work bound" in err
 
 
-def test_cli_import_leaves_out_scipy_integrate():
-    # the normalizations are closed forms and the oracle imports scipy.linalg
-    # only when it solves: importing the CLI must load no scipy module at all
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, qmorse.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
-        capture_output=True, text=True)
+#: prints the sorted sys.modules after importing qmorse.cli and running its argv, if any
+_IMPORT_PROBE = """
+import contextlib, io, json, sys
+import qmorse.cli
+if sys.argv[1:]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert qmorse.cli.main(sys.argv[1:]) == 0
+print(json.dumps(sorted(sys.modules)))
+"""
+_EVALUATORS = ("qmorse.oracle", "qmorse.wavefunctions", "qmorse.special_cases", "scipy")
+
+
+@pytest.mark.parametrize("argv, absent, present", [
+    ([], ("numpy", "scipy"), ()),
+    (["--show-constants"], ("numpy", "scipy"), ()),
+    (["spectrum", "--molecule", "H2", "--n", "0", "--l", "0"], _EVALUATORS, ("numpy",)),
+    (["table3"], _EVALUATORS, ("numpy",)),
+    (["nmax"], _EVALUATORS, ("numpy",)),
+    (["wavefunction", "--molecule", "H2", "--n", "1", "--points", "5"],
+     ("qmorse.oracle", "scipy"), ("qmorse.wavefunctions",)),
+    (["special-case", "--case", "non-pt", "--D", "2", "--dhat", "1.5", "--mu", "0.9",
+      "--re", "1.2"], ("qmorse.oracle", "scipy"), ("qmorse.special_cases",)),
+    (["oracle-compare", "--molecule", "H2", "--n-levels", "1"], (), ("scipy.linalg",)),
+], ids=["import", "show-constants", "spectrum", "table3", "nmax", "wavefunction",
+        "special-case", "oracle-compare"])
+def test_cli_loads_only_what_its_command_runs(argv, absent, present):
+    # each command imports its evaluators when it runs: only oracle-compare
+    # pays for scipy.linalg, and --show-constants for no numpy at all
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, *argv],
+                          capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    modules = json.loads(proc.stdout)
+
+    def loaded(name):
+        return any(m == name or m.startswith(name + ".") for m in modules)
+
+    assert [name for name in absent if loaded(name)] == []
+    assert all(map(loaded, present))
+
+
+def test_case_choices_are_the_special_cases():
+    # the parser spells the case ids out rather than import special_cases
+    import qmorse.cli as cli_mod
+    from qmorse import special_cases
+
+    assert cli_mod.CASE_IDS == special_cases.CASE_IDS
 
 
 def test_special_case_gv(capsys):
@@ -755,7 +792,23 @@ def test_non_positive_count_is_usage_error(capsys, argv):
     with pytest.raises(SystemExit) as info:
         main(argv)
     assert info.value.code == 2
-    assert "positive integer" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"argument {argv[-2]}: expected " in err
+    assert ("1 to 17 significant digits" if argv[-2] == "--digits" else "positive integer") in err
+
+
+@pytest.mark.parametrize("digits", ["0", "18", str(2**31)])
+def test_digits_past_17_is_a_usage_error(capsys, digits):
+    # 17 significant digits tell every float apart; 2**31 was a numeric
+    # failure ("precision too big", exit 1) and 18 printed binary-expansion digits
+    argv = ["spectrum", "--molecule", "H2", "--n", "0", "--l", "0", "--format", "csv"]
+    with pytest.raises(SystemExit) as info:
+        main([*argv, "--digits", digits])
+    captured = capsys.readouterr()
+    assert info.value.code == 2 and captured.out == ""
+    assert f"expected 1 to 17 significant digits, got '{digits}'" in captured.err
+    code, out, _ = run_cli([*argv, "--digits", "17"], capsys)
+    assert code == 0 and "-4.4758133814231558" in out
 
 
 def test_parser_reused_across_requests(capsys):

@@ -55,7 +55,8 @@ quantum_list = st.one_of(
 ).map(lambda ns: ",".join(map(str, ns))) | st.sampled_from(["", ",", "x", "1.5"])
 output_flags = st.fixed_dictionaries({}, optional={
     "format": st.sampled_from(["text", "csv", "json"]),
-    "digits": st.one_of(st.integers(1, 25), st.integers(-2, 0)).map(str),
+    "digits": st.one_of(st.integers(1, 25), st.integers(-2, 0), st.sampled_from([18, 2**31])
+                        ).map(str),
 })
 
 

@@ -8,7 +8,6 @@ from qmorse.molecules import (
     MoleculeRecord,
     builtin,
     load_molecules,
-    serialize_molecules,
 )
 
 
@@ -44,9 +43,17 @@ def test_unknown_name_lists_available():
         assert name in message
 
 
+def _serialize(records):
+    """The records in the molecule-file format, each field by its repr."""
+    return "\n\n".join(
+        f"name = {rec.name}\nD0_cm1 = {rec.d0_cm1!r}\na_invA = {rec.a_invA!r}\n"
+        f"r0_A = {rec.r0_A!r}\nmu_amu = {rec.mu_amu!r}\nsource = {rec.source}"
+        for rec in records) + "\n"
+
+
 def test_round_trip_builtins():
     records = [builtin(n) for n in ("CO", "LiH", "H2", "HCl")]
-    loaded = load_molecules(serialize_molecules(records))
+    loaded = load_molecules(_serialize(records))
     assert loaded == records
 
 

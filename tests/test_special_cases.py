@@ -11,12 +11,11 @@ from qmorse.special_cases import (
     NonPtCase,
     PtType1Case,
     PtType2Case,
-    energy_scale,
     gv_lambda,
     special_case_ladder,
 )
 from qmorse.spectrum import EPS_TIE_TOL, spectrum_grid
-from qmorse.units import UNITS
+from qmorse.units import UNITS, hbar2_over_2mu
 
 
 def _equivalent_molecule(D: float, alpha: float, mu: float, r_e: float) -> MoleculeRecord:
@@ -65,7 +64,7 @@ def test_gv_unbound_flag_beyond_ladder():
 
 def test_non_pt_energy_real_and_matches_closed_form():
     case = NonPtCase(D=2.0, d_hat=1.5, mu=0.9, r_e=1.2)
-    e0 = energy_scale(case.mu, case.r_e)
+    e0 = hbar2_over_2mu(case.mu) / case.r_e**2  # E0
     kappa1 = case.r_e * math.sqrt(2.0 * case.mu * UNITS.amu_to_eV_per_c2 * case.D) / UNITS.hbar_c
     n = np.arange(3)
     energy, _ = special_case_ladder(case, n)
@@ -83,7 +82,7 @@ def test_pt_type1_energies_are_non_real():
     assert not bound.any()
     # real and imaginary parts follow E0 [d_hat kappa2 / 2 - n - 1/2]^2
     kappa = case.r_e * math.sqrt(2.0 * case.mu * UNITS.amu_to_eV_per_c2 * case.D) / UNITS.hbar_c
-    e0 = energy_scale(case.mu, case.r_e)
+    e0 = hbar2_over_2mu(case.mu) / case.r_e**2  # E0
     a_part = 0.5 * case.d_hat * kappa
     b_part = n + 0.5
     expected = e0 * (b_part**2 - a_part**2 + 2j * a_part * b_part)
@@ -92,7 +91,7 @@ def test_pt_type1_energies_are_non_real():
 
 def test_pt_type2_energies_real_and_match():
     case = PtType2Case(D=3.0, omega=1.4, alpha=1.1, mu=0.8, r_e=1.0)
-    e0 = energy_scale(case.mu, case.r_e)
+    e0 = hbar2_over_2mu(case.mu) / case.r_e**2  # E0
     kappa3 = case.r_e * math.sqrt(2.0 * case.mu * UNITS.amu_to_eV_per_c2 * case.D) / UNITS.hbar_c
     n = np.arange(3)
     energy, _ = special_case_ladder(case, n)
