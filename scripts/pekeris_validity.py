@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from qmorse import builtin
-from qmorse.oracle import solve, suggest_config
+from qmorse.oracle import problem, solve, suggest_config
 from qmorse.potential import MassModel, PotentialParams
 from qmorse.spectrum import spectrum_grid
 
@@ -41,9 +41,8 @@ def main() -> None:
             continue
         closed = (grid.energy + p.v3).tolist()  # the literal well value, as the oracle's
         e_top = closed[-1] + 0.1 * abs(closed[-1] - closed[0])
-        cfg = suggest_config(p, mm, l, e_top=e_top,
-                             centrifugal_mode="exact")
-        spectrum = solve(p, mm, l, cfg)
+        prob = problem(p, mm, l, "exact")
+        spectrum = solve(prob, suggest_config(prob, e_top=e_top))
         found = len(spectrum.eigenvalues)
         missing = [f"({n}, {l})" for n in N_LIST if n >= found]
         if missing:

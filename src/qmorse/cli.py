@@ -326,29 +326,26 @@ def cmd_wavefunction(args, stream) -> int:
 
 
 def cmd_oracle_compare(args, stream) -> int:
-    from .oracle import (SUGGESTED_MAX_GRID_POINTS, closed_ladder, compare, grid_origin, solve,
-                         suggest_config)
+    from .oracle import SUGGESTED_MAX_GRID_POINTS, compare, problem, solve, suggest_config
     from .potential import MassModel, PotentialParams
 
     mol = _resolve_molecule(args.molecule, args.molecule_file)
-    p = PotentialParams.from_molecule(mol, args.q)
-    mm = MassModel.from_molecule(mol, args.delta)
-    closed = closed_ladder(p, mm, args.l)
-    cfg = suggest_config(p, mm, args.l, e_top=float(closed[-1]) if len(closed) else None,
-                         centrifugal_mode=args.centrifugal)
+    prob = problem(PotentialParams.from_molecule(mol, args.q),
+                   MassModel.from_molecule(mol, args.delta), args.l, args.centrifugal)
+    cfg = suggest_config(prob)
     at_cap = args.grid is None and cfg.grid_points == SUGGESTED_MAX_GRID_POINTS
     if args.grid is not None:
         cfg = dataclasses.replace(cfg, grid_points=args.grid)
-    spectrum_oracle = solve(p, mm, args.l, cfg)
-    report = compare(closed.tolist(), spectrum_oracle)  # counts describe the whole ladders
+    spectrum_oracle = solve(prob, cfg)
+    report = compare(prob.ladder.tolist(), spectrum_oracle)  # counts describe the whole ladders
     report.levels = report.levels[:args.n_levels]
     if args.format == "json":
         stream.write(report.to_json() + "\n")
     else:
-        coordinate = "uniform" if grid_origin(p, mm, cfg.centrifugal_mode) is None else "log"
+        coordinate = "uniform" if prob.origin is None else "log"
         stream.write(
             f"molecule={mol.name} q={args.q} delta={args.delta} l={args.l} "
-            f"centrifugal={cfg.centrifugal_mode} coordinate={coordinate} "
+            f"centrifugal={args.centrifugal} coordinate={coordinate} "
             f"grid={cfg.grid_points}{' (at cap)' if at_cap else ''}"
             f" domain=[{cfg.r_min:.4f},{cfg.r_max:.4f}]\n"
         )

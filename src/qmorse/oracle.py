@@ -4,11 +4,11 @@ Solves -u'' + W(r) u = E B(r) u, with B(r) = 2 m(r)/hbar^2, between two
 Dirichlet walls, and returns the levels below the continuum threshold with a
 per-level error estimate.
 
-Grids.  Every problem but one uses a uniform grid in t = ln(r - r_o) (see
-grid_origin).  At delta > 0 the origin r_o is the (possibly negative,
-virtual) mass-pole radius: high levels of the reduced problem oscillate ever
-faster toward the pole while their outer tails stretch toward large r, and
-the log coordinate resolves both ends at once.  The constant-mass Pekeris
+Grids.  Every problem but one uses a uniform grid in t = ln(r - r_o), with
+the origin r_o that ``problem`` sets.  At delta > 0 r_o is the (possibly
+negative, virtual) mass-pole radius: high levels of the reduced problem
+oscillate ever faster toward the pole while their outer tails stretch toward
+large r, and the log coordinate resolves both ends at once.  The constant-mass Pekeris
 problem (delta = 0) takes r_o = 0, t = ln r, which resolves its steep inner
 wall and long outer tails with a few hundred points where a uniform r grid
 ran out of 2000.  Exact mode at delta = 0 alone keeps a uniform r grid: on
@@ -60,6 +60,8 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
@@ -72,7 +74,7 @@ from .potential import (
     mass_pole_radius,
     virtual_pole,
 )
-from .spectrum import bound_ladder, ladder_length, strengths
+from .spectrum import _bound_prefix, _evaluated_mass, _ladder_length, strengths
 from .units import hbar2_over_2mu
 
 #: Interior grid points: the most ``suggest_config`` asks for, and the most a
@@ -109,17 +111,11 @@ KINETIC_BAND = _kinetic_band(12)
 MIN_GRID_POINTS = 2 * len(KINETIC_BAND) - 1
 
 
-def _check_mode(centrifugal_mode: str) -> None:
-    if centrifugal_mode not in ("exact", "pekeris"):
-        raise DomainError(f"bad centrifugal_mode {centrifugal_mode!r}")
-
-
 @dataclass(frozen=True)
 class OracleConfig:
     r_min: float
     r_max: float
     grid_points: int = SUGGESTED_MAX_GRID_POINTS
-    centrifugal_mode: str = "pekeris"
     want_vectors: bool = False
 
     def __post_init__(self):
@@ -135,7 +131,6 @@ class OracleConfig:
             raise DomainError(
                 f"grid_points must be an integer in [{MIN_GRID_POINTS}, {MAX_GRID_POINTS}],"
                 f" got {n!r}")
-        _check_mode(self.centrifugal_mode)
 
 
 @dataclass
@@ -149,34 +144,30 @@ class OracleSpectrum:
     eigenvectors: np.ndarray | None = None
 
 
-def build_w_and_b(p: PotentialParams, mm: MassModel, l: int, centrifugal_mode: str):
-    """Return W(r) [1/A^2] and B(r) [1/(eV A^2)] callables for the centrifugal mode,
-    and the threshold, their r -> infinity limit W/B (eV): v3, plus the offset
-    of ``strengths`` in pekeris mode."""
-    _check_mode(centrifugal_mode)
-    inv_h22m = 1.0 / hbar2_over_2mu(mm.m0)  # = 2 m0 / hbar^2
+@dataclass(frozen=True)
+class OracleProblem:
+    """The problem of one request, formed once by ``problem``.
 
-    def b(r):
-        m, _, _ = mass(mm, p, r)
-        return m / mm.m0 * inv_h22m
+    w and b are the W(r) [1/A^2] and B(r) [1/(eV A^2)] callables, threshold
+    their r -> infinity limit W/B (eV): v3, plus the offset of ``strengths``
+    in pekeris mode.  origin is r_o of the log grid t = ln(r - r_o), or None
+    for the uniform r grid; pole is the real mass pole, or None.  wall and
+    check_wall, the innermost radii of a suggested domain and of a check
+    solve, are pole_wall(POLE_WALL) and pole_wall(CHECK_POLE_WALL) outside a
+    real pole, else MIN_RADIUS.  ladder holds the literal energies (eV) of the
+    closed form's bound levels, which the oracle checks.
+    """
 
-    if centrifugal_mode == "exact":
-
-        def w_exact(r):
-            return effective_potential(p, mm, l, r)
-
-        return w_exact, b, p.v3
-
-    beta1, beta2, offset = map(float, strengths(p, mm, l))
-    threshold = p.v3 + offset
-    c0 = threshold / (hbar2_over_2mu(mm.m0) * p.a**2)
-
-    def w_reduced(r):
-        z = np.exp(-p.a * (np.asarray(r, dtype=float) - p.r_e))
-        w = 1.0 - mm.delta * z
-        return p.a**2 * (beta1 * z**2 - beta2 * z + c0) / w**2
-
-    return w_reduced, b, threshold
+    p: PotentialParams
+    l: int
+    w: Callable
+    b: Callable
+    threshold: float
+    origin: float | None
+    pole: float | None
+    wall: float
+    check_wall: float
+    ladder: np.ndarray
 
 
 def pole_wall(p: PotentialParams, mm: MassModel, w: float) -> float:
@@ -184,20 +175,49 @@ def pole_wall(p: PotentialParams, mm: MassModel, w: float) -> float:
     return virtual_pole(p, mm) - math.log1p(-w) / p.a
 
 
-def inner_wall(p: PotentialParams, mm: MassModel, w: float) -> float:
-    """Innermost radius of a domain: pole_wall(w) outside a real mass pole, else MIN_RADIUS."""
-    return pole_wall(p, mm, w) if mass_pole_radius(mm, p) is not None else MIN_RADIUS
+def problem(p: PotentialParams, mm: MassModel, l: int,
+            centrifugal_mode: str = "pekeris") -> OracleProblem:
+    """The oracle problem of one l in a centrifugal mode, from one ``strengths`` result.
 
-
-def grid_origin(p: PotentialParams, mm: MassModel, centrifugal_mode: str) -> float | None:
-    """Origin r_o of the log grid t = ln(r - r_o), or None for the uniform r grid.
-
-    The (possibly virtual) mass pole when delta > 0, r = 0 for the
-    constant-mass Pekeris problem; exact mode at delta = 0 keeps the uniform grid.
+    Below DELTA_CROSSOVER the ladder keeps the constant-mass routing of
+    ``spectrum_grid`` while pekeris-mode W keeps the real delta, which forms
+    the reduced problem a second time.  Raises DomainError for an unknown
+    mode and, before any level is built, when the closed form predicts more
+    levels than a grid may have points.
     """
-    if mm.delta > 0.0:
-        return virtual_pole(p, mm)
-    return 0.0 if centrifugal_mode == "pekeris" else None
+    if centrifugal_mode not in ("exact", "pekeris"):
+        raise DomainError(f"bad centrifugal_mode {centrifugal_mode!r}")
+    closed_mm = _evaluated_mass(mm)
+    reduced = strengths(p, closed_mm, l)
+    count = _ladder_length(reduced, closed_mm.delta)
+    if count > MAX_GRID_POINTS:
+        raise DomainError(f"the closed form has {count} bound levels at l = {l}, more than"
+                          f" the {MAX_GRID_POINTS} points an oracle grid may have")
+    ladder = _bound_prefix(p, closed_mm, reduced, count).energy + p.v3
+    inv_h22m = 1.0 / hbar2_over_2mu(mm.m0)  # = 2 m0 / hbar^2
+
+    def b(r):
+        m, _, _ = mass(mm, p, r)
+        return m / mm.m0 * inv_h22m
+
+    if centrifugal_mode == "exact":
+        threshold, origin, w = p.v3, None, partial(effective_potential, p, mm, l)
+    else:
+        beta1, beta2, offset = map(float, reduced if closed_mm.delta == mm.delta
+                                   else strengths(p, mm, l))
+        threshold, origin = p.v3 + offset, 0.0
+        c0 = threshold / (hbar2_over_2mu(mm.m0) * p.a**2)
+
+        def w(r):
+            z = np.exp(-p.a * (np.asarray(r, dtype=float) - p.r_e))
+            return p.a**2 * (beta1 * z**2 - beta2 * z + c0) / (1.0 - mm.delta * z)**2
+
+    origin = virtual_pole(p, mm) if mm.delta > 0.0 else origin
+    pole = mass_pole_radius(mm, p)
+    wall, check_wall = ((MIN_RADIUS, MIN_RADIUS) if pole is None else
+                        (pole_wall(p, mm, POLE_WALL), pole_wall(p, mm, CHECK_POLE_WALL)))
+    return OracleProblem(p=p, l=l, w=w, b=b, threshold=threshold, origin=origin, pole=pole,
+                         wall=wall, check_wall=check_wall, ladder=ladder)
 
 
 def _wall_efolds(w_hat, b_hat, e, h):
@@ -211,26 +231,26 @@ def _wall_efolds(w_hat, b_hat, e, h):
     return float(np.sum(kappa_h[:allowed[0]])), float(np.sum(kappa_h[allowed[-1] + 1:]))
 
 
-def _solve_once(w_fn, b_fn, t_lo, t_hi, n, threshold, want_vectors, log_origin):
-    """Levels below threshold on n interior points of [t_lo, t_hi], their
+def _solve_once(prob: OracleProblem, t_lo, t_hi, n, want_vectors):
+    """Levels below the threshold on n interior points of [t_lo, t_hi], their
     roundoff, the grid, the eigenvectors (or None) and the shallowest level's
     decay to each wall (``_wall_efolds``; zero when no level is bound).
 
-    t is r itself, or ln(r - log_origin) on the log grid.  The roundoff is
+    t is r itself, or ln(r - prob.origin) on the log grid.  The roundoff is
     16 eps ||H||_inf.
     """
     from scipy.linalg import eig_banded, solve_banded
 
     h = (t_hi - t_lo) / (n + 1)
     t = t_lo + h * np.arange(1, n + 1)
-    if log_origin is None:
+    if prob.origin is None:
         grid, dr_dt = t, np.ones(n)
     else:
         dr_dt = np.exp(t)
-        grid = log_origin + dr_dt
-    w_hat = np.asarray(w_fn(grid), dtype=float) * dr_dt**2
-    b_hat = np.asarray(b_fn(grid), dtype=float) * dr_dt**2
-    if log_origin is not None:
+        grid = prob.origin + dr_dt
+    w_hat = np.asarray(prob.w(grid), dtype=float) * dr_dt**2
+    b_hat = np.asarray(prob.b(grid), dtype=float) * dr_dt**2
+    if prob.origin is not None:
         w_hat += 0.25
     if np.any(b_hat <= 0.0) or not np.all(np.isfinite(b_hat)):
         raise DomainError("mass weight B is not positive and finite on the grid")
@@ -249,7 +269,7 @@ def _solve_once(w_fn, b_fn, t_lo, t_hi, n, threshold, want_vectors, log_origin):
         off_sum[k:] += np.abs(off)
     roundoff = 16.0 * np.finfo(float).eps * float(np.max(np.abs(diag) + off_sum))
     vals = eig_banded(band[:p + 1], eigvals_only=True)
-    vals = vals[vals <= float(threshold) - 1e-12]
+    vals = vals[vals <= float(prob.threshold) - 1e-12]
     efolds = _wall_efolds(w_hat, b_hat, vals[-1], h) if len(vals) else (0.0, 0.0)
     if not want_vectors:
         return vals, roundoff, grid, None, efolds
@@ -266,110 +286,81 @@ def _solve_once(w_fn, b_fn, t_lo, t_hi, n, threshold, want_vectors, log_origin):
     return vals, roundoff, grid, u / np.sqrt(h * (dr_dt @ u**2)), efolds
 
 
-def solve_potential(
-    w_fn, b_fn, cfg: OracleConfig, threshold: float, log_origin: float | None = None,
-    check_r_min: float | None = None,
-) -> OracleSpectrum:
-    """Solve the discretized problem for arbitrary W and B callables.
+def solve(prob: OracleProblem, cfg: OracleConfig) -> OracleSpectrum:
+    """All bound levels of the problem on the configured grid (eV, strictly increasing).
 
-    Used directly by self-tests (e.g. a quadratic well against the textbook
-    oscillator ladder) and by ``solve``.  The check solve that sizes the error
-    estimates has spacing h/1.25 on the same walls, save that a wall the
-    shallowest level has decayed less than WALL_EFOLDS toward moves out by a
-    quarter of the span; the inner wall moves only when ``check_r_min`` is
-    given, and not past it.
+    The check solve that sizes the error estimates has spacing h/1.25 on the
+    same walls, save that a wall the shallowest level has decayed less than
+    WALL_EFOLDS toward moves out by a quarter of the span; the inner wall
+    moves only on the log grid, and not past ``prob.check_wall``.  A self-test
+    solves its own W and B in a ``dataclasses.replace`` of a problem.
     """
+    if prob.pole is not None and cfg.r_min <= prob.pole:
+        raise DomainError(f"mass pole at r = {prob.pole:.6f} A lies inside the domain; raise r_min")
+
     def coord(r):
-        return r if log_origin is None else math.log(r - log_origin)
+        return r if prob.origin is None else math.log(r - prob.origin)
 
     t_lo, t_hi = coord(cfg.r_min), coord(cfg.r_max)
     vals, roundoff, grid, vectors, (inner, outer) = _solve_once(
-        w_fn, b_fn, t_lo, t_hi, cfg.grid_points, threshold, cfg.want_vectors, log_origin)
+        prob, t_lo, t_hi, cfg.grid_points, cfg.want_vectors)
     estimates = np.empty(0)
     if len(vals):
         span = t_hi - t_lo
         check_lo, check_hi = t_lo, t_hi
-        if check_r_min is not None and inner < WALL_EFOLDS:
-            check_lo = min(t_lo, max(t_lo - 0.25 * span, coord(check_r_min)))
+        if prob.origin is not None and inner < WALL_EFOLDS:
+            check_lo = min(t_lo, max(t_lo - 0.25 * span, coord(prob.check_wall)))
         if outer < WALL_EFOLDS:
             check_hi = t_hi + 0.25 * span
         check_n = math.ceil(1.25 * (check_hi - check_lo) / span * (cfg.grid_points + 1)) - 1
-        check_vals, check_roundoff, *_ = _solve_once(
-            w_fn, b_fn, check_lo, check_hi, check_n, threshold, False, log_origin)
+        check_vals, check_roundoff, *_ = _solve_once(prob, check_lo, check_hi, check_n, False)
         # a level the check solve lost may lie anywhere up to the threshold
-        other = np.full(len(vals), float(threshold))
+        other = np.full(len(vals), float(prob.threshold))
         shared = min(len(vals), len(check_vals))
         other[:shared] = check_vals[:shared]
         estimates = np.maximum(np.abs(vals - other), max(roundoff, check_roundoff))
     return OracleSpectrum(
-        eigenvalues=vals, error_estimates=estimates, threshold=threshold,
+        eigenvalues=vals, error_estimates=estimates, threshold=prob.threshold,
         grid=grid, eigenvectors=vectors,
     )
 
 
-def solve(p: PotentialParams, mm: MassModel, l: int, cfg: OracleConfig) -> OracleSpectrum:
-    """All bound levels of the configured problem (eV, strictly increasing)."""
-    log_origin = grid_origin(p, mm, cfg.centrifugal_mode)
-    pole = mass_pole_radius(mm, p)
-    if pole is not None and cfg.r_min <= pole:
-        raise DomainError(f"mass pole at r = {pole:.6f} A lies inside the domain; raise r_min")
-    check_r_min = None if log_origin is None else inner_wall(p, mm, CHECK_POLE_WALL)
-    w_fn, b_fn, threshold = build_w_and_b(p, mm, l, cfg.centrifugal_mode)
-    return solve_potential(w_fn, b_fn, cfg, threshold, log_origin, check_r_min)
-
-
-def closed_ladder(p: PotentialParams, mm: MassModel, l: int) -> np.ndarray:
-    """Literal energies (eV) of the closed form's bound levels, which the oracle checks.
-
-    Raises DomainError, before any level is built, when the closed form
-    predicts more levels than a grid may have points.
-    """
-    count = ladder_length(p, mm, l)
-    if count > MAX_GRID_POINTS:
-        raise DomainError(f"the closed form has {count} bound levels at l = {l}, more than"
-                          f" the {MAX_GRID_POINTS} points an oracle grid may have")
-    return bound_ladder(p, mm, l).energy + p.v3
-
-
-def suggest_config(p: PotentialParams, mm: MassModel, l: int, e_top: float | None = None,
-                   centrifugal_mode: str = "pekeris") -> OracleConfig:
+def suggest_config(prob: OracleProblem, e_top: float | None = None) -> OracleConfig:
     """Domain and grid adequate for all levels up to e_top.
 
-    By default e_top is the closed-form ladder top (shallowest bound level);
-    pass e_top explicitly when targeting a subset of levels, or for exact-mode
-    runs whose shallowest level may differ from the expansion's estimate.  The
-    domain is clipped at turning points of W/B at e_top and padded outward by
-    8 decay lengths of the shallowest level.  Inward, a log-grid domain (every
-    problem but exact mode at delta = 0, see grid_origin) reaches where the
+    By default e_top is the top of ``prob.ladder`` (the shallowest bound
+    level), and a problem whose closed form has no bound level is refused;
+    pass e_top explicitly when targeting a subset of levels, or for
+    exact-mode runs whose shallowest level may differ from the expansion's
+    estimate.  The domain is clipped at turning points of W/B at e_top and
+    padded outward by 8 decay lengths of the shallowest level.  Inward, a
+    log-grid domain (every problem with a ``prob.origin``) reaches where the
     WKB decay of the shallowest level, the integral of kappa dt from its
     inner turning point, is POLE_SIDE_EFOLDS, but never deeper than
-    inner_wall(POLE_WALL), where it stays when the pole side never decays
-    that far.
-    Exact mode at delta = 0 keeps the uniform r grid, padded inward by 2.2/a,
-    where the profile dies super-exponentially.  The spacing resolves the
-    largest local wavenumber at k h <= MAX_KH in the grid coordinate actually
-    used; that alone sets the number of points, from one stencil up to
-    SUGGESTED_MAX_GRID_POINTS.  ``centrifugal_mode`` is passed on to the
-    returned OracleConfig.
+    ``prob.wall``, where it stays when the pole side never decays that far.
+    The uniform r grid (origin None: exact mode at delta = 0) is padded
+    inward by 2.2/a, where the profile dies super-exponentially.  The spacing
+    resolves the largest local wavenumber at k h <= MAX_KH in the grid
+    coordinate actually used; that alone sets the number of points, from one
+    stencil up to SUGGESTED_MAX_GRID_POINTS.
     """
-    w_fn, b_fn, threshold = build_w_and_b(p, mm, l, centrifugal_mode)
-    origin = grid_origin(p, mm, centrifugal_mode)
+    p, w_fn, b_fn, threshold, origin = prob.p, prob.w, prob.b, prob.threshold, prob.origin
     if e_top is None:
-        ladder = closed_ladder(p, mm, l)
-        e_top = float(ladder[-1]) if len(ladder) else threshold - 1e-3
+        if not len(prob.ladder):
+            raise DomainError(f"the closed form has no bound level at l = {prob.l}")
+        e_top = float(prob.ladder[-1])
     e_top = min(e_top, threshold - 1e-12)
 
-    scan_lo = inner_wall(p, mm, POLE_WALL)
     if origin is not None:
         t_scan = np.linspace(
-            math.log(scan_lo - origin),
+            math.log(prob.wall - origin),
             math.log(p.r_e + 60.0 / p.a - origin),
             6000,
         )
         scan = origin + np.exp(t_scan)
     else:
-        scan = np.linspace(max(scan_lo, p.r_e - 12.0 / p.a), p.r_e + 60.0 / p.a, 6000)
-        scan = scan[scan > scan_lo]
+        scan = np.linspace(max(prob.wall, p.r_e - 12.0 / p.a), p.r_e + 60.0 / p.a, 6000)
+        scan = scan[scan > prob.wall]
     w_scan = np.asarray(w_fn(scan))
     b_scan = np.asarray(b_fn(scan))
     ratio = w_scan / b_scan
@@ -394,16 +385,15 @@ def suggest_config(p: PotentialParams, mm: MassModel, l: int, e_top: float | Non
         kappa = np.sqrt(np.maximum(-gap[i_in::-1], 0.0)) * (scan[i_in::-1] - origin)
         decay = np.cumsum(kappa) * (t_scan[1] - t_scan[0])
         deep = np.flatnonzero(decay >= POLE_SIDE_EFOLDS)
-        r_min = float(scan[i_in - deep[0]]) if deep.size else scan_lo
+        r_min = float(scan[i_in - deep[0]]) if deep.size else prob.wall
         span = math.log(r_max - origin) - math.log(r_min - origin)
     else:
-        r_min = max(scan_lo, r_in - 2.2 / p.a)
+        r_min = max(prob.wall, r_in - 2.2 / p.a)
         span = r_max - r_min
     k_max = float(np.max(k_local))
     n_points = math.ceil(span * k_max / MAX_KH)
     n_points = min(max(MIN_GRID_POINTS, n_points), SUGGESTED_MAX_GRID_POINTS)
-    return OracleConfig(r_min=r_min, r_max=r_max, grid_points=n_points,
-                        centrifugal_mode=centrifugal_mode)
+    return OracleConfig(r_min=r_min, r_max=r_max, grid_points=n_points)
 
 
 @dataclass

@@ -179,7 +179,12 @@ def spectrum_grid(p: PotentialParams, mm: MassModel, n, l) -> SpectrumGrid:
     below the dissociation limit (add p.v3 for the literal well value).
     """
     mm = _evaluated_mass(mm)
-    beta1, beta2, offset = strengths(p, mm, l)
+    return _energies(p, mm, n, strengths(p, mm, l))
+
+
+def _energies(p: PotentialParams, mm: MassModel, n, reduced) -> SpectrumGrid:
+    """``spectrum_grid`` of an evaluated mass model from its ``strengths`` result."""
+    beta1, beta2, offset = reduced
     qz = quantize(n, beta1, beta2, mm.delta)
     with np.errstate(over="ignore"):  # an overflowed energy is inf; callers check
         # np.square, as on an array: the scalar power of a 0-d eps can round differently
@@ -188,7 +193,7 @@ def spectrum_grid(p: PotentialParams, mm: MassModel, n, l) -> SpectrumGrid:
     return replace(qz, energy=energy)
 
 
-def _ladder_length(beta1: float, beta2: float, delta: float) -> int:
+def _ladder_length(reduced, delta: float) -> int:
     """Closed-form count of the leading n with eps_n > EPS_TIE_TOL and den_n > 0.
 
     At delta = 0, eps_n = eps_0 - n.  For delta > 0, den_n > 0 below
@@ -196,6 +201,7 @@ def _ladder_length(beta1: float, beta2: float, delta: float) -> int:
     delta n^2 + (delta - 2 sqrt(beta1)) n + beta2 - sqrt(beta1), positive
     below its smaller root.  Raises DomainError past MAX_LADDER_LENGTH.
     """
+    beta1, beta2 = float(reduced[0]), float(reduced[1])
     if not beta1 > 0.0:
         return 0
     sqrt_b1 = math.sqrt(beta1)
@@ -218,8 +224,7 @@ def _ladder_length(beta1: float, beta2: float, delta: float) -> int:
 def ladder_length(p: PotentialParams, mm: MassModel, l: int) -> int:
     """Closed-form count of the bound states of one l, without building them."""
     mm = _evaluated_mass(mm)
-    beta1, beta2, _ = strengths(p, mm, l)
-    return _ladder_length(float(beta1), float(beta2), mm.delta)
+    return _ladder_length(strengths(p, mm, l), mm.delta)
 
 
 def bound_ladder(p: PotentialParams, mm: MassModel, l: int) -> SpectrumGrid:
@@ -228,7 +233,13 @@ def bound_ladder(p: PotentialParams, mm: MassModel, l: int) -> SpectrumGrid:
     The candidates are the closed-form count plus one, so rounding at the
     ladder edge cannot cut it short; the bound rule then picks the prefix.
     """
-    count = ladder_length(p, mm, l)
-    grid = spectrum_grid(p, mm, np.arange(count + 1), l)
+    mm = _evaluated_mass(mm)
+    reduced = strengths(p, mm, l)
+    return _bound_prefix(p, mm, reduced, _ladder_length(reduced, mm.delta))
+
+
+def _bound_prefix(p: PotentialParams, mm: MassModel, reduced, count: int) -> SpectrumGrid:
+    """``bound_ladder`` of an evaluated mass model, from its ``strengths`` result and count."""
+    grid = _energies(p, mm, np.arange(count + 1), reduced)
     unbound = np.flatnonzero(~grid.bound)
     return grid[: unbound[0] if unbound.size else count + 1]

@@ -16,20 +16,14 @@ Two oracle checks of the varying-mass closed form:
 ``PYTHONPATH=src:tests python -m crosscheck.substituted``.
 """
 
+from dataclasses import replace
+
 import numpy as np
 
 from qmorse import builtin
-from qmorse.oracle import (
-    CHECK_POLE_WALL,
-    build_w_and_b,
-    compare,
-    inner_wall,
-    solve,
-    solve_potential,
-    suggest_config,
-)
+from qmorse.oracle import compare, problem, solve, suggest_config
 from qmorse.pekeris import pekeris_coefficients
-from qmorse.potential import MassModel, PotentialParams, mass, morse_potential, virtual_pole
+from qmorse.potential import MassModel, PotentialParams, mass, morse_potential
 from qmorse.spectrum import bound_ladder
 from qmorse.units import hbar2_over_2mu
 
@@ -71,10 +65,8 @@ def substituted_w(p, mm, l):
 
 
 def solve_substituted(p, mm, l, cfg):
-    """The substituted problem on the log grid and check wall that ``solve`` uses."""
-    _, b, threshold = build_w_and_b(p, mm, l, cfg.centrifugal_mode)
-    return solve_potential(substituted_w(p, mm, l), b, cfg, threshold,
-                           virtual_pole(p, mm), inner_wall(p, mm, CHECK_POLE_WALL))
+    """The substituted problem on the reduced problem's grid origin, walls, B and threshold."""
+    return solve(replace(problem(p, mm, l), w=substituted_w(p, mm, l)), cfg)
 
 
 def sweep(name="H2", deltas=DELTAS):
@@ -85,8 +77,9 @@ def sweep(name="H2", deltas=DELTAS):
     for delta in deltas:
         mm = MassModel.from_molecule(mol, delta)
         closed = (bound_ladder(p, mm, 0).energy + p.v3).tolist()
-        cfg = suggest_config(p, mm, 0)
-        reduced = compare(closed, solve(p, mm, 0, cfg))
+        prob = problem(p, mm, 0)
+        cfg = suggest_config(prob)
+        reduced = compare(closed, solve(prob, cfg))
         substituted = compare(closed, solve_substituted(p, mm, 0, cfg))
         rows.append((delta, len(closed), reduced.max_deviation, substituted.max_deviation))
     return rows

@@ -17,7 +17,7 @@ from crosscheck.nu import NuInput, derive_constants, energy_equation_residual, e
 from crosscheck.residuals import transformed_residual_constant_mass, transformed_residual_pdm
 from crosscheck.series import hyp2f1, hyp3f2
 from qmorse import builtin
-from qmorse.oracle import OracleConfig, compare, solve, suggest_config
+from qmorse.oracle import OracleConfig, compare, problem, solve, suggest_config
 from qmorse.pekeris import pekeris_coefficients
 from qmorse.potential import MassModel, PotentialParams
 from qmorse.reference import (
@@ -97,9 +97,10 @@ def test_criterion_3_oracle_exactness_constant_mass():
             closed = [float(spectrum_grid(p, mm, n, l).raise_fault().energy) + p.v3
                       for n in range(8)]  # the literal well value, as the oracle's
             e_top = closed[7] + 0.1 * abs(closed[7] - closed[0])
-            cfg = suggest_config(p, mm, l, e_top=e_top)
+            prob = problem(p, mm, l)
+            cfg = suggest_config(prob, e_top=e_top)
             assert cfg.grid_points <= 8000, (block, l, cfg.grid_points)
-            spectrum = solve(p, mm, l, cfg)
+            spectrum = solve(prob, cfg)
             for n in (0, 5, 7):
                 deviation = abs(float(spectrum.eigenvalues[n]) - closed[n])
                 worst = max(worst, deviation)
@@ -157,8 +158,8 @@ def test_criterion_4_pdm_continuity_and_identity():
                         break
                     closed.append(float(res.energy) + p.v3)
                     n += 1
-                cfg = suggest_config(p, mm, l)
-                spectrum = solve(p, mm, l, cfg)
+                prob = problem(p, mm, l)
+                spectrum = solve(prob, suggest_config(prob))
                 report = compare(closed, spectrum)
                 assert report.closed_count == report.oracle_count, (name, delta, l)
                 assert not any(lv.flagged for lv in report.levels), (name, delta, l)
@@ -254,7 +255,7 @@ def test_criterion_7_wavefunctions(series_log_norm):
 
     # oracle ground-state overlap > 0.9999 (H2, l = 0, delta = 0)
     cfg = OracleConfig(r_min=1e-3, r_max=14.0, grid_points=3000, want_vectors=True)
-    spectrum = solve(p, mm0, 0, cfg)
+    spectrum = solve(problem(p, mm0, 0), cfg)
     grid = spectrum.grid
     h = grid[1] - grid[0]
     analytic, _ = radial_wavefunction(p, mm0, QuantumState(0, 0), grid)
@@ -345,8 +346,8 @@ def test_criterion_9_pekeris_validity_characterization():
     mm = MassModel.from_molecule(mol, 0.0)
     closed = float(spectrum_grid(p, mm, 7, 10).raise_fault().energy) + p.v3  # literal well
     e_top = closed + 0.15
-    cfg = suggest_config(p, mm, 10, e_top=e_top, centrifugal_mode="exact")
-    spectrum = solve(p, mm, 10, cfg)
+    prob = problem(p, mm, 10, "exact")
+    spectrum = solve(prob, suggest_config(prob, e_top=e_top))
     deviation = abs(float(spectrum.eigenvalues[7]) - closed)
     assert 0.03 <= deviation <= 0.15, deviation
     # diagnostic: the exact-mode level should sit near the bundled

@@ -16,6 +16,7 @@ from qmorse import builtin
 from qmorse.cli import build_parser, main
 from qmorse.oracle import MAX_GRID_POINTS
 from qmorse.potential import MassModel, PotentialParams, mass_pole_radius
+from qmorse.spectrum import bound_ladder
 from qmorse.units import UNITS
 
 
@@ -468,9 +469,9 @@ def test_special_case_overflow_names_the_level(capsys, argv):
     assert err.startswith(f"numeric failure: {case_id} level n=0 overflows: "), err
 
 
-def test_oracle_compare_forms_the_reduced_problem_five_times(capsys, monkeypatch):
-    # closed_ladder three times (two ladder counts and the grid), then one
-    # build_w_and_b each for suggest_config and solve, which also yields the threshold
+@pytest.fixture
+def strengths_calls(monkeypatch):
+    """The l of every ``strengths`` call, in the modules that form the reduced problem."""
     import qmorse.oracle as oracle_mod
     import qmorse.spectrum as spectrum_mod
 
@@ -483,10 +484,38 @@ def test_oracle_compare_forms_the_reduced_problem_five_times(capsys, monkeypatch
 
     for owner in (oracle_mod, spectrum_mod):
         monkeypatch.setattr(owner, "strengths", spy)
-    code, _, _ = run_cli(["oracle-compare", "--molecule", "H2", "--delta", "0.3", "--l", "5"],
-                         capsys)
+    return calls
+
+
+@pytest.mark.parametrize("delta, mode, calls", [
+    ("0", "pekeris", 1), ("0", "exact", 1), ("0.3", "pekeris", 1), ("0.3", "exact", 1),
+    # below DELTA_CROSSOVER the ladder takes the constant-mass strengths the
+    # closed form is routed to, while pekeris-mode W keeps the real delta
+    ("1e-11", "pekeris", 2),
+])
+def test_oracle_compare_forms_the_reduced_problem_once(capsys, strengths_calls, delta, mode,
+                                                       calls):
+    # one problem value holds W, B, the threshold and the closed ladder
+    code, _, _ = run_cli(["oracle-compare", "--molecule", "H2", "--delta", delta, "--l", "5",
+                          "--centrifugal", mode], capsys)
     assert code == 0
-    assert len(calls) == 5
+    assert len(strengths_calls) == calls
+
+
+def test_bound_ladder_forms_the_reduced_problem_once(strengths_calls):
+    # the count and the energies come from one strengths result
+    mol = builtin("H2")
+    assert len(bound_ladder(PotentialParams.from_molecule(mol, 1.0),
+                            MassModel.from_molecule(mol, 0.3), 5)) > 0
+    assert strengths_calls == [5]
+
+
+@pytest.mark.parametrize("q", ["-0.5", "1e-8"])
+def test_oracle_compare_without_a_bound_level_says_so(capsys, q):
+    # the closed form has no level to check; the message names no internal value
+    code, out, err = run_cli(["oracle-compare", "--molecule", "H2", "--q", q], capsys)
+    assert code == 2 and out == ""
+    assert err == "error: the closed form has no bound level at l = 0\n"
 
 
 def test_oracle_compare_small(capsys):

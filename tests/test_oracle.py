@@ -21,13 +21,10 @@ from qmorse.oracle import (
     SUGGESTED_MAX_GRID_POINTS,
     ComparisonReport,
     OracleConfig,
-    build_w_and_b,
-    closed_ladder,
     compare,
-    grid_origin,
     pole_wall,
+    problem,
     solve,
-    solve_potential,
     suggest_config,
 )
 from qmorse.potential import MassModel, PotentialParams, effective_potential, morse_potential
@@ -47,6 +44,13 @@ def _closed_levels(p, mm, l, n_top):
     return out
 
 
+def _self_test_problem(w, b, threshold):
+    """A problem of its own W and B on the plain r coordinate (no mass pole)."""
+    mol = builtin("H2")
+    base = problem(PotentialParams.from_molecule(mol, 1.0), MassModel.from_molecule(mol), 0)
+    return replace(base, w=w, b=b, threshold=threshold, origin=None)
+
+
 def test_harmonic_oscillator_self_test():
     # quadratic well with constant weight: levels must be (k + 1/2) hbar omega
     h22m = hbar2_over_2mu(1.0)
@@ -55,12 +59,11 @@ def test_harmonic_oscillator_self_test():
     b_const = 1.0 / h22m
     x0 = 5.0
     cfg = OracleConfig(r_min=1.0, r_max=9.0, grid_points=3000)
-    spectrum = solve_potential(
+    spectrum = solve(_self_test_problem(
         lambda r: b_const * 0.5 * k_spring * (r - x0) ** 2,
         lambda r: b_const * np.ones_like(np.asarray(r)),
-        cfg,
         threshold=2.0,
-    )
+    ), cfg)
     for k in range(10):
         exact = (k + 0.5) * omega
         assert spectrum.eigenvalues[k] == pytest.approx(exact, rel=1e-6)
@@ -70,8 +73,8 @@ def test_h2_ground_state_matches_reference(h2_ref):
     p = PotentialParams.from_molecule(h2_ref, 1.0)
     mm = MassModel.from_molecule(h2_ref, 0.0)
     closed = _closed_levels(p, mm, 0, 2)
-    cfg = suggest_config(p, mm, 0, e_top=closed[-1] + 0.1)
-    spectrum = solve(p, mm, 0, cfg)
+    prob = problem(p, mm, 0)
+    spectrum = solve(prob, suggest_config(prob, e_top=closed[-1] + 0.1))
     # reference ground level at -4.47601 eV below dissociation: add back v3
     assert spectrum.eigenvalues[0] - p.v3 == pytest.approx(-4.47601, abs=2e-5)
 
@@ -79,8 +82,8 @@ def test_h2_ground_state_matches_reference(h2_ref):
 def test_eigenvalues_strictly_increasing(h2_ref):
     p = PotentialParams.from_molecule(h2_ref, 1.0)
     mm = MassModel.from_molecule(h2_ref, 0.0)
-    cfg = suggest_config(p, mm, 0)
-    spectrum = solve(p, mm, 0, cfg)
+    prob = problem(p, mm, 0)
+    spectrum = solve(prob, suggest_config(prob))
     assert np.all(np.diff(spectrum.eigenvalues) > 0)
 
 
@@ -88,17 +91,17 @@ def test_spacing_refinement_gains_two_orders():
     # 25-point stencil: each 1.5x finer spacing cuts the worst level error by
     # at least 100x (about 1.5^24 for smooth profiles) until roundoff, which
     # is below 1e-11 eV on these grids; levels above n = 74 feel the 8 A wall.
-    # The plain r coordinate (log_origin=None), where 511 points are coarse
+    # The plain r coordinate (origin None), where 511 points are coarse
     # for CO; the Pekeris problem's own log grid is already at 1e-8 eV there
     mol = builtin("CO")
     p = PotentialParams.from_molecule(mol, 1.0)
     mm = MassModel.from_molecule(mol, 0.0)
     exact = bound_ladder(p, mm, 0).energy[:75] + p.v3
+    prob = replace(problem(p, mm, 0), origin=None)
     errors = []
     for n_pts in (511, 767, 1151, 1727, 2591):  # n + 1 = 512 * 1.5^k
         cfg = OracleConfig(r_min=0.6, r_max=8.0, grid_points=n_pts)
-        w_fn, b_fn, threshold = build_w_and_b(p, mm, 0, "pekeris")
-        levels = solve_potential(w_fn, b_fn, cfg, threshold).eigenvalues
+        levels = solve(prob, cfg).eigenvalues
         errors.append(float(np.max(np.abs(levels[:75] - exact))))
     assert errors[0] > 1e-3
     for coarse, fine in zip(errors, errors[1:]):
@@ -119,8 +122,9 @@ def test_error_estimate_is_calibrated(name, delta, l):
     mol = builtin(name)
     p = PotentialParams.from_molecule(mol, 1.0)
     mm = MassModel.from_molecule(mol, delta)
-    cfg = suggest_config(p, mm, l)
-    report = compare((bound_ladder(p, mm, l).energy + p.v3).tolist(), solve(p, mm, l, cfg))
+    prob = problem(p, mm, l)
+    cfg = suggest_config(prob)
+    report = compare((bound_ladder(p, mm, l).energy + p.v3).tolist(), solve(prob, cfg))
     assert not report.count_mismatch
     worst = max(lv.deviation / lv.oracle_error for lv in report.levels)
     assert 0.05 <= worst <= 2.0, worst
@@ -134,9 +138,10 @@ def test_constant_mass_pekeris_oracle_resolves_deep_ladders(name, l):
     mol = builtin(name)
     p = PotentialParams.from_molecule(mol, 2.0)
     mm = MassModel.from_molecule(mol, 0.0)
-    cfg = suggest_config(p, mm, l)
+    prob = problem(p, mm, l)
+    cfg = suggest_config(prob)
     assert cfg.grid_points < SUGGESTED_MAX_GRID_POINTS
-    report = compare((bound_ladder(p, mm, l).energy + p.v3).tolist(), solve(p, mm, l, cfg))
+    report = compare((bound_ladder(p, mm, l).energy + p.v3).tolist(), solve(prob, cfg))
     assert not report.count_mismatch
     assert not any(lv.flagged for lv in report.levels)
     assert max(lv.oracle_error for lv in report.levels) <= 1e-5
@@ -149,7 +154,7 @@ def test_constant_mass_pekeris_cells_fit_in_1100_points():
     for name, l in cells:
         mol = builtin(name)
         p, mm = PotentialParams.from_molecule(mol, 1.0), MassModel.from_molecule(mol, 0.0)
-        total += suggest_config(p, mm, l).grid_points
+        total += suggest_config(problem(p, mm, l)).grid_points
     assert total <= 1100, total
 
 
@@ -169,14 +174,14 @@ def _solve_once_args(monkeypatch, name, delta, l):
     solve_once = oracle._solve_once
 
     def spy(*args):
-        calls.append(args[2:5])
+        calls.append(args[1:4])
         return solve_once(*args)
 
     mol = builtin(name)
-    p, mm = PotentialParams.from_molecule(mol, 1.0), MassModel.from_molecule(mol, delta)
+    prob = problem(PotentialParams.from_molecule(mol, 1.0), MassModel.from_molecule(mol, delta), l)
     with monkeypatch.context() as patch:
         patch.setattr(oracle, "_solve_once", spy)
-        solve(p, mm, l, suggest_config(p, mm, l))
+        solve(prob, suggest_config(prob))
     assert len(calls) == 2
     return calls
 
@@ -211,9 +216,10 @@ def test_suggested_grid_is_not_floored(name):
     mol = builtin(name)
     p = PotentialParams.from_molecule(mol, 1.0)
     mm = MassModel.from_molecule(mol, 0.3)
-    cfg = suggest_config(p, mm, 0)
+    prob = problem(p, mm, 0)
+    cfg = suggest_config(prob)
     assert cfg.grid_points < 150
-    report = compare((bound_ladder(p, mm, 0).energy + p.v3).tolist(), solve(p, mm, 0, cfg))
+    report = compare((bound_ladder(p, mm, 0).energy + p.v3).tolist(), solve(prob, cfg))
     assert not report.count_mismatch
     for lv in report.levels:
         assert lv.deviation <= 2.0 * lv.oracle_error, lv
@@ -223,7 +229,7 @@ def test_eigenvector_node_counts(h2_ref):
     p = PotentialParams.from_molecule(h2_ref, 1.0)
     mm = MassModel.from_molecule(h2_ref, 0.0)
     cfg = OracleConfig(r_min=1e-3, r_max=14.0, grid_points=2500, want_vectors=True)
-    spectrum = solve(p, mm, 0, cfg)
+    spectrum = solve(problem(p, mm, 0), cfg)
     for n in range(6):
         assert node_count(spectrum.eigenvectors[:, n]) == n
 
@@ -232,7 +238,7 @@ def test_ground_state_overlap_with_analytic(h2_ref):
     p = PotentialParams.from_molecule(h2_ref, 1.0)
     mm = MassModel.from_molecule(h2_ref, 0.0)
     cfg = OracleConfig(r_min=1e-3, r_max=14.0, grid_points=3000, want_vectors=True)
-    spectrum = solve(p, mm, 0, cfg)
+    spectrum = solve(problem(p, mm, 0), cfg)
     grid = spectrum.grid
     analytic, _ = radial_wavefunction(p, mm, QuantumState(0, 0), grid)
     h = grid[1] - grid[0]
@@ -246,8 +252,8 @@ def test_pekeris_mode_with_varying_mass_matches_closed_form(h2):
     p = PotentialParams.from_molecule(h2, 1.0)
     mm = MassModel.from_molecule(h2, 0.3)
     closed = _closed_levels(p, mm, 0, 40)
-    cfg = suggest_config(p, mm, 0)
-    spectrum = solve(p, mm, 0, cfg)
+    prob = problem(p, mm, 0)
+    spectrum = solve(prob, suggest_config(prob))
     report = compare(closed, spectrum)
     assert report.closed_count == report.oracle_count
     assert report.max_deviation < 1e-5
@@ -258,14 +264,14 @@ def test_pdm_pole_inside_domain_rejected(h2):
     mm = MassModel.from_molecule(h2, 0.5)  # pole at ~0.385 A
     cfg = OracleConfig(r_min=0.01, r_max=10.0)
     with pytest.raises(DomainError, match="pole"):
-        solve(p, mm, 0, cfg)
+        solve(problem(p, mm, 0), cfg)
 
 
 def test_threshold_values(h2):
     p = PotentialParams.from_molecule(h2, 1.0)
     mm = MassModel.from_molecule(h2, 0.0)
-    assert build_w_and_b(p, mm, 10, "exact")[2] == pytest.approx(p.v3)
-    assert build_w_and_b(p, mm, 10, "pekeris")[2] > p.v3
+    assert problem(p, mm, 10, "exact").threshold == pytest.approx(p.v3)
+    assert problem(p, mm, 10, "pekeris").threshold > p.v3
 
 
 @pytest.mark.parametrize("delta", [0.0, 0.3])
@@ -275,16 +281,16 @@ def test_reduced_w_over_b_tends_to_the_threshold(h2, delta, l):
     # is c0's share, v3 + offset, to roundoff
     p = PotentialParams.from_molecule(h2, 1.0)
     mm = MassModel.from_molecule(h2, delta)
-    w_fn, b_fn, threshold = build_w_and_b(p, mm, l, "pekeris")
+    prob = problem(p, mm, l, "pekeris")
     r = np.array([p.r_e + 60.0 / p.a])
-    assert float(w_fn(r)[0] / b_fn(r)[0]) == pytest.approx(threshold, rel=1e-14)
+    assert float(prob.w(r)[0] / prob.b(r)[0]) == pytest.approx(prob.threshold, rel=1e-14)
 
 
 @pytest.mark.parametrize("delta", [0.0, 0.3])
 def test_exact_mode_w_is_the_effective_potential(h2, delta):
     p = PotentialParams.from_molecule(h2, 1.0)
     mm = MassModel.from_molecule(h2, delta)
-    w_fn, _, _ = build_w_and_b(p, mm, 5, "exact")
+    w_fn = problem(p, mm, 5, "exact").w
     r = np.linspace(p.r_e - 0.5 / p.a, p.r_e + 30.0 / p.a, 400)
     assert np.array_equal(w_fn(r), effective_potential(p, mm, 5, r))
 
@@ -296,7 +302,8 @@ def test_pekeris_mode_at_delta_0_is_the_constant_mass_pekeris_problem(name):
     mol = builtin(name)
     p = PotentialParams.from_molecule(mol, 1.0)
     mm = MassModel.from_molecule(mol, 0.0)
-    w_fn, b_fn, _ = build_w_and_b(p, mm, 5, "pekeris")
+    prob = problem(p, mm, 5, "pekeris")
+    w_fn, b_fn = prob.w, prob.b
     r = np.linspace(max(MIN_RADIUS, p.r_e - 2.0 / p.a), p.r_e + 30.0 / p.a, 400)
     inv_h22m = 1.0 / hbar2_over_2mu(mm.m0)
     want = pekeris_centrifugal(p, 5, r) + inv_h22m * morse_potential(p, r)
@@ -322,7 +329,7 @@ def test_compare_empty_closed_form(h2_ref):
     p = PotentialParams.from_molecule(h2_ref, 1.0)
     mm = MassModel.from_molecule(h2_ref, 0.0)
     cfg = OracleConfig(r_min=1e-3, r_max=12.0, grid_points=1500)
-    spectrum = solve(p, mm, 0, cfg)
+    spectrum = solve(problem(p, mm, 0), cfg)
     report = compare([], spectrum)
     assert report.levels == []
     assert report.closed_count == 0
@@ -333,7 +340,7 @@ def test_report_serialization(h2_ref):
     p = PotentialParams.from_molecule(h2_ref, 1.0)
     mm = MassModel.from_molecule(h2_ref, 0.0)
     cfg = OracleConfig(r_min=1e-3, r_max=12.0, grid_points=1500)
-    spectrum = solve(p, mm, 0, cfg)
+    spectrum = solve(problem(p, mm, 0), cfg)
     closed = _closed_levels(p, mm, 0, 3)
     report = compare(closed, spectrum)
     payload = json.loads(report.to_json())
@@ -343,15 +350,15 @@ def test_report_serialization(h2_ref):
     assert "closed form" in text and "levels:" in text
 
 
-def test_config_validation():
+def test_config_validation(h2):
     with pytest.raises(DomainError):
         OracleConfig(r_min=-1.0, r_max=2.0)
     with pytest.raises(DomainError):
         OracleConfig(r_min=1.0, r_max=0.5)
     with pytest.raises(DomainError):
         OracleConfig(r_min=0.1, r_max=2.0, grid_points=MIN_GRID_POINTS - 1)
-    with pytest.raises(DomainError):
-        OracleConfig(r_min=0.1, r_max=2.0, centrifugal_mode="bogus")
+    with pytest.raises(DomainError):  # the mode lives in the problem
+        problem(PotentialParams.from_molecule(h2, 1.0), MassModel.from_molecule(h2), 0, "bogus")
 
 
 def test_config_accepts_one_stencil():
@@ -379,7 +386,7 @@ def test_truncated_box_estimate_covers_deviation(h2_ref):
     # wall must see it, so every deviation stays within twice its estimate
     p = PotentialParams.from_molecule(h2_ref, 1.0)
     mm = MassModel.from_molecule(h2_ref, 0.0)
-    spectrum = solve(p, mm, 0, OracleConfig(r_min=1e-3, r_max=3.0, grid_points=2000))
+    spectrum = solve(problem(p, mm, 0), OracleConfig(r_min=1e-3, r_max=3.0, grid_points=2000))
     report = compare((bound_ladder(p, mm, 0).energy + p.v3).tolist(), spectrum)
     assert max(lv.deviation for lv in report.levels) > 1e-3  # the box really bites
     for lv in report.levels:
@@ -392,7 +399,7 @@ def test_pole_side_wall_follows_the_decay_of_the_top_level():
     mol = builtin("CO")
     p = PotentialParams.from_molecule(mol, 1.0)
     mm = MassModel.from_molecule(mol, 0.3)
-    cfg = suggest_config(p, mm, 2)
+    cfg = suggest_config(problem(p, mm, 2))
     assert cfg.grid_points <= 700
     assert cfg.r_min > pole_wall(p, mm, POLE_WALL)
 
@@ -404,11 +411,11 @@ def test_allowed_pole_side_keeps_the_deepest_wall(name):
     mol = builtin(name)
     p = PotentialParams.from_molecule(mol, 1.0)
     mm = MassModel.from_molecule(mol, 0.55)
-    w_fn, b_fn, threshold = build_w_and_b(p, mm, 0, "pekeris")
-    e_top = threshold - 0.5
+    prob = problem(p, mm, 0, "pekeris")
+    e_top = prob.threshold - 0.5
     wall = np.array([pole_wall(p, mm, POLE_WALL)])
-    assert w_fn(wall)[0] / b_fn(wall)[0] < e_top
-    cfg = suggest_config(p, mm, 0, e_top=e_top)
+    assert prob.w(wall)[0] / prob.b(wall)[0] < e_top
+    cfg = suggest_config(prob, e_top=e_top)
     assert cfg.r_min == wall[0]
 
 
@@ -418,10 +425,10 @@ def test_thin_pole_side_keeps_the_deepest_wall():
     mol = builtin("CO")
     p = PotentialParams.from_molecule(mol, 1.0)
     mm = MassModel.from_molecule(mol, 0.5)
-    w_fn, b_fn, _ = build_w_and_b(p, mm, 0, "pekeris")
+    prob = problem(p, mm, 0, "pekeris")
     wall = np.array([pole_wall(p, mm, POLE_WALL)])
-    assert w_fn(wall)[0] / b_fn(wall)[0] > closed_ladder(p, mm, 0)[-1]
-    assert suggest_config(p, mm, 0).r_min == wall[0]
+    assert prob.w(wall)[0] / prob.b(wall)[0] > prob.ladder[-1]
+    assert suggest_config(prob).r_min == wall[0]
 
 
 @pytest.mark.parametrize("delta", [0.05, 0.3])
@@ -431,8 +438,9 @@ def test_shallow_inner_wall_estimate_covers_deviation(h2, delta):
     # inner wall must see it, so every deviation stays within twice its estimate
     p = PotentialParams.from_molecule(h2, 1.0)
     mm = MassModel.from_molecule(h2, delta)
-    cfg = replace(suggest_config(p, mm, 0), r_min=0.35)
-    report = compare((bound_ladder(p, mm, 0).energy + p.v3).tolist(), solve(p, mm, 0, cfg))
+    prob = problem(p, mm, 0)
+    cfg = replace(suggest_config(prob), r_min=0.35)
+    report = compare((bound_ladder(p, mm, 0).energy + p.v3).tolist(), solve(prob, cfg))
     assert not report.count_mismatch
     assert report.max_deviation > 1e-4  # the wall really bites
     for lv in report.levels:
@@ -446,16 +454,16 @@ def test_dense_eigvalsh_of_the_same_matrix_agrees(name, delta, l):
     mol = builtin(name)
     p = PotentialParams.from_molecule(mol, 1.0)
     mm = MassModel.from_molecule(mol, delta)
-    cfg = suggest_config(p, mm, l)
-    spectrum = solve(p, mm, l, cfg)
-    origin = grid_origin(p, mm, cfg.centrifugal_mode)
+    prob = problem(p, mm, l)
+    cfg = suggest_config(prob)
+    spectrum = solve(prob, cfg)
+    origin = prob.origin
     t_lo, t_hi = math.log(cfg.r_min - origin), math.log(cfg.r_max - origin)
     n = cfg.grid_points
     h = (t_hi - t_lo) / (n + 1)
     r_minus_origin = np.exp(t_lo + h * np.arange(1, n + 1))
-    w_fn, b_fn, _ = build_w_and_b(p, mm, l, cfg.centrifugal_mode)
-    w_hat = w_fn(origin + r_minus_origin) * r_minus_origin**2 + 0.25
-    b_hat = b_fn(origin + r_minus_origin) * r_minus_origin**2
+    w_hat = prob.w(origin + r_minus_origin) * r_minus_origin**2 + 0.25
+    b_hat = prob.b(origin + r_minus_origin) * r_minus_origin**2
     first_row = np.zeros(n)
     first_row[:len(KINETIC_BAND)] = KINETIC_BAND / h**2
     scale = 1.0 / np.sqrt(b_hat)
@@ -479,11 +487,10 @@ def test_threshold_below_the_well_skips_the_check_solve(monkeypatch):
 
     monkeypatch.setattr(oracle, "_solve_once", spy)
     b_const = 1.0 / hbar2_over_2mu(1.0)
-    spectrum = solve_potential(
+    spectrum = solve(_self_test_problem(
         lambda r: b_const * 2.5 * (r - 5.0) ** 2,
         lambda r: b_const * np.ones_like(np.asarray(r)),
-        OracleConfig(r_min=1.0, r_max=9.0, grid_points=500),
         threshold=-1.0,
-    )
+    ), OracleConfig(r_min=1.0, r_max=9.0, grid_points=500))
     assert len(calls) == 1
     assert spectrum.eigenvalues.shape == spectrum.error_estimates.shape == (0,)
