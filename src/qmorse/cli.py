@@ -342,7 +342,7 @@ def cmd_oracle_compare(args, stream) -> int:
     if args.format == "json":
         stream.write(report.to_json() + "\n")
     else:
-        coordinate = "uniform" if prob.origin is None else "log"
+        coordinate = "uniform" if prob.origin is None else "mapped-log"
         stream.write(
             f"molecule={mol.name} q={args.q} delta={args.delta} l={args.l} "
             f"centrifugal={args.centrifugal} coordinate={coordinate} "

@@ -4,25 +4,34 @@ Solves -u'' + W(r) u = E B(r) u, with B(r) = 2 m(r)/hbar^2, between two
 Dirichlet walls, and returns the levels below the continuum threshold with a
 per-level error estimate.
 
-Grids.  Every problem but one uses a uniform grid in t = ln(r - r_o), with
-the origin r_o that ``problem`` sets.  At delta > 0 r_o is the (possibly
+Grids.  Every problem but one is solved on t = ln(r - r_o), with the
+origin r_o that ``problem`` sets.  At delta > 0 r_o is the (possibly
 negative, virtual) mass-pole radius: high levels of the reduced problem
 oscillate ever faster toward the pole while their outer tails stretch toward
-large r, and the log coordinate resolves both ends at once.  The constant-mass Pekeris
-problem (delta = 0) takes r_o = 0, t = ln r, which resolves its steep inner
-wall and long outer tails with a few hundred points where a uniform r grid
-ran out of 2000.  Exact mode at delta = 0 alone keeps a uniform r grid: on
-the log grid its H2-ref l = 10 ladder goes from no levels to 14 of the closed
-form's 17, and the benchmark's check classifies the empty ladder as a known
-defect, so that move waits until the check has an exact-mode expectation.
+large r, and the log coordinate resolves both ends at once.  The constant-mass
+Pekeris problem (delta = 0) takes r_o = 0, t = ln r.  On t the points are
+uniform in a second coordinate x = X(t), the ``GridMap`` that ``problem``
+fits to the shallowest level: its density X'(t) = A + B sech^2((t - t_m)/w)
+follows that level's need max(k, kappa/2) in t, dense where the level
+oscillates fast and sparse where it oscillates slowly or has decayed, as a
+mapped grid does (Fattal, Baer & Kosloff, Phys. Rev. E 53, 1217 (1996);
+Kokoouline et al., J. Chem. Phys. 110, 9865 (1999)).  That takes about half
+the points of the plain log grid (B = 0), a quarter of its O(p N^2) banded
+reduction, and leaves the calibration as it was.  Exact mode at delta = 0
+alone keeps a uniform r grid: on the log grid its H2-ref l = 10 ladder goes
+from no levels to 14 of the closed form's 17, and the benchmark's check
+classifies the empty ladder as a known defect, so that move waits until the
+check has an exact-mode expectation.
 
-One equation for both grids.  On the log grid the Sturm-Liouville form
+One equation for every grid.  On t the Sturm-Liouville form
 -d/dt[(1/r') du/dt] + r' W u = E r' B u becomes, with u = e^{t/2} phi,
 
-    -phi'' + W^ phi = E B^ phi,   W^ = e^{2t} W + 1/4,   B^ = e^{2t} B;
+    -phi'' + W^ phi = E B^ phi,   W^ = e^{2t} W + 1/4,   B^ = e^{2t} B,
 
-the uniform grid is the same equation with t = r, W^ = W and B^ = B.
--phi'' is the central (2p+1)-point stencil with p = 12 (Colbert & Miller,
+and the Liouville transformation to x, phi = X'^{-1/2} psi, keeps that form
+with W^_x = W^/X'^2 + Q, Q = (X' X'''/2 - 3 X''^2/4)/X'^4, B^_x = B^/X'^2;
+the uniform grid is the same equation with x = t = r, W^ = W and B^ = B.
+-psi'' is the central (2p+1)-point stencil with p = 12 (Colbert & Miller,
 J. Chem. Phys. 96, 1982 (1992), give its p -> infinity limit, the sinc-DVR).
 Scaling by B^{-1/2} makes the matrix symmetric with bandwidth p.  LAPACK's
 dsbevd reduces it to tridiagonal form (O(p N^2) time, O(p N) memory), dsterf's
@@ -31,15 +40,15 @@ are kept.  Once ~5% of them are bound that beats scipy's dsbevx, which bisects
 each bound level to 2 safmin.
 
 Error estimate.  Each level's estimate is its difference from a second solve
-with spacing h/1.25.  The check solve keeps the reported walls, except that it
+with spacing h/1.25 in x.  The check solve keeps the reported walls, except that it
 widens a wall the shallowest level has not decayed to: where the WKB sum of
 sqrt(max(W^ - E B^, 0)) h from that level's innermost (outermost) allowed
 point to the inner (outer) wall, read off the reported solve's own grid, is
 below WALL_EFOLDS.  Moving a Dirichlet wall shifts a level by ~|u'|^2 at the
 wall (Kong & Zettl, J. Differential Equations 126, 389 (1996)), far below the
 spacing error once the level has decayed there.  A widened outer wall moves
-out by a quarter of the span, in the grid coordinate; on the log grid a
-widened inner wall moves in by a quarter of the span too, but never past
+out by a quarter of the span in t (r on the uniform grid); on the log grid
+a widened inner wall moves in by a quarter of the span too, but never past
 w = 1 - delta z = CHECK_POLE_WALL when the mass pole is real, nor below
 r = MIN_RADIUS otherwise.  The estimate is floored at the matrix's roundoff,
 16 eps ||H||_inf.  On the exactly solvable reduced problems deviation/estimate
@@ -56,9 +65,9 @@ W = potential.effective_potential, keeping l(l+1)/r^2 and 1/r as they are.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
+import re
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import partial
 from typing import Callable
@@ -81,8 +90,14 @@ from .units import hbar2_over_2mu
 #: configuration accepts (the banded solve finds all N eigenvalues in O(p N^2) time).
 SUGGESTED_MAX_GRID_POINTS = 2000
 MAX_GRID_POINTS = 3000
-#: Largest local wavenumber times spacing, in the grid coordinate.
+#: Largest local wavenumber times spacing, in the grid coordinate: on the
+#: uniform r grid, and as a share of it on the mapped log grid, whose even
+#: density leaves less slack where the shallowest level oscillates slowest.
 MAX_KH = 1.5
+MAPPED_KH_SHARE = 0.9
+#: Weight of the decay rate kappa against the wavenumber k in a mapped grid's
+#: point density: the forbidden tails need max(k, KAPPA_WEIGHT kappa).
+KAPPA_WEIGHT = 0.5
 #: WKB decay, in e-folds, of the shallowest level from its inner turning
 #: point to a suggested varying-mass inner wall.
 POLE_SIDE_EFOLDS = 16.0
@@ -145,13 +160,82 @@ class OracleSpectrum:
 
 
 @dataclass(frozen=True)
+class GridMap:
+    """x = X(t) = a t + b w tanh((t - t_m)/w), the grid coordinate of a log-grid
+    problem, with density X'(t) = a + b sech^2((t - t_m)/w); b = 0, a = 1 is
+    the plain log grid.  Arrays in, arrays out."""
+
+    a: float = 1.0
+    b: float = 0.0
+    t_m: float = 0.0
+    width: float = 1.0
+
+    def x(self, t):
+        return self.a * t + self.b * self.width * np.tanh((t - self.t_m) / self.width)
+
+    def derivatives(self, t):
+        """X', X'' and X''' at t."""
+        s = (np.asarray(t, dtype=float) - self.t_m) / self.width
+        e = np.exp(-2.0 * np.abs(s))  # sech^2 and tanh without overflow
+        sech2, tanh = 4.0 * e / (1.0 + e) ** 2, np.sign(s) * (1.0 - e) / (1.0 + e)
+        c = 2.0 * self.b / self.width
+        return (self.a + self.b * sech2, -c * sech2 * tanh,
+                c / self.width * sech2 * (3.0 * tanh**2 - 1.0))
+
+    def t(self, x):
+        """The inverse of ``x``.  X is convex below t_m and concave above, so
+        Newton's method from the asymptote on x's side of t_m never overshoots."""
+        x = np.asarray(x, dtype=float)
+        a, b, t_m, w = self.a, self.b, self.t_m, self.width
+        t = np.where(x >= a * t_m, np.maximum(t_m, (x - b * w) / a),
+                     np.minimum(t_m, (x + b * w) / a))
+        for _ in range(64):
+            tanh = np.tanh((t - t_m) / w)
+            step = (a * t + b * w * tanh - x) / (a + b * (1.0 - tanh * tanh))
+            t = t - step
+            if not np.any(np.abs(step) > 1e-14 * (1.0 + np.abs(t))):
+                break
+        return t
+
+
+def _fit_map(t: np.ndarray, need: np.ndarray) -> GridMap:
+    """The GridMap whose density covers ``need`` (a point density on the uniform
+    samples t) at least cost, the integral of X' over [t[0], t[-1]].
+
+    X' = A + B sech^2((t - t_m)/w) >= need holds everywhere once w reaches
+    max |t - t_m| / arccosh((B / (need - A))^(1/2)) over the points where need
+    exceeds A; so w follows in closed form from each (A, B, t_m) of a small
+    grid around the peak of need, read on 32 block maxima.
+    """
+    blocks = len(t) // 32
+    t_b = t[:32 * blocks].reshape(32, blocks)[:, blocks // 2]
+    need_b = need[:32 * blocks].reshape(32, blocks).max(axis=1)
+    peak = int(np.argmax(need))
+    a = need[peak] * np.geomspace(0.005, 0.6, 12)[:, None, None, None]
+    b = (need[peak] - a) * np.array([1.0, 1.15, 1.35, 1.7])[:, None, None]
+    t_m = t[peak] + np.linspace(-0.6, 0.3, 9)[:, None]
+    share = (need_b - a) / b
+    with np.errstate(divide="ignore", invalid="ignore"):  # share >= 1 off t_m: no width
+        reach = np.arccosh(1.0 / np.sqrt(np.clip(share, 1e-300, 1.0)))
+        width = np.max(np.where(share > 0.0, np.abs(t_b - t_m) / reach, 0.0), axis=-1)
+        a, b, t_m = np.broadcast_arrays(a[..., 0], b[..., 0], t_m[..., 0])
+        width = np.maximum(width, 1e-3 * (t[-1] - t[0]))
+        cost = a * (t[-1] - t[0]) + b * width * (np.tanh((t[-1] - t_m) / width)
+                                                 - np.tanh((t[0] - t_m) / width))
+    best = np.unravel_index(np.argmin(np.where(np.isfinite(cost), cost, np.inf)), cost.shape)
+    return GridMap(a=float(a[best] / b[best]), b=1.0, t_m=float(t_m[best]),
+                   width=float(width[best]))
+
+
+@dataclass(frozen=True)
 class OracleProblem:
     """The problem of one request, formed once by ``problem``.
 
     w and b are the W(r) [1/A^2] and B(r) [1/(eV A^2)] callables, threshold
     their r -> infinity limit W/B (eV): v3, plus the offset of ``strengths``
     in pekeris mode.  origin is r_o of the log grid t = ln(r - r_o), or None
-    for the uniform r grid; pole is the real mass pole, or None.  wall and
+    for the uniform r grid; grid_map maps t to the grid coordinate x (the
+    identity on the uniform grid); pole is the real mass pole, or None.  wall and
     check_wall, the innermost radii of a suggested domain and of a check
     solve, are pole_wall(POLE_WALL) and pole_wall(CHECK_POLE_WALL) outside a
     real pole, else MIN_RADIUS.  ladder holds the literal energies (eV) of the
@@ -168,6 +252,7 @@ class OracleProblem:
     wall: float
     check_wall: float
     ladder: np.ndarray
+    grid_map: GridMap = GridMap()
 
 
 def pole_wall(p: PotentialParams, mm: MassModel, w: float) -> float:
@@ -181,9 +266,11 @@ def problem(p: PotentialParams, mm: MassModel, l: int,
 
     Below DELTA_CROSSOVER the ladder keeps the constant-mass routing of
     ``spectrum_grid`` while pekeris-mode W keeps the real delta, which forms
-    the reduced problem a second time.  Raises DomainError for an unknown
-    mode and, before any level is built, when the closed form predicts more
-    levels than a grid may have points.
+    the reduced problem a second time.  A log-grid problem gets the
+    ``grid_map`` fitted to its shallowest level on the suggested domain; one
+    with no bound level, or none the scan finds allowed, keeps the plain log
+    grid.  Raises DomainError for an unknown mode and, before any level is
+    built, when the closed form predicts more levels than a grid may have points.
     """
     if centrifugal_mode not in ("exact", "pekeris"):
         raise DomainError(f"bad centrifugal_mode {centrifugal_mode!r}")
@@ -216,8 +303,11 @@ def problem(p: PotentialParams, mm: MassModel, l: int,
     pole = mass_pole_radius(mm, p)
     wall, check_wall = ((MIN_RADIUS, MIN_RADIUS) if pole is None else
                         (pole_wall(p, mm, POLE_WALL), pole_wall(p, mm, CHECK_POLE_WALL)))
-    return OracleProblem(p=p, l=l, w=w, b=b, threshold=threshold, origin=origin, pole=pole,
+    prob = OracleProblem(p=p, l=l, w=w, b=b, threshold=threshold, origin=origin, pole=pole,
                          wall=wall, check_wall=check_wall, ladder=ladder)
+    domain = (_log_domain(prob, min(float(ladder[-1]), threshold - 1e-12))
+              if origin is not None and count else None)
+    return prob if domain is None else replace(prob, grid_map=_fit_map(*domain[2:]))
 
 
 def _wall_efolds(w_hat, b_hat, e, h):
@@ -231,27 +321,28 @@ def _wall_efolds(w_hat, b_hat, e, h):
     return float(np.sum(kappa_h[:allowed[0]])), float(np.sum(kappa_h[allowed[-1] + 1:]))
 
 
-def _solve_once(prob: OracleProblem, t_lo, t_hi, n, want_vectors):
-    """Levels below the threshold on n interior points of [t_lo, t_hi], their
+def _solve_once(prob: OracleProblem, x_lo, x_hi, n, want_vectors):
+    """Levels below the threshold on n interior points of [x_lo, x_hi], their
     roundoff, the grid, the eigenvectors (or None) and the shallowest level's
     decay to each wall (``_wall_efolds``; zero when no level is bound).
 
-    t is r itself, or ln(r - prob.origin) on the log grid.  The roundoff is
-    16 eps ||H||_inf.
+    x = X(t) is ``prob.grid_map`` of t, which is r itself or ln(r - prob.origin)
+    on the log grid.  The roundoff is 16 eps ||H||_inf.
     """
     from scipy.linalg import eig_banded, solve_banded
 
-    h = (t_hi - t_lo) / (n + 1)
-    t = t_lo + h * np.arange(1, n + 1)
+    h = (x_hi - x_lo) / (n + 1)
+    t = prob.grid_map.t(x_lo + h * np.arange(1, n + 1))
+    xp, xpp, xppp = prob.grid_map.derivatives(t)
     if prob.origin is None:
-        grid, dr_dt = t, np.ones(n)
+        grid, dr_dt, q = t, 1.0, 0.0
     else:
         dr_dt = np.exp(t)
-        grid = prob.origin + dr_dt
-    w_hat = np.asarray(prob.w(grid), dtype=float) * dr_dt**2
-    b_hat = np.asarray(prob.b(grid), dtype=float) * dr_dt**2
-    if prob.origin is not None:
-        w_hat += 0.25
+        grid, q = prob.origin + dr_dt, 0.25
+    dr_dx = dr_dt / xp
+    w_hat = np.asarray(prob.w(grid), dtype=float) * dr_dx**2
+    b_hat = np.asarray(prob.b(grid), dtype=float) * dr_dx**2
+    w_hat += q / xp**2 + (0.5 * xp * xppp - 0.75 * xpp**2) / xp**4
     if np.any(b_hat <= 0.0) or not np.all(np.isfinite(b_hat)):
         raise DomainError("mass weight B is not positive and finite on the grid")
     if not np.all(np.isfinite(w_hat)):
@@ -282,8 +373,8 @@ def _solve_once(prob: OracleProblem, t_lo, t_hi, n, want_vectors):
             x = solve_banded((p, p), band, x)
             x /= np.linalg.norm(x)
         vecs[:, j] = x
-    u = vecs * (inv_sqrt_b * np.sqrt(dr_dt))[:, None]  # back to u = e^{t/2} phi
-    return vals, roundoff, grid, u / np.sqrt(h * (dr_dt @ u**2)), efolds
+    u = vecs * (inv_sqrt_b * np.sqrt(dr_dx))[:, None]  # back to u = (dr/dx)^{1/2} phi
+    return vals, roundoff, grid, u / np.sqrt(h * (dr_dx @ u**2)), efolds
 
 
 def solve(prob: OracleProblem, cfg: OracleConfig) -> OracleSpectrum:
@@ -291,7 +382,7 @@ def solve(prob: OracleProblem, cfg: OracleConfig) -> OracleSpectrum:
 
     The check solve that sizes the error estimates has spacing h/1.25 on the
     same walls, save that a wall the shallowest level has decayed less than
-    WALL_EFOLDS toward moves out by a quarter of the span; the inner wall
+    WALL_EFOLDS toward moves out by a quarter of the span in t; the inner wall
     moves only on the log grid, and not past ``prob.check_wall``.  A self-test
     solves its own W and B in a ``dataclasses.replace`` of a problem.
     """
@@ -301,18 +392,22 @@ def solve(prob: OracleProblem, cfg: OracleConfig) -> OracleSpectrum:
     def coord(r):
         return r if prob.origin is None else math.log(r - prob.origin)
 
+    def grid_x(t):
+        return float(prob.grid_map.x(t))
+
     t_lo, t_hi = coord(cfg.r_min), coord(cfg.r_max)
+    x_lo, x_hi = grid_x(t_lo), grid_x(t_hi)
     vals, roundoff, grid, vectors, (inner, outer) = _solve_once(
-        prob, t_lo, t_hi, cfg.grid_points, cfg.want_vectors)
+        prob, x_lo, x_hi, cfg.grid_points, cfg.want_vectors)
     estimates = np.empty(0)
     if len(vals):
         span = t_hi - t_lo
-        check_lo, check_hi = t_lo, t_hi
+        check_lo, check_hi = x_lo, x_hi
         if prob.origin is not None and inner < WALL_EFOLDS:
-            check_lo = min(t_lo, max(t_lo - 0.25 * span, coord(prob.check_wall)))
+            check_lo = min(x_lo, grid_x(max(t_lo - 0.25 * span, coord(prob.check_wall))))
         if outer < WALL_EFOLDS:
-            check_hi = t_hi + 0.25 * span
-        check_n = math.ceil(1.25 * (check_hi - check_lo) / span * (cfg.grid_points + 1)) - 1
+            check_hi = grid_x(t_hi + 0.25 * span)
+        check_n = math.ceil(1.25 * (check_hi - check_lo) / (x_hi - x_lo) * (cfg.grid_points + 1)) - 1
         check_vals, check_roundoff, *_ = _solve_once(prob, check_lo, check_hi, check_n, False)
         # a level the check solve lost may lie anywhere up to the threshold
         other = np.full(len(vals), float(prob.threshold))
@@ -323,6 +418,41 @@ def solve(prob: OracleProblem, cfg: OracleConfig) -> OracleSpectrum:
         eigenvalues=vals, error_estimates=estimates, threshold=prob.threshold,
         grid=grid, eigenvectors=vectors,
     )
+
+
+def _log_domain(prob: OracleProblem, e_top: float):
+    """The suggested log-grid walls r_min, r_max for levels up to e_top, and the
+    shallowest level's point density max(k, KAPPA_WEIGHT kappa) in t on 640
+    uniform samples t of [ln(r_min - r_o), ln(r_max - r_o)]; None when no
+    point of the scan is classically allowed at e_top."""
+    p, origin = prob.p, prob.origin
+    t_scan = np.linspace(math.log(prob.wall - origin), math.log(p.r_e + 60.0 / p.a - origin), 6000)
+    scan = origin + np.exp(t_scan)
+    gap = e_top * np.asarray(prob.b(scan)) - np.asarray(prob.w(scan))
+    allowed = gap > 0.0
+    if not np.any(allowed):
+        return None
+    i_in = int(np.argmax(allowed))
+    r_out = float(scan[len(allowed) - 1 - np.argmax(allowed[::-1])])
+    # decay[j]: e-folds from the turning point in to scan[i_in - j]
+    kappa = np.sqrt(np.maximum(-gap[i_in::-1], 0.0)) * (scan[i_in::-1] - origin)
+    decay = np.cumsum(kappa) * (t_scan[1] - t_scan[0])
+    deep = np.flatnonzero(decay >= POLE_SIDE_EFOLDS)
+    r_min = float(scan[i_in - deep[0]]) if deep.size else prob.wall
+    r_max = r_out + _tail_padding(prob, e_top)
+    t = np.linspace(math.log(r_min - origin), math.log(r_max - origin), 640)
+    r = origin + np.exp(t)
+    gap = e_top * np.asarray(prob.b(r)) - np.asarray(prob.w(r))
+    need = np.sqrt(np.abs(gap)) * np.where(gap > 0.0, 1.0, KAPPA_WEIGHT) * (r - origin)
+    return r_min, r_max, t, need
+
+
+def _tail_padding(prob: OracleProblem, e_top: float) -> float:
+    """8 decay lengths of the level at e_top past the outer turning point, at least 1.5/a."""
+    p = prob.p
+    b_inf = float(np.asarray(prob.b(np.array([p.r_e + 30.0 / p.a])))[0])
+    kappa_tail = math.sqrt(max((prob.threshold - e_top) * b_inf, 1e-12))
+    return max(8.0 / kappa_tail, 1.5 / p.a)
 
 
 def suggest_config(prob: OracleProblem, e_top: float | None = None) -> OracleConfig:
@@ -338,62 +468,64 @@ def suggest_config(prob: OracleProblem, e_top: float | None = None) -> OracleCon
     WKB decay of the shallowest level, the integral of kappa dt from its
     inner turning point, is POLE_SIDE_EFOLDS, but never deeper than
     ``prob.wall``, where it stays when the pole side never decays that far.
-    The uniform r grid (origin None: exact mode at delta = 0) is padded
-    inward by 2.2/a, where the profile dies super-exponentially.  The spacing
-    resolves the largest local wavenumber at k h <= MAX_KH in the grid
-    coordinate actually used; that alone sets the number of points, from one
-    stencil up to SUGGESTED_MAX_GRID_POINTS.
+    Its points are uniform in x = ``prob.grid_map`` of t, as many as put the
+    density max(k, KAPPA_WEIGHT kappa)/X' times the spacing at or below
+    MAPPED_KH_SHARE * MAX_KH everywhere.  The uniform r grid (origin None:
+    exact mode at delta = 0) is padded inward by 2.2/a, where the profile
+    dies super-exponentially, and resolves the largest local wavenumber at
+    k h <= MAX_KH.  The point count runs from one stencil up to
+    SUGGESTED_MAX_GRID_POINTS.
     """
-    p, w_fn, b_fn, threshold, origin = prob.p, prob.w, prob.b, prob.threshold, prob.origin
     if e_top is None:
         if not len(prob.ladder):
             raise DomainError(f"the closed form has no bound level at l = {prob.l}")
         e_top = float(prob.ladder[-1])
-    e_top = min(e_top, threshold - 1e-12)
+    e_top = min(e_top, prob.threshold - 1e-12)
 
-    if origin is not None:
-        t_scan = np.linspace(
-            math.log(prob.wall - origin),
-            math.log(p.r_e + 60.0 / p.a - origin),
-            6000,
-        )
-        scan = origin + np.exp(t_scan)
+    if prob.origin is not None:
+        domain = _log_domain(prob, e_top)
+        if domain is None:
+            raise DomainError("no classically allowed region below e_top")
+        r_min, r_max, t, need = domain
+        gmap = prob.grid_map
+        span_x = float(gmap.x(t[-1]) - gmap.x(t[0]))
+        n_points = math.ceil(span_x * float(np.max(need / gmap.derivatives(t)[0]))
+                             / (MAPPED_KH_SHARE * MAX_KH))
     else:
+        p = prob.p
         scan = np.linspace(max(prob.wall, p.r_e - 12.0 / p.a), p.r_e + 60.0 / p.a, 6000)
         scan = scan[scan > prob.wall]
-    w_scan = np.asarray(w_fn(scan))
-    b_scan = np.asarray(b_fn(scan))
-    ratio = w_scan / b_scan
-    allowed = ratio < e_top
-    if not np.any(allowed):
-        raise DomainError("no classically allowed region below e_top")
-    i_in = int(np.argmax(allowed))
-    r_in = float(scan[i_in])
-    r_out = float(scan[len(allowed) - 1 - np.argmax(allowed[::-1])])
-
-    # outward decay rate of the shallowest level governs the tail padding
-    b_inf = float(np.asarray(b_fn(np.array([p.r_e + 30.0 / p.a])))[0])
-    kappa_tail = math.sqrt(max((threshold - e_top) * b_inf, 1e-12))
-    r_max = r_out + max(8.0 / kappa_tail, 1.5 / p.a)
-
-    # spacing from the largest local wavenumber in the grid coordinate
-    gap = e_top * b_scan - w_scan
-    k_local = np.sqrt(np.maximum(gap, 0.0))
-    if origin is not None:
-        k_local = k_local * (scan - origin)
-        # decay[j]: e-folds from the turning point in to scan[i_in - j]
-        kappa = np.sqrt(np.maximum(-gap[i_in::-1], 0.0)) * (scan[i_in::-1] - origin)
-        decay = np.cumsum(kappa) * (t_scan[1] - t_scan[0])
-        deep = np.flatnonzero(decay >= POLE_SIDE_EFOLDS)
-        r_min = float(scan[i_in - deep[0]]) if deep.size else prob.wall
-        span = math.log(r_max - origin) - math.log(r_min - origin)
-    else:
-        r_min = max(prob.wall, r_in - 2.2 / p.a)
-        span = r_max - r_min
-    k_max = float(np.max(k_local))
-    n_points = math.ceil(span * k_max / MAX_KH)
+        w_scan, b_scan = np.asarray(prob.w(scan)), np.asarray(prob.b(scan))
+        allowed = w_scan / b_scan < e_top
+        if not np.any(allowed):
+            raise DomainError("no classically allowed region below e_top")
+        r_in = float(scan[int(np.argmax(allowed))])
+        r_out = float(scan[len(allowed) - 1 - np.argmax(allowed[::-1])])
+        r_min, r_max = max(prob.wall, r_in - 2.2 / p.a), r_out + _tail_padding(prob, e_top)
+        k_max = float(np.max(np.sqrt(np.maximum(e_top * b_scan - w_scan, 0.0))))
+        n_points = math.ceil((r_max - r_min) * k_max / MAX_KH)
     n_points = min(max(MIN_GRID_POINTS, n_points), SUGGESTED_MAX_GRID_POINTS)
     return OracleConfig(r_min=r_min, r_max=r_max, grid_points=n_points)
+
+
+_JSON_BOOL = {False: "false", True: "true"}
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_LEVEL_JSON = """    {
+      "closed_form_eV": %r,
+      "deviation_eV": %r,
+      "flagged": %s,
+      "index": %d,
+      "oracle_eV": %r,
+      "oracle_error_eV": %r
+    }"""
+_REPORT_JSON = """{
+  "closed_count": %d,
+  "count_mismatch": %s,
+  "flag_factor": %r,
+  "levels": %s,
+  "max_deviation_eV": %r,
+  "oracle_count": %d
+}"""
 
 
 @dataclass
@@ -423,28 +555,18 @@ class ComparisonReport:
         return max((lv.deviation for lv in self.levels), default=0.0)
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "closed_count": self.closed_count,
-                "oracle_count": self.oracle_count,
-                "count_mismatch": self.count_mismatch,
-                "flag_factor": FLAG_FACTOR,
-                "max_deviation_eV": self.max_deviation,
-                "levels": [
-                    {
-                        "index": lv.index,
-                        "closed_form_eV": lv.closed_form,
-                        "oracle_eV": lv.oracle,
-                        "oracle_error_eV": lv.oracle_error,
-                        "deviation_eV": lv.deviation,
-                        "flagged": lv.flagged,
-                    }
-                    for lv in self.levels
-                ],
-            },
-            indent=2,
-            sort_keys=True,
-        )
+        """The report as ``json.dumps(..., indent=2, sort_keys=True)`` writes it, from
+        one % template instead of json's pure-Python indenting encoder."""
+        levels = ",\n".join([_LEVEL_JSON] * len(self.levels)) % tuple(
+            value for lv in self.levels for value in (
+                lv.closed_form, lv.deviation, _JSON_BOOL[lv.flagged], lv.index, lv.oracle,
+                lv.oracle_error))
+        text = _REPORT_JSON % (
+            self.closed_count, _JSON_BOOL[self.count_mismatch], FLAG_FACTOR,
+            f"[\n{levels}\n  ]" if levels else "[]", self.max_deviation, self.oracle_count)
+        if "nan" in text or "inf" in text:  # no key holds either
+            text = re.sub(r"(?<=: )-?inf|(?<=: )nan", lambda m: _JSON_NONFINITE[m[0]], text)
+        return text
 
     def to_text(self) -> str:
         lines = [

@@ -4,7 +4,7 @@ Two oracle checks of the varying-mass closed form:
 
 * ``reduced`` is the oracle's own Pekeris problem, the quadratic-reduction
   equation the closed form solves exactly - agreement at the discretization
-  level (2.9e-7 to 5.5e-7 eV for H2 at l = 0) confirms the quantization
+  level (2.1e-9 to 7.4e-8 eV for H2 at l = 0) confirms the quantization
   algebra end to end;
 * ``substituted`` plugs the exponential expansions straight into the
   untransformed effective potential, built here and solved on the same grid.

@@ -541,12 +541,13 @@ def test_oracle_compare_n_levels_cuts_only_the_rows(capsys):
 
 
 @pytest.mark.parametrize("extra, coordinate", [
-    ([], "log"),
-    (["--delta", "0.3"], "log"),
+    ([], "mapped-log"),
+    (["--delta", "0.3"], "mapped-log"),
     (["--centrifugal", "exact"], "uniform"),
 ])
 def test_oracle_compare_header_names_the_grid_coordinate(capsys, extra, coordinate):
-    # only exact mode at delta = 0 keeps the uniform r grid
+    # only exact mode at delta = 0 keeps the uniform r grid; every other
+    # problem is on a grid uniform in a map of t = ln(r - r_o)
     code, out, _ = run_cli(["oracle-compare", "--molecule", "H2", "--n-levels", "1", *extra], capsys)
     assert code == 0
     header = out.splitlines()[0].split()
@@ -560,7 +561,7 @@ EXACT_README_LINE = ["oracle-compare", "--molecule", "H2-ref", "--l", "10", "--c
 @pytest.mark.parametrize("argv, grid", [
     (EXACT_README_LINE, "grid=2000 (at cap) domain="),
     (EXACT_README_LINE + ["--grid", "2000"], "grid=2000 domain="),
-    (["oracle-compare", "--molecule", "H2-ref", "--l", "10"], "grid=156 domain="),
+    (["oracle-compare", "--molecule", "H2-ref", "--l", "10"], "grid=65 domain="),
     (EXACT_README_LINE + ["--format", "json"], None),
 ])
 def test_oracle_compare_header_marks_a_suggested_grid_at_the_cap(capsys, argv, grid):

@@ -20,6 +20,8 @@ from qmorse.oracle import (
     POLE_WALL,
     SUGGESTED_MAX_GRID_POINTS,
     ComparisonReport,
+    GridMap,
+    LevelComparison,
     OracleConfig,
     compare,
     pole_wall,
@@ -48,7 +50,7 @@ def _self_test_problem(w, b, threshold):
     """A problem of its own W and B on the plain r coordinate (no mass pole)."""
     mol = builtin("H2")
     base = problem(PotentialParams.from_molecule(mol, 1.0), MassModel.from_molecule(mol), 0)
-    return replace(base, w=w, b=b, threshold=threshold, origin=None)
+    return replace(base, w=w, b=b, threshold=threshold, origin=None, grid_map=GridMap())
 
 
 def test_harmonic_oscillator_self_test():
@@ -97,7 +99,7 @@ def test_spacing_refinement_gains_two_orders():
     p = PotentialParams.from_molecule(mol, 1.0)
     mm = MassModel.from_molecule(mol, 0.0)
     exact = bound_ladder(p, mm, 0).energy[:75] + p.v3
-    prob = replace(problem(p, mm, 0), origin=None)
+    prob = replace(problem(p, mm, 0), origin=None, grid_map=GridMap())
     errors = []
     for n_pts in (511, 767, 1151, 1727, 2591):  # n + 1 = 512 * 1.5^k
         cfg = OracleConfig(r_min=0.6, r_max=8.0, grid_points=n_pts)
@@ -147,15 +149,16 @@ def test_constant_mass_pekeris_oracle_resolves_deep_ladders(name, l):
     assert max(lv.oracle_error for lv in report.levels) <= 1e-5
 
 
-def test_constant_mass_pekeris_cells_fit_in_1100_points():
-    # the five delta = 0 oracle_verify cells: 3577 points on a uniform r grid, 978 on t = ln r
+def test_constant_mass_pekeris_cells_fit_in_635_points():
+    # the five delta = 0 oracle_verify cells: 3577 points on a uniform r grid,
+    # 978 on t = ln r, 607 on the mapped log grid
     cells = [("CO", 5), ("HCl", 10), ("LiH", 3), ("H2-ref", 7), ("H2", 0)]
     total = 0
     for name, l in cells:
         mol = builtin(name)
         p, mm = PotentialParams.from_molecule(mol, 1.0), MassModel.from_molecule(mol, 0.0)
         total += suggest_config(problem(p, mm, l)).grid_points
-    assert total <= 1100, total
+    assert total <= 635, total
 
 
 # the 20 oracle_verify cells but HCl delta = 0.5 l = 7, which has no allowed region
@@ -169,7 +172,7 @@ ORACLE_VERIFY_CELLS = [
 
 
 def _solve_once_args(monkeypatch, name, delta, l):
-    """The reported and the check solve's (t_lo, t_hi, n) for one suggested cell."""
+    """The reported and the check solve's (x_lo, x_hi, n) for one suggested cell."""
     calls = []
     solve_once = oracle._solve_once
 
@@ -200,13 +203,17 @@ def test_check_solve_widens_only_undecayed_walls(monkeypatch, name, delta, l, in
         assert (check_lo, check_hi, check_n) == (lo, hi, math.ceil(1.25 * (n + 1)) - 1)
 
 
-def test_oracle_verify_check_solves_fit_in_7500_points(monkeypatch):
-    # check solves widened on both walls held 9649 points; the reported solves hold 5171
-    total = 0
+def test_oracle_verify_solves_fit_in_2840_and_3770_points(monkeypatch):
+    # the reported and the check solves: 5171 and 9649 points with check solves
+    # widened on both walls, 5171 and 7218 widening only undecayed walls, and
+    # 2707 and 3592 on the mapped log grid
+    total = check_total = 0
     for name, delta, l in ORACLE_VERIFY_CELLS:
         (_, _, n), (_, _, check_n) = _solve_once_args(monkeypatch, name, delta, l)
-        total += check_n
-    assert total <= 7500, total
+        total += n
+        check_total += check_n
+    assert total <= 2840, total
+    assert check_total <= 3770, check_total
 
 
 @pytest.mark.parametrize("name", ["H2", "H2-ref"])
@@ -314,7 +321,7 @@ def test_pekeris_mode_at_delta_0_is_the_constant_mass_pekeris_problem(name):
 def test_substituted_gap_matches_the_readme():
     # the README's figures for H2 l = 0: the substituted expansion's gap at
     # delta = 0.05 and 0.5 to one digit (measured 1.16e-4 and 7.82e-3 eV),
-    # and the reduced problem's largest gap (measured 2.9e-7 to 5.5e-7 eV)
+    # and the reduced problem's largest gap (measured 2.1e-9 to 7.4e-8 eV on the mapped grid)
     readme = " ".join((Path(__file__).resolve().parents[1] / "README.md").read_text().split())
     low, high, reduced_bound = map(float, re.search(
         r"that gap is (\S+) eV at delta = 0\.05 up to (\S+) eV at delta = 0\.5, while the"
@@ -348,6 +355,36 @@ def test_report_serialization(h2_ref):
     assert len(payload["levels"]) == len(closed)
     text = report.to_text()
     assert "closed form" in text and "levels:" in text
+
+
+def _reference_json(report):
+    return json.dumps({
+        "closed_count": report.closed_count, "oracle_count": report.oracle_count,
+        "count_mismatch": report.count_mismatch, "flag_factor": oracle.FLAG_FACTOR,
+        "max_deviation_eV": report.max_deviation,
+        "levels": [{"index": lv.index, "closed_form_eV": lv.closed_form, "oracle_eV": lv.oracle,
+                    "oracle_error_eV": lv.oracle_error, "deviation_eV": lv.deviation,
+                    "flagged": lv.flagged} for lv in report.levels],
+    }, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("name, delta, l", [("CO", 0.5, 6), ("H2", 0.3, 5)])
+def test_report_json_is_what_json_dumps_writes(name, delta, l):
+    mol = builtin(name)
+    prob = problem(PotentialParams.from_molecule(mol, 1.0), MassModel.from_molecule(mol, delta), l)
+    report = compare(prob.ladder.tolist(), solve(prob, suggest_config(prob)))
+    assert report.count_mismatch == (name == "CO")
+    assert report.to_json() == _reference_json(report)
+
+
+def test_report_json_writes_non_finite_floats_as_json_does():
+    odd = [LevelComparison(0, math.nan, math.inf, -math.inf, 1e-300, True),
+           LevelComparison(1, -0.0, 5e-324, 1.7976931348623157e308, math.nan, False)]
+    for report in (ComparisonReport(levels=odd, closed_count=3, oracle_count=2),
+                   ComparisonReport(levels=odd[:1], closed_count=1, oracle_count=1),
+                   ComparisonReport()):
+        assert report.to_json() == _reference_json(report)
+    assert "NaN" in ComparisonReport(levels=odd).to_json()
 
 
 def test_config_validation(h2):
@@ -449,21 +486,33 @@ def test_shallow_inner_wall_estimate_covers_deviation(h2, delta):
 
 @pytest.mark.parametrize("name, delta, l", [("H2", 0.0, 0), ("H2-ref", 0.5, 3), ("HCl", 0.3, 3)])
 def test_dense_eigvalsh_of_the_same_matrix_agrees(name, delta, l):
-    # the full symmetric matrix of the same stencil, grid and weights, solved
-    # by numpy's dense eigvalsh instead of the banded LAPACK driver
+    # the full symmetric matrix of the same stencil on the mapped grid, its
+    # weights formed here from the closed-form derivatives of
+    # X = a t + b w tanh((t - t_m)/w), solved by numpy's dense eigvalsh
+    # instead of the banded LAPACK driver
     mol = builtin(name)
     p = PotentialParams.from_molecule(mol, 1.0)
     mm = MassModel.from_molecule(mol, delta)
     prob = problem(p, mm, l)
     cfg = suggest_config(prob)
     spectrum = solve(prob, cfg)
-    origin = prob.origin
-    t_lo, t_hi = math.log(cfg.r_min - origin), math.log(cfg.r_max - origin)
+    origin, gmap = prob.origin, prob.grid_map
+    assert gmap.b > 0.0  # a fitted map, not the plain log grid
+    x_lo, x_hi = (gmap.x(math.log(r - origin)) for r in (cfg.r_min, cfg.r_max))
     n = cfg.grid_points
-    h = (t_hi - t_lo) / (n + 1)
-    r_minus_origin = np.exp(t_lo + h * np.arange(1, n + 1))
-    w_hat = prob.w(origin + r_minus_origin) * r_minus_origin**2 + 0.25
-    b_hat = prob.b(origin + r_minus_origin) * r_minus_origin**2
+    h = (x_hi - x_lo) / (n + 1)
+    t = gmap.t(x_lo + h * np.arange(1, n + 1))
+    s = (t - gmap.t_m) / gmap.width
+    sech2, tanh = 1.0 / np.cosh(s) ** 2, np.tanh(s)
+    d1 = gmap.a + gmap.b * sech2  # X', X'' and X'''
+    d2 = -2.0 * gmap.b / gmap.width * sech2 * tanh
+    d3 = 2.0 * gmap.b / gmap.width**2 * sech2 * (3.0 * tanh**2 - 1.0)
+    r_minus_origin = np.exp(t)
+    dr_dx = r_minus_origin / d1
+    # W^_x = (e^{2t} W + 1/4)/X'^2 + (X' X'''/2 - 3 X''^2/4)/X'^4, B^_x = e^{2t} B/X'^2
+    w_hat = (prob.w(origin + r_minus_origin) * dr_dx**2 + 0.25 / d1**2
+             + (0.5 * d1 * d3 - 0.75 * d2**2) / d1**4)
+    b_hat = prob.b(origin + r_minus_origin) * dr_dx**2
     first_row = np.zeros(n)
     first_row[:len(KINETIC_BAND)] = KINETIC_BAND / h**2
     scale = 1.0 / np.sqrt(b_hat)
@@ -473,6 +522,33 @@ def test_dense_eigvalsh_of_the_same_matrix_agrees(name, delta, l):
     floor = 16.0 * np.finfo(float).eps * np.max(np.sum(np.abs(dense), axis=1))
     assert len(vals) == len(spectrum.eigenvalues) > 0
     assert np.all(np.abs(vals - spectrum.eigenvalues) <= floor)
+
+
+def test_grid_map_inverts_and_keeps_the_levels_of_the_plain_log_grid():
+    # X rises strictly and its inverse round-trips to a few ulp; the mapped
+    # and the plain log-grid solves of one cell agree within their estimates
+    mol = builtin("CO")
+    p = PotentialParams.from_molecule(mol, 1.0)
+    mm = MassModel.from_molecule(mol, 0.3)
+    prob = problem(p, mm, 2)
+    cfg = suggest_config(prob)
+    gmap = prob.grid_map
+    t = np.linspace(math.log(cfg.r_min - prob.origin) - 1.0,
+                    math.log(cfg.r_max - prob.origin) + 1.0, 5001)
+    x = gmap.x(t)
+    assert np.all(np.diff(x) > 0.0)
+    ulp_x, ulp_t = np.spacing(np.max(np.abs(x))), np.spacing(np.max(np.abs(t)))
+    assert np.max(np.abs(gmap.x(gmap.t(x)) - x)) <= 4.0 * ulp_x
+    # where the density X' is low, t is known to ulp(x)/X' at best
+    assert np.all(np.abs(gmap.t(x) - t) <= 4.0 * (ulp_t + ulp_x / gmap.derivatives(t)[0]))
+    assert np.array_equal(GridMap().t(x), x)  # the plain log grid: X = t
+    plain = replace(prob, grid_map=GridMap())
+    plain_cfg = suggest_config(plain)
+    assert cfg.grid_points < plain_cfg.grid_points
+    mapped, flat = solve(prob, cfg), solve(plain, plain_cfg)
+    assert len(mapped.eigenvalues) == len(flat.eigenvalues) == len(prob.ladder)
+    assert np.all(np.abs(mapped.eigenvalues - flat.eigenvalues)
+                  <= mapped.error_estimates + flat.error_estimates)
 
 
 def test_threshold_below_the_well_skips_the_check_solve(monkeypatch):

@@ -11,6 +11,7 @@ import importlib
 import importlib.util
 import inspect
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -113,3 +114,13 @@ def test_script_runs(path):
     proc = subprocess.run([sys.executable, str(path)], capture_output=True, text=True)
     assert proc.returncode == 0 and proc.stderr == "", proc.stderr
     assert SCRIPT_OUTPUT[path.name](proc.stdout), proc.stdout
+
+
+def test_ci_workflow_runs_the_tier1_line():
+    # the workflow cannot run here: check its command is ROADMAP's tier-1 line on 3.11
+    root = Path(__file__).resolve().parents[1]
+    tier1 = re.search(r"\*\*Tier-1 verify:\*\* `([^`]*)`",
+                      (root / "ROADMAP.md").read_text(encoding="utf-8")).group(1)
+    workflow = (root / ".github" / "workflows" / "tier1.yml").read_text(encoding="utf-8")
+    assert f"run: {tier1}\n" in workflow
+    assert 'python-version: "3.11"' in workflow
