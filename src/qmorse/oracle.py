@@ -10,18 +10,18 @@ negative, virtual) mass-pole radius: high levels of the reduced problem
 oscillate ever faster toward the pole while their outer tails stretch toward
 large r, and the log coordinate resolves both ends at once.  The constant-mass
 Pekeris problem (delta = 0) takes r_o = 0, t = ln r.  On t the points are
-uniform in a second coordinate x = X(t), the ``GridMap`` that ``problem``
-fits to the shallowest level: its density X'(t) = A + B sech^2((t - t_m)/w)
-follows that level's need max(k, kappa/2) in t, dense where the level
-oscillates fast and sparse where it oscillates slowly or has decayed, as a
-mapped grid does (Fattal, Baer & Kosloff, Phys. Rev. E 53, 1217 (1996);
-Kokoouline et al., J. Chem. Phys. 110, 9865 (1999)).  That takes about half
-the points of the plain log grid (B = 0), a quarter of its O(p N^2) banded
-reduction, and leaves the calibration as it was.  Exact mode at delta = 0
-alone keeps a uniform r grid: on the log grid its H2-ref l = 10 ladder goes
-from no levels to 14 of the closed form's 17, and the benchmark's check
-classifies the empty ladder as a known defect, so that move waits until the
-check has an exact-mode expectation.
+uniform in a second coordinate x = X(t), the ``GridMap`` that
+``suggest_config`` fits to the shallowest level it targets, from the one
+scan that also sets the walls and the point count: its density
+X'(t) = A + B sech^2((t - t_m)/w) follows that level's need max(k, kappa/2)
+in t, dense where the level oscillates fast and sparse where it oscillates
+slowly or has decayed, as a mapped grid does (Fattal, Baer & Kosloff, Phys.
+Rev. E 53, 1217 (1996); Kokoouline et al., J. Chem. Phys. 110, 9865 (1999)).
+That takes about half the points of the plain log grid (B = 0), a quarter of
+its O(p N^2) banded reduction, and leaves the calibration as it was.  Exact
+mode at delta = 0 alone keeps a uniform r grid and the identity map: on the
+log grid its H2-ref l = 10 ladder would find 14 of the closed form's 17
+levels, which the benchmark's check does not yet expect.
 
 One equation for every grid.  On t the Sturm-Liouville form
 -d/dt[(1/r') du/dt] + r' W u = E r' B u becomes, with u = e^{t/2} phi,
@@ -67,7 +67,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 from typing import Callable
@@ -127,48 +127,20 @@ MIN_GRID_POINTS = 2 * len(KINETIC_BAND) - 1
 
 
 @dataclass(frozen=True)
-class OracleConfig:
-    r_min: float
-    r_max: float
-    grid_points: int = SUGGESTED_MAX_GRID_POINTS
-    want_vectors: bool = False
-
-    def __post_init__(self):
-        if not (math.isfinite(self.r_min) and math.isfinite(self.r_max)):
-            raise DomainError("r_min and r_max must be finite")
-        if not self.r_min > 0.0:
-            raise DomainError("r_min must be positive")
-        if not self.r_max > self.r_min:
-            raise DomainError("r_max must exceed r_min")
-        n = self.grid_points
-        if (isinstance(n, bool) or not isinstance(n, (int, np.integer))
-                or not MIN_GRID_POINTS <= n <= MAX_GRID_POINTS):
-            raise DomainError(
-                f"grid_points must be an integer in [{MIN_GRID_POINTS}, {MAX_GRID_POINTS}],"
-                f" got {n!r}")
-
-
-@dataclass
-class OracleSpectrum:
-    """Bound levels (eV) of the reported solve, with per-level error estimates."""
-
-    eigenvalues: np.ndarray
-    error_estimates: np.ndarray
-    threshold: float
-    grid: np.ndarray | None = None
-    eigenvectors: np.ndarray | None = None
-
-
-@dataclass(frozen=True)
 class GridMap:
-    """x = X(t) = a t + b w tanh((t - t_m)/w), the grid coordinate of a log-grid
-    problem, with density X'(t) = a + b sech^2((t - t_m)/w); b = 0, a = 1 is
-    the plain log grid.  Arrays in, arrays out."""
+    """x = X(t) = a t + b w tanh((t - t_m)/w), the grid coordinate, with density
+    X'(t) = a + b sech^2((t - t_m)/w) > 0; the default b = 0, a = 1 is the
+    problem's plain coordinate t (ln(r - r_o), or r).  Arrays in, arrays out."""
 
     a: float = 1.0
     b: float = 0.0
     t_m: float = 0.0
     width: float = 1.0
+
+    def __post_init__(self):
+        if not (all(map(math.isfinite, (self.a, self.b, self.t_m, self.width)))
+                and self.a > 0.0 and self.b >= 0.0 and self.width > 0.0):
+            raise DomainError(f"a grid map needs finite a > 0, b >= 0, t_m and width > 0: {self!r}")
 
     def x(self, t):
         return self.a * t + self.b * self.width * np.tanh((t - self.t_m) / self.width)
@@ -196,6 +168,44 @@ class GridMap:
             if not np.any(np.abs(step) > 1e-14 * (1.0 + np.abs(t))):
                 break
         return t
+
+
+@dataclass(frozen=True)
+class OracleConfig:
+    """One solve's grid: grid_points points inside [r_min, r_max], uniform in x = grid_map(t)."""
+
+    r_min: float
+    r_max: float
+    grid_points: int = SUGGESTED_MAX_GRID_POINTS
+    want_vectors: bool = False
+    grid_map: GridMap = GridMap()
+
+    def __post_init__(self):
+        if not isinstance(self.grid_map, GridMap):
+            raise DomainError(f"grid_map must be a GridMap, got {self.grid_map!r}")
+        if not (math.isfinite(self.r_min) and math.isfinite(self.r_max)):
+            raise DomainError("r_min and r_max must be finite")
+        if not self.r_min > 0.0:
+            raise DomainError("r_min must be positive")
+        if not self.r_max > self.r_min:
+            raise DomainError("r_max must exceed r_min")
+        n = self.grid_points
+        if (isinstance(n, bool) or not isinstance(n, (int, np.integer))
+                or not MIN_GRID_POINTS <= n <= MAX_GRID_POINTS):
+            raise DomainError(
+                f"grid_points must be an integer in [{MIN_GRID_POINTS}, {MAX_GRID_POINTS}],"
+                f" got {n!r}")
+
+
+@dataclass
+class OracleSpectrum:
+    """Bound levels (eV) of the reported solve, with per-level error estimates."""
+
+    eigenvalues: np.ndarray
+    error_estimates: np.ndarray
+    threshold: float
+    grid: np.ndarray | None = None
+    eigenvectors: np.ndarray | None = None
 
 
 def _fit_map(t: np.ndarray, need: np.ndarray) -> GridMap:
@@ -234,8 +244,7 @@ class OracleProblem:
     w and b are the W(r) [1/A^2] and B(r) [1/(eV A^2)] callables, threshold
     their r -> infinity limit W/B (eV): v3, plus the offset of ``strengths``
     in pekeris mode.  origin is r_o of the log grid t = ln(r - r_o), or None
-    for the uniform r grid; grid_map maps t to the grid coordinate x (the
-    identity on the uniform grid); pole is the real mass pole, or None.  wall and
+    for the uniform r grid; pole is the real mass pole, or None.  wall and
     check_wall, the innermost radii of a suggested domain and of a check
     solve, are pole_wall(POLE_WALL) and pole_wall(CHECK_POLE_WALL) outside a
     real pole, else MIN_RADIUS.  ladder holds the literal energies (eV) of the
@@ -252,7 +261,6 @@ class OracleProblem:
     wall: float
     check_wall: float
     ladder: np.ndarray
-    grid_map: GridMap = GridMap()
 
 
 def pole_wall(p: PotentialParams, mm: MassModel, w: float) -> float:
@@ -266,10 +274,8 @@ def problem(p: PotentialParams, mm: MassModel, l: int,
 
     Below DELTA_CROSSOVER the ladder keeps the constant-mass routing of
     ``spectrum_grid`` while pekeris-mode W keeps the real delta, which forms
-    the reduced problem a second time.  A log-grid problem gets the
-    ``grid_map`` fitted to its shallowest level on the suggested domain; one
-    with no bound level, or none the scan finds allowed, keeps the plain log
-    grid.  Raises DomainError for an unknown mode and, before any level is
+    the reduced problem a second time.  It scans no domain.  Raises
+    DomainError for an unknown mode and, before any level is
     built, when the closed form predicts more levels than a grid may have points.
     """
     if centrifugal_mode not in ("exact", "pekeris"):
@@ -303,11 +309,8 @@ def problem(p: PotentialParams, mm: MassModel, l: int,
     pole = mass_pole_radius(mm, p)
     wall, check_wall = ((MIN_RADIUS, MIN_RADIUS) if pole is None else
                         (pole_wall(p, mm, POLE_WALL), pole_wall(p, mm, CHECK_POLE_WALL)))
-    prob = OracleProblem(p=p, l=l, w=w, b=b, threshold=threshold, origin=origin, pole=pole,
+    return OracleProblem(p=p, l=l, w=w, b=b, threshold=threshold, origin=origin, pole=pole,
                          wall=wall, check_wall=check_wall, ladder=ladder)
-    domain = (_log_domain(prob, min(float(ladder[-1]), threshold - 1e-12))
-              if origin is not None and count else None)
-    return prob if domain is None else replace(prob, grid_map=_fit_map(*domain[2:]))
 
 
 def _wall_efolds(w_hat, b_hat, e, h):
@@ -321,19 +324,19 @@ def _wall_efolds(w_hat, b_hat, e, h):
     return float(np.sum(kappa_h[:allowed[0]])), float(np.sum(kappa_h[allowed[-1] + 1:]))
 
 
-def _solve_once(prob: OracleProblem, x_lo, x_hi, n, want_vectors):
+def _solve_once(prob: OracleProblem, gmap: GridMap, x_lo, x_hi, n, want_vectors):
     """Levels below the threshold on n interior points of [x_lo, x_hi], their
     roundoff, the grid, the eigenvectors (or None) and the shallowest level's
     decay to each wall (``_wall_efolds``; zero when no level is bound).
 
-    x = X(t) is ``prob.grid_map`` of t, which is r itself or ln(r - prob.origin)
+    x = X(t) is ``gmap`` of t, which is r itself or ln(r - prob.origin)
     on the log grid.  The roundoff is 16 eps ||H||_inf.
     """
     from scipy.linalg import eig_banded, solve_banded
 
     h = (x_hi - x_lo) / (n + 1)
-    t = prob.grid_map.t(x_lo + h * np.arange(1, n + 1))
-    xp, xpp, xppp = prob.grid_map.derivatives(t)
+    t = gmap.t(x_lo + h * np.arange(1, n + 1))
+    xp, xpp, xppp = gmap.derivatives(t)
     if prob.origin is None:
         grid, dr_dt, q = t, 1.0, 0.0
     else:
@@ -378,7 +381,7 @@ def _solve_once(prob: OracleProblem, x_lo, x_hi, n, want_vectors):
 
 
 def solve(prob: OracleProblem, cfg: OracleConfig) -> OracleSpectrum:
-    """All bound levels of the problem on the configured grid (eV, strictly increasing).
+    """All bound levels of the problem on the grid of ``cfg`` (eV, strictly increasing).
 
     The check solve that sizes the error estimates has spacing h/1.25 on the
     same walls, save that a wall the shallowest level has decayed less than
@@ -392,23 +395,21 @@ def solve(prob: OracleProblem, cfg: OracleConfig) -> OracleSpectrum:
     def coord(r):
         return r if prob.origin is None else math.log(r - prob.origin)
 
-    def grid_x(t):
-        return float(prob.grid_map.x(t))
-
+    gmap = cfg.grid_map
     t_lo, t_hi = coord(cfg.r_min), coord(cfg.r_max)
-    x_lo, x_hi = grid_x(t_lo), grid_x(t_hi)
+    x_lo, x_hi = gmap.x(t_lo), gmap.x(t_hi)
     vals, roundoff, grid, vectors, (inner, outer) = _solve_once(
-        prob, x_lo, x_hi, cfg.grid_points, cfg.want_vectors)
+        prob, gmap, x_lo, x_hi, cfg.grid_points, cfg.want_vectors)
     estimates = np.empty(0)
     if len(vals):
         span = t_hi - t_lo
         check_lo, check_hi = x_lo, x_hi
         if prob.origin is not None and inner < WALL_EFOLDS:
-            check_lo = min(x_lo, grid_x(max(t_lo - 0.25 * span, coord(prob.check_wall))))
+            check_lo = min(x_lo, gmap.x(max(t_lo - 0.25 * span, coord(prob.check_wall))))
         if outer < WALL_EFOLDS:
-            check_hi = grid_x(t_hi + 0.25 * span)
+            check_hi = gmap.x(t_hi + 0.25 * span)
         check_n = math.ceil(1.25 * (check_hi - check_lo) / (x_hi - x_lo) * (cfg.grid_points + 1)) - 1
-        check_vals, check_roundoff, *_ = _solve_once(prob, check_lo, check_hi, check_n, False)
+        check_vals, check_roundoff, *_ = _solve_once(prob, gmap, check_lo, check_hi, check_n, False)
         # a level the check solve lost may lie anywhere up to the threshold
         other = np.full(len(vals), float(prob.threshold))
         shared = min(len(vals), len(check_vals))
@@ -420,33 +421,6 @@ def solve(prob: OracleProblem, cfg: OracleConfig) -> OracleSpectrum:
     )
 
 
-def _log_domain(prob: OracleProblem, e_top: float):
-    """The suggested log-grid walls r_min, r_max for levels up to e_top, and the
-    shallowest level's point density max(k, KAPPA_WEIGHT kappa) in t on 640
-    uniform samples t of [ln(r_min - r_o), ln(r_max - r_o)]; None when no
-    point of the scan is classically allowed at e_top."""
-    p, origin = prob.p, prob.origin
-    t_scan = np.linspace(math.log(prob.wall - origin), math.log(p.r_e + 60.0 / p.a - origin), 6000)
-    scan = origin + np.exp(t_scan)
-    gap = e_top * np.asarray(prob.b(scan)) - np.asarray(prob.w(scan))
-    allowed = gap > 0.0
-    if not np.any(allowed):
-        return None
-    i_in = int(np.argmax(allowed))
-    r_out = float(scan[len(allowed) - 1 - np.argmax(allowed[::-1])])
-    # decay[j]: e-folds from the turning point in to scan[i_in - j]
-    kappa = np.sqrt(np.maximum(-gap[i_in::-1], 0.0)) * (scan[i_in::-1] - origin)
-    decay = np.cumsum(kappa) * (t_scan[1] - t_scan[0])
-    deep = np.flatnonzero(decay >= POLE_SIDE_EFOLDS)
-    r_min = float(scan[i_in - deep[0]]) if deep.size else prob.wall
-    r_max = r_out + _tail_padding(prob, e_top)
-    t = np.linspace(math.log(r_min - origin), math.log(r_max - origin), 640)
-    r = origin + np.exp(t)
-    gap = e_top * np.asarray(prob.b(r)) - np.asarray(prob.w(r))
-    need = np.sqrt(np.abs(gap)) * np.where(gap > 0.0, 1.0, KAPPA_WEIGHT) * (r - origin)
-    return r_min, r_max, t, need
-
-
 def _tail_padding(prob: OracleProblem, e_top: float) -> float:
     """8 decay lengths of the level at e_top past the outer turning point, at least 1.5/a."""
     p = prob.p
@@ -456,7 +430,7 @@ def _tail_padding(prob: OracleProblem, e_top: float) -> float:
 
 
 def suggest_config(prob: OracleProblem, e_top: float | None = None) -> OracleConfig:
-    """Domain and grid adequate for all levels up to e_top.
+    """Walls, grid map and point count for the levels up to e_top, from one domain scan.
 
     By default e_top is the top of ``prob.ladder`` (the shallowest bound
     level), and a problem whose closed form has no bound level is refused;
@@ -468,31 +442,50 @@ def suggest_config(prob: OracleProblem, e_top: float | None = None) -> OracleCon
     WKB decay of the shallowest level, the integral of kappa dt from its
     inner turning point, is POLE_SIDE_EFOLDS, but never deeper than
     ``prob.wall``, where it stays when the pole side never decays that far.
-    Its points are uniform in x = ``prob.grid_map`` of t, as many as put the
-    density max(k, KAPPA_WEIGHT kappa)/X' times the spacing at or below
-    MAPPED_KH_SHARE * MAX_KH everywhere.  The uniform r grid (origin None:
-    exact mode at delta = 0) is padded inward by 2.2/a, where the profile
-    dies super-exponentially, and resolves the largest local wavenumber at
-    k h <= MAX_KH.  The point count runs from one stencil up to
-    SUGGESTED_MAX_GRID_POINTS.
+    The ``GridMap`` X is fitted to that level's density max(k, KAPPA_WEIGHT
+    kappa) in t, sampled 640 times across the domain, and as many points,
+    uniform in x = X(t), are taken as put the density over X' times the
+    spacing at or below MAPPED_KH_SHARE * MAX_KH everywhere.  The uniform r
+    grid (origin None: exact mode at delta = 0) keeps the identity map, is
+    padded inward by 2.2/a, where the profile dies super-exponentially, and
+    resolves the largest local wavenumber at k h <= MAX_KH.  The point count
+    runs from one stencil up to SUGGESTED_MAX_GRID_POINTS.
     """
     if e_top is None:
         if not len(prob.ladder):
             raise DomainError(f"the closed form has no bound level at l = {prob.l}")
         e_top = float(prob.ladder[-1])
+    elif math.isnan(e_top):
+        raise DomainError("e_top must be a number, got nan")
     e_top = min(e_top, prob.threshold - 1e-12)
 
-    if prob.origin is not None:
-        domain = _log_domain(prob, e_top)
-        if domain is None:
+    p, origin = prob.p, prob.origin
+    if origin is not None:
+        t_scan = np.linspace(math.log(prob.wall - origin), math.log(p.r_e + 60.0 / p.a - origin),
+                             6000)
+        scan = origin + np.exp(t_scan)
+        gap = e_top * np.asarray(prob.b(scan)) - np.asarray(prob.w(scan))
+        allowed = gap > 0.0
+        if not np.any(allowed):
             raise DomainError("no classically allowed region below e_top")
-        r_min, r_max, t, need = domain
-        gmap = prob.grid_map
+        i_in = int(np.argmax(allowed))
+        r_out = float(scan[len(allowed) - 1 - np.argmax(allowed[::-1])])
+        # decay[j]: e-folds from the turning point in to scan[i_in - j]
+        kappa = np.sqrt(np.maximum(-gap[i_in::-1], 0.0)) * (scan[i_in::-1] - origin)
+        decay = np.cumsum(kappa) * (t_scan[1] - t_scan[0])
+        deep = np.flatnonzero(decay >= POLE_SIDE_EFOLDS)
+        r_min = float(scan[i_in - deep[0]]) if deep.size else prob.wall
+        r_max = r_out + _tail_padding(prob, e_top)
+        t = np.linspace(math.log(r_min - origin), math.log(r_max - origin), 640)
+        r = origin + np.exp(t)
+        gap = e_top * np.asarray(prob.b(r)) - np.asarray(prob.w(r))
+        need = np.sqrt(np.abs(gap)) * np.where(gap > 0.0, 1.0, KAPPA_WEIGHT) * (r - origin)
+        gmap = _fit_map(t, need)
         span_x = float(gmap.x(t[-1]) - gmap.x(t[0]))
         n_points = math.ceil(span_x * float(np.max(need / gmap.derivatives(t)[0]))
                              / (MAPPED_KH_SHARE * MAX_KH))
     else:
-        p = prob.p
+        gmap = GridMap()
         scan = np.linspace(max(prob.wall, p.r_e - 12.0 / p.a), p.r_e + 60.0 / p.a, 6000)
         scan = scan[scan > prob.wall]
         w_scan, b_scan = np.asarray(prob.w(scan)), np.asarray(prob.b(scan))
@@ -505,7 +498,7 @@ def suggest_config(prob: OracleProblem, e_top: float | None = None) -> OracleCon
         k_max = float(np.max(np.sqrt(np.maximum(e_top * b_scan - w_scan, 0.0))))
         n_points = math.ceil((r_max - r_min) * k_max / MAX_KH)
     n_points = min(max(MIN_GRID_POINTS, n_points), SUGGESTED_MAX_GRID_POINTS)
-    return OracleConfig(r_min=r_min, r_max=r_max, grid_points=n_points)
+    return OracleConfig(r_min=r_min, r_max=r_max, grid_points=n_points, grid_map=gmap)
 
 
 _JSON_BOOL = {False: "false", True: "true"}

@@ -502,6 +502,32 @@ def test_oracle_compare_forms_the_reduced_problem_once(capsys, strengths_calls, 
     assert len(strengths_calls) == calls
 
 
+@pytest.mark.parametrize("argv, scans", [
+    (["--molecule", "H2", "--l", "5", "--delta", "0"], 1),
+    (["--molecule", "H2", "--l", "5", "--delta", "0.3"], 1),
+    (["--molecule", "H2", "--l", "5", "--delta", "0.3", "--centrifugal", "exact"], 1),
+    (["--molecule", "H2", "--l", "5", "--centrifugal", "exact"], 0),  # the uniform r grid
+    (["--molecule", "H2-ref", "--l", "0", "--grid", "1500"], 1),
+], ids=["pekeris-0", "pekeris-0.3", "exact-0.3", "exact-0", "H2-ref-grid-1500"])
+def test_oracle_compare_scans_the_domain_once(capsys, monkeypatch, argv, scans):
+    # suggest_config fits the grid map and sizes the grid from one log-domain
+    # scan; every domain scan pads its outer tail once
+    import qmorse.oracle as oracle_mod
+
+    log_scans = []
+    tail_padding = oracle_mod._tail_padding
+
+    def spy(prob, e_top):
+        if prob.origin is not None:  # the uniform r grid's scan is no log scan
+            log_scans.append(e_top)
+        return tail_padding(prob, e_top)
+
+    monkeypatch.setattr(oracle_mod, "_tail_padding", spy)
+    code, _, _ = run_cli(["oracle-compare", *argv], capsys)
+    assert code == 0
+    assert len(log_scans) == scans
+
+
 def test_bound_ladder_forms_the_reduced_problem_once(strengths_calls):
     # the count and the energies come from one strengths result
     mol = builtin("H2")

@@ -30,6 +30,7 @@ from qmorse.oracle import (
     suggest_config,
 )
 from qmorse.potential import MassModel, PotentialParams, effective_potential, morse_potential
+from qmorse.reference import TABLE_MOLECULE
 from qmorse.spectrum import QuantumState, bound_ladder, spectrum_grid
 from qmorse.units import hbar2_over_2mu
 from qmorse.wavefunctions import radial_wavefunction
@@ -50,7 +51,7 @@ def _self_test_problem(w, b, threshold):
     """A problem of its own W and B on the plain r coordinate (no mass pole)."""
     mol = builtin("H2")
     base = problem(PotentialParams.from_molecule(mol, 1.0), MassModel.from_molecule(mol), 0)
-    return replace(base, w=w, b=b, threshold=threshold, origin=None, grid_map=GridMap())
+    return replace(base, w=w, b=b, threshold=threshold, origin=None)
 
 
 def test_harmonic_oscillator_self_test():
@@ -99,7 +100,7 @@ def test_spacing_refinement_gains_two_orders():
     p = PotentialParams.from_molecule(mol, 1.0)
     mm = MassModel.from_molecule(mol, 0.0)
     exact = bound_ladder(p, mm, 0).energy[:75] + p.v3
-    prob = replace(problem(p, mm, 0), origin=None, grid_map=GridMap())
+    prob = replace(problem(p, mm, 0), origin=None)
     errors = []
     for n_pts in (511, 767, 1151, 1727, 2591):  # n + 1 = 512 * 1.5^k
         cfg = OracleConfig(r_min=0.6, r_max=8.0, grid_points=n_pts)
@@ -161,6 +162,23 @@ def test_constant_mass_pekeris_cells_fit_in_635_points():
     assert total <= 635, total
 
 
+def test_criterion_3_cells_fit_in_650_points():
+    # acceptance criterion 3's explicit e_top above level 7: 823 points with the
+    # map fitted to the ladder top, 618 with each map fitted to its own e_top
+    total = 0
+    for block in ("H2", "LiH", "CO", "HCl"):
+        mol = builtin(TABLE_MOLECULE[block])
+        p, mm = PotentialParams.from_molecule(mol, 1.0), MassModel.from_molecule(mol, 0.0)
+        for l in (0, 5, 10):
+            closed = _closed_levels(p, mm, l, 7)
+            prob = problem(p, mm, l)
+            cfg = suggest_config(prob, e_top=closed[7] + 0.1 * abs(closed[7] - closed[0]))
+            total += cfg.grid_points
+            deviations = np.abs(solve(prob, cfg).eigenvalues[:8] - closed)
+            assert np.all(deviations < 1e-5), (block, l, deviations)
+    assert total <= 650, total
+
+
 # the 20 oracle_verify cells but HCl delta = 0.5 l = 7, which has no allowed region
 ORACLE_VERIFY_CELLS = [
     ("H2", 0.0, 0), ("H2", 0.05, 3), ("H2", 0.3, 7), ("H2", 0.5, 10),
@@ -177,7 +195,7 @@ def _solve_once_args(monkeypatch, name, delta, l):
     solve_once = oracle._solve_once
 
     def spy(*args):
-        calls.append(args[1:4])
+        calls.append(args[2:5])
         return solve_once(*args)
 
     mol = builtin(name)
@@ -411,11 +429,34 @@ def test_config_accepts_one_stencil():
     dict(grid_points=2000.0),
     dict(grid_points=True),
     dict(grid_points=MAX_GRID_POINTS + 1),
+    dict(grid_map=None),
+    dict(grid_map=(1.0, 0.0, 0.0, 1.0)),
 ], ids=["r_max-inf", "r_min-nan", "grid-huge-float", "grid-nan", "grid-float", "grid-bool",
-        "grid-above-cap"])
+        "grid-above-cap", "map-none", "map-tuple"])
 def test_config_rejects_bad_input(bad):
     with pytest.raises(DomainError):
         OracleConfig(**{"r_min": 0.1, "r_max": 2.0, **bad})
+
+
+@pytest.mark.parametrize("field, value", [
+    (field, value) for field in ("a", "b", "t_m", "width") for value in (math.nan, math.inf)
+] + [("a", 0.0), ("a", -1.0), ("b", -1e-300), ("width", 0.0), ("width", -1.0)])
+def test_grid_map_rejects_bad_input(field, value):
+    # X' = a + b sech^2 must be finite and positive everywhere
+    with pytest.raises(DomainError, match="grid map"):
+        GridMap(**{field: value})
+
+
+@pytest.mark.parametrize("mode", ["pekeris", "exact"])
+@pytest.mark.parametrize("delta", [0.0, 0.3])
+def test_suggest_config_rejects_a_nan_e_top(h2, delta, mode):
+    # a NaN e_top is no energy, not an energy with no allowed region
+    prob = problem(PotentialParams.from_molecule(h2, 1.0), MassModel.from_molecule(h2, delta), 0,
+                   mode)
+    with pytest.raises(DomainError, match="^e_top must be a number, got nan$"):
+        suggest_config(prob, e_top=math.nan)
+    with pytest.raises(DomainError, match="^no classically allowed region below e_top$"):
+        suggest_config(prob, e_top=-math.inf)
 
 
 def test_truncated_box_estimate_covers_deviation(h2_ref):
@@ -496,7 +537,7 @@ def test_dense_eigvalsh_of_the_same_matrix_agrees(name, delta, l):
     prob = problem(p, mm, l)
     cfg = suggest_config(prob)
     spectrum = solve(prob, cfg)
-    origin, gmap = prob.origin, prob.grid_map
+    origin, gmap = prob.origin, cfg.grid_map
     assert gmap.b > 0.0  # a fitted map, not the plain log grid
     x_lo, x_hi = (gmap.x(math.log(r - origin)) for r in (cfg.r_min, cfg.r_max))
     n = cfg.grid_points
@@ -524,15 +565,26 @@ def test_dense_eigvalsh_of_the_same_matrix_agrees(name, delta, l):
     assert np.all(np.abs(vals - spectrum.eigenvalues) <= floor)
 
 
-def test_grid_map_inverts_and_keeps_the_levels_of_the_plain_log_grid():
+def test_grid_map_inverts_and_keeps_the_levels_of_the_plain_log_grid(monkeypatch):
     # X rises strictly and its inverse round-trips to a few ulp; the mapped
     # and the plain log-grid solves of one cell agree within their estimates
     mol = builtin("CO")
     p = PotentialParams.from_molecule(mol, 1.0)
     mm = MassModel.from_molecule(mol, 0.3)
     prob = problem(p, mm, 2)
+    profiles = []
+    fit_map = oracle._fit_map
+
+    def spy(t, need):
+        profiles.append((t, need))
+        return fit_map(t, need)
+
+    monkeypatch.setattr(oracle, "_fit_map", spy)
     cfg = suggest_config(prob)
-    gmap = prob.grid_map
+    [(t_scan, need)] = profiles
+    assert (t_scan[0], t_scan[-1]) == (math.log(cfg.r_min - prob.origin),
+                                       math.log(cfg.r_max - prob.origin))
+    gmap = cfg.grid_map
     t = np.linspace(math.log(cfg.r_min - prob.origin) - 1.0,
                     math.log(cfg.r_max - prob.origin) + 1.0, 5001)
     x = gmap.x(t)
@@ -542,10 +594,12 @@ def test_grid_map_inverts_and_keeps_the_levels_of_the_plain_log_grid():
     # where the density X' is low, t is known to ulp(x)/X' at best
     assert np.all(np.abs(gmap.t(x) - t) <= 4.0 * (ulp_t + ulp_x / gmap.derivatives(t)[0]))
     assert np.array_equal(GridMap().t(x), x)  # the plain log grid: X = t
-    plain = replace(prob, grid_map=GridMap())
-    plain_cfg = suggest_config(plain)
-    assert cfg.grid_points < plain_cfg.grid_points
-    mapped, flat = solve(prob, cfg), solve(plain, plain_cfg)
+    # the plain log grid on the same walls, sized by the same rule from the same
+    # scan: the shallowest level's need times the spacing in t at most 0.9 * 1.5
+    plain_n = math.ceil(float(t_scan[-1] - t_scan[0]) * float(np.max(need)) / (0.9 * 1.5))
+    plain_cfg = replace(cfg, grid_points=plain_n, grid_map=GridMap())
+    assert cfg.grid_points < plain_cfg.grid_points < SUGGESTED_MAX_GRID_POINTS
+    mapped, flat = solve(prob, cfg), solve(prob, plain_cfg)
     assert len(mapped.eigenvalues) == len(flat.eigenvalues) == len(prob.ladder)
     assert np.all(np.abs(mapped.eigenvalues - flat.eigenvalues)
                   <= mapped.error_estimates + flat.error_estimates)

@@ -124,3 +124,6 @@ def test_ci_workflow_runs_the_tier1_line():
     workflow = (root / ".github" / "workflows" / "tier1.yml").read_text(encoding="utf-8")
     assert f"run: {tier1}\n" in workflow
     assert 'python-version: "3.11"' in workflow
+    # then no test may have written into the checkout
+    clean = 'run: git status --porcelain && test -z "$(git status --porcelain)"\n'
+    assert workflow.index(f"run: {tier1}\n") < workflow.index(clean)
