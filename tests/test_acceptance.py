@@ -88,7 +88,7 @@ def test_criterion_2_bound_state_counts_and_final_levels():
 
 def test_criterion_3_oracle_exactness_constant_mass():
     """Expansion-mode oracle reproduces the closed form to < 1e-5 eV, grid <= 8000."""
-    worst = 0.0
+    worst, total = 0.0, 0
     for block in ("H2", "LiH", "CO", "HCl"):
         mol = builtin(TABLE_MOLECULE[block])
         p = PotentialParams.from_molecule(mol, 1.0)
@@ -100,11 +100,15 @@ def test_criterion_3_oracle_exactness_constant_mass():
             prob = problem(p, mm, l)
             cfg = suggest_config(prob, e_top=e_top)
             assert cfg.grid_points <= 8000, (block, l, cfg.grid_points)
+            total += cfg.grid_points
             spectrum = solve(prob, cfg)
             for n in (0, 5, 7):
                 deviation = abs(float(spectrum.eigenvalues[n]) - closed[n])
                 worst = max(worst, deviation)
                 assert deviation < 1e-5, (block, n, l, deviation)
+    # the 12 cells fit in 650 points: 618 with each map fitted to its own
+    # e_top, 823 with the map fitted to the ladder top
+    assert total <= 650, total
     print(f"[criterion 3] PASS - oracle vs closed form, 36 states, worst |dE| = {worst:.2e} eV")
 
 
@@ -254,8 +258,10 @@ def test_criterion_7_wavefunctions(series_log_norm):
     assert worst_resid < 1e-6
 
     # oracle ground-state overlap > 0.9999 (H2, l = 0, delta = 0)
-    cfg = OracleConfig(r_min=1e-3, r_max=14.0, grid_points=3000, want_vectors=True)
-    spectrum = solve(problem(p, mm0, 0), cfg)
+    prob = problem(p, mm0, 0)
+    cfg = OracleConfig(r_min=1e-3, r_max=14.0, grid_points=3000, want_vectors=True,
+                       grid_map=suggest_config(prob).grid_map)
+    spectrum = solve(prob, cfg)
     grid = spectrum.grid
     h = grid[1] - grid[0]
     analytic, _ = radial_wavefunction(p, mm0, QuantumState(0, 0), grid)

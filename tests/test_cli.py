@@ -510,22 +510,28 @@ def test_oracle_compare_forms_the_reduced_problem_once(capsys, strengths_calls, 
     (["--molecule", "H2-ref", "--l", "0", "--grid", "1500"], 1),
 ], ids=["pekeris-0", "pekeris-0.3", "exact-0.3", "exact-0", "H2-ref-grid-1500"])
 def test_oracle_compare_scans_the_domain_once(capsys, monkeypatch, argv, scans):
-    # suggest_config fits the grid map and sizes the grid from one log-domain
-    # scan; every domain scan pads its outer tail once
+    # one grid decision per request: suggest_config runs once, and each log-grid
+    # map is fitted inside it, on the one scan that also sets the walls and N
     import qmorse.oracle as oracle_mod
 
-    log_scans = []
-    tail_padding = oracle_mod._tail_padding
+    fits_seen, fits = [], []  # fits made before and after each suggest_config call
+    suggest_config, fit_map = oracle_mod.suggest_config, oracle_mod._fit_map
 
-    def spy(prob, e_top):
-        if prob.origin is not None:  # the uniform r grid's scan is no log scan
-            log_scans.append(e_top)
-        return tail_padding(prob, e_top)
+    def spy_suggest(*args, **kwargs):
+        fits_seen.append(len(fits))
+        cfg = suggest_config(*args, **kwargs)
+        fits_seen.append(len(fits))
+        return cfg
 
-    monkeypatch.setattr(oracle_mod, "_tail_padding", spy)
+    def spy_fit(t, need):
+        fits.append(t)
+        return fit_map(t, need)
+
+    monkeypatch.setattr(oracle_mod, "suggest_config", spy_suggest)
+    monkeypatch.setattr(oracle_mod, "_fit_map", spy_fit)
     code, _, _ = run_cli(["oracle-compare", *argv], capsys)
     assert code == 0
-    assert len(log_scans) == scans
+    assert fits_seen == [0, scans] and len(fits) == scans
 
 
 def test_bound_ladder_forms_the_reduced_problem_once(strengths_calls):

