@@ -2,8 +2,11 @@
 
 Subcommands: spectrum, table3, nmax, wavefunction, oracle-compare,
 special-case.  Exit codes: 0 success, 1 numeric failure or a closed stdout
-pipe (nothing on stderr), 2 usage or domain error, 3 golden-value mismatch
-(table3).  At module level only the standard library and the numpy-free
+pipe (nothing on stderr), 2 usage or domain error or a path that cannot be
+read or written, 3 golden-value mismatch (table3).  ``main`` writes a
+command's output once it returns, so a failed request leaves ``--output`` as
+it was.  Table commands hand ``_write_table`` params and ``(name, cells)``
+column pairs.  At module level only the standard library and the numpy-free
 errors, units and molecules are imported; each ``cmd_*`` imports numpy and
 its evaluators when it runs, so ``--show-constants`` loads no numpy and only
 ``oracle-compare`` loads scipy.
@@ -18,6 +21,7 @@ import io
 import json
 import math
 import os
+import stat
 import sys
 from itertools import chain
 from json.encoder import encode_basestring_ascii
@@ -49,15 +53,16 @@ def _constants_dict() -> dict:
 
 
 def _resolve_molecule(name: str, molecule_file: str | None) -> MoleculeRecord:
-    records: dict[str, MoleculeRecord] = {}
     path = molecule_file or os.environ.get(ENV_MOLECULE_PATH)
-    if path:
+    if not path:
+        return builtin(name)
+    try:
         with open(path, "r", encoding="utf-8") as handle:
-            for rec in load_molecules(handle.read()):
-                records[rec.name.lower()] = rec
-    if name.lower() in records:
-        return records[name.lower()]
-    return builtin(name)
+            text = handle.read()
+    except OSError as exc:
+        raise DomainError(f"cannot read {path}: {exc.strerror}") from exc
+    records = {rec.name.lower(): rec for rec in load_molecules(text)}  # the last of a name wins
+    return records.get(name.lower()) or builtin(name)
 
 
 def _parse_int_list(text: str) -> list[int]:
@@ -96,14 +101,15 @@ def _fill(template: str, columns, count: int, sep: str = "\n") -> str:
     return sep.join([template] * count) % tuple(chain.from_iterable(zip(*columns)))
 
 
-def _emit(table: dict, args, stream) -> None:
-    rows = table["rows"]
-    columns = table["columns"]
+def _write_table(params: dict, columns: list[tuple[str, list]], args, stream) -> None:
+    """Write one table in one ``write``: ``params`` for its header and one
+    ``(name, cells)`` pair per column, every column as long as the first."""
+    names = [name for name, _ in columns]
+    count = len(columns[0][1])
     is_json = args.format == "json"
-    # transposed once; each column is formatted by one % spec
-    data = list(zip(*rows)) if rows else [()] * len(columns)
+    data = [cells for _, cells in columns]  # each column is formatted by one % spec
     specs = []
-    for i, (name, column) in enumerate(zip(columns, data)):
+    for i, (name, column) in enumerate(columns):
         kind = _column_type(name, column)
         if kind is bool:
             data[i] = list(map(_BOOL_TEXT.__getitem__, column))
@@ -119,29 +125,29 @@ def _emit(table: dict, args, stream) -> None:
         else:
             specs.append("%s")
     if is_json:
-        head = json.dumps({"params": table["params"], "constants": _constants_dict(),
-                           "columns": columns, "rows": []}, indent=2, sort_keys=True)
-        if rows:  # "rows" sorts last: its [] is the last one in the head
+        head = json.dumps({"params": params, "constants": _constants_dict(),
+                           "columns": names, "rows": []}, indent=2, sort_keys=True)
+        if count:  # "rows" sorts last: its [] is the last one in the head
             row = "    [\n      " + ",\n      ".join(specs) + "\n    ]"
             before, _, after = head.rpartition("[]")
-            head = before + "[\n" + _fill(row, data, len(rows), ",\n") + "\n  ]" + after
+            head = before + "[\n" + _fill(row, data, count, ",\n") + "\n  ]" + after
         stream.write(head + "\n")
         return
     if args.format == "csv":
-        lines = [f"# {key} = {table['params'][key]}" for key in sorted(table["params"])]
+        lines = [f"# {key} = {params[key]}" for key in sorted(params)]
         lines += [f"# {key} = {value!r}" for key, value in sorted(_constants_dict().items())]
-        lines.append(",".join(columns))
-        if rows:
-            lines.append(_fill(",".join(specs), data, len(rows)))
+        lines.append(",".join(names))
+        if count:
+            lines.append(_fill(",".join(specs), data, count))
     else:  # text: each column as wide as its widest cell, right-aligned by %{width}s
-        texts = [column if spec == "%s" else _fill(spec, [column], len(column)).split("\n")
+        texts = [column if spec == "%s" else _fill(spec, [column], count).split("\n")
                  for spec, column in zip(specs, data)]
         widths = [max(len(name), max(map(len, column), default=0))
-                  for name, column in zip(columns, texts)]
+                  for name, column in zip(names, texts)]
         row = "  ".join(f"%{w}s" for w in widths)
-        lines = [row % tuple(columns)]
-        if rows:
-            lines.append(_fill(row, texts, len(rows)))
+        lines = [row % tuple(names)]
+        if count:
+            lines.append(_fill(row, texts, count))
     stream.write("\n".join(lines) + "\n")
 
 
@@ -186,20 +192,13 @@ def cmd_spectrum(args, stream) -> int:
     grid = spectrum_grid(p, mm, np.array(n_list)[:, None], l_list).raise_fault()
     if not np.isfinite(grid.energy).all():
         raise OverflowError(f"energies overflow a float at q={args.q!r}")
-    eps, energy, bound = grid.eps.tolist(), grid.energy.tolist(), grid.bound.tolist()
-    rows = [
-        (n, l, eps[i][j], energy[i][j], -energy[i][j], bound[i][j])
-        for i, n in enumerate(n_list) for j, l in enumerate(l_list)
-    ]
-    table = {
-        "params": {
-            "molecule": mol.name, "q": args.q, "delta": args.delta,
-            "n": args.n, "l": args.l, "energy_zero": "dissociation",
-        },
-        "columns": ["n", "l", "eps_nl", "E_eV", "minus_E", "bound"],
-        "rows": rows,
-    }
-    _emit(table, args, stream)
+    params = {"molecule": mol.name, "q": args.q, "delta": args.delta,
+              "n": args.n, "l": args.l, "energy_zero": "dissociation"}
+    _write_table(params, [
+        ("n", np.repeat(n_list, len(l_list)).tolist()), ("l", l_list * len(n_list)),
+        ("eps_nl", grid.eps.ravel().tolist()), ("E_eV", grid.energy.ravel().tolist()),
+        ("minus_E", (-grid.energy).ravel().tolist()), ("bound", grid.bound.ravel().tolist()),
+    ], args, stream)
     return 0
 
 
@@ -208,31 +207,28 @@ def cmd_table3(args, stream) -> int:
     from .reference import REFERENCE_MINUS_E, TABLE_MOLECULE, cell_decimals, cell_matches
     from .spectrum import spectrum_grid
 
-    rows = []
-    all_ok = True
+    blocks, n, l, printed, minus_e = [], [], [], [], []
     for block in ("H2", "LiH", "CO", "HCl"):
         mol = builtin(TABLE_MOLECULE[block])
         cells = sorted(REFERENCE_MINUS_E[block].items())
+        block_n, block_l = zip(*(key for key, _ in cells))
         grid = spectrum_grid(PotentialParams.from_molecule(mol, 1.0), MassModel.from_molecule(mol),
-                             [n for (n, _), _ in cells], [l for (_, l), _ in cells]).raise_fault()
-        for ((n, l), printed), energy in zip(cells, grid.energy.tolist()):
-            minus_e = -energy
-            ok = cell_matches(minus_e, printed)
-            all_ok &= ok
-            dev = minus_e - float(printed)
-            rows.append((block, n, l, printed, round(minus_e, cell_decimals(printed)), dev, ok))
-    table = {
-        "params": {
-            "q": 1.0, "delta": 0.0, "energy_zero": "dissociation",
-            "H2_parameter_set": TABLE_MOLECULE["H2"],
-        },
-        "columns": ["block", "n", "l", "reference", "computed", "deviation", "match"],
-        "rows": rows,
-    }
-    _emit(table, args, stream)
-    matched = sum(1 for r in rows if r[-1])
-    stream.write(f"{matched}/{len(rows)} cells matched\n")
-    return 0 if all_ok else 3
+                             block_n, block_l).raise_fault()
+        blocks += [block] * len(cells)
+        n += block_n
+        l += block_l
+        printed += (value for _, value in cells)
+        minus_e += (-grid.energy).tolist()
+    match = list(map(cell_matches, minus_e, printed))
+    params = {"q": 1.0, "delta": 0.0, "energy_zero": "dissociation",
+              "H2_parameter_set": TABLE_MOLECULE["H2"]}
+    _write_table(params, [
+        ("block", blocks), ("n", n), ("l", l), ("reference", printed),
+        ("computed", list(map(round, minus_e, map(cell_decimals, printed)))),
+        ("deviation", [e - float(p) for e, p in zip(minus_e, printed)]), ("match", match),
+    ], args, stream)
+    stream.write(f"{sum(match)}/{len(match)} cells matched\n")
+    return 0 if all(match) else 3
 
 
 def cmd_nmax(args, stream) -> int:
@@ -254,7 +250,7 @@ def cmd_nmax(args, stream) -> int:
     if total > MAX_LADDER_ROWS:
         raise DomainError(f"nmax --full at --q {args.q!r} would print {total} ladder rows, "
                           f"more than {MAX_LADDER_ROWS}; lower --q or drop --full")
-    rows, ladder_rows = [], []
+    edge, last_bound, ladder = [], [], [[], [], [], []]
     for name, p, mm, count in wells:
         # one grid per molecule: n = 0..n_max with --full, else n_max - 1 and n_max
         # (as floats: n_max outgrows an int64 at a huge --q); the summary reads
@@ -262,26 +258,23 @@ def cmd_nmax(args, stream) -> int:
         n = np.arange(count + 1) if args.full else np.array([max(count - 1, 0), count], float)
         grid = spectrum_grid(p, mm, n, 0)
         energy = grid.energy.tolist()
-        rows.append((name, count, energy[-1], energy[-2] if count > 0 else float("nan")))
-        if args.full:
-            shown = count + (count > 0)
-            ladder_rows += zip([name] * shown, range(shown), energy, grid.bound.tolist())
+        edge.append(energy[-1])
+        last_bound.append(energy[-2] if count > 0 else float("nan"))
+        if args.full and count > 0:  # every level and the edge row
+            shown = ([name] * len(energy), range(len(energy)), energy, grid.bound.tolist())
+            for cells, more in zip(ladder, shown):
+                cells += more
     params = {"molecules": args.molecules, "q": args.q,
               "note": "n_max = number of normalizable s-wave levels; "
                       "E_edge = formula value at index n_max (nearest the continuum); "
                       "E_last_bound = level n_max - 1"}
-    _emit({
-        "params": params,
-        "columns": ["molecule", "n_max", "E_edge_eV", "E_last_bound_eV"],
-        "rows": rows,
-    }, args, stream)
-    if ladder_rows:
+    _write_table(params, [
+        ("molecule", [name for name, *_ in wells]), ("n_max", [count for *_, count in wells]),
+        ("E_edge_eV", edge), ("E_last_bound_eV", last_bound),
+    ], args, stream)
+    if ladder[0]:
         stream.write("\n")
-        _emit({
-            "params": params,
-            "columns": ["molecule", "n", "E_eV", "bound"],
-            "rows": ladder_rows,
-        }, args, stream)
+        _write_table(params, list(zip(["molecule", "n", "E_eV", "bound"], ladder)), args, stream)
     return 0
 
 
@@ -309,19 +302,11 @@ def cmd_wavefunction(args, stream) -> int:
                           f"got r_min={r_lo:g}, r_max={r_hi:g}")
     grid = np.linspace(r_lo, r_hi, args.points)
     u, psi = radial_wavefunction(p, mm, state, grid)
-    # tuples of floats: the collector untracks them, so a dump's rows never
-    # pile up in the oldest generation and trigger full collections
-    rows = list(zip(grid.tolist(), u.tolist(), psi.tolist()))
-    table = {
-        "params": {
-            "molecule": mol.name, "q": args.q, "delta": args.delta,
-            "n": args.n, "l": args.l, "r_min": r_lo, "r_max": r_hi,
-            "points": args.points, "note": "normalization=closed form",
-        },
-        "columns": ["r_A", "u", "psi"],
-        "rows": rows,
-    }
-    _emit(table, args, stream)
+    params = {"molecule": mol.name, "q": args.q, "delta": args.delta,
+              "n": args.n, "l": args.l, "r_min": r_lo, "r_max": r_hi,
+              "points": args.points, "note": "normalization=closed form"}
+    _write_table(params, [("r_A", grid.tolist()), ("u", u.tolist()), ("psi", psi.tolist())],
+                 args, stream)
     return 0
 
 
@@ -369,13 +354,10 @@ def cmd_special_case(args, stream) -> int:
         values[field.name] = flags[flag] = getattr(args, flag)
     energy, bound = special_cases.special_case_ladder(case_type(**values), np.arange(args.levels))
     imag = np.imag(energy)
-    table = {
-        "params": {"case": case_id, **flags},
-        "columns": ["n", "Re_E_eV", "Im_E_eV", "bound", "non_real"],
-        "rows": list(zip(range(args.levels), np.real(energy).tolist(), imag.tolist(),
-                         bound.tolist(), (imag != 0).tolist())),
-    }
-    _emit(table, args, stream)
+    _write_table({"case": case_id, **flags}, [
+        ("n", list(range(args.levels))), ("Re_E_eV", np.real(energy).tolist()),
+        ("Im_E_eV", imag.tolist()), ("bound", bound.tolist()), ("non_real", (imag != 0).tolist()),
+    ], args, stream)
     return 0
 
 
@@ -389,8 +371,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command")
 
     def add_common(sp, table=True, molecules=True):
-        # --digits and csv only where _emit prints the result, --molecule-file
-        # only where _resolve_molecule reads it
+        # --digits and csv only where _write_table prints the result as columns,
+        # --molecule-file only where _resolve_molecule reads it
         sp.add_argument("--format", choices=("text", "csv", "json") if table else ("text", "json"),
                         default="text")
         sp.add_argument("--output", default=None, help="write to this path instead of stdout")
@@ -485,6 +467,18 @@ def _buffered(stdout):
                             errors=stdout.errors)
 
 
+def _write_output(path: str, text: str) -> None:
+    """Write ``text`` over ``path`` in place, then cut the old tail of a regular file."""
+    try:
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    except OSError as exc:
+        raise DomainError(f"cannot write {path}: {exc.strerror}") from exc
+    with open(fd, "wb") as handle:
+        handle.write(text.encode("utf-8"))
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            handle.truncate()
+
+
 def main(argv=None) -> int:
     # argparse keeps no state between parses, so one tree serves every call in
     # the process; keyed on the builder, so a replaced build_parser takes effect
@@ -500,10 +494,14 @@ def main(argv=None) -> int:
     stdout = _buffered(sys.stdout)
     try:
         try:
-            if getattr(args, "output", None):
-                with open(args.output, "w", encoding="utf-8", newline="\n") as handle:
-                    return args.func(args, handle)
-            return args.func(args, stdout)
+            # rendered whole first: a request that fails writes nothing anywhere
+            text = io.StringIO()
+            code = args.func(args, text)
+            if args.output:
+                _write_output(args.output, text.getvalue())
+            else:
+                stdout.write(text.getvalue())
+            return code
         finally:
             stdout.flush()  # a closed pipe fails here, not in the flush at exit
     except BrokenPipeError:

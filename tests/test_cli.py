@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -130,6 +131,62 @@ def test_output_file(tmp_path, capsys):
     content = target.read_bytes()
     assert b"\r" not in content  # LF line endings
     assert b"minus_E" in content
+
+
+SMALL_SPECTRUM = ["spectrum", "--molecule", "H2", "--n", "0", "--l", "0"]
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["spectrum", "--molecule", "XX", "--n", "0", "--l", "0"], 2),
+    (["spectrum", "--molecule", "CO", "--delta", "0.75", "--n", "5,49", "--l", "46,44",
+      "--q", "3.9e180"], 1),
+], ids=["unknown-molecule", "overflow"])
+def test_failed_request_leaves_the_output_file_as_it_was(tmp_path, capsys, argv, code):
+    target = tmp_path / "keep.txt"
+    target.write_bytes(b"kept\n")
+    assert run_cli([*argv, "--output", str(target)], capsys)[:2] == (code, "")
+    assert target.read_bytes() == b"kept\n"
+
+
+def test_shorter_rewrite_leaves_no_stale_tail(tmp_path, capsys):
+    target = tmp_path / "out.txt"
+    assert run_cli(["nmax", "--full", "--output", str(target)], capsys)[0] == 0
+    long = target.read_bytes()
+    code, out, _ = run_cli(SMALL_SPECTRUM, capsys)
+    assert code == 0 and len(out) < len(long)
+    assert run_cli([*SMALL_SPECTRUM, "--output", str(target)], capsys)[:2] == (0, "")
+    assert target.read_bytes() == out.encode()
+
+
+def test_output_to_a_fifo_gets_the_table(tmp_path, capsys):
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    code = run_cli([*SMALL_SPECTRUM, "--output", str(fifo)], capsys)[0]
+    reader.join(timeout=30)
+    assert code == 0 and not reader.is_alive()
+    assert received == [run_cli(SMALL_SPECTRUM, capsys)[1].encode()]
+
+
+def test_output_to_a_device_that_cannot_be_truncated(capsys):
+    assert run_cli([*SMALL_SPECTRUM, "--output", os.devnull], capsys) == (0, "", "")
+
+
+@pytest.mark.parametrize("case", ["molecule-file", "env", "output"])
+def test_unreadable_or_unwritable_path_exits_2(tmp_path, capsys, monkeypatch, case):
+    missing = str(tmp_path / "missing.txt")
+    argv = SMALL_SPECTRUM
+    if case == "molecule-file":
+        argv, expected = [*argv, "--molecule-file", missing], f"cannot read {missing}"
+    elif case == "env":
+        monkeypatch.setenv("MORSE_MOLECULE_PATH", missing)
+        expected = f"cannot read {missing}"
+    else:
+        argv, expected = [*argv, "--output", str(tmp_path)], f"cannot write {tmp_path}"
+    reason = "Is a directory" if case == "output" else "No such file or directory"
+    assert run_cli(argv, capsys) == (2, "", f"error: {expected}: {reason}\n")
 
 
 def test_deterministic_output(capsys):

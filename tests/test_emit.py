@@ -2,10 +2,13 @@
 
 ``reference_emit`` is the formatter as it stood before columns were formatted
 whole: an ``isinstance`` chain per cell, every text cell formatted twice, one
-``write`` per line, and the whole json payload through ``json.dumps``.  The
-output of ``qmorse.cli._emit`` must stay byte-identical to it for every
-format and ``--digits``, on drawn tables and on the tables of real commands.
-Every column ``_emit`` takes holds cells of one plain type (float, int, bool
+``write`` per line, and the whole json payload through ``json.dumps``.  It
+takes a table of rows, while ``qmorse.cli._write_table`` takes the params and
+one ``(name, cells)`` pair per column; ``write_table`` and
+``reference_writer`` adapt each to the other's input.  The output of
+``_write_table`` must stay byte-identical to the reference for every format
+and ``--digits``, on drawn tables and on the tables of real commands.  Every
+column ``_write_table`` takes holds cells of one plain type (float, int, bool
 or str); any other column, which the reference formatted cell by cell, raises
 ``TypeError`` naming the column.
 """
@@ -21,7 +24,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qmorse.cli as cli
-from qmorse.cli import _constants_dict, _emit, main
+from qmorse.cli import _constants_dict, _write_table, main
 
 
 def _reference_json_safe(value):
@@ -77,6 +80,20 @@ def reference_emit(table: dict, args, stream) -> None:
         stream.write("  ".join(fnum(v).rjust(w) for v, w in zip(row, widths)) + "\n")
 
 
+def write_table(table: dict, args, stream) -> None:
+    """``_write_table`` on a table of rows: each row's cells dealt out to the columns."""
+    cells = list(zip(*table["rows"])) if table["rows"] else [()] * len(table["columns"])
+    _write_table(table["params"], [(name, list(column))
+                                   for name, column in zip(table["columns"], cells)],
+                 args, stream)
+
+
+def reference_writer(params: dict, columns: list, args, stream) -> None:
+    """``reference_emit`` called as ``_write_table`` is: the columns zipped into rows."""
+    reference_emit({"params": params, "columns": [name for name, _ in columns],
+                    "rows": list(zip(*(cells for _, cells in columns)))}, args, stream)
+
+
 def _outcome(emit, table, args):
     """The text written."""
     stream = io.StringIO()
@@ -106,7 +123,7 @@ def tables(draw):
 @given(table=tables(), fmt=st.sampled_from(["text", "csv", "json"]), digits=st.integers(1, 25))
 def test_emit_matches_reference(table, fmt, digits):
     args = argparse.Namespace(format=fmt, digits=digits)
-    assert _outcome(_emit, table, args) == _outcome(reference_emit, table, args)
+    assert _outcome(write_table, table, args) == _outcome(reference_emit, table, args)
 
 
 # One strategy per column, edge values included: every cell of a drawn column
@@ -142,7 +159,7 @@ def homogeneous_tables(draw):
          fmt="json", digits=6)
 def test_emit_homogeneous_columns_match_reference(table, fmt, digits):
     args = argparse.Namespace(format=fmt, digits=digits)
-    assert _outcome(_emit, table, args) == _outcome(reference_emit, table, args)
+    assert _outcome(write_table, table, args) == _outcome(reference_emit, table, args)
 
 
 BAD_COLUMNS = {
@@ -161,7 +178,7 @@ def test_column_of_no_one_plain_type_raises(fmt, cells):
     table = {"params": {}, "columns": ["ok", "bad column"], "rows": [(1.0, c) for c in cells]}
     stream = io.StringIO()
     with pytest.raises(TypeError, match="column 'bad column' holds"):
-        _emit(table, argparse.Namespace(format=fmt, digits=6), stream)
+        write_table(table, argparse.Namespace(format=fmt, digits=6), stream)
     assert stream.getvalue() == ""
 
 
@@ -183,14 +200,14 @@ COMMANDS = {
 @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
 @pytest.mark.parametrize("command", sorted(COMMANDS))
 def test_commands_match_reference_emit(tmp_path, monkeypatch, command, fmt, digits):
-    # the same request through the emitter and through the reference: same file
-    def run(emit, name):
-        monkeypatch.setattr(cli, "_emit", emit)
+    # the same request through the writer and through the reference: same file
+    def run(writer, name):
+        monkeypatch.setattr(cli, "_write_table", writer)
         path = tmp_path / name
         code = main([*COMMANDS[command], "--format", fmt, "--digits", digits,
                      "--output", str(path)])
         return code, path.read_bytes()
 
-    emitted = run(_emit, "emit")
-    assert emitted == run(reference_emit, "reference")
+    emitted = run(_write_table, "emit")
+    assert emitted == run(reference_writer, "reference")
     assert emitted[0] == 0 and emitted[1]
