@@ -21,7 +21,6 @@ import io
 import json
 import math
 import os
-import stat
 import sys
 from itertools import chain
 from json.encoder import encode_basestring_ascii
@@ -59,8 +58,9 @@ def _resolve_molecule(name: str, molecule_file: str | None) -> MoleculeRecord:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
-        raise DomainError(f"cannot read {path}: {exc.strerror}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = exc.reason if isinstance(exc, UnicodeDecodeError) else exc.strerror
+        raise DomainError(f"cannot read {path}: {reason}") from exc
     records = {rec.name.lower(): rec for rec in load_molecules(text)}  # the last of a name wins
     return records.get(name.lower()) or builtin(name)
 
@@ -467,18 +467,6 @@ def _buffered(stdout):
                             errors=stdout.errors)
 
 
-def _write_output(path: str, text: str) -> None:
-    """Write ``text`` over ``path`` in place, then cut the old tail of a regular file."""
-    try:
-        fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
-    except OSError as exc:
-        raise DomainError(f"cannot write {path}: {exc.strerror}") from exc
-    with open(fd, "wb") as handle:
-        handle.write(text.encode("utf-8"))
-        if stat.S_ISREG(os.fstat(fd).st_mode):
-            handle.truncate()
-
-
 def main(argv=None) -> int:
     # argparse keeps no state between parses, so one tree serves every call in
     # the process; keyed on the builder, so a replaced build_parser takes effect
@@ -498,7 +486,12 @@ def main(argv=None) -> int:
             text = io.StringIO()
             code = args.func(args, text)
             if args.output:
-                _write_output(args.output, text.getvalue())
+                try:
+                    handle = open(args.output, "w", encoding="utf-8", newline="\n")
+                except OSError as exc:
+                    raise DomainError(f"cannot write {args.output}: {exc.strerror}") from exc
+                with handle:
+                    handle.write(text.getvalue())
             else:
                 stdout.write(text.getvalue())
             return code

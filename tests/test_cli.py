@@ -170,22 +170,23 @@ def test_output_to_a_fifo_gets_the_table(tmp_path, capsys):
     assert received == [run_cli(SMALL_SPECTRUM, capsys)[1].encode()]
 
 
-def test_output_to_a_device_that_cannot_be_truncated(capsys):
-    assert run_cli([*SMALL_SPECTRUM, "--output", os.devnull], capsys) == (0, "", "")
-
-
-@pytest.mark.parametrize("case", ["molecule-file", "env", "output"])
+@pytest.mark.parametrize("case", ["molecule-file", "env", "non-utf8", "output"])
 def test_unreadable_or_unwritable_path_exits_2(tmp_path, capsys, monkeypatch, case):
     missing = str(tmp_path / "missing.txt")
-    argv = SMALL_SPECTRUM
+    argv, reason = SMALL_SPECTRUM, "No such file or directory"
     if case == "molecule-file":
         argv, expected = [*argv, "--molecule-file", missing], f"cannot read {missing}"
     elif case == "env":
         monkeypatch.setenv("MORSE_MOLECULE_PATH", missing)
         expected = f"cannot read {missing}"
+    elif case == "non-utf8":
+        latin1 = tmp_path / "latin1.txt"
+        latin1.write_bytes(b"name = H\xff\n")
+        argv, expected = [*argv, "--molecule-file", str(latin1)], f"cannot read {latin1}"
+        reason = "invalid start byte"
     else:
         argv, expected = [*argv, "--output", str(tmp_path)], f"cannot write {tmp_path}"
-    reason = "Is a directory" if case == "output" else "No such file or directory"
+        reason = "Is a directory"
     assert run_cli(argv, capsys) == (2, "", f"error: {expected}: {reason}\n")
 
 
