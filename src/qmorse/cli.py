@@ -6,7 +6,8 @@ pipe (nothing on stderr), 2 usage or domain error or a path that cannot be
 read or written, 3 golden-value mismatch (table3).  ``main`` writes a
 command's output once it returns, so a failed request leaves ``--output`` as
 it was.  Table commands hand ``_write_table`` params and ``(name, cells)``
-column pairs.  At module level only the standard library and the numpy-free
+column pairs; ``oracle-compare`` renders the oracle's column-first report
+through the same per-column cell specs.  At module level only the standard library and the numpy-free
 errors, units and molecules are imported; each ``cmd_*`` imports numpy and
 its evaluators when it runs, so ``--show-constants`` loads no numpy and only
 ``oracle-compare`` loads scipy.
@@ -32,8 +33,9 @@ from .units import UNITS
 ENV_MOLECULE_PATH = "MORSE_MOLECULE_PATH"
 
 #: most rows one request may print: the s-wave ladder of ``nmax --full`` (CO has
-#: 8.3e8 at q = 1e7), ``special-case --levels`` and ``wavefunction --points``;
-#: 1e5 ladder rows take about 1 s and 90 MB on one core of a 2-core x86-64 VM
+#: 8.3e8 at q = 1e7), ``special-case --levels``, ``wavefunction --points`` and the
+#: n x l grid of ``spectrum``; 1e5 ladder rows take about 1 s and 90 MB on one
+#: core of a 2-core x86-64 VM
 MAX_LADDER_ROWS = 10**5
 
 #: special-case fields whose CLI flag differs from the field name
@@ -101,37 +103,46 @@ def _fill(template: str, columns, count: int, sep: str = "\n") -> str:
     return sep.join([template] * count) % tuple(chain.from_iterable(zip(*columns)))
 
 
+def _cell_spec(name: str, column, float_spec: str, is_json: bool) -> tuple[list, str]:
+    """The cells of one column as one ``%`` spec formats them, and that spec:
+    ``float_spec`` for floats (``%r`` is how json writes a finite float), bools
+    as true/false, strings as JSON strings in JSON and non-finite floats there
+    by json's names."""
+    kind = _column_type(name, column)
+    if kind is bool:
+        return list(map(_BOOL_TEXT.__getitem__, column)), "%s"
+    if kind is str:
+        return list(map(encode_basestring_ascii, column)) if is_json else column, "%s"
+    if kind is int:
+        return column, "%d"
+    if is_json and not all(map(math.isfinite, column)):
+        return [_JSON_NON_FINITE.get(text, text) for text in map(repr, column)], "%s"
+    return column, float_spec
+
+
+def _json_with_rows(head: dict, row: str, data, count: int) -> str:
+    """``head`` as ``json.dumps(..., indent=2, sort_keys=True)`` writes it, with
+    its last ``[]``, the one list it holds, filled by ``count`` copies of the
+    ``row`` template, each a list element at indent 4."""
+    text = json.dumps(head, indent=2, sort_keys=True)
+    if count:
+        before, _, after = text.rpartition("[]")
+        text = before + "[\n" + _fill(row, data, count, ",\n") + "\n  ]" + after
+    return text + "\n"
+
+
 def _write_table(params: dict, columns: list[tuple[str, list]], args, stream) -> None:
     """Write one table in one ``write``: ``params`` for its header and one
     ``(name, cells)`` pair per column, every column as long as the first."""
     names = [name for name, _ in columns]
     count = len(columns[0][1])
     is_json = args.format == "json"
-    data = [cells for _, cells in columns]  # each column is formatted by one % spec
-    specs = []
-    for i, (name, column) in enumerate(columns):
-        kind = _column_type(name, column)
-        if kind is bool:
-            data[i] = list(map(_BOOL_TEXT.__getitem__, column))
-        elif kind is str and is_json:
-            data[i] = list(map(encode_basestring_ascii, column))
-        elif kind is float and is_json and not all(map(math.isfinite, column)):
-            data[i] = [_JSON_NON_FINITE.get(text, text) for text in map(repr, column)]
-            kind = str
-        if kind is int:
-            specs.append("%d")
-        elif kind is float:  # float.__repr__ is how json writes a finite float
-            specs.append("%r" if is_json else f"%.{args.digits}g")
-        else:
-            specs.append("%s")
-    if is_json:
-        head = json.dumps({"params": params, "constants": _constants_dict(),
-                           "columns": names, "rows": []}, indent=2, sort_keys=True)
-        if count:  # "rows" sorts last: its [] is the last one in the head
-            row = "    [\n      " + ",\n      ".join(specs) + "\n    ]"
-            before, _, after = head.rpartition("[]")
-            head = before + "[\n" + _fill(row, data, count, ",\n") + "\n  ]" + after
-        stream.write(head + "\n")
+    float_spec = "%r" if is_json else f"%.{args.digits}g"
+    data, specs = zip(*(_cell_spec(name, cells, float_spec, is_json) for name, cells in columns))
+    if is_json:  # "rows" sorts last: its [] is the last one in the head
+        stream.write(_json_with_rows(
+            {"params": params, "constants": _constants_dict(), "columns": names, "rows": []},
+            "    [\n      " + ",\n      ".join(specs) + "\n    ]", data, count))
         return
     if args.format == "csv":
         lines = [f"# {key} = {params[key]}" for key in sorted(params)]
@@ -149,6 +160,58 @@ def _write_table(params: dict, columns: list[tuple[str, list]], args, stream) ->
         if count:
             lines.append(_fill(row, texts, count))
     stream.write("\n".join(lines) + "\n")
+
+
+def _report_levels(report, n_levels: int | None, flags: list) -> list[tuple[str, list]]:
+    """The report's first ``n_levels`` (all if None) levels as ``(name, cells)``
+    columns in json's key order, with ``flags`` as the flagged column."""
+    rows = slice(n_levels)
+    closed = report.closed[rows].tolist()
+    return [("closed_form_eV", closed), ("deviation_eV", report.deviation[rows].tolist()),
+            ("flagged", flags[rows]), ("index", list(range(len(closed)))),
+            ("oracle_eV", report.oracle[rows].tolist()),
+            ("oracle_error_eV", report.error[rows].tolist())]
+
+
+def _report_json(report, n_levels: int | None = None) -> str:
+    """The report as ``json.dumps(..., indent=2, sort_keys=True)`` writes it; the
+    counts and the maximum describe the whole comparison, the levels its first
+    ``n_levels``."""
+    from .oracle import FLAG_FACTOR
+
+    columns = _report_levels(report, n_levels, report.flagged.tolist())
+    data, specs = zip(*(_cell_spec(name, cells, "%r", True) for name, cells in columns))
+    row = "    {\n" + ",\n".join(f'      "{name}": {spec}'
+                                  for (name, _), spec in zip(columns, specs)) + "\n    }"
+    return _json_with_rows({
+        "closed_count": report.closed_count, "count_mismatch": report.count_mismatch,
+        "flag_factor": FLAG_FACTOR, "levels": [], "max_deviation_eV": report.max_deviation,
+        "oracle_count": report.oracle_count,
+    }, row, data, len(columns[0][1]))
+
+
+#: the text report's columns: header, width and float format, by the JSON key they show
+_REPORT_TEXT = {"index": ("idx", 4, None), "closed_form_eV": ("closed form", 16, "%.9f"),
+                "oracle_eV": ("oracle", 16, "%.9f"), "deviation_eV": ("deviation", 12, "%.3e"),
+                "oracle_error_eV": ("est. err", 12, "%.3e"), "flagged": ("flag", 0, None)}
+
+
+def _report_text(report, n_levels: int | None = None) -> str:
+    """The report as a table of its first ``n_levels`` levels, "!" marking a
+    flagged one, and a last line with both counts."""
+    columns = dict(_report_levels(report, n_levels, ["!" if f else "" for f in report.flagged]))
+    heads, data, specs = [], [], []
+    for key, (head, width, float_spec) in _REPORT_TEXT.items():
+        cells, spec = _cell_spec(head, columns[key], float_spec, False)
+        heads.append(f"%{width}s" % head)
+        data.append(cells)
+        specs.append(f"%{width}{spec[1:]}")
+    lines = [" ".join(heads)]
+    if data[0]:
+        lines.append(_fill(" ".join(specs), data, len(data[0])))
+    lines.append(f"levels: closed-form {report.closed_count}, oracle {report.oracle_count}"
+                 + ("  (count mismatch)" if report.count_mismatch else ""))
+    return "\n".join(lines) + "\n"
 
 
 def _check_rows(flag: str, count: int) -> None:
@@ -187,6 +250,7 @@ def cmd_spectrum(args, stream) -> int:
     mol = _resolve_molecule(args.molecule, args.molecule_file)
     n_list = _parse_int_list(args.n)
     l_list = _parse_int_list(args.l)
+    _check_rows("--n x --l", len(n_list) * len(l_list))
     p = PotentialParams.from_molecule(mol, args.q)
     mm = MassModel.from_molecule(mol, args.delta)
     grid = spectrum_grid(p, mm, np.array(n_list)[:, None], l_list).raise_fault()
@@ -321,11 +385,9 @@ def cmd_oracle_compare(args, stream) -> int:
     at_cap = args.grid is None and cfg.grid_points == SUGGESTED_MAX_GRID_POINTS
     if args.grid is not None:
         cfg = dataclasses.replace(cfg, grid_points=args.grid)
-    spectrum_oracle = solve(prob, cfg)
-    report = compare(prob.ladder.tolist(), spectrum_oracle)  # counts describe the whole ladders
-    report.levels = report.levels[:args.n_levels]
+    report = compare(prob.ladder, solve(prob, cfg))
     if args.format == "json":
-        stream.write(report.to_json() + "\n")
+        stream.write(_report_json(report, args.n_levels))
     else:
         coordinate = "uniform" if prob.origin is None else "mapped-log"
         stream.write(
@@ -334,7 +396,7 @@ def cmd_oracle_compare(args, stream) -> int:
             f"grid={cfg.grid_points}{' (at cap)' if at_cap else ''}"
             f" domain=[{cfg.r_min:.4f},{cfg.r_max:.4f}]\n"
         )
-        stream.write(report.to_text() + "\n")
+        stream.write(_report_text(report, args.n_levels))
     return 0
 
 

@@ -66,8 +66,7 @@ W = potential.effective_potential, keeping l(l+1)/r^2 and 1/r as they are.
 from __future__ import annotations
 
 import math
-import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from typing import Callable
@@ -177,7 +176,6 @@ class OracleConfig:
     r_min: float
     r_max: float
     grid_points: int = SUGGESTED_MAX_GRID_POINTS
-    want_vectors: bool = False
     grid_map: GridMap = GridMap()
 
     def __post_init__(self):
@@ -203,9 +201,6 @@ class OracleSpectrum:
 
     eigenvalues: np.ndarray
     error_estimates: np.ndarray
-    threshold: float
-    grid: np.ndarray | None = None
-    eigenvectors: np.ndarray | None = None
 
 
 def _fit_map(t: np.ndarray, need: np.ndarray) -> GridMap:
@@ -324,15 +319,15 @@ def _wall_efolds(w_hat, b_hat, e, h):
     return float(np.sum(kappa_h[:allowed[0]])), float(np.sum(kappa_h[allowed[-1] + 1:]))
 
 
-def _solve_once(prob: OracleProblem, gmap: GridMap, x_lo, x_hi, n, want_vectors):
+def _solve_once(prob: OracleProblem, gmap: GridMap, x_lo, x_hi, n):
     """Levels below the threshold on n interior points of [x_lo, x_hi], their
-    roundoff, the grid, the eigenvectors (or None) and the shallowest level's
-    decay to each wall (``_wall_efolds``; zero when no level is bound).
+    roundoff and the shallowest level's decay to each wall (``_wall_efolds``;
+    zero when no level is bound).
 
     x = X(t) is ``gmap`` of t, which is r itself or ln(r - prob.origin)
     on the log grid.  The roundoff is 16 eps ||H||_inf.
     """
-    from scipy.linalg import eig_banded, solve_banded
+    from scipy.linalg import eig_banded
 
     h = (x_hi - x_lo) / (n + 1)
     t = gmap.t(x_lo + h * np.arange(1, n + 1))
@@ -352,32 +347,20 @@ def _solve_once(prob: OracleProblem, gmap: GridMap, x_lo, x_hi, n, want_vectors)
         raise DomainError("effective potential is not finite on the grid")
     inv_sqrt_b = 1.0 / np.sqrt(b_hat)
     p = len(KINETIC_BAND) - 1
-    band = np.zeros((2 * p + 1, n))  # band[p + i - j, j] = H[i, j]; rows <= p: upper form
+    band = np.zeros((p + 1, n))  # upper form: band[p + i - j, j] = H[i, j] for i <= j
     diag = (KINETIC_BAND[0] / h**2 + w_hat) / b_hat
     band[p] = diag
     off_sum = np.zeros(n)  # sum of |H[i, j]| over j != i
     for k in range(1, p + 1):
         off = KINETIC_BAND[k] / h**2 * inv_sqrt_b[:-k] * inv_sqrt_b[k:]
-        band[p - k, k:] = band[p + k, :-k] = off
+        band[p - k, k:] = off
         off_sum[:-k] += np.abs(off)
         off_sum[k:] += np.abs(off)
     roundoff = 16.0 * np.finfo(float).eps * float(np.max(np.abs(diag) + off_sum))
-    vals = eig_banded(band[:p + 1], eigvals_only=True)
+    vals = eig_banded(band, eigvals_only=True)
     vals = vals[vals <= float(prob.threshold) - 1e-12]
     efolds = _wall_efolds(w_hat, b_hat, vals[-1], h) if len(vals) else (0.0, 0.0)
-    if not want_vectors:
-        return vals, roundoff, grid, None, efolds
-    # inverse iteration on the same band: O(p^2 N) per level, no N x N array
-    vecs = np.empty((n, len(vals)))
-    for j, val in enumerate(vals):
-        band[p] = diag - (val + roundoff)
-        x = np.ones(n)
-        for _ in range(2):
-            x = solve_banded((p, p), band, x)
-            x /= np.linalg.norm(x)
-        vecs[:, j] = x
-    u = vecs * (inv_sqrt_b * np.sqrt(dr_dx))[:, None]  # back to u = (dr/dx)^{1/2} phi
-    return vals, roundoff, grid, u / np.sqrt(h * (dr_dx @ u**2)), efolds
+    return vals, roundoff, efolds
 
 
 def solve(prob: OracleProblem, cfg: OracleConfig) -> OracleSpectrum:
@@ -398,8 +381,7 @@ def solve(prob: OracleProblem, cfg: OracleConfig) -> OracleSpectrum:
     gmap = cfg.grid_map
     t_lo, t_hi = coord(cfg.r_min), coord(cfg.r_max)
     x_lo, x_hi = gmap.x(t_lo), gmap.x(t_hi)
-    vals, roundoff, grid, vectors, (inner, outer) = _solve_once(
-        prob, gmap, x_lo, x_hi, cfg.grid_points, cfg.want_vectors)
+    vals, roundoff, (inner, outer) = _solve_once(prob, gmap, x_lo, x_hi, cfg.grid_points)
     estimates = np.empty(0)
     if len(vals):
         span = t_hi - t_lo
@@ -409,16 +391,13 @@ def solve(prob: OracleProblem, cfg: OracleConfig) -> OracleSpectrum:
         if outer < WALL_EFOLDS:
             check_hi = gmap.x(t_hi + 0.25 * span)
         check_n = math.ceil(1.25 * (check_hi - check_lo) / (x_hi - x_lo) * (cfg.grid_points + 1)) - 1
-        check_vals, check_roundoff, *_ = _solve_once(prob, gmap, check_lo, check_hi, check_n, False)
+        check_vals, check_roundoff, _ = _solve_once(prob, gmap, check_lo, check_hi, check_n)
         # a level the check solve lost may lie anywhere up to the threshold
         other = np.full(len(vals), float(prob.threshold))
         shared = min(len(vals), len(check_vals))
         other[:shared] = check_vals[:shared]
         estimates = np.maximum(np.abs(vals - other), max(roundoff, check_roundoff))
-    return OracleSpectrum(
-        eigenvalues=vals, error_estimates=estimates, threshold=prob.threshold,
-        grid=grid, eigenvectors=vectors,
-    )
+    return OracleSpectrum(eigenvalues=vals, error_estimates=estimates)
 
 
 def _tail_padding(prob: OracleProblem, e_top: float) -> float:
@@ -501,43 +480,29 @@ def suggest_config(prob: OracleProblem, e_top: float | None = None) -> OracleCon
     return OracleConfig(r_min=r_min, r_max=r_max, grid_points=n_points, grid_map=gmap)
 
 
-_JSON_BOOL = {False: "false", True: "true"}
-_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-_LEVEL_JSON = """    {
-      "closed_form_eV": %r,
-      "deviation_eV": %r,
-      "flagged": %s,
-      "index": %d,
-      "oracle_eV": %r,
-      "oracle_error_eV": %r
-    }"""
-_REPORT_JSON = """{
-  "closed_count": %d,
-  "count_mismatch": %s,
-  "flag_factor": %r,
-  "levels": %s,
-  "max_deviation_eV": %r,
-  "oracle_count": %d
-}"""
-
-
-@dataclass
-class LevelComparison:
-    index: int
-    closed_form: float
-    oracle: float
-    oracle_error: float
-    deviation: float
-    flagged: bool
-
-
-@dataclass
+@dataclass(frozen=True)
 class ComparisonReport:
-    """Per-level deviations between closed-form and oracle spectra."""
+    """Closed-form and oracle levels paired by index, column by column.
 
-    levels: list[LevelComparison] = field(default_factory=list)
-    closed_count: int = 0
-    oracle_count: int = 0
+    closed, oracle and error (the oracle's estimate) hold the matched prefix,
+    the first min(closed_count, oracle_count) levels; the counts are those of
+    the whole ladders.  All in eV.
+    """
+
+    closed: np.ndarray
+    oracle: np.ndarray
+    error: np.ndarray
+    closed_count: int
+    oracle_count: int
+
+    @property
+    def deviation(self) -> np.ndarray:
+        return np.abs(self.closed - self.oracle)
+
+    @property
+    def flagged(self) -> np.ndarray:
+        """A deviation above FLAG_FACTOR estimates (never a NaN one)."""
+        return self.deviation > FLAG_FACTOR * self.error
 
     @property
     def count_mismatch(self) -> bool:
@@ -545,60 +510,18 @@ class ComparisonReport:
 
     @property
     def max_deviation(self) -> float:
-        return max((lv.deviation for lv in self.levels), default=0.0)
-
-    def to_json(self) -> str:
-        """The report as ``json.dumps(..., indent=2, sort_keys=True)`` writes it, from
-        one % template instead of json's pure-Python indenting encoder."""
-        levels = ",\n".join([_LEVEL_JSON] * len(self.levels)) % tuple(
-            value for lv in self.levels for value in (
-                lv.closed_form, lv.deviation, _JSON_BOOL[lv.flagged], lv.index, lv.oracle,
-                lv.oracle_error))
-        text = _REPORT_JSON % (
-            self.closed_count, _JSON_BOOL[self.count_mismatch], FLAG_FACTOR,
-            f"[\n{levels}\n  ]" if levels else "[]", self.max_deviation, self.oracle_count)
-        if "nan" in text or "inf" in text:  # no key holds either
-            text = re.sub(r"(?<=: )-?inf|(?<=: )nan", lambda m: _JSON_NONFINITE[m[0]], text)
-        return text
-
-    def to_text(self) -> str:
-        lines = [
-            f"{'idx':>4} {'closed form':>16} {'oracle':>16} {'deviation':>12} {'est. err':>12} flag",
-        ]
-        for lv in self.levels:
-            lines.append(
-                f"{lv.index:>4} {lv.closed_form:>16.9f} {lv.oracle:>16.9f}"
-                f" {lv.deviation:>12.3e} {lv.oracle_error:>12.3e}"
-                f" {'!' if lv.flagged else ''}"
-            )
-        lines.append(
-            f"levels: closed-form {self.closed_count}, oracle {self.oracle_count}"
-            + ("  (count mismatch)" if self.count_mismatch else "")
-        )
-        return "\n".join(lines)
+        return max(self.deviation.tolist(), default=0.0)
 
 
-def compare(closed_form: list[float], oracle: OracleSpectrum) -> ComparisonReport:
-    """Pair levels by index and report deviations.
+def compare(closed_form, oracle: OracleSpectrum) -> ComparisonReport:
+    """Pair levels by index.
 
     A deviation exceeding FLAG_FACTOR (10) times the oracle's own
-    discretization error estimate is flagged; the JSON report echoes the
-    factor.  A level-count mismatch is reported, not fatal.
+    discretization error estimate is flagged.  A level-count mismatch is
+    reported, not fatal.
     """
-    closed_vals = [float(c) for c in closed_form]
-    report = ComparisonReport(closed_count=len(closed_vals), oracle_count=len(oracle.eigenvalues))
-    for idx in range(min(len(closed_vals), len(oracle.eigenvalues))):
-        deviation = abs(closed_vals[idx] - float(oracle.eigenvalues[idx]))
-        err = float(oracle.error_estimates[idx])
-        flagged = deviation > FLAG_FACTOR * err
-        report.levels.append(
-            LevelComparison(
-                index=idx,
-                closed_form=closed_vals[idx],
-                oracle=float(oracle.eigenvalues[idx]),
-                oracle_error=err,
-                deviation=deviation,
-                flagged=flagged,
-            )
-        )
-    return report
+    closed = np.asarray(closed_form, dtype=float)
+    shared = min(len(closed), len(oracle.eigenvalues))
+    return ComparisonReport(closed=closed[:shared], oracle=oracle.eigenvalues[:shared],
+                            error=oracle.error_estimates[:shared], closed_count=len(closed),
+                            oracle_count=len(oracle.eigenvalues))

@@ -11,13 +11,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from crosscheck.dense import dense_eigh
 from crosscheck.ladder import energy_from_epsilon, resolve_reported_ladder
 from crosscheck.nodes import node_count
 from crosscheck.nu import NuInput, derive_constants, energy_equation_residual, exact_sqrt, key_polynomials, morse_nu_input
 from crosscheck.residuals import transformed_residual_constant_mass, transformed_residual_pdm
 from crosscheck.series import hyp2f1, hyp3f2
 from qmorse import builtin
-from qmorse.oracle import OracleConfig, compare, problem, solve, suggest_config
+from qmorse.oracle import compare, problem, solve, suggest_config
 from qmorse.pekeris import pekeris_coefficients
 from qmorse.potential import MassModel, PotentialParams
 from qmorse.reference import (
@@ -166,7 +167,7 @@ def test_criterion_4_pdm_continuity_and_identity():
                 spectrum = solve(prob, suggest_config(prob))
                 report = compare(closed, spectrum)
                 assert report.closed_count == report.oracle_count, (name, delta, l)
-                assert not any(lv.flagged for lv in report.levels), (name, delta, l)
+                assert not any(report.flagged), (name, delta, l)
                 worst_c = max(worst_c, report.max_deviation)
                 assert report.max_deviation < 1e-5, (name, delta, l, report.max_deviation)
     print(
@@ -257,17 +258,14 @@ def test_criterion_7_wavefunctions(series_log_norm):
         worst_resid = max(worst_resid, transformed_residual_pdm(p, mm, QuantumState(n, 0), z_pdm))
     assert worst_resid < 1e-6
 
-    # oracle ground-state overlap > 0.9999 (H2, l = 0, delta = 0)
+    # oracle ground-state overlap > 0.9999 (H2, l = 0, delta = 0), on the
+    # suggested grid's matrix solved densely, under its quadrature weights
     prob = problem(p, mm0, 0)
-    cfg = OracleConfig(r_min=1e-3, r_max=14.0, grid_points=3000, want_vectors=True,
-                       grid_map=suggest_config(prob).grid_map)
-    spectrum = solve(prob, cfg)
-    grid = spectrum.grid
-    h = grid[1] - grid[0]
-    analytic, _ = radial_wavefunction(p, mm0, QuantumState(0, 0), grid)
-    numeric = spectrum.eigenvectors[:, 0]
-    overlap = abs(np.sum(numeric * analytic) * h) / math.sqrt(
-        np.sum(numeric**2) * h * np.sum(analytic**2) * h)
+    r, weights, _, vectors, _ = dense_eigh(prob, suggest_config(prob))
+    analytic, _ = radial_wavefunction(p, mm0, QuantumState(0, 0), r)
+    numeric = vectors[:, 0]
+    overlap = abs(np.sum(weights * numeric * analytic)) / math.sqrt(
+        np.sum(weights * numeric**2) * np.sum(weights * analytic**2))
     assert overlap > 0.9999
 
     # beta-integral identity at one nontrivial parameter point, rel 1e-8

@@ -352,6 +352,29 @@ def test_row_flags_past_the_cap_exit_2_before_building(capsys, monkeypatch, argv
     assert code == 0 and len(json.loads(out)["rows"]) == 30
 
 
+def test_spectrum_grid_past_the_cap_exits_2_before_building(capsys, monkeypatch):
+    # spectrum prints one row per (n, l) pair: 400 x 400 asks for 160000
+    import qmorse.cli as cli_mod
+    import qmorse.spectrum as spectrum_mod
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("built rows past the cap")
+
+    monkeypatch.setattr(spectrum_mod, "spectrum_grid", refuse)
+    values = ",".join(map(str, range(400)))
+    code, out, err = run_cli(["spectrum", "--molecule", "H2", "--n", values, "--l", values], capsys)
+    assert code == 2 and out == ""
+    assert err == f"error: --n x --l 160000 asks for more than {cli_mod.MAX_LADDER_ROWS} rows\n"
+    # the cap itself is admitted
+    monkeypatch.undo()
+    monkeypatch.setattr(cli_mod, "MAX_LADDER_ROWS", 6)
+    argv = ["spectrum", "--molecule", "H2", "--n", "0,1,2", "--format", "json", "--l"]
+    code, out, _ = run_cli([*argv, "0,1"], capsys)
+    assert code == 0 and len(json.loads(out)["rows"]) == 6
+    code, out, err = run_cli([*argv, "0,1,2"], capsys)
+    assert code == 2 and out == "" and "--n x --l 9 asks for more than 6 rows" in err
+
+
 def test_nmax_summary_evaluates_two_states_per_molecule(capsys, monkeypatch):
     import qmorse.spectrum as spectrum_mod
 
@@ -628,6 +651,26 @@ def test_oracle_compare_n_levels_cuts_only_the_rows(capsys):
     assert payload["count_mismatch"] is False
     assert payload["closed_count"] == payload["oracle_count"] > 3
     assert len(payload["levels"]) == 3
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_oracle_compare_n_levels_keeps_the_whole_comparison(capsys, fmt):
+    # CO delta = 0.5 l = 6 deviates most near its ladder top (1.07e-2 eV against
+    # 4e-14 eV over the first three levels): --n-levels cuts the rows, while the
+    # counts and the maximum still describe every matched level
+    argv = ["oracle-compare", "--molecule", "CO", "--delta", "0.5", "--l", "6", "--format", fmt]
+    code, whole, _ = run_cli(argv, capsys)
+    assert code == 0
+    code, cut, _ = run_cli([*argv, "--n-levels", "3"], capsys)
+    assert code == 0
+    if fmt == "text":  # header, three rows and the counts
+        lines = whole.splitlines()
+        assert cut.splitlines() == lines[:5] + lines[-1:]
+        return
+    whole, cut = json.loads(whole), json.loads(cut)
+    assert whole["max_deviation_eV"] > 1e-3 > max(lv["deviation_eV"] for lv in cut["levels"])
+    assert cut.pop("levels") == whole.pop("levels")[:3]
+    assert cut == whole
 
 
 @pytest.mark.parametrize("extra, coordinate", [

@@ -6,11 +6,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.linalg import toeplitz
-
+from crosscheck.dense import dense_eigh
 from crosscheck.nodes import node_count
 from crosscheck.substituted import pekeris_centrifugal, sweep
 from qmorse import builtin, oracle
+from qmorse.cli import _report_json, _report_text
 from qmorse.errors import DomainError
 from qmorse.oracle import (
     KINETIC_BAND,
@@ -21,7 +21,6 @@ from qmorse.oracle import (
     SUGGESTED_MAX_GRID_POINTS,
     ComparisonReport,
     GridMap,
-    LevelComparison,
     OracleConfig,
     compare,
     pole_wall,
@@ -129,9 +128,9 @@ def test_error_estimate_is_calibrated(name, delta, l):
     cfg = suggest_config(prob)
     report = compare((bound_ladder(p, mm, l).energy + p.v3).tolist(), solve(prob, cfg))
     assert not report.count_mismatch
-    worst = max(lv.deviation / lv.oracle_error for lv in report.levels)
+    worst = max(report.deviation / report.error)
     assert 0.05 <= worst <= 2.0, worst
-    assert max(lv.oracle_error for lv in report.levels) <= 1e-5
+    assert max(report.error) <= 1e-5
 
 
 @pytest.mark.parametrize("name, l", [("CO", 5), ("HCl", 10), ("LiH", 3)])
@@ -146,8 +145,8 @@ def test_constant_mass_pekeris_oracle_resolves_deep_ladders(name, l):
     assert cfg.grid_points < SUGGESTED_MAX_GRID_POINTS
     report = compare((bound_ladder(p, mm, l).energy + p.v3).tolist(), solve(prob, cfg))
     assert not report.count_mismatch
-    assert not any(lv.flagged for lv in report.levels)
-    assert max(lv.oracle_error for lv in report.levels) <= 1e-5
+    assert not any(report.flagged)
+    assert max(report.error) <= 1e-5
 
 
 def test_constant_mass_pekeris_cells_fit_in_635_points():
@@ -229,34 +228,29 @@ def test_suggested_grid_is_not_floored(name):
     assert cfg.grid_points < 150
     report = compare((bound_ladder(p, mm, 0).energy + p.v3).tolist(), solve(prob, cfg))
     assert not report.count_mismatch
-    for lv in report.levels:
-        assert lv.deviation <= 2.0 * lv.oracle_error, lv
+    assert np.all(report.deviation <= 2.0 * report.error), report
 
 
 def test_eigenvector_node_counts(h2_ref):
+    # the vectors of the suggested mapped grid's matrix, solved densely
     p = PotentialParams.from_molecule(h2_ref, 1.0)
     mm = MassModel.from_molecule(h2_ref, 0.0)
     prob = problem(p, mm, 0)
-    cfg = OracleConfig(r_min=1e-3, r_max=14.0, grid_points=2500, want_vectors=True,
-                       grid_map=suggest_config(prob).grid_map)
-    spectrum = solve(prob, cfg)
+    _, _, _, vectors, _ = dense_eigh(prob, suggest_config(prob))
     for n in range(6):
-        assert node_count(spectrum.eigenvectors[:, n]) == n
+        assert node_count(vectors[:, n]) == n
 
 
 def test_ground_state_overlap_with_analytic(h2_ref):
+    # the overlap under the grid's own quadrature weights (dr/dx) h
     p = PotentialParams.from_molecule(h2_ref, 1.0)
     mm = MassModel.from_molecule(h2_ref, 0.0)
     prob = problem(p, mm, 0)
-    cfg = OracleConfig(r_min=1e-3, r_max=14.0, grid_points=3000, want_vectors=True,
-                       grid_map=suggest_config(prob).grid_map)
-    spectrum = solve(prob, cfg)
-    grid = spectrum.grid
-    analytic, _ = radial_wavefunction(p, mm, QuantumState(0, 0), grid)
-    h = grid[1] - grid[0]
-    numeric = spectrum.eigenvectors[:, 0]
-    overlap = abs(np.sum(numeric * analytic) * h)
-    overlap /= math.sqrt(np.sum(numeric**2) * h * np.sum(analytic**2) * h)
+    r, weights, _, vectors, _ = dense_eigh(prob, suggest_config(prob))
+    analytic, _ = radial_wavefunction(p, mm, QuantumState(0, 0), r)
+    numeric = vectors[:, 0]
+    overlap = abs(np.sum(weights * numeric * analytic))
+    overlap /= math.sqrt(np.sum(weights * numeric**2) * np.sum(weights * analytic**2))
     assert overlap > 0.9999
 
 
@@ -345,7 +339,7 @@ def test_compare_empty_closed_form(h2_ref):
                        grid_map=suggest_config(prob).grid_map)
     spectrum = solve(prob, cfg)
     report = compare([], spectrum)
-    assert report.levels == []
+    assert len(report.closed) == len(report.oracle) == len(report.error) == 0
     assert report.closed_count == 0
     assert report.count_mismatch
 
@@ -359,22 +353,40 @@ def test_report_serialization(h2_ref):
     spectrum = solve(prob, cfg)
     closed = _closed_levels(p, mm, 0, 3)
     report = compare(closed, spectrum)
-    payload = json.loads(report.to_json())
+    payload = json.loads(_report_json(report))
     assert payload["closed_count"] == len(closed)
     assert len(payload["levels"]) == len(closed)
-    text = report.to_text()
+    text = _report_text(report)
     assert "closed form" in text and "levels:" in text
 
 
-def _reference_json(report):
+def _reference_json(report, n_levels=None):
+    """The JSON report as json.dumps writes it: the counts and the maximum of the
+    whole comparison, and its first n_levels levels (all if None)."""
+    levels = zip(report.closed.tolist(), report.oracle.tolist(), report.error.tolist(),
+                 report.deviation.tolist(), report.flagged.tolist())
     return json.dumps({
         "closed_count": report.closed_count, "oracle_count": report.oracle_count,
         "count_mismatch": report.count_mismatch, "flag_factor": oracle.FLAG_FACTOR,
         "max_deviation_eV": report.max_deviation,
-        "levels": [{"index": lv.index, "closed_form_eV": lv.closed_form, "oracle_eV": lv.oracle,
-                    "oracle_error_eV": lv.oracle_error, "deviation_eV": lv.deviation,
-                    "flagged": lv.flagged} for lv in report.levels],
-    }, indent=2, sort_keys=True)
+        "levels": [{"index": i, "closed_form_eV": closed, "oracle_eV": value,
+                    "oracle_error_eV": error, "deviation_eV": deviation, "flagged": flagged}
+                   for i, (closed, value, error, deviation, flagged) in enumerate(levels)
+                   ][:n_levels],
+    }, indent=2, sort_keys=True) + "\n"
+
+
+def _reference_text(report, n_levels=None):
+    """The text report in the f-string row format it was first written in."""
+    lines = [f"{'idx':>4} {'closed form':>16} {'oracle':>16} {'deviation':>12} {'est. err':>12} flag"]
+    levels = zip(report.closed.tolist(), report.oracle.tolist(), report.error.tolist(),
+                 report.deviation.tolist(), report.flagged.tolist())
+    for i, (closed, value, error, deviation, flagged) in list(enumerate(levels))[:n_levels]:
+        lines.append(f"{i:>4} {closed:>16.9f} {value:>16.9f} {deviation:>12.3e} {error:>12.3e}"
+                     f" {'!' if flagged else ''}")
+    lines.append(f"levels: closed-form {report.closed_count}, oracle {report.oracle_count}"
+                 + ("  (count mismatch)" if report.count_mismatch else ""))
+    return "\n".join(lines) + "\n"
 
 
 @pytest.mark.parametrize("name, delta, l", [("CO", 0.5, 6), ("H2", 0.3, 5)])
@@ -383,17 +395,52 @@ def test_report_json_is_what_json_dumps_writes(name, delta, l):
     prob = problem(PotentialParams.from_molecule(mol, 1.0), MassModel.from_molecule(mol, delta), l)
     report = compare(prob.ladder.tolist(), solve(prob, suggest_config(prob)))
     assert report.count_mismatch == (name == "CO")
-    assert report.to_json() == _reference_json(report)
+    for n_levels in (None, 3):
+        assert _report_json(report, n_levels) == _reference_json(report, n_levels)
+        assert _report_text(report, n_levels) == _reference_text(report, n_levels)
+
+
+def _report(closed, values, errors, closed_count=None, oracle_count=None):
+    closed, values, errors = (np.array(cells, dtype=float) for cells in (closed, values, errors))
+    return ComparisonReport(closed=closed, oracle=values, error=errors,
+                            closed_count=len(closed) if closed_count is None else closed_count,
+                            oracle_count=len(values) if oracle_count is None else oracle_count)
+
+
+#: closed-form levels, oracle levels and estimates with NaN, infinite,
+#: signed-zero, subnormal and largest cells
+ODD_LEVELS = ([math.nan, math.inf, -0.0, 0.5, 1.7976931348623157e308, -0.0],
+              [0.0, 1.0, 5e-324, -0.8, -math.inf, 0.0],
+              [1e-300, -math.inf, 0.0, math.nan, 1.0, -0.0])
+
+
+def _odd_reports():
+    return (_report(*ODD_LEVELS, closed_count=7, oracle_count=6),
+            _report(*(cells[:1] for cells in ODD_LEVELS)), _report([], [], []))
+
+
+def test_odd_report_flags_and_deviations():
+    odd = _report(*ODD_LEVELS)
+    assert odd.flagged.tolist() == [False, True, True, False, True, False]
+    np.testing.assert_array_equal(odd.deviation, [math.nan, math.inf, 5e-324, 1.3, math.inf, 0.0])
+    assert math.isnan(odd.max_deviation)  # max() of a list that starts with NaN
 
 
 def test_report_json_writes_non_finite_floats_as_json_does():
-    odd = [LevelComparison(0, math.nan, math.inf, -math.inf, 1e-300, True),
-           LevelComparison(1, -0.0, 5e-324, 1.7976931348623157e308, math.nan, False)]
-    for report in (ComparisonReport(levels=odd, closed_count=3, oracle_count=2),
-                   ComparisonReport(levels=odd[:1], closed_count=1, oracle_count=1),
-                   ComparisonReport()):
-        assert report.to_json() == _reference_json(report)
-    assert "NaN" in ComparisonReport(levels=odd).to_json()
+    for report in _odd_reports():
+        for n_levels in (None, 1, 3):
+            assert _report_json(report, n_levels) == _reference_json(report, n_levels)
+    text = _report_json(_odd_reports()[0])
+    assert "NaN" in text and "-Infinity" in text
+
+
+def test_report_text_keeps_its_row_format_on_non_finite_and_flagged_levels():
+    for report in _odd_reports():
+        for n_levels in (None, 1, 3):
+            assert _report_text(report, n_levels) == _reference_text(report, n_levels)
+    lines = _report_text(_odd_reports()[0]).splitlines()
+    assert [line.endswith(" !") for line in lines[1:7]] == [False, True, True, False, True, False]
+    assert "nan" in lines[1] and "-inf" in lines[5] and "-0.000000000" in lines[3]
 
 
 def test_config_validation(h2):
@@ -459,9 +506,8 @@ def test_truncated_box_estimate_covers_deviation(h2_ref):
     spectrum = solve(prob, OracleConfig(r_min=1e-3, r_max=3.0, grid_points=2000,
                                         grid_map=suggest_config(prob).grid_map))
     report = compare((bound_ladder(p, mm, 0).energy + p.v3).tolist(), spectrum)
-    assert max(lv.deviation for lv in report.levels) > 1e-3  # the box really bites
-    for lv in report.levels:
-        assert lv.deviation <= 2.0 * lv.oracle_error, lv
+    assert report.max_deviation > 1e-3  # the box really bites
+    assert np.all(report.deviation <= 2.0 * report.error), report
 
 
 def test_pole_side_wall_follows_the_decay_of_the_top_level():
@@ -514,46 +560,23 @@ def test_shallow_inner_wall_estimate_covers_deviation(h2, delta):
     report = compare((bound_ladder(p, mm, 0).energy + p.v3).tolist(), solve(prob, cfg))
     assert not report.count_mismatch
     assert report.max_deviation > 1e-4  # the wall really bites
-    for lv in report.levels:
-        assert lv.deviation <= 2.0 * lv.oracle_error, lv
+    assert np.all(report.deviation <= 2.0 * report.error), report
 
 
 @pytest.mark.parametrize("name, delta, l", [("H2", 0.0, 0), ("H2-ref", 0.5, 3), ("HCl", 0.3, 3)])
 def test_dense_eigvalsh_of_the_same_matrix_agrees(name, delta, l):
     # the full symmetric matrix of the same stencil on the mapped grid, its
-    # weights formed here from the closed-form derivatives of
-    # X = a t + b w tanh((t - t_m)/w), solved by numpy's dense eigvalsh
-    # instead of the banded LAPACK driver
+    # weights formed from the closed-form derivatives of the map, solved by
+    # numpy's dense eigh instead of the banded LAPACK solver
     mol = builtin(name)
     p = PotentialParams.from_molecule(mol, 1.0)
     mm = MassModel.from_molecule(mol, delta)
     prob = problem(p, mm, l)
     cfg = suggest_config(prob)
     spectrum = solve(prob, cfg)
-    origin, gmap = prob.origin, cfg.grid_map
-    assert gmap.b > 0.0  # a fitted map, not the plain log grid
-    x_lo, x_hi = (gmap.x(math.log(r - origin)) for r in (cfg.r_min, cfg.r_max))
-    n = cfg.grid_points
-    h = (x_hi - x_lo) / (n + 1)
-    t = gmap.t(x_lo + h * np.arange(1, n + 1))
-    s = (t - gmap.t_m) / gmap.width
-    sech2, tanh = 1.0 / np.cosh(s) ** 2, np.tanh(s)
-    d1 = gmap.a + gmap.b * sech2  # X', X'' and X'''
-    d2 = -2.0 * gmap.b / gmap.width * sech2 * tanh
-    d3 = 2.0 * gmap.b / gmap.width**2 * sech2 * (3.0 * tanh**2 - 1.0)
-    r_minus_origin = np.exp(t)
-    dr_dx = r_minus_origin / d1
-    # W^_x = (e^{2t} W + 1/4)/X'^2 + (X' X'''/2 - 3 X''^2/4)/X'^4, B^_x = e^{2t} B/X'^2
-    w_hat = (prob.w(origin + r_minus_origin) * dr_dx**2 + 0.25 / d1**2
-             + (0.5 * d1 * d3 - 0.75 * d2**2) / d1**4)
-    b_hat = prob.b(origin + r_minus_origin) * dr_dx**2
-    first_row = np.zeros(n)
-    first_row[:len(KINETIC_BAND)] = KINETIC_BAND / h**2
-    scale = 1.0 / np.sqrt(b_hat)
-    dense = (toeplitz(first_row) + np.diag(w_hat)) * scale[:, None] * scale[None, :]
-    vals = np.linalg.eigvalsh(dense)
-    vals = vals[vals <= spectrum.threshold - 1e-12]
-    floor = 16.0 * np.finfo(float).eps * np.max(np.sum(np.abs(dense), axis=1))
+    assert cfg.grid_map.b > 0.0  # a fitted map, not the plain log grid
+    _, _, vals, _, floor = dense_eigh(prob, cfg)
+    vals = vals[vals <= prob.threshold - 1e-12]
     assert len(vals) == len(spectrum.eigenvalues) > 0
     assert np.all(np.abs(vals - spectrum.eigenvalues) <= floor)
 

@@ -124,6 +124,8 @@ def test_ci_workflow_runs_the_tier1_line():
     workflow = (root / ".github" / "workflows" / "tier1.yml").read_text(encoding="utf-8")
     assert f"run: {tier1}\n" in workflow
     assert 'python-version: "3.11"' in workflow
+    # a hung subprocess or FIFO test fails the job instead of holding a runner for 6 h
+    assert "  tier1:\n    runs-on: ubuntu-latest\n    timeout-minutes: 20\n" in workflow
     # then no test may have written into the checkout
     clean = 'run: git status --porcelain && test -z "$(git status --porcelain)"\n'
     assert workflow.index(f"run: {tier1}\n") < workflow.index(clean)
