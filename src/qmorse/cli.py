@@ -2,15 +2,16 @@
 
 Subcommands: spectrum, table3, nmax, wavefunction, oracle-compare,
 special-case.  Exit codes: 0 success, 1 numeric failure or a closed stdout
-pipe (nothing on stderr), 2 usage or domain error or a path that cannot be
-read or written, 3 golden-value mismatch (table3).  ``main`` writes a
-command's output once it returns, so a failed request leaves ``--output`` as
-it was.  Table commands hand ``_write_table`` params and ``(name, cells)``
-column pairs; ``oracle-compare`` renders the oracle's column-first report
-through the same per-column cell specs.  At module level only the standard library and the numpy-free
-errors, units and molecules are imported; each ``cmd_*`` imports numpy and
-its evaluators when it runs, so ``--show-constants`` loads no numpy and only
-``oracle-compare`` loads scipy.
+pipe (nothing on stderr), 2 usage or domain error, a path that cannot be read
+or written or a failed write to stdout, 3 golden-value mismatch (table3).
+``main`` renders every output, the help and ``--show-constants`` too, before
+``_write``, the one writer of stdout and ``--output``, puts it out; a failed
+request writes nothing.  Table commands hand ``_write_table`` params and
+``(name, cells)`` column pairs; ``oracle-compare`` renders the oracle's
+column-first report through the same per-column cell specs.  At module level
+only the standard library and the numpy-free errors, units and molecules are
+imported; each ``cmd_*`` imports numpy and its evaluators when it runs, so
+``--show-constants`` loads no numpy and only ``oracle-compare`` loads scipy.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import io
 import json
 import math
 import os
+import stat
 import sys
 from itertools import chain
 from json.encoder import encode_basestring_ascii
@@ -408,12 +410,17 @@ def cmd_special_case(args, stream) -> int:
     _check_rows("--levels", args.levels)
     case_id = args.case.replace("-", "_")
     case_type = special_cases.SPECIAL_CASES[case_id]
+    given = {flag: value for flag in ("D", "alpha", "q", "mu", "re", "dhat", "omega")
+             if (value := getattr(args, flag)) is not None}
     values, flags = {}, {}  # by field name, and by flag name for the params header
     for field in dataclasses.fields(case_type):
         flag = CASE_FLAGS.get(field.name, field.name)
-        if getattr(args, flag) is None:
+        value = given.pop(flag, 1.0 if flag in ("alpha", "q") else None)  # both default to 1
+        if value is None:
             raise DomainError(f"--case {args.case} requires --{flag}")
-        values[field.name] = flags[flag] = getattr(args, flag)
+        values[field.name] = flags[flag] = value
+    if given:  # a flag the well has no field for
+        raise DomainError(f"--case {args.case} does not read --{next(iter(given))}")
     energy, bound = special_cases.special_case_ladder(case_type(**values), np.arange(args.levels))
     imag = np.imag(energy)
     _write_table({"case": case_id, **flags}, [
@@ -498,8 +505,9 @@ def build_parser() -> argparse.ArgumentParser:
         for form in (case_id.replace("_", "-"), case_id)
     ])
     sp.add_argument("--D", type=_finite_float, required=True, help="well scale (eV)")
-    sp.add_argument("--alpha", type=_finite_float, default=1.0, help="dimensionless range")
-    sp.add_argument("--q", type=_finite_float, default=1.0)
+    sp.add_argument("--alpha", type=_finite_float, default=None,
+                    help="dimensionless range (default 1)")
+    sp.add_argument("--q", type=_finite_float, default=None, help="deformation (default 1)")
     sp.add_argument("--mu", type=_finite_float, required=True, help="reduced mass (amu)")
     sp.add_argument("--re", type=_finite_float, required=True, help="equilibrium separation (A)")
     sp.add_argument("--dhat", type=_finite_float, default=None,
@@ -515,18 +523,34 @@ def _parser(build) -> argparse.ArgumentParser:
     return build()
 
 
-def _buffered(stdout):
-    """stdout, or over the raw file of an unbuffered (-u) stdout a buffered text layer.
-
-    When the reader closes the pipe, the raw file takes only part of a large
-    write; the unbuffered text layer drops the rest without an error, while a
-    BufferedWriter writes on and raises BrokenPipeError.
-    """
-    raw = getattr(stdout, "buffer", None)
-    if not isinstance(raw, io.RawIOBase):
-        return stdout
-    return io.TextIOWrapper(io.BufferedWriter(raw), encoding=stdout.encoding,
-                            errors=stdout.errors)
+def _write(path: str | None, text: str) -> None:
+    """Put ``text`` out whole by ``os.write``, which a pipe may take in parts:
+    into the file at ``path`` as UTF-8, rewritten in place (``O_TRUNC`` on a
+    just-written file stalls on ext4) and, if regular, cut to the bytes
+    written, or with no path onto stdout in its encoding.  A stdout with no
+    file descriptor (a ``StringIO``) takes ``text`` by its own ``write``."""
+    if path is None:
+        try:
+            fd = sys.stdout.fileno()
+        except (AttributeError, ValueError):
+            sys.stdout.write(text)
+            return
+        sys.stdout.flush()  # what an in-process caller printed comes first
+        data = text.encode(sys.stdout.encoding, sys.stdout.errors)
+    else:
+        data = text.encode("utf-8")
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    view = memoryview(data)
+    try:
+        while view:
+            view = view[os.write(fd, view):]
+    finally:
+        if path is not None:
+            try:  # a failed write too leaves no byte of the old file past the new ones
+                if stat.S_ISREG(os.fstat(fd).st_mode):
+                    os.ftruncate(fd, len(data) - len(view))
+            finally:
+                os.close(fd)
 
 
 def main(argv=None) -> int:
@@ -534,46 +558,29 @@ def main(argv=None) -> int:
     # the process; keyed on the builder, so a replaced build_parser takes effect
     parser = _parser(build_parser)
     args = parser.parse_args(argv)
-    if args.show_constants:
-        for key, value in sorted(_constants_dict().items()):
-            print(f"{key} = {value!r}")
-        return 0
-    if not getattr(args, "command", None):
-        parser.print_help()
-        return 2
-    stdout = _buffered(sys.stdout)
     try:
+        # rendered whole first: a request that fails writes nothing anywhere
+        text, path, code = io.StringIO(), None, 0
+        if args.show_constants:
+            text.writelines("%s = %r\n" % item for item in sorted(_constants_dict().items()))
+        elif args.command:
+            code, path = args.func(args, text), args.output
+        else:
+            text.write(parser.format_help())
+            code = 2
         try:
-            # rendered whole first: a request that fails writes nothing anywhere
-            text = io.StringIO()
-            code = args.func(args, text)
-            if args.output:
-                try:
-                    handle = open(args.output, "w", encoding="utf-8", newline="\n")
-                except OSError as exc:
-                    raise DomainError(f"cannot write {args.output}: {exc.strerror}") from exc
-                with handle:
-                    handle.write(text.getvalue())
-            else:
-                stdout.write(text.getvalue())
-            return code
-        finally:
-            stdout.flush()  # a closed pipe fails here, not in the flush at exit
-    except BrokenPipeError:
-        # the reader closed stdout (`| head`): point it at devnull so the flush
-        # at exit cannot fail again, and report nothing
-        # (https://docs.python.org/3/library/signal.html#note-on-sigpipe)
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 1
+            _write(path, text.getvalue())
+        except OSError as exc:
+            if path is None and isinstance(exc, BrokenPipeError):
+                return 1  # the reader closed stdout (`| head`): report nothing
+            raise DomainError(f"cannot write {path or 'stdout'}: {exc.strerror}") from exc
+        return code
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # numeric or internal failure
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 1
-    finally:
-        if stdout is not sys.stdout:  # let go of the raw file without closing it
-            stdout.detach().detach()
 
 
 if __name__ == "__main__":

@@ -158,6 +158,24 @@ def test_shorter_rewrite_leaves_no_stale_tail(tmp_path, capsys):
     assert target.read_bytes() == out.encode()
 
 
+def test_output_write_that_fails_part_way_leaves_no_old_tail(tmp_path, capsys):
+    # the file is rewritten in place, so a write cut short (here by a file-size
+    # limit on the child) must still cut the file to the bytes written
+    target = tmp_path / "out.txt"
+    long = ["wavefunction", "--molecule", "H2", "--n", "1", "--points", "20000"]
+    assert run_cli([*long, "--format", "json", "--output", str(target)], capsys)[0] == 0
+    new = run_cli([*long, "--format", "csv"], capsys)[1].encode()
+    limit = 1 << 16
+    assert limit < len(new) < target.stat().st_size
+    proc = subprocess.run(
+        [sys.executable, "-c", "import resource, sys; from qmorse.cli import main; "
+         f"resource.setrlimit(resource.RLIMIT_FSIZE, ({limit}, {limit})); sys.exit(main())",
+         *long, "--format", "csv", "--output", str(target)], capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == f"error: cannot write {target}: File too large\n"
+    assert target.read_bytes() == new[:limit]
+
+
 def test_output_to_a_fifo_gets_the_table(tmp_path, capsys):
     fifo = tmp_path / "fifo"
     os.mkfifo(fifo)
@@ -170,7 +188,7 @@ def test_output_to_a_fifo_gets_the_table(tmp_path, capsys):
     assert received == [run_cli(SMALL_SPECTRUM, capsys)[1].encode()]
 
 
-@pytest.mark.parametrize("case", ["molecule-file", "env", "non-utf8", "output"])
+@pytest.mark.parametrize("case", ["molecule-file", "env", "non-utf8", "output", "full-output"])
 def test_unreadable_or_unwritable_path_exits_2(tmp_path, capsys, monkeypatch, case):
     missing = str(tmp_path / "missing.txt")
     argv, reason = SMALL_SPECTRUM, "No such file or directory"
@@ -184,9 +202,14 @@ def test_unreadable_or_unwritable_path_exits_2(tmp_path, capsys, monkeypatch, ca
         latin1.write_bytes(b"name = H\xff\n")
         argv, expected = [*argv, "--molecule-file", str(latin1)], f"cannot read {latin1}"
         reason = "invalid start byte"
-    else:
+    elif case == "output":
         argv, expected = [*argv, "--output", str(tmp_path)], f"cannot write {tmp_path}"
         reason = "Is a directory"
+    else:
+        if not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full")
+        argv, expected = [*argv, "--output", "/dev/full"], "cannot write /dev/full"
+        reason = "No space left on device"
     assert run_cli(argv, capsys) == (2, "", f"error: {expected}: {reason}\n")
 
 
@@ -408,52 +431,91 @@ def test_nmax_summary_cells_equal_their_ladder_rows(capsys, q):
     assert code == 0 and json.loads(out)["rows"] == summary
 
 
-#: requests whose output (over 100 kB) is more than a pipe buffers
+#: requests whose output (over 100 kB) is more than a pipe buffers, read up to
+#: their first line, and short ones whose pipe is closed before they start
 CLOSED_PIPE_ARGV = [
-    pytest.param(["nmax", "--full", "--q", "10", "--format", "json"], id="nmax"),
-    pytest.param(["wavefunction", "--molecule", "H2", "--n", "1", "--points", "20000"],
+    pytest.param(["nmax", "--full", "--q", "10", "--format", "json"], True, id="nmax"),
+    pytest.param(["wavefunction", "--molecule", "H2", "--n", "1", "--points", "20000"], True,
                  id="wavefunction"),
+    pytest.param(["--show-constants"], False, id="show-constants"),
+    pytest.param([], False, id="bare-call-help"),
 ]
+#: the environment without PYTHONUNBUFFERED: stdout buffered, as by default
+BUFFERED_ENV = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
 
 
-def _assert_closed_pipe_exits_1_silently(argv, env):
-    proc = subprocess.Popen([sys.executable, "-m", "qmorse.cli", *argv], env=env,
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
-    first = proc.stdout.readline()
-    proc.stdout.close()
+def _assert_closed_pipe_exits_1_silently(argv, reads_first_line, env):
+    command = [sys.executable, "-m", "qmorse.cli", *argv]
+    if reads_first_line:
+        proc = subprocess.Popen(command, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        assert proc.stdout.readline()
+        proc.stdout.close()
+    else:  # closed first, so no output can slip into the pipe's buffer
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        proc = subprocess.Popen(command, env=env, stdout=write_end, stderr=subprocess.PIPE)
+        os.close(write_end)
     err = proc.stderr.read()
     proc.stderr.close()
     assert proc.wait() == 1
-    assert first and err == b""
+    assert err == b""
 
 
-@pytest.mark.parametrize("argv", CLOSED_PIPE_ARGV)
-def test_closed_pipe_exits_1_silently(argv):
+@pytest.mark.parametrize("argv, reads_first_line", CLOSED_PIPE_ARGV)
+def test_closed_pipe_exits_1_silently(argv, reads_first_line):
     # a reader that stops after one line (`| head -1`) closes the pipe while
     # the rest of the output (over 100 kB, more than a pipe buffers) is still
-    # being written: exit 1 and nothing on stderr, not a "numeric failure".
-    # Buffered stdout, as by default
-    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
-    _assert_closed_pipe_exits_1_silently(argv, env)
+    # being written, or one that is gone before anything is written: exit 1
+    # and nothing on stderr, not a "numeric failure" nor an "Exception
+    # ignored" from the flush at exit.  Buffered stdout, as by default
+    _assert_closed_pipe_exits_1_silently(argv, reads_first_line, BUFFERED_ENV)
 
 
-@pytest.mark.parametrize("argv", CLOSED_PIPE_ARGV)
-def test_closed_pipe_exits_1_silently_unbuffered(argv):
-    # the same under unbuffered stdout (-u), whose raw file takes only part of
-    # the one large write: the CLI writes through a BufferedWriter, which
-    # raises on the rest, where the unbuffered text layer would drop it (exit 0)
-    _assert_closed_pipe_exits_1_silently(argv, {**os.environ, "PYTHONUNBUFFERED": "1"})
+@pytest.mark.parametrize("argv, reads_first_line", CLOSED_PIPE_ARGV)
+def test_closed_pipe_exits_1_silently_unbuffered(argv, reads_first_line):
+    # the same under unbuffered stdout (-u), whose file descriptor may take
+    # only part of one write: the CLI writes on until a write raises, where
+    # a write through the unbuffered text layer would drop the rest (exit 0)
+    _assert_closed_pipe_exits_1_silently(argv, reads_first_line,
+                                         {**os.environ, "PYTHONUNBUFFERED": "1"})
+
+
+@pytest.mark.parametrize("argv", [["nmax"], ["--show-constants"], []],
+                         ids=["nmax", "show-constants", "bare-call-help"])
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_full_stdout_exits_2_naming_it(argv, unbuffered):
+    # a write error on stdout other than a closed pipe is reported once, as a
+    # path that cannot be written, with no traceback from the flush at exit
+    if not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full")
+    env = {**BUFFERED_ENV, "PYTHONUNBUFFERED": "1"} if unbuffered else BUFFERED_ENV
+    with open("/dev/full", "wb") as full:
+        proc = subprocess.run([sys.executable, "-m", "qmorse.cli", *argv], env=env,
+                              stdout=full, stderr=subprocess.PIPE)
+    assert proc.returncode == 2
+    assert proc.stderr == b"error: cannot write stdout: No space left on device\n"
 
 
 def test_unbuffered_stdout_prints_what_buffered_stdout_prints():
-    # the buffered layer over a -u stdout writes the same bytes, and leaves
-    # fd 1 open for the interpreter's own flush at exit
+    # the CLI writes the file descriptor itself, so a -u stdout gets the same
+    # bytes, and its text layer holds nothing for the flush at exit
     argv = [sys.executable, "-m", "qmorse.cli", "nmax", "--full", "--format", "csv"]
-    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
-    buffered = subprocess.run(argv, env=env, capture_output=True)
-    unbuffered = subprocess.run(argv, env={**env, "PYTHONUNBUFFERED": "1"}, capture_output=True)
+    buffered = subprocess.run(argv, env=BUFFERED_ENV, capture_output=True)
+    unbuffered = subprocess.run(argv, env={**BUFFERED_ENV, "PYTHONUNBUFFERED": "1"},
+                                capture_output=True)
     assert buffered.returncode == unbuffered.returncode == 0
     assert unbuffered.stdout == buffered.stdout and unbuffered.stderr == buffered.stderr == b""
+
+
+def test_what_a_caller_printed_before_main_comes_first():
+    # main writes stdout's file descriptor itself, past the buffer of sys.stdout
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from qmorse.cli import main; "
+         "print('first'); code = main(['--show-constants']); print('last'); sys.exit(code)"],
+        env=BUFFERED_ENV, capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "first" and lines[-1] == "last" and len(lines) == 5
 
 
 def test_wavefunction_past_the_recurrence_work_bound_exits_2(capsys):
@@ -923,20 +985,47 @@ def test_spectrum_overflow_prints_one_line():
     assert proc.stderr == f"numeric failure: energies overflow a float at q={q}\n"
 
 
-@pytest.mark.parametrize("case, flags", [
-    ("generalized-vibrational", {"D", "alpha", "q", "mu", "re"}),
-    ("non-pt", {"D", "dhat", "mu", "re"}),
-    ("pt-type1", {"D", "dhat", "mu", "re"}),
-    ("pt-type2", {"D", "omega", "alpha", "mu", "re"}),
-])
+#: the flags each special well reads, with a value each
+CASE_READS = {
+    "generalized-vibrational": {"D": 2.0, "alpha": 1.1, "q": 0.9, "mu": 0.9, "re": 1.2},
+    "non-pt": {"D": 2.0, "dhat": 1.5, "mu": 0.9, "re": 1.2},
+    "pt-type1": {"D": 2.0, "dhat": 1.5, "mu": 0.9, "re": 1.2},
+    "pt-type2": {"D": 2.0, "omega": 1.3, "alpha": 1.1, "mu": 0.9, "re": 1.2},
+}
+#: every flag that some special well reads
+CASE_OPTIONAL = {"alpha": 1.1, "q": 0.9, "dhat": 1.5, "omega": 1.3}
+
+
+def _case_argv(case, flags):
+    return ["special-case", "--case", case, "--levels", "2", "--format", "json",
+            *(f"--{flag}={value}" for flag, value in flags.items())]
+
+
+@pytest.mark.parametrize("case, flags", sorted(CASE_READS.items()))
 def test_special_case_params_echo_case_fields(capsys, case, flags):
-    # every flag is given; the header names only those the well reads
-    code, out, _ = run_cli(
-        ["special-case", "--case", case, "--D", "2.0", "--alpha", "1.1", "--q", "0.9",
-         "--mu", "0.9", "--re", "1.2", "--dhat", "1.5", "--omega", "1.3", "--levels", "2",
-         "--format", "json"], capsys)
+    # the header echoes every flag the well reads, with its value
+    code, out, _ = run_cli(_case_argv(case, flags), capsys)
     assert code == 0
-    assert set(json.loads(out)["params"]) == flags | {"case"}
+    assert json.loads(out)["params"] == {"case": case.replace("-", "_"), **flags}
+
+
+@pytest.mark.parametrize("case, flag", [
+    (case, flag) for case in sorted(CASE_READS) for flag in CASE_OPTIONAL
+    if flag not in CASE_READS[case]])
+def test_special_case_flag_its_well_does_not_read_exits_2(capsys, case, flag):
+    # a flag the well has no field for would be ignored, and hidden from the header
+    argv = _case_argv(case, {**CASE_READS[case], flag: CASE_OPTIONAL[flag]})
+    assert run_cli(argv, capsys) == (2, "", f"error: --case {case} does not read --{flag}\n")
+
+
+@pytest.mark.parametrize("case, defaults", [
+    ("generalized-vibrational", {"alpha": 1.0, "q": 1.0}), ("pt-type2", {"alpha": 1.0}),
+])
+def test_special_case_alpha_and_q_default_to_1(capsys, case, defaults):
+    reads = {flag: value for flag, value in CASE_READS[case].items() if flag not in defaults}
+    code, out, _ = run_cli(_case_argv(case, reads), capsys)
+    assert code == 0
+    assert json.loads(out)["params"] == {"case": case.replace("-", "_"), **reads, **defaults}
 
 
 def test_wavefunction_non_normalizable_exit_2(capsys):

@@ -25,7 +25,8 @@ one of 1e30 and 1e300 (which exit before solving), ``--grid`` is drawn from
 [-2, 800], across the one-stencil floor of 25 points, or the out-of-range
 3001 and 10^9, and ``--l`` from [-2, 60] or 10^6, and its ``--format`` only
 from text and json.  ``--inverse-r``, a flag the parser does not know, must
-exit 2.
+exit 2.  A ``special-case`` well refuses a flag it does not read (exit 2), so
+half its draws give only the flags the drawn well reads.
 """
 
 import contextlib
@@ -34,6 +35,7 @@ import json
 import math
 import re
 import warnings
+from dataclasses import fields
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -82,11 +84,22 @@ wavefunction = _command(
      "r-max": real,
      "points": st.one_of(st.integers(-2, 2000), st.sampled_from([10**5 + 1, 10**9])).map(str)},
 )
-special_case = _command(
-    "special-case",
-    {"case": st.sampled_from(sorted(special_cases.CASE_IDS)), "D": real, "mu": real, "re": real},
-    {"alpha": real, "q": real, "dhat": real, "omega": real,
-     "levels": st.one_of(st.integers(-2, 40), st.sampled_from([10**5 + 1, 10**9])).map(str)},
+case_levels = st.one_of(st.integers(-2, 40), st.sampled_from([10**5 + 1, 10**9])).map(str)
+#: the optional flags each special well reads; it refuses the others (exit 2)
+CASE_READS = {case: [flag for flag in ("alpha", "q", "dhat", "omega")
+                     if flag in {field.name.replace("d_hat", "dhat")
+                                 for field in fields(special_cases.SPECIAL_CASES[case])}]
+              for case in special_cases.CASE_IDS}
+special_case = st.one_of(
+    _command(  # any flag, read by the well or not
+        "special-case",
+        {"case": st.sampled_from(sorted(special_cases.CASE_IDS)), "D": real, "mu": real,
+         "re": real},
+        {"alpha": real, "q": real, "dhat": real, "omega": real, "levels": case_levels},
+    ),
+    st.sampled_from(sorted(CASE_READS)).flatmap(lambda case: _command(  # only flags it reads
+        "special-case", {"case": st.just(case), "D": real, "mu": real, "re": real},
+        {**dict.fromkeys(CASE_READS[case], real), "levels": case_levels})),
 )
 nmax_molecules = (st.lists(st.sampled_from(MOLECULES), min_size=1, max_size=4).map(",".join)
                   | st.sampled_from(["", ",", " , "]))
