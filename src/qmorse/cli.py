@@ -4,11 +4,11 @@ Subcommands: spectrum, table3, nmax, wavefunction, oracle-compare,
 special-case.  Exit codes: 0 success, 1 numeric failure or a closed stdout
 pipe (nothing on stderr), 2 usage or domain error, a path that cannot be read
 or written or a failed write to stdout, 3 golden-value mismatch (table3).
-``main`` renders every output, the help and ``--show-constants`` too, before
-``_write``, the one writer of stdout and ``--output``, puts it out; a failed
-request writes nothing.  Table commands hand ``_write_table`` params and
-``(name, cells)`` column pairs; ``oracle-compare`` renders the oracle's
-column-first report through the same per-column cell specs.  At module level
+``main`` renders every output, ``-h`` and ``--show-constants`` too, before
+``_write``, the one writer of stdout and ``--output``, puts it out, and returns
+every status; a failed request writes nothing.  Table commands hand
+``_write_table`` params and ``(name, cells)`` column pairs; ``oracle-compare``
+renders its report through the same cell specs and text table.  At module level
 only the standard library and the numpy-free errors, units and molecules are
 imported; each ``cmd_*`` imports numpy and its evaluators when it runs, so
 ``--show-constants`` loads no numpy and only ``oracle-compare`` loads scipy.
@@ -55,18 +55,19 @@ def _constants_dict() -> dict:
     }
 
 
-def _resolve_molecule(name: str, molecule_file: str | None) -> MoleculeRecord:
+def _resolve_molecules(names: list[str], molecule_file: str | None) -> list[MoleculeRecord]:
+    """Each name's record: from one read of the molecule file if any, else built in."""
     path = molecule_file or os.environ.get(ENV_MOLECULE_PATH)
-    if not path:
-        return builtin(name)
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
-    except (OSError, UnicodeDecodeError) as exc:
-        reason = exc.reason if isinstance(exc, UnicodeDecodeError) else exc.strerror
-        raise DomainError(f"cannot read {path}: {reason}") from exc
-    records = {rec.name.lower(): rec for rec in load_molecules(text)}  # the last of a name wins
-    return records.get(name.lower()) or builtin(name)
+    records = {}
+    if path:
+        try:
+            with open(path, "r", encoding="utf-8") as handle:
+                text = handle.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            reason = exc.reason if isinstance(exc, UnicodeDecodeError) else exc.strerror
+            raise DomainError(f"cannot read {path}: {reason}") from exc
+        records = {rec.name.lower(): rec for rec in load_molecules(text)}  # the last of a name wins
+    return [records.get(name.lower()) or builtin(name) for name in names]
 
 
 def _parse_int_list(text: str) -> list[int]:
@@ -133,6 +134,17 @@ def _json_with_rows(head: dict, row: str, data, count: int) -> str:
     return text + "\n"
 
 
+def _text_table(names, data, specs, count: int) -> list[str]:
+    """The header line and, if any, the ``count`` rows as one string: each column
+    right-aligned to its widest cell or name, two spaces between columns."""
+    texts = [column if spec == "%s" else _fill(spec, [column], count).split("\n")
+             for spec, column in zip(specs, data)]
+    widths = [max(len(name), max(map(len, column), default=0))
+              for name, column in zip(names, texts)]
+    row = "  ".join(f"%{w}s" for w in widths)
+    return [row % tuple(names)] + ([_fill(row, texts, count)] if count else [])
+
+
 def _write_table(params: dict, columns: list[tuple[str, list]], args, stream) -> None:
     """Write one table in one ``write``: ``params`` for its header and one
     ``(name, cells)`` pair per column, every column as long as the first."""
@@ -149,39 +161,25 @@ def _write_table(params: dict, columns: list[tuple[str, list]], args, stream) ->
     if args.format == "csv":
         lines = [f"# {key} = {params[key]}" for key in sorted(params)]
         lines += [f"# {key} = {value!r}" for key, value in sorted(_constants_dict().items())]
-        lines.append(",".join(names))
-        if count:
-            lines.append(_fill(",".join(specs), data, count))
-    else:  # text: each column as wide as its widest cell, right-aligned by %{width}s
-        texts = [column if spec == "%s" else _fill(spec, [column], count).split("\n")
-                 for spec, column in zip(specs, data)]
-        widths = [max(len(name), max(map(len, column), default=0))
-                  for name, column in zip(names, texts)]
-        row = "  ".join(f"%{w}s" for w in widths)
-        lines = [row % tuple(names)]
-        if count:
-            lines.append(_fill(row, texts, count))
+        lines += [",".join(names)] + ([_fill(",".join(specs), data, count)] if count else [])
+    else:
+        lines = _text_table(names, data, specs, count)
     stream.write("\n".join(lines) + "\n")
 
 
-def _report_levels(report, n_levels: int | None, flags: list) -> list[tuple[str, list]]:
-    """The report's first ``n_levels`` (all if None) levels as ``(name, cells)``
-    columns in json's key order, with ``flags`` as the flagged column."""
-    rows = slice(n_levels)
-    closed = report.closed[rows].tolist()
-    return [("closed_form_eV", closed), ("deviation_eV", report.deviation[rows].tolist()),
-            ("flagged", flags[rows]), ("index", list(range(len(closed)))),
-            ("oracle_eV", report.oracle[rows].tolist()),
-            ("oracle_error_eV", report.error[rows].tolist())]
+def _report_levels(report, flags: list) -> list[tuple[str, list]]:
+    """The report's levels as json's ``(key, cells)`` columns, ``flags`` as "flagged"."""
+    closed = report.closed.tolist()
+    return [("closed_form_eV", closed), ("deviation_eV", report.deviation.tolist()),
+            ("flagged", flags), ("index", list(range(len(closed)))),
+            ("oracle_eV", report.oracle.tolist()), ("oracle_error_eV", report.error.tolist())]
 
 
-def _report_json(report, n_levels: int | None = None) -> str:
-    """The report as ``json.dumps(..., indent=2, sort_keys=True)`` writes it; the
-    counts and the maximum describe the whole comparison, the levels its first
-    ``n_levels``."""
+def _report_json(report) -> str:
+    """The report as ``json.dumps(..., indent=2, sort_keys=True)`` writes it."""
     from .oracle import FLAG_FACTOR
 
-    columns = _report_levels(report, n_levels, report.flagged.tolist())
+    columns = _report_levels(report, report.flagged.tolist())
     data, specs = zip(*(_cell_spec(name, cells, "%r", True) for name, cells in columns))
     row = "    {\n" + ",\n".join(f'      "{name}": {spec}'
                                   for (name, _), spec in zip(columns, specs)) + "\n    }"
@@ -189,28 +187,22 @@ def _report_json(report, n_levels: int | None = None) -> str:
         "closed_count": report.closed_count, "count_mismatch": report.count_mismatch,
         "flag_factor": FLAG_FACTOR, "levels": [], "max_deviation_eV": report.max_deviation,
         "oracle_count": report.oracle_count,
-    }, row, data, len(columns[0][1]))
+    }, row, data, len(report.closed))
 
 
-#: the text report's columns: header, width and float format, by the JSON key they show
-_REPORT_TEXT = {"index": ("idx", 4, None), "closed_form_eV": ("closed form", 16, "%.9f"),
-                "oracle_eV": ("oracle", 16, "%.9f"), "deviation_eV": ("deviation", 12, "%.3e"),
-                "oracle_error_eV": ("est. err", 12, "%.3e"), "flagged": ("flag", 0, None)}
+#: the text report's columns: header and float format, by the JSON key they show
+_REPORT_TEXT = {"index": ("idx", None), "closed_form_eV": ("closed form", "%.9f"),
+                "oracle_eV": ("oracle", "%.9f"), "deviation_eV": ("deviation", "%.3e"),
+                "oracle_error_eV": ("est. err", "%.3e"), "flagged": ("flag", None)}
 
 
-def _report_text(report, n_levels: int | None = None) -> str:
-    """The report as a table of its first ``n_levels`` levels, "!" marking a
-    flagged one, and a last line with both counts."""
-    columns = dict(_report_levels(report, n_levels, ["!" if f else "" for f in report.flagged]))
-    heads, data, specs = [], [], []
-    for key, (head, width, float_spec) in _REPORT_TEXT.items():
-        cells, spec = _cell_spec(head, columns[key], float_spec, False)
-        heads.append(f"%{width}s" % head)
-        data.append(cells)
-        specs.append(f"%{width}{spec[1:]}")
-    lines = [" ".join(heads)]
-    if data[0]:
-        lines.append(_fill(" ".join(specs), data, len(data[0])))
+def _report_text(report) -> str:
+    """The report as a text table of its levels, "!" marking a flagged one, and a
+    last line with both counts."""
+    columns = dict(_report_levels(report, ["!" if f else "" for f in report.flagged]))
+    data, specs = zip(*(_cell_spec(head, columns[key], float_spec, False)
+                        for key, (head, float_spec) in _REPORT_TEXT.items()))
+    lines = _text_table([head for head, _ in _REPORT_TEXT.values()], data, specs, len(data[0]))
     lines.append(f"levels: closed-form {report.closed_count}, oracle {report.oracle_count}"
                  + ("  (count mismatch)" if report.count_mismatch else ""))
     return "\n".join(lines) + "\n"
@@ -249,7 +241,7 @@ def cmd_spectrum(args, stream) -> int:
     from .potential import MassModel, PotentialParams
     from .spectrum import spectrum_grid
 
-    mol = _resolve_molecule(args.molecule, args.molecule_file)
+    [mol] = _resolve_molecules([args.molecule], args.molecule_file)
     n_list = _parse_int_list(args.n)
     l_list = _parse_int_list(args.l)
     _check_rows("--n x --l", len(n_list) * len(l_list))
@@ -307,8 +299,7 @@ def cmd_nmax(args, stream) -> int:
     if not names:
         raise DomainError("empty molecule list")
     wells = []
-    for name in names:
-        mol = _resolve_molecule(name, args.molecule_file)
+    for mol in _resolve_molecules(names, args.molecule_file):
         p, mm = PotentialParams.from_molecule(mol, args.q), MassModel.from_molecule(mol)
         wells.append((mol.name, p, mm, ladder_length(p, mm, 0)))
     # the bound levels, and the edge row if any is bound
@@ -352,7 +343,7 @@ def cmd_wavefunction(args, stream) -> int:
     from .wavefunctions import radial_wavefunction
 
     _check_rows("--points", args.points)
-    mol = _resolve_molecule(args.molecule, args.molecule_file)
+    [mol] = _resolve_molecules([args.molecule], args.molecule_file)
     p = PotentialParams.from_molecule(mol, args.q)
     mm = MassModel.from_molecule(mol, args.delta)
     state = QuantumState(args.n, args.l)
@@ -380,7 +371,7 @@ def cmd_oracle_compare(args, stream) -> int:
     from .oracle import SUGGESTED_MAX_GRID_POINTS, compare, problem, solve, suggest_config
     from .potential import MassModel, PotentialParams
 
-    mol = _resolve_molecule(args.molecule, args.molecule_file)
+    [mol] = _resolve_molecules([args.molecule], args.molecule_file)
     prob = problem(PotentialParams.from_molecule(mol, args.q),
                    MassModel.from_molecule(mol, args.delta), args.l, args.centrifugal)
     cfg = suggest_config(prob)
@@ -389,16 +380,13 @@ def cmd_oracle_compare(args, stream) -> int:
         cfg = dataclasses.replace(cfg, grid_points=args.grid)
     report = compare(prob.ladder, solve(prob, cfg))
     if args.format == "json":
-        stream.write(_report_json(report, args.n_levels))
+        stream.write(_report_json(report))
     else:
         coordinate = "uniform" if prob.origin is None else "mapped-log"
-        stream.write(
-            f"molecule={mol.name} q={args.q} delta={args.delta} l={args.l} "
-            f"centrifugal={args.centrifugal} coordinate={coordinate} "
-            f"grid={cfg.grid_points}{' (at cap)' if at_cap else ''}"
-            f" domain=[{cfg.r_min:.4f},{cfg.r_max:.4f}]\n"
-        )
-        stream.write(_report_text(report, args.n_levels))
+        stream.write(f"molecule={mol.name} q={args.q} delta={args.delta} l={args.l} "
+                     f"centrifugal={args.centrifugal} coordinate={coordinate} "
+                     f"grid={cfg.grid_points}{' (at cap)' if at_cap else ''}"
+                     f" domain=[{cfg.r_min:.4f},{cfg.r_max:.4f}]\n" + _report_text(report))
     return 0
 
 
@@ -430,8 +418,23 @@ def cmd_special_case(args, stream) -> int:
     return 0
 
 
+class _ParserExit(Exception):
+    """A parse that ends in no request, with args (status, text for stdout)."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Hands ``-h``'s help and every exit to ``main`` as ``_ParserExit``, subparsers too."""
+
+    def print_help(self, file=None) -> None:
+        raise _ParserExit(0, self.format_help())
+
+    def exit(self, status: int = 0, message: str | None = None) -> None:
+        self._print_message(message, sys.stderr)  # the usage error, if any
+        raise _ParserExit(status, "")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qmorse",
         description="Bound-state energies and wavefunctions of deformed Morse oscillators.",
     )
@@ -439,9 +442,10 @@ def build_parser() -> argparse.ArgumentParser:
                         help="print the three unit constants and exit")
     sub = parser.add_subparsers(dest="command")
 
-    def add_common(sp, table=True, molecules=True):
+    def add_common(sp, table=True, molecules=True, well=False):
         # --digits and csv only where _write_table prints the result as columns,
-        # --molecule-file only where _resolve_molecule reads it
+        # --molecule-file only where _resolve_molecules reads it, and --molecule,
+        # --q and --delta where one molecule's well is solved
         sp.add_argument("--format", choices=("text", "csv", "json") if table else ("text", "json"),
                         default="text")
         sp.add_argument("--output", default=None, help="write to this path instead of stdout")
@@ -451,20 +455,19 @@ def build_parser() -> argparse.ArgumentParser:
         if molecules:
             sp.add_argument("--molecule-file", default=None,
                             help=f"molecule definition file (default: ${ENV_MOLECULE_PATH})")
+        if well:
+            sp.add_argument("--molecule", required=True)
+            sp.add_argument("--q", type=float, default=1.0)
+            sp.add_argument("--delta", type=float, default=0.0)
 
     sp = sub.add_parser("spectrum", help="closed-form energies over n/l ranges")
-    add_common(sp)
-    sp.add_argument("--molecule", required=True)
-    sp.add_argument("--q", type=float, default=1.0)
-    sp.add_argument("--delta", type=float, default=0.0)
+    add_common(sp, well=True)
     sp.add_argument("--n", required=True, help="comma-separated vibrational numbers")
     sp.add_argument("--l", required=True, help="comma-separated rotational numbers")
     sp.set_defaults(func=cmd_spectrum)
 
-    sp = sub.add_parser(
-        "table3",
-        help="reproduce the bundled reference energy table and check every cell",
-    )
+    sp = sub.add_parser("table3", help="reproduce the bundled reference energy table and "
+                                       "check every cell")
     add_common(sp, molecules=False)
     sp.set_defaults(func=cmd_table3)
 
@@ -476,10 +479,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_nmax)
 
     sp = sub.add_parser("wavefunction", help="dump a sampled radial wavefunction")
-    add_common(sp)
-    sp.add_argument("--molecule", required=True)
-    sp.add_argument("--q", type=float, default=1.0)
-    sp.add_argument("--delta", type=float, default=0.0)
+    add_common(sp, well=True)
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--l", type=int, default=0)
     sp.add_argument("--r-min", type=float, default=None)
@@ -488,22 +488,16 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_wavefunction)
 
     sp = sub.add_parser("oracle-compare", help="finite-difference check of the closed forms")
-    add_common(sp, table=False)
-    sp.add_argument("--molecule", required=True)
-    sp.add_argument("--q", type=float, default=1.0)
-    sp.add_argument("--delta", type=float, default=0.0)
+    add_common(sp, table=False, well=True)
     sp.add_argument("--l", type=int, default=0)
     sp.add_argument("--centrifugal", choices=("exact", "pekeris"), default="pekeris")
     sp.add_argument("--grid", type=int, default=None)
-    sp.add_argument("--n-levels", type=_positive_int, default=None)
     sp.set_defaults(func=cmd_oracle_compare)
 
     sp = sub.add_parser("special-case", help="closed forms of the named special wells")
     add_common(sp, molecules=False)
     sp.add_argument("--case", required=True, choices=[
-        form for case_id in CASE_IDS
-        for form in (case_id.replace("_", "-"), case_id)
-    ])
+        form for case_id in CASE_IDS for form in (case_id.replace("_", "-"), case_id)])
     sp.add_argument("--D", type=_finite_float, required=True, help="well scale (eV)")
     sp.add_argument("--alpha", type=_finite_float, default=None,
                     help="dimensionless range (default 1)")
@@ -557,17 +551,22 @@ def main(argv=None) -> int:
     # argparse keeps no state between parses, so one tree serves every call in
     # the process; keyed on the builder, so a replaced build_parser takes effect
     parser = _parser(build_parser)
-    args = parser.parse_args(argv)
     try:
         # rendered whole first: a request that fails writes nothing anywhere
         text, path, code = io.StringIO(), None, 0
-        if args.show_constants:
-            text.writelines("%s = %r\n" % item for item in sorted(_constants_dict().items()))
-        elif args.command:
-            code, path = args.func(args, text), args.output
-        else:
-            text.write(parser.format_help())
-            code = 2
+        try:
+            args = parser.parse_args(argv)
+            if args.show_constants and args.command:
+                parser.error(f"--show-constants takes no subcommand, got {args.command}")
+            if args.show_constants:
+                text.writelines("%s = %r\n" % item for item in sorted(_constants_dict().items()))
+            elif args.command:
+                code, path = args.func(args, text), args.output
+            else:
+                raise _ParserExit(2, parser.format_help())
+        except _ParserExit as exc:  # the help, or a usage error already on stderr
+            code, help_text = exc.args
+            text.write(help_text)
         try:
             _write(path, text.getvalue())
         except OSError as exc:

@@ -35,10 +35,7 @@ def replay(argv: list[str], workdir: str) -> str:
         with warnings.catch_warnings(record=True) as caught, \
                 contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             warnings.simplefilter("always")
-            try:
-                code = main(argv)
-            except SystemExit as exc:  # argparse's usage errors
-                code = exc.code
+            code = main(argv)
         output = None
         if path is not None and os.path.exists(path):
             with open(path, "rb") as handle:

@@ -36,7 +36,7 @@ EDGE = (
     ) for fmt in ("text", "csv", "json")),
     "oracle-compare --molecule H2 --delta 0.3 --l 5",
     "oracle-compare --molecule H2 --delta 0.3 --l 5 --format json",
-    "oracle-compare --molecule H2-ref --l 0 --grid 1500 --n-levels 3 --format json",
+    "oracle-compare --molecule H2-ref --l 0 --grid 1500 --format json",
     *(f"table3 --digits {digits} --format {fmt}" for digits in (3, 17)
       for fmt in ("text", "csv", "json")),
     *(f"spectrum --molecule CO --q 1 --delta 0.3 --n 0,10,50 --l 0,7 --format {fmt}"

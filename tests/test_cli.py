@@ -439,6 +439,8 @@ CLOSED_PIPE_ARGV = [
                  id="wavefunction"),
     pytest.param(["--show-constants"], False, id="show-constants"),
     pytest.param([], False, id="bare-call-help"),
+    pytest.param(["--help"], False, id="help"),
+    pytest.param(["spectrum", "-h"], False, id="subcommand-help"),
 ]
 #: the environment without PYTHONUNBUFFERED: stdout buffered, as by default
 BUFFERED_ENV = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
@@ -548,7 +550,7 @@ _EVALUATORS = ("qmorse.oracle", "qmorse.wavefunctions", "qmorse.special_cases", 
      ("qmorse.oracle", "scipy"), ("qmorse.wavefunctions",)),
     (["special-case", "--case", "non-pt", "--D", "2", "--dhat", "1.5", "--mu", "0.9",
       "--re", "1.2"], ("qmorse.oracle", "scipy"), ("qmorse.special_cases",)),
-    (["oracle-compare", "--molecule", "H2", "--n-levels", "1"], (), ("scipy.linalg",)),
+    (["oracle-compare", "--molecule", "H2"], (), ("scipy.linalg",)),
 ], ids=["import", "show-constants", "spectrum", "table3", "nmax", "wavefunction",
         "special-case", "oracle-compare"])
 def test_cli_loads_only_what_its_command_runs(argv, absent, present):
@@ -694,45 +696,14 @@ def test_oracle_compare_without_a_bound_level_says_so(capsys, q):
 
 
 def test_oracle_compare_small(capsys):
+    # the report lists every matched level that its counts and maximum describe
     code, out, _ = run_cli(
         ["oracle-compare", "--molecule", "H2-ref", "--l", "0", "--grid", "1500",
-         "--n-levels", "3", "--format", "json"], capsys)
-    assert code == 0
-    payload = json.loads(out)
-    assert payload["max_deviation_eV"] < 1e-5
-    assert len(payload["levels"]) == 3
-
-
-def test_oracle_compare_n_levels_cuts_only_the_rows(capsys):
-    # both counts describe the whole ladders; --n-levels only shortens the table
-    code, out, _ = run_cli(
-        ["oracle-compare", "--molecule", "H2-ref", "--l", "0", "--n-levels", "3",
          "--format", "json"], capsys)
     assert code == 0
     payload = json.loads(out)
-    assert payload["count_mismatch"] is False
-    assert payload["closed_count"] == payload["oracle_count"] > 3
-    assert len(payload["levels"]) == 3
-
-
-@pytest.mark.parametrize("fmt", ["json", "text"])
-def test_oracle_compare_n_levels_keeps_the_whole_comparison(capsys, fmt):
-    # CO delta = 0.5 l = 6 deviates most near its ladder top (1.07e-2 eV against
-    # 4e-14 eV over the first three levels): --n-levels cuts the rows, while the
-    # counts and the maximum still describe every matched level
-    argv = ["oracle-compare", "--molecule", "CO", "--delta", "0.5", "--l", "6", "--format", fmt]
-    code, whole, _ = run_cli(argv, capsys)
-    assert code == 0
-    code, cut, _ = run_cli([*argv, "--n-levels", "3"], capsys)
-    assert code == 0
-    if fmt == "text":  # header, three rows and the counts
-        lines = whole.splitlines()
-        assert cut.splitlines() == lines[:5] + lines[-1:]
-        return
-    whole, cut = json.loads(whole), json.loads(cut)
-    assert whole["max_deviation_eV"] > 1e-3 > max(lv["deviation_eV"] for lv in cut["levels"])
-    assert cut.pop("levels") == whole.pop("levels")[:3]
-    assert cut == whole
+    assert payload["max_deviation_eV"] < 1e-5
+    assert payload["closed_count"] == payload["oracle_count"] == len(payload["levels"]) > 3
 
 
 @pytest.mark.parametrize("extra, coordinate", [
@@ -743,7 +714,7 @@ def test_oracle_compare_n_levels_keeps_the_whole_comparison(capsys, fmt):
 def test_oracle_compare_header_names_the_grid_coordinate(capsys, extra, coordinate):
     # only exact mode at delta = 0 keeps the uniform r grid; every other
     # problem is on a grid uniform in a map of t = ln(r - r_o)
-    code, out, _ = run_cli(["oracle-compare", "--molecule", "H2", "--n-levels", "1", *extra], capsys)
+    code, out, _ = run_cli(["oracle-compare", "--molecule", "H2", *extra], capsys)
     assert code == 0
     header = out.splitlines()[0].split()
     at = header.index(f"coordinate={coordinate}")
@@ -786,6 +757,54 @@ def test_molecule_file_env(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("MORSE_MOLECULE_PATH", str(path))
     code, out, _ = run_cli(["spectrum", "--molecule", "Fake", "--n", "0", "--l", "0"], capsys)
     assert code == 0
+
+
+def test_nmax_reads_the_molecule_file_once(tmp_path, capsys, monkeypatch):
+    # one read and one parse per request: a file that changes between two
+    # reads cannot give a table of mixed records
+    import qmorse.cli as cli_mod
+
+    path = tmp_path / "mols.txt"
+    path.write_text("name = Fake\nD0_cm1 = 20000\na_invA = 1.5\nr0_A = 1.0\nmu_amu = 1.0\n")
+    calls = []
+    load = cli_mod.load_molecules
+    monkeypatch.setattr(cli_mod, "load_molecules", lambda text: calls.append(text) or load(text))
+    code, out, _ = run_cli(["nmax", "--molecules", "Fake,H2,Fake", "--molecule-file", str(path),
+                            "--format", "json"], capsys)
+    assert code == 0
+    assert len(calls) == 1
+    assert [row[0] for row in json.loads(out)["rows"]] == ["Fake", "H2", "Fake"]
+
+
+def test_show_constants_with_a_subcommand_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    # the subcommand would otherwise be ignored: its unknown molecule never
+    # reported and its --output never written
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(["--show-constants", "spectrum", "--molecule", "XX", "--n", "0",
+                              "--l", "0", "--output", "f"], capsys)
+    assert (code, out) == (2, "")
+    assert [line for line in err.splitlines() if "error:" in line] == [
+        "qmorse: error: --show-constants takes no subcommand, got spectrum"]
+    assert not (tmp_path / "f").exists()
+
+
+@pytest.mark.parametrize("argv, code, command", [
+    (["--help"], 0, None), (["spectrum", "-h"], 0, "spectrum"),
+    (["spectrum"], 2, "spectrum"), (["--bogus"], 2, None),
+], ids=["help", "subcommand-help", "missing-flag", "unknown-flag"])
+def test_help_and_usage_errors_return_from_main(capsys, argv, code, command):
+    # argparse's help and exit end in main, which returns the status: no SystemExit
+    parser = build_parser()
+    if command is not None:
+        sub = next(action for action in parser._actions
+                   if isinstance(action, argparse._SubParsersAction))
+        parser = sub.choices[command]
+    returned, out, err = run_cli(argv, capsys)
+    assert returned == code
+    if code == 0:
+        assert (out, err) == (parser.format_help(), "")
+    else:
+        assert out == "" and err.startswith(parser.format_usage())
 
 
 #: one request per subcommand that every probe below varies by one flag
@@ -834,7 +853,6 @@ FLAG_PROBES = {
     ("oracle-compare", "--l"): ([], ["--l", "3"]),
     ("oracle-compare", "--centrifugal"): ([], ["--centrifugal", "exact"]),
     ("oracle-compare", "--grid"): ([], ["--grid", "200"]),
-    ("oracle-compare", "--n-levels"): ([], ["--n-levels", "2"]),
     ("special-case", "--alpha"): ([], ["--alpha", "1.1"]),
     ("special-case", "--q"): ([], ["--q", "0.9"]),
     # a later --case replaces the base request's well by one that reads the flag
@@ -864,10 +882,7 @@ def _probe(argv, tmp_path, monkeypatch):
     (tmp_path / "out").unlink(missing_ok=True)
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-        try:
-            code = main(argv)
-        except SystemExit as exc:  # argparse usage error
-            code = exc.code
+        code = main(argv)
     written = (tmp_path / "out").read_bytes() if (tmp_path / "out").exists() else None
     return code, out.getvalue(), written
 
@@ -892,8 +907,9 @@ def test_every_flag_changes_its_request(tmp_path, monkeypatch, command, flag):
     ("special-case", ["--molecule-file", "molecules.txt"]),
     ("oracle-compare", ["--digits", "9"]),
     ("oracle-compare", ["--format", "csv"]),
+    ("oracle-compare", ["--n-levels", "1"]),
 ], ids=["table3-molecule-file", "special-case-molecule-file", "oracle-compare-digits",
-        "oracle-compare-csv"])
+        "oracle-compare-csv", "oracle-compare-n-levels"])
 def test_flag_a_command_does_not_read_is_a_usage_error(tmp_path, monkeypatch, command, extra):
     code, out, written = _probe([*PROBE_BASE[command], *extra], tmp_path, monkeypatch)
     assert (code, out, written) == (2, "", None)
@@ -956,11 +972,10 @@ def test_overflow_is_numeric_failure(capsys, argv):
 def test_special_case_non_finite_flag_is_usage_error(capsys):
     # --alpha is not a field of the non-PT well and is not echoed, but argparse
     # still rejects its non-finite value
-    with pytest.raises(SystemExit) as info:
-        main(["special-case", "--case", "non-pt", "--D", "2", "--dhat", "1", "--mu", "0.9",
-              "--re", "1.2", "--alpha=-inf"])
-    assert info.value.code == 2
-    assert "finite" in capsys.readouterr().err
+    code, _, err = run_cli(["special-case", "--case", "non-pt", "--D", "2", "--dhat", "1",
+                            "--mu", "0.9", "--re", "1.2", "--alpha=-inf"], capsys)
+    assert code == 2
+    assert "finite" in err
 
 
 @pytest.mark.parametrize("argv", [
@@ -1041,10 +1056,8 @@ def test_wavefunction_non_normalizable_exit_2(capsys):
      "--levels", "-2"],
 ])
 def test_non_positive_count_is_usage_error(capsys, argv):
-    with pytest.raises(SystemExit) as info:
-        main(argv)
-    assert info.value.code == 2
-    err = capsys.readouterr().err
+    code, _, err = run_cli(argv, capsys)
+    assert code == 2
     assert f"argument {argv[-2]}: expected " in err
     assert ("1 to 17 significant digits" if argv[-2] == "--digits" else "positive integer") in err
 
@@ -1054,11 +1067,9 @@ def test_digits_past_17_is_a_usage_error(capsys, digits):
     # 17 significant digits tell every float apart; 2**31 was a numeric
     # failure ("precision too big", exit 1) and 18 printed binary-expansion digits
     argv = ["spectrum", "--molecule", "H2", "--n", "0", "--l", "0", "--format", "csv"]
-    with pytest.raises(SystemExit) as info:
-        main([*argv, "--digits", digits])
-    captured = capsys.readouterr()
-    assert info.value.code == 2 and captured.out == ""
-    assert f"expected 1 to 17 significant digits, got '{digits}'" in captured.err
+    code, out, err = run_cli([*argv, "--digits", digits], capsys)
+    assert code == 2 and out == ""
+    assert f"expected 1 to 17 significant digits, got '{digits}'" in err
     code, out, _ = run_cli([*argv, "--digits", "17"], capsys)
     assert code == 0 and "-4.4758133814231558" in out
 
@@ -1069,10 +1080,7 @@ def test_parser_reused_across_requests(capsys):
     import qmorse.cli as cli_mod
 
     cli_mod._parser.cache_clear()
-    with pytest.raises(SystemExit) as info:
-        main(["spectrum", "--molecule", "H2"])
-    assert info.value.code == 2
-    capsys.readouterr()
+    assert run_cli(["spectrum", "--molecule", "H2"], capsys)[0] == 2
     assert run_cli(["spectrum", "--molecule", "H2", "--delta", "1.5", "--n", "0", "--l", "0"],
                    capsys)[0] == 2
     assert run_cli(["--show-constants"], capsys)[0] == 0

@@ -10,6 +10,7 @@ import ast
 import importlib
 import importlib.util
 import inspect
+import json
 import pkgutil
 import re
 import subprocess
@@ -129,3 +130,12 @@ def test_ci_workflow_runs_the_tier1_line():
     # then no test may have written into the checkout
     clean = 'run: git status --porcelain && test -z "$(git status --porcelain)"\n'
     assert workflow.index(f"run: {tier1}\n") < workflow.index(clean)
+    # between them, every benchmark workload's own output checks must read correct
+    workloads = [w["name"] for w in
+                 json.loads((root / "BENCHMARK.json").read_text(encoding="utf-8"))["workloads"]]
+    step = " ".join(workflow[workflow.index(f"run: {tier1}\n"):workflow.index(clean)].split())
+    assert ("shell: bash run: | "  # GitHub runs a bash step with -eo pipefail
+            f"for workload in {' '.join(workloads)}; do "
+            'python3 perfbench/run.py --workload "$workload" --seconds 2 --trace 0 \\ '
+            "| python3 -c 'import json, sys; sys.exit(json.loads(sys.stdin.readlines()[-1])"
+            """["correct"] is not True)' \\ """) in step
