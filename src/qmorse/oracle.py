@@ -203,6 +203,12 @@ class OracleSpectrum:
     error_estimates: np.ndarray
 
 
+#: ``_fit_map``'s candidate A, B (shares of the peak need) and t_m (offsets from its t)
+_FIT_A = np.geomspace(0.005, 0.6, 12)[:, None, None]
+_FIT_B = np.array([1.0, 1.15, 1.35, 1.7])[:, None]
+_FIT_T_M = np.linspace(-0.6, 0.3, 9)
+
+
 def _fit_map(t: np.ndarray, need: np.ndarray) -> GridMap:
     """The GridMap whose density covers ``need`` (a point density on the uniform
     samples t) at least cost, the integral of X' over [t[0], t[-1]].
@@ -216,20 +222,20 @@ def _fit_map(t: np.ndarray, need: np.ndarray) -> GridMap:
     t_b = t[:32 * blocks].reshape(32, blocks)[:, blocks // 2]
     need_b = need[:32 * blocks].reshape(32, blocks).max(axis=1)
     peak = int(np.argmax(need))
-    a = need[peak] * np.geomspace(0.005, 0.6, 12)[:, None, None, None]
-    b = (need[peak] - a) * np.array([1.0, 1.15, 1.35, 1.7])[:, None, None]
-    t_m = t[peak] + np.linspace(-0.6, 0.3, 9)[:, None]
-    share = (need_b - a) / b
+    a = need[peak] * _FIT_A
+    b = (need[peak] - a) * _FIT_B
+    t_m = t[peak] + _FIT_T_M
+    share = (need_b - a[..., None]) / b[..., None]
     with np.errstate(divide="ignore", invalid="ignore"):  # share >= 1 off t_m: no width
         reach = np.arccosh(1.0 / np.sqrt(np.clip(share, 1e-300, 1.0)))
-        width = np.max(np.where(share > 0.0, np.abs(t_b - t_m) / reach, 0.0), axis=-1)
-        a, b, t_m = np.broadcast_arrays(a[..., 0], b[..., 0], t_m[..., 0])
-        width = np.maximum(width, 1e-3 * (t[-1] - t[0]))
+        width = np.divide(np.abs(t_b - t_m[:, None]), reach, where=share > 0.0,
+                          out=np.zeros(b.shape[:2] + t_m.shape + t_b.shape))
+        width = np.maximum(np.max(width, axis=-1), 1e-3 * (t[-1] - t[0]))
         cost = a * (t[-1] - t[0]) + b * width * (np.tanh((t[-1] - t_m) / width)
                                                  - np.tanh((t[0] - t_m) / width))
-    best = np.unravel_index(np.argmin(np.where(np.isfinite(cost), cost, np.inf)), cost.shape)
-    return GridMap(a=float(a[best] / b[best]), b=1.0, t_m=float(t_m[best]),
-                   width=float(width[best]))
+    i, j, k = np.unravel_index(np.argmin(np.where(np.isfinite(cost), cost, np.inf)), cost.shape)
+    return GridMap(a=float(a[i, 0, 0] / b[i, j, 0]), b=1.0, t_m=float(t_m[k]),
+                   width=float(width[i, j, k]))
 
 
 @dataclass(frozen=True)
@@ -285,8 +291,7 @@ def problem(p: PotentialParams, mm: MassModel, l: int,
     inv_h22m = 1.0 / hbar2_over_2mu(mm.m0)  # = 2 m0 / hbar^2
 
     def b(r):
-        m, _, _ = mass(mm, p, r)
-        return m / mm.m0 * inv_h22m
+        return mass(mm, p, r) / mm.m0 * inv_h22m
 
     if centrifugal_mode == "exact":
         threshold, origin, w = p.v3, None, partial(effective_potential, p, mm, l)
@@ -308,7 +313,7 @@ def problem(p: PotentialParams, mm: MassModel, l: int,
                          wall=wall, check_wall=check_wall, ladder=ladder)
 
 
-def _wall_efolds(w_hat, b_hat, e, h):
+def _wall_efolds(e, w_hat, b_hat, h):
     """WKB e-folds of decay of a level at e from its innermost allowed point to
     the inner wall and from its outermost allowed point to the outer wall."""
     gap = w_hat - e * b_hat
@@ -321,8 +326,7 @@ def _wall_efolds(w_hat, b_hat, e, h):
 
 def _solve_once(prob: OracleProblem, gmap: GridMap, x_lo, x_hi, n):
     """Levels below the threshold on n interior points of [x_lo, x_hi], their
-    roundoff and the shallowest level's decay to each wall (``_wall_efolds``;
-    zero when no level is bound).
+    roundoff, and the W^, B^ and spacing h that ``_wall_efolds`` reads.
 
     x = X(t) is ``gmap`` of t, which is r itself or ln(r - prob.origin)
     on the log grid.  The roundoff is 16 eps ||H||_inf.
@@ -359,8 +363,7 @@ def _solve_once(prob: OracleProblem, gmap: GridMap, x_lo, x_hi, n):
     roundoff = 16.0 * np.finfo(float).eps * float(np.max(np.abs(diag) + off_sum))
     vals = eig_banded(band, eigvals_only=True)
     vals = vals[vals <= float(prob.threshold) - 1e-12]
-    efolds = _wall_efolds(w_hat, b_hat, vals[-1], h) if len(vals) else (0.0, 0.0)
-    return vals, roundoff, efolds
+    return vals, roundoff, w_hat, b_hat, h
 
 
 def solve(prob: OracleProblem, cfg: OracleConfig) -> OracleSpectrum:
@@ -381,9 +384,10 @@ def solve(prob: OracleProblem, cfg: OracleConfig) -> OracleSpectrum:
     gmap = cfg.grid_map
     t_lo, t_hi = coord(cfg.r_min), coord(cfg.r_max)
     x_lo, x_hi = gmap.x(t_lo), gmap.x(t_hi)
-    vals, roundoff, (inner, outer) = _solve_once(prob, gmap, x_lo, x_hi, cfg.grid_points)
+    vals, roundoff, *hats = _solve_once(prob, gmap, x_lo, x_hi, cfg.grid_points)
     estimates = np.empty(0)
     if len(vals):
+        inner, outer = _wall_efolds(vals[-1], *hats)
         span = t_hi - t_lo
         check_lo, check_hi = x_lo, x_hi
         if prob.origin is not None and inner < WALL_EFOLDS:
@@ -391,7 +395,7 @@ def solve(prob: OracleProblem, cfg: OracleConfig) -> OracleSpectrum:
         if outer < WALL_EFOLDS:
             check_hi = gmap.x(t_hi + 0.25 * span)
         check_n = math.ceil(1.25 * (check_hi - check_lo) / (x_hi - x_lo) * (cfg.grid_points + 1)) - 1
-        check_vals, check_roundoff, _ = _solve_once(prob, gmap, check_lo, check_hi, check_n)
+        check_vals, check_roundoff, *_ = _solve_once(prob, gmap, check_lo, check_hi, check_n)
         # a level the check solve lost may lie anywhere up to the threshold
         other = np.full(len(vals), float(prob.threshold))
         shared = min(len(vals), len(check_vals))

@@ -96,28 +96,32 @@ def morse_potential(p: PotentialParams, r):
 
 
 def mass(mm: MassModel, p: PotentialParams, r):
-    """Mass profile and its first two radial derivatives, (m, m', m'').
+    """Mass profile m(r) = m0 / (1 - delta z)^2, in amu.
 
-    Units are amu, amu/A and amu/A^2.  For delta = 0 the derivatives are
-    exactly zero.  Raises MassPoleError when delta * z >= 1 (only possible
-    for r sufficiently below r_e).
+    Raises MassPoleError when delta * z >= 1 (only possible for r
+    sufficiently below r_e).
     """
     arr = _as_positive_radius(r)
-    z = np.exp(-p.a * (arr - p.r_e))
-    w = 1.0 - mm.delta * z
+    w = 1.0 - mm.delta * np.exp(-p.a * (arr - p.r_e))
     if np.any(w <= 0.0):
         raise MassPoleError(
             f"mass pole reached: delta * exp(-a(r - r_e)) >= 1 for delta={mm.delta}"
         )
     m = mm.m0 / w**2
+    return float(m) if np.isscalar(r) else m
+
+
+def _mass_derivatives(mm: MassModel, p: PotentialParams, r):
+    """m' and m'' of ``mass`` (amu/A, amu/A^2; 0 at delta = 0) at r clear of the pole,
+    for ``effective_potential``, their one reader."""
+    z = np.exp(-p.a * (r - p.r_e))
+    w = 1.0 - mm.delta * z
     m1 = -2.0 * mm.m0 * mm.delta * p.a * z / w**3
     m2 = (
         2.0 * mm.m0 * mm.delta * p.a**2 * z / w**3
         + 6.0 * mm.m0 * mm.delta**2 * p.a**2 * z**2 / w**4
     )
-    if np.isscalar(r):
-        return float(m), float(m1), float(m2)
-    return m, m1, m2
+    return m1, m2
 
 
 def virtual_pole(p: PotentialParams, mm: MassModel) -> float:
@@ -143,7 +147,8 @@ def effective_potential(p: PotentialParams, mm: MassModel, l: int, r):
     if l < 0 or l != int(l):
         raise DomainError(f"l must be a non-negative integer, got {l}")
     arr = _as_positive_radius(r)
-    m, m1, m2 = mass(mm, p, arr)
+    m = mass(mm, p, arr)
+    m1, m2 = _mass_derivatives(mm, p, arr)
     two_m_over_hbar2 = 2.0 * m * UNITS.amu_to_eV_per_c2 / UNITS.hbar_c**2
     out = (
         -m2 / (2.0 * m)

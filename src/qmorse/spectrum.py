@@ -144,14 +144,15 @@ def quantize(n, beta1, beta2, delta: float) -> SpectrumGrid:
                 xi = sqrt(1 + 4 eps^2 + (4/delta)(beta1/delta - beta2))
     delta = 0:  eps = beta2 / (2 sqrt(beta1)) - (n + 1/2)
     """
-    n, beta1, beta2 = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in (n, beta1, beta2)))
+    n, beta1, beta2 = (np.asarray(x, dtype=float) for x in (n, beta1, beta2))
+    shape = np.broadcast_shapes(n.shape, beta1.shape, beta2.shape)
     with np.errstate(all="ignore"):
         sqrt_b1 = np.sqrt(beta1)
-        den = sqrt_b1 - (n + 0.5) * delta
+        den = np.broadcast_to(sqrt_b1 - (n + 0.5) * delta, shape)  # beta2 may widen it
         if delta == 0.0:
-            fault = np.where(beta1 > 0.0, 0, FAULT_BETA1)
+            fault = np.where(beta1 > 0.0, np.zeros(shape, dtype=int), FAULT_BETA1)
             eps = beta2 / (2.0 * sqrt_b1) - (n + 0.5)
-            xi_sq = np.full(n.shape, np.inf)
+            xi_sq = np.full(shape, np.inf)
         else:
             eps = 0.5 * (n * (n + 1) * delta - 2.0 * (n + 0.5) * sqrt_b1 + beta2) / den
             xi_sq = 1.0 + 4.0 * np.square(eps) + (4.0 / delta) * (beta1 / delta - beta2)

@@ -27,7 +27,7 @@ import math
 import numpy as np
 
 from .errors import MassPoleError, NonNormalizableError
-from .potential import MassModel, PotentialParams, mass
+from .potential import MassModel, PotentialParams
 from .spectrum import QuantumState, _evaluated_mass, quantize, strengths
 from .specfun import genlaguerre_poly, jacobi_poly, log_gamma, log_gamma_ratio
 
@@ -125,10 +125,8 @@ def radial_wavefunction(p: PotentialParams, mm: MassModel, state: QuantumState, 
             u = np.exp(log_n + eps * log_z - 0.5 * y).astype(float) * poly
     if not np.isfinite(u).all():
         raise OverflowError(f"state n={n} overflows a float: amplitudes are not finite")
-    factor = 1.0
-    if mm.delta > 0.0:
-        m_of_r, _, _ = mass(mm, p, arr)
-        factor = np.sqrt(m_of_r / mm.m0)
+    # sqrt(m/m0), with m formed from w as ``potential.mass`` forms it
+    factor = np.sqrt(mm.m0 / w**2 / mm.m0) if mm.delta > 0.0 else 1.0
     with np.errstate(all="ignore"):
         psi = u * factor / arr
     if not np.isfinite(psi).all():  # u is finite; 1/r overflows at a subnormal r

@@ -23,7 +23,7 @@ import numpy as np
 from qmorse import builtin
 from qmorse.oracle import compare, problem, solve, suggest_config
 from qmorse.pekeris import pekeris_coefficients
-from qmorse.potential import MassModel, PotentialParams, mass, morse_potential
+from qmorse.potential import MassModel, PotentialParams, _mass_derivatives, mass, morse_potential
 from qmorse.spectrum import bound_ladder
 from qmorse.units import hbar2_over_2mu
 
@@ -52,7 +52,8 @@ def substituted_w(p, mm, l):
     inv_h22m = 1.0 / hbar2_over_2mu(mm.m0)
 
     def w(r):
-        m, m1, m2 = mass(mm, p, r)
+        m = mass(mm, p, r)
+        m1, m2 = _mass_derivatives(mm, p, r)
         return (
             -m2 / (2.0 * m)
             + 0.75 * (m1 / m) ** 2

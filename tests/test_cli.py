@@ -875,16 +875,16 @@ def _optional_flags():
 
 
 def _probe(argv, tmp_path, monkeypatch):
-    """(exit code, stdout, --output bytes) of one request, run in tmp_path."""
+    """(exit code, stdout, --output bytes, stderr) of one request, run in tmp_path."""
     monkeypatch.chdir(tmp_path)
     monkeypatch.delenv("MORSE_MOLECULE_PATH", raising=False)
     (tmp_path / "molecules.txt").write_text(PROBE_MOLECULES)
     (tmp_path / "out").unlink(missing_ok=True)
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     written = (tmp_path / "out").read_bytes() if (tmp_path / "out").exists() else None
-    return code, out.getvalue(), written
+    return code, out.getvalue(), written, err.getvalue()
 
 
 def test_every_flag_has_a_probe():
@@ -908,11 +908,18 @@ def test_every_flag_changes_its_request(tmp_path, monkeypatch, command, flag):
     ("oracle-compare", ["--digits", "9"]),
     ("oracle-compare", ["--format", "csv"]),
     ("oracle-compare", ["--n-levels", "1"]),
+    # JSON prints every float as its shortest repr
+    *((command, ["--format", "json", "--digits", "3"])
+      for command in ("spectrum", "table3", "nmax", "wavefunction", "special-case")),
 ], ids=["table3-molecule-file", "special-case-molecule-file", "oracle-compare-digits",
-        "oracle-compare-csv", "oracle-compare-n-levels"])
+        "oracle-compare-csv", "oracle-compare-n-levels", "spectrum-json-digits",
+        "table3-json-digits", "nmax-json-digits", "wavefunction-json-digits",
+        "special-case-json-digits"])
 def test_flag_a_command_does_not_read_is_a_usage_error(tmp_path, monkeypatch, command, extra):
-    code, out, written = _probe([*PROBE_BASE[command], *extra], tmp_path, monkeypatch)
+    code, out, written, err = _probe([*PROBE_BASE[command], *extra, "--output", "out"],
+                                     tmp_path, monkeypatch)
     assert (code, out, written) == (2, "", None)
+    assert all(flag in err for flag in extra if flag.startswith("--"))
 
 
 def test_cli_entry_point_subprocess():

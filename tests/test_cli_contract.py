@@ -11,7 +11,7 @@ one exemption is the documented sentinel of ``nmax``: ``E_last_bound_eV`` is
 ``nan`` for a molecule with n_max = 0, and only there.  ``nmax --full``
 draws ``--q`` only from [-2, 10]: it builds every bound state, and a huge
 ``--q`` makes that ladder grow without limit (it exits 2 past 10^5 rows, but
-a request near that cap takes a second); [-2, 10] keeps it to a few thousand
+a request near that cap takes 0.1 s); [-2, 10] keeps it to a few thousand
 rows.  For the same reason ``wavefunction --n`` stays at most 2000: its
 polynomial recurrence takes n steps over the grid.  ``wavefunction
 --points`` and ``special-case --levels`` draw up to 2000 and 40, or
@@ -26,7 +26,8 @@ one of 1e30 and 1e300 (which exit before solving), ``--grid`` is drawn from
 3001 and 10^9, and ``--l`` from [-2, 60] or 10^6, and its ``--format`` only
 from text and json.  ``--inverse-r``, a flag the parser does not know, must
 exit 2.  A ``special-case`` well refuses a flag it does not read (exit 2), so
-half its draws give only the flags the drawn well reads.
+half its draws give only the flags the drawn well reads.  JSON prints every
+float in full, so ``--digits`` with ``--format json`` must exit 2.
 """
 
 import contextlib
@@ -186,8 +187,11 @@ def _run(argv):
                "--re=0.06", "--alpha=1", "--q=1e160"])
 @example(argv=["special-case", "--case=pt-type1", "--D=1000", "--mu=1000", "--re=0.06",
                "--dhat=5e200"])
+@example(argv=["table3", "--format=json", "--digits=3"])
 def test_exit_code_contract(argv):
     code = _run(argv)
+    if "--format=json" in argv and any(arg.startswith("--digits=") for arg in argv):
+        assert code == 2, argv  # JSON does not read --digits
     molecules = [arg.partition("=")[2] for arg in argv if arg.startswith("--molecules=")]
     if molecules and not molecules[0].strip(" ,"):
         assert code == 2, argv  # an empty molecule list

@@ -28,7 +28,13 @@ from qmorse.oracle import (
     solve,
     suggest_config,
 )
-from qmorse.potential import MassModel, PotentialParams, effective_potential, morse_potential
+from qmorse.potential import (
+    MassModel,
+    PotentialParams,
+    effective_potential,
+    mass,
+    morse_potential,
+)
 from qmorse.reference import TABLE_MOLECULE
 from qmorse.spectrum import QuantumState, bound_ladder, spectrum_grid
 from qmorse.units import hbar2_over_2mu
@@ -299,6 +305,17 @@ def test_exact_mode_w_is_the_effective_potential(h2, delta):
     w_fn = problem(p, mm, 5, "exact").w
     r = np.linspace(p.r_e - 0.5 / p.a, p.r_e + 30.0 / p.a, 400)
     assert np.array_equal(w_fn(r), effective_potential(p, mm, 5, r))
+
+
+@pytest.mark.parametrize("mode", ["pekeris", "exact"])
+@pytest.mark.parametrize("delta", [0.0, 0.3])
+def test_b_is_two_m_over_hbar2_of_the_mass_profile(h2, delta, mode):
+    # B reads m(r) from potential.mass, the profile every other reader uses
+    p = PotentialParams.from_molecule(h2, 1.0)
+    mm = MassModel.from_molecule(h2, delta)
+    prob = problem(p, mm, 5, mode)
+    r = np.linspace(prob.wall, p.r_e + 60.0 / p.a, 400)
+    assert np.array_equal(prob.b(r), mass(mm, p, r) / mm.m0 * (1.0 / hbar2_over_2mu(mm.m0)))
 
 
 @pytest.mark.parametrize("name", ["H2", "CO"])

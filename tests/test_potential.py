@@ -9,6 +9,7 @@ from qmorse.errors import DomainError, MassPoleError
 from qmorse.potential import (
     MassModel,
     PotentialParams,
+    _mass_derivatives,
     effective_potential,
     mass,
     mass_pole_radius,
@@ -92,15 +93,14 @@ def test_two_algebraic_forms_agree(q, d_e, a, r_e, frac):
 def test_mass_constant_limit_exact():
     p = PotentialParams(**H2ISH)
     mm = MassModel(m0=0.50391, delta=0.0)
-    m, m1, m2 = mass(mm, p, 1.234)
-    assert (m, m1, m2) == (0.50391, 0.0, 0.0)
+    m1, m2 = _mass_derivatives(mm, p, 1.234)
+    assert (mass(mm, p, 1.234), m1, m2) == (0.50391, 0.0, 0.0)
 
 
 def test_mass_at_equilibrium_half_deformation():
     p = PotentialParams(**H2ISH)
     mm = MassModel(m0=2.0, delta=0.5)
-    m, _, _ = mass(mm, p, p.r_e)
-    assert m == pytest.approx(4.0 * 2.0, rel=1e-14)
+    assert mass(mm, p, p.r_e) == pytest.approx(4.0 * 2.0, rel=1e-14)
 
 
 def test_mass_derivatives_match_finite_differences():
@@ -108,9 +108,9 @@ def test_mass_derivatives_match_finite_differences():
     mm = MassModel(m0=0.50391, delta=0.3)
     r = 1.3 * p.r_e
     h = 1e-5 * p.r_e
-    m0v, m1v, m2v = mass(mm, p, r)
-    mp = (mass(mm, p, r + h)[0] - mass(mm, p, r - h)[0]) / (2 * h)
-    mpp = (mass(mm, p, r + h)[0] - 2 * m0v + mass(mm, p, r - h)[0]) / h**2
+    m1v, m2v = _mass_derivatives(mm, p, r)
+    mp = (mass(mm, p, r + h) - mass(mm, p, r - h)) / (2 * h)
+    mpp = (mass(mm, p, r + h) - 2 * mass(mm, p, r) + mass(mm, p, r - h)) / h**2
     assert m1v == pytest.approx(mp, rel=1e-8)
     assert m2v == pytest.approx(mpp, rel=1e-5)
 
@@ -168,9 +168,9 @@ def test_effective_potential_pdm_against_independent_composition():
     mm = MassModel(m0=0.50391, delta=0.3)
     r = 2.0 * p.r_e
     h = 1e-6
-    m_mid = mass(mm, p, r)[0]
-    m_hi = mass(mm, p, r + h)[0]
-    m_lo = mass(mm, p, r - h)[0]
+    m_mid = mass(mm, p, r)
+    m_hi = mass(mm, p, r + h)
+    m_lo = mass(mm, p, r - h)
     m1 = (m_hi - m_lo) / (2 * h)
     m2 = (m_hi - 2 * m_mid + m_lo) / h**2
     two_m_over_h2 = 2.0 * m_mid * UNITS.amu_to_eV_per_c2 / UNITS.hbar_c**2

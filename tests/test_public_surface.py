@@ -134,8 +134,12 @@ def test_ci_workflow_runs_the_tier1_line():
     workloads = [w["name"] for w in
                  json.loads((root / "BENCHMARK.json").read_text(encoding="utf-8"))["workloads"]]
     step = " ".join(workflow[workflow.index(f"run: {tier1}\n"):workflow.index(clean)].split())
+    # the report goes to a file outside the checkout, printed whole when the check fails
     assert ("shell: bash run: | "  # GitHub runs a bash step with -eo pipefail
             f"for workload in {' '.join(workloads)}; do "
-            'python3 perfbench/run.py --workload "$workload" --seconds 2 --trace 0 \\ '
-            "| python3 -c 'import json, sys; sys.exit(json.loads(sys.stdin.readlines()[-1])"
-            """["correct"] is not True)' \\ """) in step
+            'report="$RUNNER_TEMP/perfbench-$workload.txt" '
+            'python3 perfbench/run.py --workload "$workload" --seconds 2 --trace 0 > "$report" \\ '
+            "&& python3 -c 'import json, sys; sys.exit(json.loads(open(sys.argv[1]).readlines()[-1])"
+            """["correct"] is not True)' "$report" \\ """
+            '|| { cat "$report"; echo "perfbench $workload: output checks failed"; exit 1; } '
+            "done") in step

@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import pytest
 
@@ -236,6 +237,15 @@ def test_beta_static_beta2_is_twice_beta1():
     beta1, beta2, _ = map(float, strengths(p, MassModel(m0=mol.mu_amu, delta=0.0), 0))
     # beta2 = 2 beta1 exactly at q = 1, l = 0 for the constant-mass case
     assert beta2 == pytest.approx(2.0 * beta1, rel=1e-14)
+
+
+@pytest.mark.parametrize("delta", [0.0, 0.5])
+def test_quantize_fields_take_the_broadcast_shape(delta):
+    # beta2 alone spans the last axis: every field still has the full shape
+    qz = quantize(np.arange(3)[:, None, None], [[3.0], [1.5]], [10.0, 9.0, 8.0, 7.0], delta)
+    arrays = [getattr(qz, f.name) for f in fields(qz) if f.name not in ("delta", "energy")]
+    assert [np.shape(a) for a in arrays] == [(3, 2, 4)] * len(arrays)
+    assert np.shape(qz[2, 1].den) == (4,)
 
 
 def test_grid_raises_first_threshold_state_in_row_order():

@@ -43,6 +43,16 @@ def test_pdm_ground_state_has_pure_envelope(h2_pdm):
                                expected, rtol=1e-14)
 
 
+@pytest.mark.parametrize("delta", [0.0, 0.3])
+def test_psi_factor_is_the_mass_profile(h2, delta):
+    # psi = u sqrt(m/m0)/r, with m the profile of potential.mass bit for bit
+    p = PotentialParams.from_molecule(h2, 1.0)
+    mm = MassModel.from_molecule(h2, delta)
+    r = np.linspace(0.3, 4.0, 200)
+    u, psi = radial_wavefunction(p, mm, QuantumState(2, 1), r)
+    assert np.array_equal(psi, u * np.sqrt(mass(mm, p, r) / mm.m0) / r)
+
+
 @pytest.mark.parametrize("delta, q", [(0.0, 1e16), (0.01, 1e12)], ids=["constant", "pdm"])
 def test_recurrence_overflow_raises(delta, q):
     # normalizable CO states of degree 2000 whose recurrence overflows a float
@@ -268,7 +278,7 @@ def test_pdm_orthogonality_weight_is_mass_weighted(h2_pdm, capsys):
     for i in range(3):
         for j in range(i + 1, 3):
             weighted, _ = quad(
-                lambda r: u(i, r) * u(j, r) * mass(mm, p, r)[0] / mm.m0,
+                lambda r: u(i, r) * u(j, r) * mass(mm, p, r) / mm.m0,
                 0.14, 60.0, limit=400, epsabs=1e-12, epsrel=1e-10)
             plain, _ = quad(lambda r: u(i, r) * u(j, r), 0.14, 60.0,
                             limit=400, epsabs=1e-12, epsrel=1e-10)
