@@ -68,7 +68,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import cached_property, partial
 from typing import Callable
 
 import numpy as np
@@ -499,11 +499,11 @@ class ComparisonReport:
     closed_count: int
     oracle_count: int
 
-    @property
+    @cached_property
     def deviation(self) -> np.ndarray:
         return np.abs(self.closed - self.oracle)
 
-    @property
+    @cached_property
     def flagged(self) -> np.ndarray:
         """A deviation above FLAG_FACTOR estimates (never a NaN one)."""
         return self.deviation > FLAG_FACTOR * self.error

@@ -57,8 +57,6 @@ class QuantumState:
 
     def __post_init__(self):
         for name, value in (("n", self.n), ("l", self.l)):
-            if type(value) is int and value >= 0:  # the common case, kept cheap
-                continue
             if (isinstance(value, bool) or not isinstance(value, numbers.Real)
                     or not 0 <= value < math.inf or value != int(value)):
                 raise DomainError(f"{name} must be a non-negative integer, got {value!r}")

@@ -447,6 +447,13 @@ def test_odd_report_flags_and_deviations():
     assert math.isnan(odd.max_deviation)  # max() of a list that starts with NaN
 
 
+def test_report_forms_its_derived_columns_once():
+    # the renderers read deviation directly, through flagged and through max_deviation
+    report = _report(*ODD_LEVELS)
+    assert report.deviation is report.deviation
+    assert report.flagged is report.flagged
+
+
 def test_report_json_writes_non_finite_floats_as_json_does():
     for report in _odd_reports():
         assert _report_json(report) == _reference_json(report)

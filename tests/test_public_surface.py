@@ -127,6 +127,9 @@ def test_ci_workflow_runs_the_tier1_line():
     assert 'python-version: "3.11"' in workflow
     # a hung subprocess or FIFO test fails the job instead of holding a runner for 6 h
     assert "  tier1:\n    runs-on: ubuntu-latest\n    timeout-minutes: 20\n" in workflow
+    # a newer push cancels the superseded run on its ref; every head commit is still tested
+    assert "\nconcurrency:\n  group: tier1-${{ github.ref }}\n  cancel-in-progress: true\n" \
+        in workflow
     # then no test may have written into the checkout
     clean = 'run: git status --porcelain && test -z "$(git status --porcelain)"\n'
     assert workflow.index(f"run: {tier1}\n") < workflow.index(clean)
