@@ -6,9 +6,11 @@ pipe (nothing on stderr), 2 usage or domain error, a path that cannot be read
 or written or a failed write to stdout, 3 golden-value mismatch (table3).
 ``main`` renders every output, ``-h`` and ``--show-constants`` too, before
 ``_write``, the one writer of stdout and ``--output``, puts it out, and returns
-every status; a failed request writes nothing.  Table commands hand
-``_write_table`` params and ``(name, cells)`` column pairs; ``oracle-compare``
-renders its report through the same cell specs and text table.  At module level
+every status; a failed request writes nothing.  An argv that begins with a
+subcommand goes straight to that subcommand's parser.  Table commands hand
+``_write_table`` params and ``(name, cells)`` column pairs, the cells a list or
+a 1-D numpy array; ``oracle-compare`` renders its report through the same cell
+specs and text table.  At module level
 only the standard library and the numpy-free errors, units and molecules are
 imported; each ``cmd_*`` imports numpy and its evaluators when it runs, so
 ``--show-constants`` loads no numpy and only ``oracle-compare`` loads scipy.
@@ -87,17 +89,32 @@ _BOOL_TEXT = {True: "true", False: "false"}
 _JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def _column_type(name: str, column) -> type:
-    """The one type of every cell of the column: float, int, bool or str (str if empty).
+#: the cell type of an array column, by its dtype's kind; a long double is left
+#: out by its size, since its ``.tolist()`` keeps numpy scalars
+_ARRAY_CELLS = {"f": float, "i": int, "u": int, "b": bool}
 
-    Raises ``TypeError`` naming the column for mixed types, numpy scalars,
-    complex, None or any other cell.
+
+def _typed_cells(name: str, column) -> tuple[type, list]:
+    """The one type of every cell of the column, float, int, bool or str (str if
+    empty), and the cells as a list.
+
+    A 1-D numpy array is typed by its dtype and turned into a list by one
+    ``.tolist()``; a list is typed by its cells.  Raises ``TypeError`` naming
+    the column for any other array, and for a list of mixed types, numpy
+    scalars, complex, None or any other cell.
     """
+    dtype = getattr(column, "dtype", None)
+    if dtype is not None:
+        kind = _ARRAY_CELLS.get(dtype.kind) if column.ndim == 1 and dtype.itemsize <= 8 else None
+        if kind is None:
+            raise TypeError(f"column {name!r} holds a {column.ndim}-D {dtype} array; a column "
+                            "is a list or a 1-D float, int or bool array")
+        return kind, column.tolist()
     kinds = set(map(type, column))
     if len(kinds) > 1 or not kinds <= {float, int, bool, str}:
         raise TypeError(f"column {name!r} holds {', '.join(sorted(k.__name__ for k in kinds))}; "
                         "a column holds cells of one type: float, int, bool or str")
-    return kinds.pop() if kinds else str
+    return (kinds.pop() if kinds else str), column
 
 
 def _fill(template: str, columns, count: int, sep: str = "\n") -> str:
@@ -111,7 +128,7 @@ def _cell_spec(name: str, column, float_spec: str, is_json: bool) -> tuple[list,
     ``float_spec`` for floats (``%r`` is how json writes a finite float), bools
     as true/false, strings as JSON strings in JSON and non-finite floats there
     by json's names."""
-    kind = _column_type(name, column)
+    kind, column = _typed_cells(name, column)
     if kind is bool:
         return list(map(_BOOL_TEXT.__getitem__, column)), "%s"
     if kind is str:
@@ -147,7 +164,8 @@ def _text_table(names, data, specs, count: int) -> list[str]:
 
 def _write_table(params: dict, columns: list[tuple[str, list]], args, stream) -> None:
     """Write one table in one ``write``: ``params`` for its header and one
-    ``(name, cells)`` pair per column, every column as long as the first."""
+    ``(name, cells)`` pair per column, a list or a 1-D array (``_typed_cells``),
+    every column as long as the first."""
     names = [name for name, _ in columns]
     count = len(columns[0][1])
     is_json = args.format == "json"
@@ -167,19 +185,18 @@ def _write_table(params: dict, columns: list[tuple[str, list]], args, stream) ->
     stream.write("\n".join(lines) + "\n")
 
 
-def _report_levels(report, flags: list) -> list[tuple[str, list]]:
+def _report_levels(report, flags) -> list[tuple[str, list]]:
     """The report's levels as json's ``(key, cells)`` columns, ``flags`` as "flagged"."""
-    closed = report.closed.tolist()
-    return [("closed_form_eV", closed), ("deviation_eV", report.deviation.tolist()),
-            ("flagged", flags), ("index", list(range(len(closed)))),
-            ("oracle_eV", report.oracle.tolist()), ("oracle_error_eV", report.error.tolist())]
+    return [("closed_form_eV", report.closed), ("deviation_eV", report.deviation),
+            ("flagged", flags), ("index", list(range(len(report.closed)))),
+            ("oracle_eV", report.oracle), ("oracle_error_eV", report.error)]
 
 
 def _report_json(report) -> str:
     """The report as ``json.dumps(..., indent=2, sort_keys=True)`` writes it."""
     from .oracle import FLAG_FACTOR
 
-    columns = _report_levels(report, report.flagged.tolist())
+    columns = _report_levels(report, report.flagged)
     data, specs = zip(*(_cell_spec(name, cells, "%r", True) for name, cells in columns))
     row = "    {\n" + ",\n".join(f'      "{name}": {spec}'
                                   for (name, _), spec in zip(columns, specs)) + "\n    }"
@@ -199,7 +216,7 @@ _REPORT_TEXT = {"index": ("idx", None), "closed_form_eV": ("closed form", "%.9f"
 def _report_text(report) -> str:
     """The report as a text table of its levels, "!" marking a flagged one, and a
     last line with both counts."""
-    columns = dict(_report_levels(report, ["!" if f else "" for f in report.flagged]))
+    columns = dict(_report_levels(report, ["!" if f else "" for f in report.flagged.tolist()]))
     data, specs = zip(*(_cell_spec(head, columns[key], float_spec, False)
                         for key, (head, float_spec) in _REPORT_TEXT.items()))
     lines = _text_table([head for head, _ in _REPORT_TEXT.values()], data, specs, len(data[0]))
@@ -253,9 +270,9 @@ def cmd_spectrum(args, stream) -> int:
     params = {"molecule": mol.name, "q": args.q, "delta": args.delta,
               "n": args.n, "l": args.l, "energy_zero": "dissociation"}
     _write_table(params, [
-        ("n", np.repeat(n_list, len(l_list)).tolist()), ("l", l_list * len(n_list)),
-        ("eps_nl", grid.eps.ravel().tolist()), ("E_eV", grid.energy.ravel().tolist()),
-        ("minus_E", (-grid.energy).ravel().tolist()), ("bound", grid.bound.ravel().tolist()),
+        ("n", np.repeat(n_list, len(l_list))), ("l", l_list * len(n_list)),
+        ("eps_nl", grid.eps.ravel()), ("E_eV", grid.energy.ravel()),
+        ("minus_E", (-grid.energy).ravel()), ("bound", grid.bound.ravel()),
     ], args, stream)
     return 0
 
@@ -362,8 +379,7 @@ def cmd_wavefunction(args, stream) -> int:
     params = {"molecule": mol.name, "q": args.q, "delta": args.delta,
               "n": args.n, "l": args.l, "r_min": r_lo, "r_max": r_hi,
               "points": args.points, "note": "normalization=closed form"}
-    _write_table(params, [("r_A", grid.tolist()), ("u", u.tolist()), ("psi", psi.tolist())],
-                 args, stream)
+    _write_table(params, [("r_A", grid), ("u", u), ("psi", psi)], args, stream)
     return 0
 
 
@@ -412,8 +428,8 @@ def cmd_special_case(args, stream) -> int:
     energy, bound = special_cases.special_case_ladder(case_type(**values), np.arange(args.levels))
     imag = np.imag(energy)
     _write_table({"case": case_id, **flags}, [
-        ("n", list(range(args.levels))), ("Re_E_eV", np.real(energy).tolist()),
-        ("Im_E_eV", imag.tolist()), ("bound", bound.tolist()), ("non_real", (imag != 0).tolist()),
+        ("n", list(range(args.levels))), ("Re_E_eV", np.real(energy)),
+        ("Im_E_eV", imag), ("bound", bound), ("non_real", imag != 0),
     ], args, stream)
     return 0
 
@@ -423,7 +439,30 @@ class _ParserExit(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    """Hands ``-h``'s help and every exit to ``main`` as ``_ParserExit``, subparsers too."""
+    """Hands ``-h``'s help and every exit to ``main`` as ``_ParserExit``, subparsers too.
+
+    An argv whose first word is a subcommand goes straight to that subcommand's
+    parser: argparse's top-level pass would only scan every word again and
+    then hand them all to it.  Any other argv, or a given namespace, takes
+    that top-level pass.
+    """
+
+    #: the defaults of the top-level flags and the subcommand parsers by name,
+    #: which ``build_parser`` sets on the top-level parser; a subparser has none
+    top_level: tuple[dict, dict] = ({}, {})
+
+    def parse_known_args(self, args=None, namespace=None):
+        args = sys.argv[1:] if args is None else args
+        defaults, subcommands = self.top_level
+        parser = subcommands.get(args[0]) if args and namespace is None else None
+        if parser is None:
+            return super().parse_known_args(args, namespace)
+        # the namespace of the top-level pass: its defaults, the subcommand, the
+        # subcommand's values over them, and the words the subcommand did not read
+        namespace = argparse.Namespace(**defaults, command=args[0])
+        values, extras = parser.parse_known_args(args[1:])
+        vars(namespace).update(vars(values))
+        return namespace, extras
 
     def print_help(self, file=None) -> None:
         raise _ParserExit(0, self.format_help())
@@ -438,9 +477,10 @@ def build_parser() -> argparse.ArgumentParser:
         prog="qmorse",
         description="Bound-state energies and wavefunctions of deformed Morse oscillators.",
     )
-    parser.add_argument("--show-constants", action="store_true",
-                        help="print the three unit constants and exit")
+    show = parser.add_argument("--show-constants", action="store_true",
+                               help="print the three unit constants and exit")
     sub = parser.add_subparsers(dest="command")
+    parser.top_level = ({show.dest: show.default}, sub.choices)
 
     def add_common(sp, table=True, molecules=True, well=False):
         # --digits and csv only where _write_table prints the result as columns,

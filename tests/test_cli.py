@@ -13,8 +13,10 @@ import numpy as np
 import pytest
 
 from crosscheck.nodes import node_count
+from golden.replay import load
+from golden.rewrite import readme_lines
 from qmorse import builtin
-from qmorse.cli import build_parser, main
+from qmorse.cli import _Parser, _ParserExit, build_parser, main
 from qmorse.oracle import MAX_GRID_POINTS
 from qmorse.potential import MassModel, PotentialParams, mass_pole_radius
 from qmorse.spectrum import bound_ladder
@@ -900,6 +902,72 @@ def test_every_flag_changes_its_request(tmp_path, monkeypatch, command, flag):
                 for extra in (first, second)]
     assert outcomes[0] != outcomes[1]
     assert all(code == 0 for code, *_ in outcomes)
+
+
+SPECTRUM_REST = ["--molecule", "H2", "--n", "0,1", "--l", "0"]
+#: argvs that a leading subcommand sends down the fast path, and argvs that
+#: take argparse's top-level pass: help, usage errors and extras included
+PARSE_CORPUS = {
+    **{f"readme-{i}": line.split() for i, line in enumerate(readme_lines())},
+    **{f"probe-{command}{flag}-{i}": [*PROBE_BASE[command], *extra]
+       for (command, flag), pair in sorted(FLAG_PROBES.items()) for i, extra in enumerate(pair)},
+    "help": ["-h"],
+    "subcommand-help": ["spectrum", "-h"],
+    "subcommand-show-constants": ["spectrum", "--show-constants"],
+    "subcommand-show-constants-extra": ["spectrum", "--show-constants", *SPECTRUM_REST],
+    "unknown-flag": ["spectrum", "--bogus", "1"],
+    "unknown-flag-extra": ["spectrum", "--bogus", "1", *SPECTRUM_REST],
+    "ambiguous-prefix": ["spectrum", "--mol", "H2", "--n", "0", "--l", "0"],
+    "equals-value": ["spectrum", "--molecule=H2", "--n", "0", "--l", "0"],
+    "negative-value": ["spectrum", "--molecule", "H2", "--q", "-1", "--n", "0", "--l", "0"],
+    "double-dash-inside": ["spectrum", "--molecule", "H2", "--", "--n", "0", "--l", "0"],
+    "double-dash-last": ["spectrum", *SPECTRUM_REST, "--", "x"],
+    "missing-required": ["spectrum"],
+    "invalid-choice": ["spectra", *SPECTRUM_REST],
+    "show-constants-first": ["--show-constants", "spectrum"],
+    "empty": [],
+    "tuple": ("spectrum", *SPECTRUM_REST),
+}
+
+
+def _parse_outcome(parse, argv):
+    """(exit status or None, the namespace's items in order and the extras or the
+    printed help, stderr) of one parse by ``parse`` on a fresh parser."""
+    parser, err = build_parser(), io.StringIO()
+    with contextlib.redirect_stderr(err):
+        try:
+            namespace, extras = parse(parser, argv)
+        except _ParserExit as exc:
+            return *exc.args, err.getvalue()
+    return None, (list(vars(namespace).items()), extras), err.getvalue()
+
+
+@pytest.mark.parametrize("argv", PARSE_CORPUS.values(), ids=list(PARSE_CORPUS))
+def test_subcommand_fast_path_parses_as_the_top_level_pass(argv):
+    fast = _parse_outcome(_Parser.parse_known_args, argv)
+    assert fast == _parse_outcome(argparse.ArgumentParser.parse_known_args, argv)
+
+
+def test_golden_requests_parse_as_the_top_level_pass():
+    # every request the golden manifest replays: the benchmark's and the README's
+    for argv in (request["argv"] for request in load()):
+        fast = _parse_outcome(_Parser.parse_known_args, argv)
+        assert fast == _parse_outcome(argparse.ArgumentParser.parse_known_args, argv), argv
+
+
+def test_subcommand_request_is_parsed_once_on_its_subparser(capsys, monkeypatch):
+    # a leading subcommand goes straight to its parser: the top-level parser
+    # does not scan its words first
+    progs = []
+    parse = argparse.ArgumentParser._parse_known_args
+
+    def recorded(self, *args, **kwargs):
+        progs.append(self.prog)
+        return parse(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "_parse_known_args", recorded)
+    assert run_cli(["spectrum", *SPECTRUM_REST], capsys)[0] == 0
+    assert progs == ["qmorse spectrum"]
 
 
 @pytest.mark.parametrize("command, extra", [

@@ -8,9 +8,10 @@ one ``(name, cells)`` pair per column; ``write_table`` and
 ``reference_writer`` adapt each to the other's input.  The output of
 ``_write_table`` must stay byte-identical to the reference for every format
 and ``--digits``, on drawn tables and on the tables of real commands.  Every
-column ``_write_table`` takes holds cells of one plain type (float, int, bool
-or str); any other column, which the reference formatted cell by cell, raises
-``TypeError`` naming the column.
+column ``_write_table`` takes is a list of cells of one plain type (float,
+int, bool or str) or a 1-D float, int or bool array, which emits what the list
+of its cells emits; any other column, which the reference formatted cell by
+cell, raises ``TypeError`` naming the column.
 """
 
 import argparse
@@ -89,9 +90,14 @@ def write_table(table: dict, args, stream) -> None:
 
 
 def reference_writer(params: dict, columns: list, args, stream) -> None:
-    """``reference_emit`` called as ``_write_table`` is: the columns zipped into rows."""
+    """``reference_emit`` called as ``_write_table`` is: the columns zipped into
+    rows, an array column first turned into the list of its cells (the
+    reference prints a numpy bool as ``True``), each cell then formatted by
+    the reference."""
+    cells = [column.tolist() if isinstance(column, np.ndarray) else column
+             for _, column in columns]
     reference_emit({"params": params, "columns": [name for name, _ in columns],
-                    "rows": list(zip(*(cells for _, cells in columns)))}, args, stream)
+                    "rows": list(zip(*cells))}, args, stream)
 
 
 def _outcome(emit, table, args):
@@ -179,6 +185,68 @@ def test_column_of_no_one_plain_type_raises(fmt, cells):
     stream = io.StringIO()
     with pytest.raises(TypeError, match="column 'bad column' holds"):
         write_table(table, argparse.Namespace(format=fmt, digits=6), stream)
+    assert stream.getvalue() == ""
+
+
+#: a table column may also be a 1-D array of floats, ints or bools: it emits
+#: what the list of its cells emits
+ARRAY_COLUMNS = {
+    "float64": np.array([1.5, -0.0, 5e-324, -2.2250738585072014e-308, 1e308, 1 / 3,
+                         math.nan, math.inf, -math.inf]),
+    "float32": np.array([1.1, -2.5e-7, 3.4e38, 1 / 3, math.nan, math.inf, -math.inf],
+                        np.float32),
+    "int64": np.array([0, -1, 7, 2**63 - 1, -2**63]),
+    "uint8": np.array([0, 7, 255], np.uint8),
+    "bool": np.array([True, False, True]),
+}
+
+
+def _table_outcome(column, fmt):
+    """The text ``_write_table`` writes for the table of one index column and ``column``."""
+    stream = io.StringIO()
+    _write_table({"p": 1.0}, [("index", list(range(len(column)))), ("x", column)],
+                 argparse.Namespace(format=fmt, digits=17 if fmt != "json" else None), stream)
+    return stream.getvalue()
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+@pytest.mark.parametrize("array", ARRAY_COLUMNS.values(), ids=list(ARRAY_COLUMNS))
+def test_array_column_emits_its_cells(fmt, array):
+    assert _table_outcome(array, fmt) == _table_outcome(array.tolist(), fmt)
+
+
+class _NoIteration(np.ndarray):
+    """An array that refuses to be iterated cell by cell."""
+
+    def __iter__(self):
+        raise AssertionError("an array column was iterated cell by cell")
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+@pytest.mark.parametrize("array", ARRAY_COLUMNS.values(), ids=list(ARRAY_COLUMNS))
+def test_array_column_is_not_iterated_cell_by_cell(fmt, array):
+    assert _table_outcome(array.view(_NoIteration), fmt) == _table_outcome(array.tolist(), fmt)
+
+
+BAD_ARRAYS = {
+    "complex": np.array([1 + 2j]),
+    "object": np.array([1.5], dtype=object),
+    "str": np.array(["a"]),
+    "2-D": np.array([[1.5]]),
+    "0-D": np.array(1.5),
+    # where it is wider than a double, its .tolist() keeps numpy scalars
+    **({"longdouble": np.array([1.5], np.longdouble)}
+       if np.dtype(np.longdouble).itemsize > 8 else {}),
+}
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+@pytest.mark.parametrize("array", BAD_ARRAYS.values(), ids=list(BAD_ARRAYS))
+def test_array_column_of_no_plain_cell_type_raises(fmt, array):
+    stream = io.StringIO()
+    with pytest.raises(TypeError, match="column 'bad column' holds"):
+        _write_table({}, [("ok", [1.0]), ("bad column", array)],
+                     argparse.Namespace(format=fmt, digits=6), stream)
     assert stream.getvalue() == ""
 
 

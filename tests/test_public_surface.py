@@ -125,6 +125,10 @@ def test_ci_workflow_runs_the_tier1_line():
     workflow = (root / ".github" / "workflows" / "tier1.yml").read_text(encoding="utf-8")
     assert f"run: {tier1}\n" in workflow
     assert 'python-version: "3.11"' in workflow
+    # the pip downloads are cached, keyed on the file that lists the dependencies
+    assert ('      - uses: actions/setup-python@v5\n        with:\n'
+            '          python-version: "3.11"\n          cache: pip\n'
+            '          cache-dependency-path: pyproject.toml\n') in workflow
     # a hung subprocess or FIFO test fails the job instead of holding a runner for 6 h
     assert "  tier1:\n    runs-on: ubuntu-latest\n    timeout-minutes: 20\n" in workflow
     # a newer push cancels the superseded run on its ref; every head commit is still tested
