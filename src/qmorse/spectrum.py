@@ -10,7 +10,8 @@ routed to the constant-mass branch).  ``bound_ladder`` is the bound prefix
 n = 0, 1, ... of one l, and ``ladder_length`` its closed-form count.  Every
 function takes a (PotentialParams, MassModel) pair, of a molecule through
 their ``from_molecule``.  Failing states are reported per state, not raised;
-``SpectrumGrid.raise_fault`` raises the first.
+``SpectrumGrid.raise_fault`` raises the first.  An n that is no level raises
+DomainError.
 
 Energies are computed below the separated-atoms limit, as
 offset - (hbar^2 a^2/2m0) eps^2 with offset = gamma a0 hbar^2/2m0, and every
@@ -141,10 +142,15 @@ def quantize(n, beta1, beta2, delta: float) -> SpectrumGrid:
                             / [sqrt(beta1) - (n+1/2) delta]
                 xi = sqrt(1 + 4 eps^2 + (4/delta)(beta1/delta - beta2))
     delta = 0:  eps = beta2 / (2 sqrt(beta1)) - (n + 1/2)
+
+    A negative, fractional or non-finite n raises DomainError naming the first.
     """
     n, beta1, beta2 = (np.asarray(x, dtype=float) for x in (n, beta1, beta2))
     shape = np.broadcast_shapes(n.shape, beta1.shape, beta2.shape)
     with np.errstate(all="ignore"):
+        bad = ~((n >= 0) & (n % 1 == 0))  # also NaN and inf
+        if bad.any():
+            raise DomainError(f"n must be a non-negative integer, got {n[bad][0].item()!r}")
         sqrt_b1 = np.sqrt(beta1)
         den = np.broadcast_to(sqrt_b1 - (n + 0.5) * delta, shape)  # beta2 may widen it
         if delta == 0.0:

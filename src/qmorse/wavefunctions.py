@@ -1,9 +1,9 @@
 """Radial wavefunction evaluation and normalization.
 
-``radial_wavefunction`` evaluates one state's u and psi, and ``log_norm`` its
-normalization constant.  Each takes the state (eps, xi, den and the evaluated
-delta) from ``spectrum.spectrum_grid``, so it is routed and judged bound as
-the energies are.  There is one closed form: in z = exp(-a (r - r_e)),
+``radial_wavefunction`` evaluates one state's normalized u and psi.  It
+takes the state (eps, xi, den and the evaluated delta) from
+``spectrum.spectrum_grid``, so it is routed and judged bound as the energies
+are.  There is one closed form: in z = exp(-a (r - r_e)),
 
     u(r) = N z^eps (1 - delta z)^{(1+xi)/2} P_n^{(2 eps, xi)}(1 - 2 delta z),
 
@@ -79,14 +79,6 @@ def _log_norm(p: PotentialParams, n: int, eps: float, xi: float, den: float,
             + log_gamma(n + 2.0 * eps + 1.0) - log_gamma(n + 1.0) - math.log(2.0 * eps)
         )
     return -0.5 * log_integral
-
-
-def log_norm(p: PotentialParams, mm: MassModel, state: QuantumState) -> float:
-    """log N of one bound state's u-profile, routed as ``radial_wavefunction``.
-
-    Raises ``NonNormalizableError`` for a state that is not bound.
-    """
-    return _log_norm(p, state.n, *_bound_state(p, mm, state))
 
 
 def radial_wavefunction(p: PotentialParams, mm: MassModel, state: QuantumState, r):

@@ -2,9 +2,10 @@
 
 from qmorse import MassModel, PotentialParams, builtin, spectrum_grid
 from qmorse.pekeris import pekeris_coefficients
-from qmorse.reference import AMBIGUOUS_LADDER_ENERGIES
 from qmorse.spectrum import ladder_length
 from qmorse.units import hbar2_over_2mu
+
+from .reference import AMBIGUOUS_LADDER_ENERGIES
 
 
 def energy_from_epsilon(p: PotentialParams, mm: MassModel, l: int, eps: float) -> float:

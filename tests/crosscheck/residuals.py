@@ -1,4 +1,5 @@
-"""Residuals of the transformed radial equation for the closed-form profiles."""
+"""Residuals of the transformed radial equation for the closed-form profiles,
+and the state shape and normalization constant the profile tests read."""
 
 import math
 
@@ -7,6 +8,7 @@ import numpy as np
 from qmorse import MassModel, PotentialParams, QuantumState
 from qmorse.specfun import genlaguerre_poly, jacobi_poly
 from qmorse.spectrum import quantize, strengths
+from qmorse.wavefunctions import _bound_state, _log_norm
 
 from .series import genlaguerre_poly_deriv, jacobi_poly_deriv
 
@@ -16,6 +18,15 @@ def state_shape(p: PotentialParams, mm: MassModel, state: QuantumState):
     beta1, beta2, _ = map(float, strengths(p, mm, state.l))
     qz = quantize(state.n, beta1, beta2, mm.delta).raise_fault()
     return float(qz.eps), float(qz.xi), beta1, beta2
+
+
+def log_norm(p: PotentialParams, mm: MassModel, state: QuantumState) -> float:
+    """log N of one bound state's u-profile, the constant ``radial_wavefunction`` applies.
+
+    Routed as ``radial_wavefunction`` routes the state; raises
+    ``NonNormalizableError`` for a state that is not bound.
+    """
+    return _log_norm(p, state.n, *_bound_state(p, mm, state))
 
 
 def transformed_residual_constant_mass(p: PotentialParams, m0: float, n: int, l: int, z_grid):

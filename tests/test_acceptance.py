@@ -15,20 +15,14 @@ from crosscheck.dense import dense_eigh
 from crosscheck.ladder import energy_from_epsilon, resolve_reported_ladder
 from crosscheck.nodes import node_count
 from crosscheck.nu import NuInput, derive_constants, energy_equation_residual, exact_sqrt, key_polynomials, morse_nu_input
-from crosscheck.residuals import transformed_residual_constant_mass, transformed_residual_pdm
+from crosscheck.reference import AMBIGUOUS_LADDER_ENERGIES, REFERENCE_EXACT_H2, REFERENCE_LADDER
+from crosscheck.residuals import log_norm, transformed_residual_constant_mass, transformed_residual_pdm
 from crosscheck.series import hyp2f1, hyp3f2
 from qmorse import builtin
 from qmorse.oracle import compare, problem, solve, suggest_config
 from qmorse.pekeris import pekeris_coefficients
 from qmorse.potential import MassModel, PotentialParams
-from qmorse.reference import (
-    AMBIGUOUS_LADDER_ENERGIES,
-    REFERENCE_EXACT_H2,
-    REFERENCE_LADDER,
-    REFERENCE_MINUS_E,
-    TABLE_MOLECULE,
-    cell_matches,
-)
+from qmorse.reference import REFERENCE_MINUS_E, TABLE_MOLECULE, cell_matches
 from qmorse.special_cases import (
     GeneralizedVibrationalCase,
     PtType1Case,
@@ -38,7 +32,7 @@ from qmorse.special_cases import (
 )
 from qmorse.spectrum import QuantumState, ladder_length, quantize, spectrum_grid
 from qmorse.units import UNITS, hbar2_over_2mu
-from qmorse.wavefunctions import log_norm, radial_wavefunction
+from qmorse.wavefunctions import radial_wavefunction
 
 RNG_SEED = 739297
 

@@ -894,7 +894,8 @@ def test_every_flag_has_a_probe():
     assert _optional_flags() == set(FLAG_PROBES)
 
 
-@pytest.mark.parametrize("command, flag", sorted(FLAG_PROBES), ids="{0[0]}{0[1]}".format)
+@pytest.mark.parametrize("command, flag", sorted(FLAG_PROBES),
+                         ids=[command + flag for command, flag in sorted(FLAG_PROBES)])
 def test_every_flag_changes_its_request(tmp_path, monkeypatch, command, flag):
     first, second = FLAG_PROBES[command, flag]
     assert flag in first + second

@@ -129,6 +129,13 @@ def test_ci_workflow_runs_the_tier1_line():
     assert ('      - uses: actions/setup-python@v5\n        with:\n'
             '          python-version: "3.11"\n          cache: pip\n'
             '          cache-dependency-path: pyproject.toml\n') in workflow
+    # the golden digests hash 17-digit floats from numpy and LAPACK: CI installs
+    # the numpy and scipy the manifest was recorded with
+    assert '        run: python -m pip install -c .github/ci-constraints.txt -e ".[dev]"\n' \
+        in workflow
+    constraints = (root / ".github" / "ci-constraints.txt").read_text(encoding="utf-8")
+    assert [line for line in constraints.splitlines() if not line.startswith("#")] \
+        == ["numpy==2.4.6", "scipy==1.17.1"]
     # a hung subprocess or FIFO test fails the job instead of holding a runner for 6 h
     assert "  tier1:\n    runs-on: ubuntu-latest\n    timeout-minutes: 20\n" in workflow
     # a newer push cancels the superseded run on its ref; every head commit is still tested

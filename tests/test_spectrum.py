@@ -194,6 +194,17 @@ def test_epsilon_pdm_threshold_error():
         quantize(n, beta1, 10.0, delta).raise_fault()
 
 
+@pytest.mark.parametrize("delta", [0.0, 0.3])
+@pytest.mark.parametrize("n", [-1, 0.5, math.nan, math.inf])
+def test_spectrum_rejects_an_n_that_is_no_level(h2, delta, n):
+    # the bracket is finite at n = -1 and n = 0.5 (at -1 it sits below the
+    # n = 0 level), so only this check keeps them out; the error names the
+    # first offending n of the grid
+    p, mm = _well(h2, 1.0, delta)
+    with pytest.raises(DomainError, match=f"got {float(n)!r}$"):
+        spectrum_grid(p, mm, [0, 1, n, -2], 0)
+
+
 def test_zero_numerator_gives_threshold_epsilon():
     beta1, delta, n = 9.0, 0.2, 1
     beta2 = 2 * (n + 0.5) * math.sqrt(beta1) - n * (n + 1) * delta

@@ -8,6 +8,7 @@ from scipy.integrate import quad
 
 from crosscheck.nodes import node_count
 from crosscheck.residuals import (
+    log_norm,
     state_shape,
     transformed_residual_constant_mass,
     transformed_residual_pdm,
@@ -19,7 +20,7 @@ from qmorse.potential import MassModel, PotentialParams, mass, mass_pole_radius
 from qmorse.special_cases import GeneralizedVibrationalCase, gv_lambda
 from qmorse.specfun import genlaguerre_poly, jacobi_poly
 from qmorse.spectrum import DELTA_CROSSOVER, QuantumState, quantize, strengths
-from qmorse.wavefunctions import log_norm, radial_wavefunction
+from qmorse.wavefunctions import radial_wavefunction
 
 
 def _u(p, mm, state, r):
