@@ -370,7 +370,7 @@ def cmd_wavefunction(args, stream) -> int:
         r_lo = max(1e-3, p.r_e - 4.0 / p.a)
         pole = mass_pole_radius(mm, p)
         if pole is not None and pole >= r_lo:  # start one grid step outside the pole
-            r_lo = pole + (r_hi - pole) / args.points
+            r_lo = pole + (r_hi - pole) / max(args.points, 2)
     if not (0.0 < r_lo < r_hi < math.inf):  # also false for a NaN end
         raise DomainError(f"wavefunction range needs 0 < r_min < r_max < inf, "
                           f"got r_min={r_lo:g}, r_max={r_hi:g}")

@@ -21,7 +21,11 @@ That takes about half the points of the plain log grid (B = 0), a quarter of
 its O(p N^2) banded reduction, and leaves the calibration as it was.  Exact
 mode at delta = 0 alone keeps a uniform r grid and the identity map: on the
 log grid its H2-ref l = 10 ladder would find 14 of the closed form's 17
-levels, which the benchmark's check does not yet expect.
+levels, which the benchmark's check does not yet expect.  Each solve maps its
+points x back to t with ``GridMap.t``: linear interpolation of X on
+SEED_NODES nodes of the solve's own t-interval seeds Newton's method, which
+then takes 3 or 4 passes.  ``problem``'s wb evaluates W and B together, from
+one z = exp(-a (r - r_e)) and one mass-pole check, once per grid.
 
 One equation for every grid.  On t the Sturm-Liouville form
 -d/dt[(1/r') du/dt] + r' W u = E r' B u becomes, with u = e^{t/2} phi,
@@ -33,11 +37,16 @@ with W^_x = W^/X'^2 + Q, Q = (X' X'''/2 - 3 X''^2/4)/X'^4, B^_x = B^/X'^2;
 the uniform grid is the same equation with x = t = r, W^ = W and B^ = B.
 -psi'' is the central (2p+1)-point stencil with p = 12 (Colbert & Miller,
 J. Chem. Phys. 96, 1982 (1992), give its p -> infinity limit, the sinc-DVR).
-Scaling by B^{-1/2} makes the matrix symmetric with bandwidth p.  LAPACK's
-dsbevd reduces it to tridiagonal form (O(p N^2) time, O(p N) memory), dsterf's
-root-free QR takes all N eigenvalues in O(N^2), and those below the threshold
-are kept.  Once ~5% of them are bound that beats scipy's dsbevx, which bisects
-each bound level to 2 safmin.
+Scaling by B^{-1/2} makes the matrix symmetric with bandwidth p.  Its rows,
+H[i, i-p..i+p], are one product of the stencil, a sliding window over
+B^{-1/2} and B^{-1/2} itself, with no loop over the diagonals; their
+absolute sums give ||H||_inf, which must be finite.  The left half of the
+rows, transposed, is LAPACK's upper band storage, and
+scipy.linalg.lapack.dsbevd takes it directly (no vectors; a nonzero info
+raises LinAlgError).  dsbevd reduces the band to tridiagonal form (O(p N^2)
+time, O(p N) memory), dsterf's root-free QR takes all N eigenvalues in
+O(N^2), and those below the threshold are kept.  Once ~5% of them are bound
+that beats scipy's dsbevx, which bisects each bound level to 2 safmin.
 
 Error estimate.  Each level's estimate is its difference from a second solve
 with spacing h/1.25 in x.  The check solve keeps the reported walls, except that it
@@ -68,18 +77,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DomainError
 from .potential import (
     MassModel,
     PotentialParams,
     effective_potential,
-    mass,
     mass_pole_radius,
+    pole_factor,
     virtual_pole,
 )
 from .spectrum import _bound_prefix, _evaluated_mass, _ladder_length, strengths
@@ -123,6 +133,10 @@ def _kinetic_band(p: int) -> np.ndarray:
 KINETIC_BAND = _kinetic_band(12)
 #: Fewest interior points a grid may have: one whole (2p+1)-point stencil.
 MIN_GRID_POINTS = 2 * len(KINETIC_BAND) - 1
+#: KINETIC_BAND mirrored: entry k scales H[i, i + k - p], k = 0..2p, of every row i.
+_STENCIL = np.concatenate([KINETIC_BAND[:0:-1], KINETIC_BAND])
+#: Nodes of the interpolant of X that seeds ``GridMap.t``.
+SEED_NODES = 128
 
 
 @dataclass(frozen=True)
@@ -153,20 +167,32 @@ class GridMap:
         return (self.a + self.b * sech2, -c * sech2 * tanh,
                 c / self.width * sech2 * (3.0 * tanh**2 - 1.0))
 
-    def t(self, x):
-        """The inverse of ``x``.  X is convex below t_m and concave above, so
-        Newton's method from the asymptote on x's side of t_m never overshoots."""
+    def t(self, x, t_lo, t_hi):
+        """The inverse of ``x`` at x in [X(t_lo), X(t_hi)], by Newton's method on
+        s = (t - t_m)/w, seeded by linear interpolation on SEED_NODES nodes of
+        [t_lo, t_hi].  y = (X - a t_m)/w = a s + b tanh s is convex below s = 0
+        and concave above, so Newton's method from the root's side of s = 0
+        toward s = 0 never overshoots.  The first step, from the seed, may; it
+        lands on that side, or past s = 0, where it is clamped back to 0."""
         x = np.asarray(x, dtype=float)
         a, b, t_m, w = self.a, self.b, self.t_m, self.width
-        t = np.where(x >= a * t_m, np.maximum(t_m, (x - b * w) / a),
-                     np.minimum(t_m, (x + b * w) / a))
-        for _ in range(64):
-            tanh = np.tanh((t - t_m) / w)
-            step = (a * t + b * w * tanh - x) / (a + b * (1.0 - tanh * tanh))
-            t = t - step
-            if not np.any(np.abs(step) > 1e-14 * (1.0 + np.abs(t))):
+        if b == 0.0:
+            return x / a
+        y = (x - a * t_m) / w
+        nodes = np.linspace((t_lo - t_m) / w, (t_hi - t_m) / w, SEED_NODES)
+        above = y >= 0.0
+        lo, hi = np.where(above, 0.0, -np.inf), np.where(above, np.inf, 0.0)
+        s = np.clip(np.interp(y, a * nodes + b * np.tanh(nodes), nodes), lo, hi)
+        tol = 1e-14 * (1.0 + max(abs(t_lo), abs(t_hi))) / w
+        for k in range(64):
+            tanh = np.tanh(s)
+            step = (a * s + b * tanh - y) / (a + b - b * tanh * tanh)
+            s = s - step
+            if k == 0:
+                s = np.clip(s, lo, hi)
+            elif not np.abs(step).max() > tol:
                 break
-        return t
+        return t_m + w * s
 
 
 @dataclass(frozen=True)
@@ -225,12 +251,12 @@ def _fit_map(t: np.ndarray, need: np.ndarray) -> GridMap:
     a = need[peak] * _FIT_A
     b = (need[peak] - a) * _FIT_B
     t_m = t[peak] + _FIT_T_M
-    share = (need_b - a[..., None]) / b[..., None]
+    share = (need_b[:, None, None, None] - a) / b  # block first: max over it is elementwise
     with np.errstate(divide="ignore", invalid="ignore"):  # share >= 1 off t_m: no width
         reach = np.arccosh(1.0 / np.sqrt(np.clip(share, 1e-300, 1.0)))
-        width = np.divide(np.abs(t_b - t_m[:, None]), reach, where=share > 0.0,
-                          out=np.zeros(b.shape[:2] + t_m.shape + t_b.shape))
-        width = np.maximum(np.max(width, axis=-1), 1e-3 * (t[-1] - t[0]))
+        reach[share <= 0.0] = np.inf  # a block below A bounds no width
+        width = np.max(np.abs(t_b[:, None] - t_m)[:, None, None] / reach, axis=0)
+        width = np.maximum(width, 1e-3 * (t[-1] - t[0]))
         cost = a * (t[-1] - t[0]) + b * width * (np.tanh((t[-1] - t_m) / width)
                                                  - np.tanh((t[0] - t_m) / width))
     i, j, k = np.unravel_index(np.argmin(np.where(np.isfinite(cost), cost, np.inf)), cost.shape)
@@ -242,20 +268,20 @@ def _fit_map(t: np.ndarray, need: np.ndarray) -> GridMap:
 class OracleProblem:
     """The problem of one request, formed once by ``problem``.
 
-    w and b are the W(r) [1/A^2] and B(r) [1/(eV A^2)] callables, threshold
-    their r -> infinity limit W/B (eV): v3, plus the offset of ``strengths``
-    in pekeris mode.  origin is r_o of the log grid t = ln(r - r_o), or None
-    for the uniform r grid; pole is the real mass pole, or None.  wall and
-    check_wall, the innermost radii of a suggested domain and of a check
-    solve, are pole_wall(POLE_WALL) and pole_wall(CHECK_POLE_WALL) outside a
-    real pole, else MIN_RADIUS.  ladder holds the literal energies (eV) of the
-    closed form's bound levels, which the oracle checks.
+    wb(r) returns W(r) [1/A^2] and B(r) [1/(eV A^2)] from one z = exp(-a (r - r_e))
+    and one pole check, and threshold is their r -> infinity limit W/B (eV): v3,
+    plus the offset of ``strengths`` in pekeris mode.  origin is r_o of the log
+    grid t = ln(r - r_o), or None for the uniform r grid; pole is the real mass
+    pole, or None.  wall and check_wall, the innermost radii of a suggested
+    domain and of a check solve, are pole_wall(POLE_WALL) and
+    pole_wall(CHECK_POLE_WALL) outside a real pole, else MIN_RADIUS.  ladder
+    holds the literal energies (eV) of the closed form's bound levels, which
+    the oracle checks.
     """
 
     p: PotentialParams
     l: int
-    w: Callable
-    b: Callable
+    wb: Callable
     threshold: float
     origin: float | None
     pole: float | None
@@ -290,26 +316,30 @@ def problem(p: PotentialParams, mm: MassModel, l: int,
     ladder = _bound_prefix(p, closed_mm, reduced, count).energy + p.v3
     inv_h22m = 1.0 / hbar2_over_2mu(mm.m0)  # = 2 m0 / hbar^2
 
-    def b(r):
-        return mass(mm, p, r) / mm.m0 * inv_h22m
-
     if centrifugal_mode == "exact":
-        threshold, origin, w = p.v3, None, partial(effective_potential, p, mm, l)
+        threshold, origin = p.v3, None
+
+        def w_of(r, z, w2):
+            return effective_potential(p, mm, l, r)
     else:
         beta1, beta2, offset = map(float, reduced if closed_mm.delta == mm.delta
                                    else strengths(p, mm, l))
         threshold, origin = p.v3 + offset, 0.0
         c0 = threshold / (hbar2_over_2mu(mm.m0) * p.a**2)
 
-        def w(r):
-            z = np.exp(-p.a * (np.asarray(r, dtype=float) - p.r_e))
-            return p.a**2 * (beta1 * z**2 - beta2 * z + c0) / (1.0 - mm.delta * z)**2
+        def w_of(r, z, w2):
+            return p.a**2 * (beta1 * z**2 - beta2 * z + c0) / w2
+
+    def wb(r):  # B = 2 m(r)/hbar^2, with m(r) as ``mass`` forms it
+        z, w = pole_factor(mm, p, r)
+        w2 = w**2
+        return w_of(r, z, w2), mm.m0 / w2 / mm.m0 * inv_h22m
 
     origin = virtual_pole(p, mm) if mm.delta > 0.0 else origin
     pole = mass_pole_radius(mm, p)
     wall, check_wall = ((MIN_RADIUS, MIN_RADIUS) if pole is None else
                         (pole_wall(p, mm, POLE_WALL), pole_wall(p, mm, CHECK_POLE_WALL)))
-    return OracleProblem(p=p, l=l, w=w, b=b, threshold=threshold, origin=origin, pole=pole,
+    return OracleProblem(p=p, l=l, wb=wb, threshold=threshold, origin=origin, pole=pole,
                          wall=wall, check_wall=check_wall, ladder=ladder)
 
 
@@ -324,46 +354,46 @@ def _wall_efolds(e, w_hat, b_hat, h):
     return float(np.sum(kappa_h[:allowed[0]])), float(np.sum(kappa_h[allowed[-1] + 1:]))
 
 
-def _solve_once(prob: OracleProblem, gmap: GridMap, x_lo, x_hi, n):
+def _solve_once(prob: OracleProblem, gmap: GridMap, x_lo, x_hi, n, t_lo, t_hi):
     """Levels below the threshold on n interior points of [x_lo, x_hi], their
     roundoff, and the W^, B^ and spacing h that ``_wall_efolds`` reads.
 
     x = X(t) is ``gmap`` of t, which is r itself or ln(r - prob.origin)
-    on the log grid.  The roundoff is 16 eps ||H||_inf.
+    on the log grid; t_lo and t_hi are the t of x_lo and x_hi.  The roundoff is
+    16 eps ||H||_inf.
     """
-    from scipy.linalg import eig_banded
+    from scipy.linalg.lapack import dsbevd
 
     h = (x_hi - x_lo) / (n + 1)
-    t = gmap.t(x_lo + h * np.arange(1, n + 1))
+    t = gmap.t(x_lo + h * np.arange(1, n + 1), t_lo, t_hi)
     xp, xpp, xppp = gmap.derivatives(t)
     if prob.origin is None:
         grid, dr_dt, q = t, 1.0, 0.0
     else:
         dr_dt = np.exp(t)
         grid, q = prob.origin + dr_dt, 0.25
-    dr_dx = dr_dt / xp
-    w_hat = np.asarray(prob.w(grid), dtype=float) * dr_dx**2
-    b_hat = np.asarray(prob.b(grid), dtype=float) * dr_dx**2
+    dr_dx2 = (dr_dt / xp)**2
+    w, b = prob.wb(grid)
+    w_hat, b_hat = w * dr_dx2, b * dr_dx2
     w_hat += q / xp**2 + (0.5 * xp * xppp - 0.75 * xpp**2) / xp**4
-    if np.any(b_hat <= 0.0) or not np.all(np.isfinite(b_hat)):
+    if not (b_hat.min() > 0.0 and b_hat.max() < math.inf):
         raise DomainError("mass weight B is not positive and finite on the grid")
-    if not np.all(np.isfinite(w_hat)):
-        raise DomainError("effective potential is not finite on the grid")
     inv_sqrt_b = 1.0 / np.sqrt(b_hat)
     p = len(KINETIC_BAND) - 1
-    band = np.zeros((p + 1, n))  # upper form: band[p + i - j, j] = H[i, j] for i <= j
-    diag = (KINETIC_BAND[0] / h**2 + w_hat) / b_hat
-    band[p] = diag
-    off_sum = np.zeros(n)  # sum of |H[i, j]| over j != i
-    for k in range(1, p + 1):
-        off = KINETIC_BAND[k] / h**2 * inv_sqrt_b[:-k] * inv_sqrt_b[k:]
-        band[p - k, k:] = off
-        off_sum[:-k] += np.abs(off)
-        off_sum[k:] += np.abs(off)
-    roundoff = 16.0 * np.finfo(float).eps * float(np.max(np.abs(diag) + off_sum))
-    vals = eig_banded(band, eigvals_only=True)
+    padded = np.zeros(n + 2 * p)
+    padded[p:-p] = inv_sqrt_b
+    # rows[i, k] = H[i, i + k - p], zero off the matrix
+    rows = _STENCIL / h**2 * sliding_window_view(padded, 2 * p + 1) * inv_sqrt_b[:, None]
+    rows[:, p] = (KINETIC_BAND[0] / h**2 + w_hat) / b_hat
+    norm = float(np.abs(rows).sum(axis=1).max())
+    if not norm < math.inf:
+        raise DomainError("the oracle matrix is not finite on the grid")
+    # dsbevd's upper form: band[p + i - j, j] = H[i, j] for i <= j
+    vals, _, info = dsbevd(rows[:, :p + 1].T, compute_v=0)
+    if info:
+        raise np.linalg.LinAlgError(f"dsbevd failed with info = {info}")
     vals = vals[vals <= float(prob.threshold) - 1e-12]
-    return vals, roundoff, w_hat, b_hat, h
+    return vals, 16.0 * np.finfo(float).eps * norm, w_hat, b_hat, h
 
 
 def solve(prob: OracleProblem, cfg: OracleConfig) -> OracleSpectrum:
@@ -384,18 +414,20 @@ def solve(prob: OracleProblem, cfg: OracleConfig) -> OracleSpectrum:
     gmap = cfg.grid_map
     t_lo, t_hi = coord(cfg.r_min), coord(cfg.r_max)
     x_lo, x_hi = gmap.x(t_lo), gmap.x(t_hi)
-    vals, roundoff, *hats = _solve_once(prob, gmap, x_lo, x_hi, cfg.grid_points)
+    vals, roundoff, *hats = _solve_once(prob, gmap, x_lo, x_hi, cfg.grid_points, t_lo, t_hi)
     estimates = np.empty(0)
     if len(vals):
         inner, outer = _wall_efolds(vals[-1], *hats)
         span = t_hi - t_lo
-        check_lo, check_hi = x_lo, x_hi
+        check_t_lo, check_t_hi = t_lo, t_hi
         if prob.origin is not None and inner < WALL_EFOLDS:
-            check_lo = min(x_lo, gmap.x(max(t_lo - 0.25 * span, coord(prob.check_wall))))
+            check_t_lo = min(t_lo, max(t_lo - 0.25 * span, coord(prob.check_wall)))
         if outer < WALL_EFOLDS:
-            check_hi = gmap.x(t_hi + 0.25 * span)
+            check_t_hi = t_hi + 0.25 * span
+        check_lo, check_hi = gmap.x(check_t_lo), gmap.x(check_t_hi)
         check_n = math.ceil(1.25 * (check_hi - check_lo) / (x_hi - x_lo) * (cfg.grid_points + 1)) - 1
-        check_vals, check_roundoff, *_ = _solve_once(prob, gmap, check_lo, check_hi, check_n)
+        check_vals, check_roundoff, *_ = _solve_once(prob, gmap, check_lo, check_hi, check_n,
+                                                      check_t_lo, check_t_hi)
         # a level the check solve lost may lie anywhere up to the threshold
         other = np.full(len(vals), float(prob.threshold))
         shared = min(len(vals), len(check_vals))
@@ -407,7 +439,7 @@ def solve(prob: OracleProblem, cfg: OracleConfig) -> OracleSpectrum:
 def _tail_padding(prob: OracleProblem, e_top: float) -> float:
     """8 decay lengths of the level at e_top past the outer turning point, at least 1.5/a."""
     p = prob.p
-    b_inf = float(np.asarray(prob.b(np.array([p.r_e + 30.0 / p.a])))[0])
+    b_inf = float(prob.wb(np.array([p.r_e + 30.0 / p.a]))[1][0])
     kappa_tail = math.sqrt(max((prob.threshold - e_top) * b_inf, 1e-12))
     return max(8.0 / kappa_tail, 1.5 / p.a)
 
@@ -447,21 +479,22 @@ def suggest_config(prob: OracleProblem, e_top: float | None = None) -> OracleCon
         t_scan = np.linspace(math.log(prob.wall - origin), math.log(p.r_e + 60.0 / p.a - origin),
                              6000)
         scan = origin + np.exp(t_scan)
-        gap = e_top * np.asarray(prob.b(scan)) - np.asarray(prob.w(scan))
-        allowed = gap > 0.0
-        if not np.any(allowed):
+        w_scan, b_scan = prob.wb(scan)
+        gap = e_top * b_scan - w_scan
+        allowed = np.flatnonzero(gap > 0.0)
+        if not allowed.size:
             raise DomainError("no classically allowed region below e_top")
-        i_in = int(np.argmax(allowed))
-        r_out = float(scan[len(allowed) - 1 - np.argmax(allowed[::-1])])
-        # decay[j]: e-folds from the turning point in to scan[i_in - j]
+        i_in, r_out = int(allowed[0]), float(scan[allowed[-1]])
+        # decay[j], non-decreasing: e-folds from the turning point in to scan[i_in - j]
         kappa = np.sqrt(np.maximum(-gap[i_in::-1], 0.0)) * (scan[i_in::-1] - origin)
         decay = np.cumsum(kappa) * (t_scan[1] - t_scan[0])
-        deep = np.flatnonzero(decay >= POLE_SIDE_EFOLDS)
-        r_min = float(scan[i_in - deep[0]]) if deep.size else prob.wall
+        deep = int(np.searchsorted(decay, POLE_SIDE_EFOLDS))
+        r_min = float(scan[i_in - deep]) if deep < len(decay) else prob.wall
         r_max = r_out + _tail_padding(prob, e_top)
         t = np.linspace(math.log(r_min - origin), math.log(r_max - origin), 640)
         r = origin + np.exp(t)
-        gap = e_top * np.asarray(prob.b(r)) - np.asarray(prob.w(r))
+        w_r, b_r = prob.wb(r)
+        gap = e_top * b_r - w_r
         need = np.sqrt(np.abs(gap)) * np.where(gap > 0.0, 1.0, KAPPA_WEIGHT) * (r - origin)
         gmap = _fit_map(t, need)
         span_x = float(gmap.x(t[-1]) - gmap.x(t[0]))
@@ -471,12 +504,11 @@ def suggest_config(prob: OracleProblem, e_top: float | None = None) -> OracleCon
         gmap = GridMap()
         scan = np.linspace(max(prob.wall, p.r_e - 12.0 / p.a), p.r_e + 60.0 / p.a, 6000)
         scan = scan[scan > prob.wall]
-        w_scan, b_scan = np.asarray(prob.w(scan)), np.asarray(prob.b(scan))
-        allowed = w_scan / b_scan < e_top
-        if not np.any(allowed):
+        w_scan, b_scan = prob.wb(scan)
+        allowed = np.flatnonzero(w_scan / b_scan < e_top)
+        if not allowed.size:
             raise DomainError("no classically allowed region below e_top")
-        r_in = float(scan[int(np.argmax(allowed))])
-        r_out = float(scan[len(allowed) - 1 - np.argmax(allowed[::-1])])
+        r_in, r_out = float(scan[allowed[0]]), float(scan[allowed[-1]])
         r_min, r_max = max(prob.wall, r_in - 2.2 / p.a), r_out + _tail_padding(prob, e_top)
         k_max = float(np.max(np.sqrt(np.maximum(e_top * b_scan - w_scan, 0.0))))
         n_points = math.ceil((r_max - r_min) * k_max / MAX_KH)

@@ -95,19 +95,25 @@ def morse_potential(p: PotentialParams, r):
     return float(out) if np.isscalar(r) else out
 
 
-def mass(mm: MassModel, p: PotentialParams, r):
-    """Mass profile m(r) = m0 / (1 - delta z)^2, in amu.
+def pole_factor(mm: MassModel, p: PotentialParams, r):
+    """z = exp(-a (r - r_e)) and w = 1 - delta z at radii r > 0: the factors of
+    ``mass``, which the oracle forms once per grid for both W and B.
 
     Raises MassPoleError when delta * z >= 1 (only possible for r
     sufficiently below r_e).
     """
-    arr = _as_positive_radius(r)
-    w = 1.0 - mm.delta * np.exp(-p.a * (arr - p.r_e))
+    z = np.exp(-p.a * (_as_positive_radius(r) - p.r_e))
+    w = 1.0 - mm.delta * z
     if np.any(w <= 0.0):
         raise MassPoleError(
             f"mass pole reached: delta * exp(-a(r - r_e)) >= 1 for delta={mm.delta}"
         )
-    m = mm.m0 / w**2
+    return z, w
+
+
+def mass(mm: MassModel, p: PotentialParams, r):
+    """Mass profile m(r) = m0 / (1 - delta z)^2, in amu (see ``pole_factor``)."""
+    m = mm.m0 / pole_factor(mm, p, r)[1] ** 2
     return float(m) if np.isscalar(r) else m
 
 

@@ -67,7 +67,8 @@ def substituted_w(p, mm, l):
 
 def solve_substituted(p, mm, l, cfg):
     """The substituted problem on the reduced problem's grid origin, walls, B and threshold."""
-    return solve(replace(problem(p, mm, l), w=substituted_w(p, mm, l)), cfg)
+    reduced, w = problem(p, mm, l), substituted_w(p, mm, l)
+    return solve(replace(reduced, wb=lambda r: (w(r), reduced.wb(r)[1])), cfg)
 
 
 def sweep(name="H2", deltas=DELTAS):

@@ -51,6 +51,7 @@ EDGE = (
     "wavefunction --molecule H2 --n 1 --delta 1e-10 --points 20",
     "special-case --case generalized-vibrational --D 1 --alpha 1e-200 --q 1 --mu 0.9 --re 1",
     "special-case --case non-pt --D 1 --dhat 1.5 --mu 0.9 --re 1e200",
+    "wavefunction --molecule H2 --delta 0.3 --n 2 --points 1",
 )
 
 

@@ -262,6 +262,22 @@ def test_wavefunction_default_range_h2_n2(capsys, delta):
         assert rows[0, 0] > pole
 
 
+@pytest.mark.parametrize("name, delta", [(name, delta) for name in ("H2", "LiH")
+                                         for delta in ("0.3", "0.6")])
+def test_wavefunction_one_point_lies_outside_the_pole(capsys, name, delta):
+    # one point takes the step of two: the default range starts halfway from
+    # the pole to r_e + 12/a, not at its upper end
+    rows = _wavefunction_rows(["--molecule", name, "--n", "2", "--delta", delta,
+                               "--points", "1"], capsys)
+    mol = builtin(name)
+    p = PotentialParams.from_molecule(mol, 1.0)
+    pole = mass_pole_radius(MassModel.from_molecule(mol, float(delta)), p)
+    r_hi = p.r_e + 12.0 / p.a
+    assert pole > p.r_e - 4.0 / p.a
+    assert rows.shape == (1, 3) and np.isfinite(rows).all()
+    assert rows[0, 0] == pytest.approx(pole + (r_hi - pole) / 2.0, rel=5e-6)  # 6 digits
+
+
 def test_wavefunction_r_min_inside_the_pole_exits_2(capsys):
     code, out, err = run_cli(["wavefunction", "--molecule", "H2", "--n", "2", "--delta", "0.3",
                               "--r-min", "0.05"], capsys)

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from crosscheck.dense import dense_eigh
+from crosscheck.dense import dense_eigh, dense_matrix
 from crosscheck.nodes import node_count
 from crosscheck.substituted import pekeris_centrifugal, sweep
 from qmorse import builtin, oracle
@@ -56,7 +56,7 @@ def _self_test_problem(w, b, threshold):
     """A problem of its own W and B on the plain r coordinate (no mass pole)."""
     mol = builtin("H2")
     base = problem(PotentialParams.from_molecule(mol, 1.0), MassModel.from_molecule(mol), 0)
-    return replace(base, w=w, b=b, threshold=threshold, origin=None)
+    return replace(base, wb=lambda r: (w(r), b(r)), threshold=threshold, origin=None)
 
 
 def test_harmonic_oscillator_self_test():
@@ -177,13 +177,13 @@ ORACLE_VERIFY_CELLS = [
 ]
 
 
-def _solve_once_args(monkeypatch, name, delta, l):
-    """The reported and the check solve's (x_lo, x_hi, n) for one suggested cell."""
+def _solve_once_calls(monkeypatch, name, delta, l):
+    """The reported and the check solve's ``_solve_once`` arguments for one suggested cell."""
     calls = []
     solve_once = oracle._solve_once
 
     def spy(*args):
-        calls.append(args[2:5])
+        calls.append(args)
         return solve_once(*args)
 
     mol = builtin(name)
@@ -193,6 +193,11 @@ def _solve_once_args(monkeypatch, name, delta, l):
         solve(prob, suggest_config(prob))
     assert len(calls) == 2
     return calls
+
+
+def _solve_once_args(monkeypatch, name, delta, l):
+    """The reported and the check solve's (x_lo, x_hi, n) for one suggested cell."""
+    return [args[2:5] for args in _solve_once_calls(monkeypatch, name, delta, l)]
 
 
 @pytest.mark.parametrize("name, delta, l, inner, outer", [
@@ -295,16 +300,17 @@ def test_reduced_w_over_b_tends_to_the_threshold(h2, delta, l):
     mm = MassModel.from_molecule(h2, delta)
     prob = problem(p, mm, l, "pekeris")
     r = np.array([p.r_e + 60.0 / p.a])
-    assert float(prob.w(r)[0] / prob.b(r)[0]) == pytest.approx(prob.threshold, rel=1e-14)
+    w, b = prob.wb(r)
+    assert float(w[0] / b[0]) == pytest.approx(prob.threshold, rel=1e-14)
 
 
 @pytest.mark.parametrize("delta", [0.0, 0.3])
 def test_exact_mode_w_is_the_effective_potential(h2, delta):
     p = PotentialParams.from_molecule(h2, 1.0)
     mm = MassModel.from_molecule(h2, delta)
-    w_fn = problem(p, mm, 5, "exact").w
+    wb = problem(p, mm, 5, "exact").wb
     r = np.linspace(p.r_e - 0.5 / p.a, p.r_e + 30.0 / p.a, 400)
-    assert np.array_equal(w_fn(r), effective_potential(p, mm, 5, r))
+    assert np.array_equal(wb(r)[0], effective_potential(p, mm, 5, r))
 
 
 @pytest.mark.parametrize("mode", ["pekeris", "exact"])
@@ -315,7 +321,7 @@ def test_b_is_two_m_over_hbar2_of_the_mass_profile(h2, delta, mode):
     mm = MassModel.from_molecule(h2, delta)
     prob = problem(p, mm, 5, mode)
     r = np.linspace(prob.wall, p.r_e + 60.0 / p.a, 400)
-    assert np.array_equal(prob.b(r), mass(mm, p, r) / mm.m0 * (1.0 / hbar2_over_2mu(mm.m0)))
+    assert np.array_equal(prob.wb(r)[1], mass(mm, p, r) / mm.m0 * (1.0 / hbar2_over_2mu(mm.m0)))
 
 
 @pytest.mark.parametrize("name", ["H2", "CO"])
@@ -326,12 +332,12 @@ def test_pekeris_mode_at_delta_0_is_the_constant_mass_pekeris_problem(name):
     p = PotentialParams.from_molecule(mol, 1.0)
     mm = MassModel.from_molecule(mol, 0.0)
     prob = problem(p, mm, 5, "pekeris")
-    w_fn, b_fn = prob.w, prob.b
     r = np.linspace(max(MIN_RADIUS, p.r_e - 2.0 / p.a), p.r_e + 30.0 / p.a, 400)
+    w, b = prob.wb(r)
     inv_h22m = 1.0 / hbar2_over_2mu(mm.m0)
     want = pekeris_centrifugal(p, 5, r) + inv_h22m * morse_potential(p, r)
-    np.testing.assert_allclose(w_fn(r), want, rtol=1e-12, atol=0.0)
-    assert np.all(b_fn(r) == inv_h22m)
+    np.testing.assert_allclose(w, want, rtol=1e-12, atol=0.0)
+    assert np.all(b == inv_h22m)
 
 
 def test_substituted_gap_matches_the_readme():
@@ -557,7 +563,8 @@ def test_allowed_pole_side_keeps_the_deepest_wall(name):
     prob = problem(p, mm, 0, "pekeris")
     e_top = prob.threshold - 0.5
     wall = np.array([pole_wall(p, mm, POLE_WALL)])
-    assert prob.w(wall)[0] / prob.b(wall)[0] < e_top
+    w, b = prob.wb(wall)
+    assert w[0] / b[0] < e_top
     cfg = suggest_config(prob, e_top=e_top)
     assert cfg.r_min == wall[0]
 
@@ -570,7 +577,8 @@ def test_thin_pole_side_keeps_the_deepest_wall():
     mm = MassModel.from_molecule(mol, 0.5)
     prob = problem(p, mm, 0, "pekeris")
     wall = np.array([pole_wall(p, mm, POLE_WALL)])
-    assert prob.w(wall)[0] / prob.b(wall)[0] > prob.ladder[-1]
+    w, b = prob.wb(wall)
+    assert w[0] / b[0] > prob.ladder[-1]
     assert suggest_config(prob).r_min == wall[0]
 
 
@@ -632,10 +640,11 @@ def test_grid_map_inverts_and_keeps_the_levels_of_the_plain_log_grid(monkeypatch
     x = gmap.x(t)
     assert np.all(np.diff(x) > 0.0)
     ulp_x, ulp_t = np.spacing(np.max(np.abs(x))), np.spacing(np.max(np.abs(t)))
-    assert np.max(np.abs(gmap.x(gmap.t(x)) - x)) <= 4.0 * ulp_x
+    assert np.max(np.abs(gmap.x(gmap.t(x, t[0], t[-1])) - x)) <= 4.0 * ulp_x
     # where the density X' is low, t is known to ulp(x)/X' at best
-    assert np.all(np.abs(gmap.t(x) - t) <= 4.0 * (ulp_t + ulp_x / gmap.derivatives(t)[0]))
-    assert np.array_equal(GridMap().t(x), x)  # the plain log grid: X = t
+    assert np.all(np.abs(gmap.t(x, t[0], t[-1]) - t)
+                  <= 4.0 * (ulp_t + ulp_x / gmap.derivatives(t)[0]))
+    assert np.array_equal(GridMap().t(x, t[0], t[-1]), x)  # the plain log grid: X = t
     # the plain log grid on the same walls, sized by the same rule from the same
     # scan: the shallowest level's need times the spacing in t at most
     # MAPPED_KH_SHARE * MAX_KH
@@ -668,3 +677,124 @@ def test_threshold_below_the_well_skips_the_check_solve(monkeypatch):
     ), OracleConfig(r_min=1.0, r_max=9.0, grid_points=500))
     assert len(calls) == 1
     assert spectrum.eigenvalues.shape == spectrum.error_estimates.shape == (0,)
+
+
+def test_inverse_map_rises_and_round_trips_on_every_oracle_verify_grid(monkeypatch):
+    # the reported and the check grid of each cell, CO delta = 0.5's check grid
+    # widened on both walls among them; the seeded Newton inverse takes 3 or 4 passes
+    passes = []
+    tanh = np.tanh
+
+    def counted_tanh(*args):
+        passes[-1] += 1
+        return tanh(*args)
+
+    for name, delta, l in ORACLE_VERIFY_CELLS:
+        for _, gmap, x_lo, x_hi, n, t_lo, t_hi in _solve_once_calls(monkeypatch, name, delta, l):
+            x = x_lo + (x_hi - x_lo) / (n + 1) * np.arange(1, n + 1)
+            passes.append(-1)  # X on the seed's nodes takes one tanh
+            with monkeypatch.context() as patch:
+                patch.setattr(np, "tanh", counted_tanh)
+                t = gmap.t(x, t_lo, t_hi)
+            assert np.all(np.diff(t) > 0.0), (name, delta, l)
+            assert np.all(np.abs(gmap.x(t) - x) <= 1e-14 * (1.0 + np.abs(x))), (name, delta, l)
+    assert len(passes) == 2 * len(ORACLE_VERIFY_CELLS)
+    assert 3 <= min(passes) and max(passes) <= 4, passes
+
+
+def test_inverse_map_converges_from_a_far_seed():
+    # a step narrower than the seed's node spacing: Newton's first step may
+    # overshoot, is clamped to t_m's side of the root, and then converges
+    gmap = GridMap(a=0.005, b=1.0, t_m=0.3, width=1e-3)
+    t = np.linspace(-2.0, 2.0, 4001)
+    x = gmap.x(t)
+    inverse = gmap.t(x, -2.0, 2.0)
+    assert np.all(np.abs(gmap.x(inverse) - x) <= 1e-14 * (1.0 + np.abs(x)))
+
+
+def test_w_and_b_are_evaluated_once_per_grid(monkeypatch):
+    # the 6000-point scan, the tail's one point, the 640-point profile and the
+    # two solves: one (W, B) call each, and each forms z and checks the pole once
+    mol = builtin("HCl")
+    base = problem(PotentialParams.from_molecule(mol, 1.0), MassModel.from_molecule(mol, 0.05), 0)
+    sizes, factors = [], []
+    pole_factor = oracle.pole_factor
+    monkeypatch.setattr(oracle, "pole_factor",
+                        lambda *args: factors.append(1) or pole_factor(*args))
+
+    def wb(r):
+        sizes.append(len(r))
+        return base.wb(r)
+
+    prob = replace(base, wb=wb)
+    cfg = suggest_config(prob)
+    solve(prob, cfg)
+    assert sizes[:4] == [6000, 1, 640, cfg.grid_points] and sizes[4] > cfg.grid_points
+    assert len(sizes) == len(factors) == 5
+
+
+def _loop_band(w_hat, b_hat, h):
+    """The upper band and 16 eps ||H||_inf built one diagonal at a time: the reference."""
+    p, n = len(KINETIC_BAND) - 1, len(w_hat)
+    inv_sqrt_b = 1.0 / np.sqrt(b_hat)
+    band = np.zeros((p + 1, n))
+    band[p] = (KINETIC_BAND[0] / h**2 + w_hat) / b_hat
+    off_sum = np.zeros(n)
+    for k in range(1, p + 1):
+        off = KINETIC_BAND[k] / h**2 * inv_sqrt_b[:-k] * inv_sqrt_b[k:]
+        band[p - k, k:] = off
+        off_sum[:-k] += np.abs(off)
+        off_sum[k:] += np.abs(off)
+    return band, 16.0 * np.finfo(float).eps * float(np.max(np.abs(band[p]) + off_sum))
+
+
+def test_solve_hands_dsbevd_the_upper_band_once_per_solve(monkeypatch):
+    # the band is the loop-built one bit for bit and the matrix that of the dense
+    # cross-check; only the roundoff's sum runs in another order
+    from scipy.linalg import lapack
+
+    calls = []
+    dsbevd = lapack.dsbevd
+
+    def spy(band, **options):
+        calls.append((np.array(band), options))
+        return dsbevd(band, **options)
+
+    monkeypatch.setattr(lapack, "dsbevd", spy)
+    mol = builtin("H2-ref")
+    prob = problem(PotentialParams.from_molecule(mol, 1.0), MassModel.from_molecule(mol, 0.5), 3)
+    cfg = suggest_config(prob)
+    gmap, n = cfg.grid_map, cfg.grid_points
+    t_lo, t_hi = (math.log(r - prob.origin) for r in (cfg.r_min, cfg.r_max))
+    _, roundoff, w_hat, b_hat, h = oracle._solve_once(prob, gmap, gmap.x(t_lo), gmap.x(t_hi),
+                                                      n, t_lo, t_hi)
+    [(band, options)] = calls
+    assert options == {"compute_v": 0}
+    reference, reference_roundoff = _loop_band(w_hat, b_hat, h)
+    assert np.array_equal(band, reference)
+    assert roundoff == pytest.approx(reference_roundoff, rel=1e-14)
+    p = len(KINETIC_BAND) - 1
+    matrix = np.diag(band[p])
+    for k in range(1, p + 1):
+        matrix += np.diag(band[p - k, k:], k) + np.diag(band[p - k, k:], -k)
+    dense = dense_matrix(prob, cfg)
+    assert np.max(np.abs(matrix - dense)) <= 1e-13 * np.max(np.sum(np.abs(dense), axis=1))
+    calls.clear()
+    solve(prob, cfg)
+    assert [band.shape for band, _ in calls] == [(p + 1, n), (p + 1, math.ceil(1.25 * (n + 1)) - 1)]
+
+
+def test_a_non_finite_band_or_a_failed_driver_raises(monkeypatch):
+    b_tiny = 1e-305  # B^{-1/2} = 3e152: the band overflows though W and B are finite
+    prob = _self_test_problem(lambda r: np.zeros_like(r), lambda r: np.full_like(r, b_tiny), 1.0)
+    cfg = OracleConfig(r_min=1.0, r_max=9.0, grid_points=500)
+    with np.errstate(over="ignore"), pytest.raises(DomainError, match="not finite"):
+        solve(prob, cfg)
+    from scipy.linalg import lapack
+
+    monkeypatch.setattr(lapack, "dsbevd",
+                        lambda band, **options: (np.zeros(band.shape[1]), None, 3))
+    b_const = 1.0 / hbar2_over_2mu(1.0)
+    with pytest.raises(np.linalg.LinAlgError, match="info = 3"):
+        solve(_self_test_problem(lambda r: b_const * 2.5 * (r - 5.0) ** 2,
+                                 lambda r: np.full_like(r, b_const), 2.0), cfg)

@@ -157,3 +157,10 @@ def test_ci_workflow_runs_the_tier1_line():
             """["correct"] is not True)' "$report" \\ """
             '|| { cat "$report"; echo "perfbench $workload: output checks failed"; exit 1; } '
             "done") in step
+    # the four reports are kept as an artifact, also when a check failed
+    upload = ("      - name: Keep the benchmark reports\n        if: always()\n"
+              "        uses: actions/upload-artifact@v4\n        with:\n"
+              "          name: perfbench-reports\n"
+              "          path: ${{ runner.temp }}/perfbench-*.txt\n")
+    assert workflow.index('report="$RUNNER_TEMP/perfbench-$workload.txt"') \
+        < workflow.index(upload) < workflow.index(clean)
